@@ -3,17 +3,18 @@
 Storey k (bottom = 1) of an S-storey building reuses growth snapshot
 S - k + 1, so the ground floor carries the most rooms and each floor above
 drops exactly one — the per-floor pattern (S, S-1, ..., 1) that also
-serves as the dataset's label oracle.  Every storey is a full-height prism
-over its offset footprint with room voids, opening boxes, and a top slab;
-solids merge into one body and the core shaft is opened through all slabs
-above ground level.
+serves as the dataset's label oracle.  The whole building is one box grid:
+the ground slab and every storey's full-height prism over its offset
+footprint are material; room voids, opening boxes, and one core shaft
+from the ground slab to the roof are removed; a single `solid_from_boxes`
+call traces the solid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .brep import Box, BRepSolid, cut_through_slabs, merge, solid_from_boxes
+from .brep import Box, BRepSolid, solid_from_boxes
 from .dataset import BuildingMeta
 from .errors import (
     AssemblyInconsistencyError,
@@ -152,46 +153,35 @@ def _opening_box(plan: StoreyPlan, opening: Opening, z_base: int, z_wall_top: in
     return Box(x0, wall.p1.y - t_half, z0, x0 + opening.width, wall.p1.y + t_half, z1)
 
 
-def storey_solid(plan: StoreyPlan, level: int, config: BuildingConfig) -> BRepSolid:
-    """Watertight storey chunk: walls plus its top slab, voids open downward."""
-    t_half = config.wall_thickness // 2
-    zb = (level - 1) * config.storey_height
-    zt = level * config.storey_height - config.slab_thickness
-    z_top = level * config.storey_height
-    dilated, _ = offset_loop(plan.footprint, t_half)
-    positive = [Box(r.x0, r.y0, zb, r.x1, r.y1, z_top) for r in decompose_rects(dilated)]
-    negative = []
-    for rect in [plan.core] + plan.rooms:
-        void = rect.eroded(t_half)
-        negative.append(Box(void.x0, void.y0, zb, void.x1, void.y1, zt))
-    for opening in plan.openings:
-        negative.append(_opening_box(plan, opening, zb, zt, t_half))
-    return solid_from_boxes(positive, negative)
+def building_boxes(
+    trace: GrowthTrace, plans: list[StoreyPlan], config: BuildingConfig
+) -> tuple[list[Box], list[Box]]:
+    """(material, void) boxes of the whole building on one integer grid.
 
-
-def ground_slab(trace: GrowthTrace, config: BuildingConfig) -> BRepSolid:
-    """Ground plane: the footprint bounding box dilated outward, extruded down."""
-    bbox = trace.snapshots[-1].bbox().dilated(config.ground_offset)
-    return solid_from_boxes(
-        [Box(bbox.x0, bbox.y0, -config.slab_thickness, bbox.x1, bbox.y1, 0)]
-    )
-
-
-def cut_atrium(building: Building) -> Building:
-    """Open the core shaft through every inter-storey slab and the roof.
-
-    The ground slab stays closed; the shaft rectangle is the core interior,
-    which the wall offset keeps strictly inside every slab face.
+    Material: the ground slab (footprint bounding box dilated by the apron,
+    below z = 0) and each storey's full-height prism over its dilated
+    footprint, top slab included.  Voids: each storey's rooms up to the
+    slab soffit, its opening boxes, and one core shaft from the ground slab
+    through every inter-storey slab and the roof.
     """
-    config = building.config
-    core = building.storeys[0].core
-    shaft = core.eroded(config.wall_thickness // 2)
-    slabs = [
-        (k * config.storey_height - config.slab_thickness, k * config.storey_height)
-        for k in range(1, len(building.storeys) + 1)
-    ]
-    solid = cut_through_slabs(building.solid, (shaft.x0, shaft.y0, shaft.x1, shaft.y1), slabs)
-    return replace(building, solid=solid)
+    t_half = config.wall_thickness // 2
+    bbox = trace.snapshots[-1].bbox().dilated(config.ground_offset)
+    positive = [Box(bbox.x0, bbox.y0, -config.slab_thickness, bbox.x1, bbox.y1, 0)]
+    negative = []
+    for level, plan in enumerate(plans, start=1):
+        zb = (level - 1) * config.storey_height
+        zt = level * config.storey_height - config.slab_thickness
+        z_top = level * config.storey_height
+        dilated, _ = offset_loop(plan.footprint, t_half)
+        positive += [Box(r.x0, r.y0, zb, r.x1, r.y1, z_top) for r in decompose_rects(dilated)]
+        for room in plan.rooms:
+            void = room.eroded(t_half)
+            negative.append(Box(void.x0, void.y0, zb, void.x1, void.y1, zt))
+        negative += [_opening_box(plan, o, zb, zt, t_half) for o in plan.openings]
+    shaft = plans[0].core.eroded(t_half)
+    z_roof = len(plans) * config.storey_height
+    negative.append(Box(shaft.x0, shaft.y0, 0, shaft.x1, shaft.y1, z_roof))
+    return positive, negative
 
 
 def _building_meta(
@@ -235,7 +225,7 @@ def _building_meta(
 
 
 def assemble(trace: GrowthTrace, config: BuildingConfig, rng: SeededRng) -> Building:
-    """Full building: plans, entrance, storey solids, merge, atrium, metadata."""
+    """Full building: plans, entrance, one box-grid solid, metadata."""
     plans = [
         build_storey_plan(snapshot, rooms, trace.core, config)
         for snapshot, rooms in order_storeys(trace)
@@ -253,13 +243,10 @@ def assemble(trace: GrowthTrace, config: BuildingConfig, rng: SeededRng) -> Buil
         kept.append(o)
     ground_plan.openings = kept + [entrance]
 
-    solids = [ground_slab(trace, config)]
-    solids += [storey_solid(plan, k, config) for k, plan in enumerate(plans, start=1)]
-    merged = merge(solids)
-    building = Building(
+    positive, negative = building_boxes(trace, plans, config)
+    return Building(
         storeys=plans,
-        solid=merged,
+        solid=solid_from_boxes(positive, negative),
         meta=_building_meta(f"bld{rng.stream:08d}", rng.stream, trace, plans),
         config=config,
     )
-    return cut_atrium(building)

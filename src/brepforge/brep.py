@@ -3,8 +3,9 @@
 Solids are built from exact integer-grid boxes and represented as faces on
 axis-aligned planes; loops store vertex ids, so watertightness is a pure
 combinatorial check (every undirected edge used exactly twice, once per
-direction).  Booleans are structural: hole insertion for through-openings
-and per-plane region cancellation for merges — no floating-point CSG.
+direction).  The only Boolean is `solid_from_boxes`: union minus difference
+of boxes on one compressed cell grid, traced into maximal faces per plane —
+no floating-point CSG.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AssemblyInconsistencyError,
-    BooleanFailureError,
-    EmptyMeshError,
-    InvalidExtrusionError,
-    MergeConflictError,
-)
+from .errors import EmptyMeshError, InvalidExtrusionError
 from .geom2d import Footprint, decompose_rects
 from .regions import Region, merged_breakpoints, rasterize_loops, trace_region
 
@@ -100,7 +95,7 @@ def _loop_to_2d(coords, axis: int, sign: int):
     return [(p[ua], p[va]) for p in coords]
 
 
-def _finalize(raw_faces: Sequence[RawFace], label: str = "GOOD") -> BRepSolid:
+def _finalize(raw_faces: Sequence[RawFace]) -> BRepSolid:
     """Weld vertices, split T-junctions, and canonicalize ordering."""
     loops3d = []  # (axis, offset, sign, [outer coords], [hole coords ...])
     points: set[tuple[int, int, int]] = set()
@@ -180,19 +175,7 @@ def _finalize(raw_faces: Sequence[RawFace], label: str = "GOOD") -> BRepSolid:
         for f in canon
     )
     final_vertices = tuple(vertices[i] for i in used)
-    return BRepSolid(final_vertices, final_faces, label)
-
-
-def _solid_to_raw(solid: BRepSolid) -> list[RawFace]:
-    raw = []
-    for f in solid.faces:
-        coords = [solid.vertices[i] for i in f.outer]
-        holes = [[solid.vertices[i] for i in h] for h in f.inner]
-        raw.append(
-            (f.axis, f.offset, f.sign, _loop_to_2d(coords, f.axis, f.sign),
-             [_loop_to_2d(h, f.axis, f.sign) for h in holes])
-        )
-    return raw
+    return BRepSolid(final_vertices, final_faces)
 
 
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
@@ -257,195 +240,12 @@ def extrude_prism(
     return solid_from_boxes(pos, neg)
 
 
-def _face_region(solid: BRepSolid, face: BRepFace, extra_points=()):
+def _face_region(solid: BRepSolid, face: BRepFace):
     loops = [[solid.vertices[i] for i in loop] for loop in face.loops()]
     loops2d = [_loop_to_2d(lp, face.axis, face.sign) for lp in loops]
-    us = merged_breakpoints(
-        [p[0] for lp in loops2d for p in lp], [p[0] for p in extra_points]
-    )
-    vs = merged_breakpoints(
-        [p[1] for lp in loops2d for p in lp], [p[1] for p in extra_points]
-    )
+    us = merged_breakpoints([p[0] for lp in loops2d for p in lp])
+    vs = merged_breakpoints([p[1] for lp in loops2d for p in lp])
     return rasterize_loops(loops2d, us, vs)
-
-
-def cut_opening(solid: BRepSolid, box: Box) -> BRepSolid:
-    """Carve a rectangular opening whose box through-pierces one wall slab.
-
-    The box's two large faces must coincide with two existing opposed faces
-    and sit strictly inside their outer loops, clear of other openings; the
-    cut adds one inner loop to each face plus four tunnel faces.
-    """
-    candidates = []
-    for axis in range(3):
-        ua_lo, va_lo = FRAMES[(axis, -1)]
-        ua_hi, va_hi = FRAMES[(axis, +1)]
-        lo_rect = (box.lo(ua_lo), box.lo(va_lo), box.hi(ua_lo), box.hi(va_lo))
-        hi_rect = (box.lo(ua_hi), box.lo(va_hi), box.hi(ua_hi), box.hi(va_hi))
-        lo_face = hi_face = None
-        for fi, f in enumerate(solid.faces):
-            if f.axis != axis:
-                continue
-            if f.sign == -1 and f.offset == box.lo(axis):
-                corners = [(lo_rect[0], lo_rect[1]), (lo_rect[2], lo_rect[3])]
-                region = _face_region(solid, f, corners)
-                if region.rect_strictly_inside(*lo_rect):
-                    lo_face = fi
-            elif f.sign == +1 and f.offset == box.hi(axis):
-                corners = [(hi_rect[0], hi_rect[1]), (hi_rect[2], hi_rect[3])]
-                region = _face_region(solid, f, corners)
-                if region.rect_strictly_inside(*hi_rect):
-                    hi_face = fi
-        if lo_face is not None and hi_face is not None:
-            candidates.append((axis, lo_face, hi_face))
-    if len(candidates) != 1:
-        raise BooleanFailureError(
-            f"opening box {box} does not pierce exactly one wall slab "
-            f"({len(candidates)} candidate axes)"
-        )
-    axis, lo_fi, hi_fi = candidates[0]
-
-    raw = _solid_to_raw(solid)
-
-    def hole_loop(sign: int):
-        ua, va = FRAMES[(axis, sign)]
-        u0, v0 = box.lo(ua), box.lo(va)
-        u1, v1 = box.hi(ua), box.hi(va)
-        return [(u0, v0), (u0, v1), (u1, v1), (u1, v0)]  # CW: negative area
-
-    raw[lo_fi][4].append(hole_loop(-1))
-    raw[hi_fi][4].append(hole_loop(+1))
-
-    b, c = [a for a in range(3) if a != axis]
-    for cross, at_lo, at_hi in ((b, box.lo(b), box.hi(b)), (c, box.lo(c), box.hi(c))):
-        for offset, sign in ((at_lo, +1), (at_hi, -1)):
-            ua, va = FRAMES[(cross, sign)]
-            lo = {axis: box.lo(axis), b: box.lo(b), c: box.lo(c)}
-            hi = {axis: box.hi(axis), b: box.hi(b), c: box.hi(c)}
-            loop = [
-                (lo[ua], lo[va]),
-                (hi[ua], lo[va]),
-                (hi[ua], hi[va]),
-                (lo[ua], hi[va]),
-            ]
-            raw.append((cross, offset, sign, loop, []))
-    return _finalize(raw, solid.label)
-
-
-def merge(solids: Sequence[BRepSolid]) -> BRepSolid:
-    """Union solids that touch only along coincident coplanar face regions.
-
-    Opposed face regions cancel where they coincide; same-normal regions in
-    a shared plane are unioned.  Overlapping same-normal regions from two
-    different solids indicate interpenetration and raise MergeConflictError.
-    """
-    if not solids:
-        raise MergeConflictError("nothing to merge")
-    planes: dict[tuple[int, int], list[tuple[int, int, RawFace]]] = {}
-    for si, solid in enumerate(solids):
-        for rf in _solid_to_raw(solid):
-            axis, offset, sign = rf[0], rf[1], rf[2]
-            planes.setdefault((axis, offset), []).append((si, sign, rf))
-
-    raw_out: list[RawFace] = []
-    for (axis, offset), entries in sorted(planes.items()):
-        sources = {si for si, _, _ in entries}
-        signs = {sign for _, sign, _ in entries}
-        if len(sources) == 1 and len(signs) == 1:
-            raw_out.extend(rf for _, _, rf in entries)
-            continue
-        # Work in the +1 frame; the -1 frame is the same plane with (u, v)
-        # swapped, so -1 loops contribute swapped breakpoints and masks.
-        pts_plus = [
-            (p if sign > 0 else (p[1], p[0]))
-            for _, sign, rf in entries
-            for loop in (rf[3], *rf[4])
-            for p in loop
-        ]
-        us = merged_breakpoints([p[0] for p in pts_plus])
-        vs = merged_breakpoints([p[1] for p in pts_plus])
-        acc = {+1: np.zeros((len(us) - 1, len(vs) - 1), dtype=bool)}
-        acc[-1] = acc[+1].copy()
-        acc_owner: dict[int, dict[int, np.ndarray]] = {+1: {}, -1: {}}
-        for si, sign, rf in entries:
-            if sign > 0:
-                region = rasterize_loops([rf[3], *rf[4]], us, vs)
-                mask = region.mask
-            else:
-                region = rasterize_loops([rf[3], *rf[4]], vs, us)
-                mask = region.mask.T
-            solid_mask = acc_owner[sign].setdefault(si, np.zeros_like(mask))
-            solid_mask |= mask
-        for sign, by_solid in acc_owner.items():
-            ids = sorted(by_solid)
-            for i, si in enumerate(ids):
-                for sj in ids[i + 1 :]:
-                    if (by_solid[si] & by_solid[sj]).any():
-                        raise MergeConflictError(
-                            f"solids {si} and {sj} interpenetrate in plane "
-                            f"{AXIS_NAMES[axis]}={offset}"
-                        )
-                acc[sign] |= by_solid[si]
-        plus = acc[+1] & ~acc[-1]
-        minus = acc[-1] & ~acc[+1]
-        for sign, mask in ((+1, plus), (-1, minus)):
-            if not mask.any():
-                continue
-            if sign > 0:
-                region = Region(us, vs, mask)
-            else:
-                region = Region(vs, us, mask.T)
-            for outer, holes in trace_region(region):
-                raw_out.append((axis, offset, sign, outer, holes))
-    label = "GOOD" if all(s.label == "GOOD" for s in solids) else "DEFECT"
-    return _finalize(raw_out, label)
-
-
-def cut_through_slabs(
-    solid: BRepSolid, rect: tuple[int, int, int, int], slabs: Sequence[tuple[int, int]]
-) -> BRepSolid:
-    """Remove a rectangular shaft from horizontal slabs.
-
-    For each (z_bottom, z_top) slab the rect is subtracted from the upward
-    faces at z_top and the downward faces at z_bottom, and four tunnel
-    faces seal the rim.  The rect must be fully covered by faces at every
-    targeted plane.
-    """
-    x0, y0, x1, y1 = rect
-    raw = _solid_to_raw(solid)
-    for zb, zt in slabs:
-        for z, sign in ((zt, +1), (zb, -1)):
-            keep, targets = [], []
-            for rf in raw:
-                (targets if rf[0] == 2 and rf[1] == z and rf[2] == sign else keep).append(rf)
-            if not targets:
-                raise AssemblyInconsistencyError(f"no slab face at z={z} sign={sign}")
-            pts = [p for rf in targets for loop in (rf[3], *rf[4]) for p in loop]
-            # Frame for +z is (x, y); for -z it is (y, x).
-            if sign > 0:
-                ru0, rv0, ru1, rv1 = x0, y0, x1, y1
-            else:
-                ru0, rv0, ru1, rv1 = y0, x0, y1, x1
-            us = merged_breakpoints([p[0] for p in pts], (ru0, ru1))
-            vs = merged_breakpoints([p[1] for p in pts], (rv0, rv1))
-            region = Region.empty(us, vs)
-            for rf in targets:
-                region.mask |= rasterize_loops([rf[3], *rf[4]], us, vs).mask
-            if not region.rect_filled(ru0, rv0, ru1, rv1):
-                raise AssemblyInconsistencyError(
-                    f"shaft rect not covered by slab faces at z={z}"
-                )
-            region.fill_rect(ru0, rv0, ru1, rv1, value=False)
-            raw = keep
-            for outer, holes in trace_region(region):
-                raw.append((2, z, sign, outer, holes))
-        for axis, offset, sign in ((0, x0, +1), (0, x1, -1), (1, y0, +1), (1, y1, -1)):
-            ua, va = FRAMES[(axis, sign)]
-            lo = {0: x0, 1: y0, 2: zb}
-            hi = {0: x1, 1: y1, 2: zt}
-            loop = [(lo[ua], lo[va]), (hi[ua], lo[va]), (hi[ua], hi[va]), (lo[ua], hi[va])]
-            raw.append((axis, offset, sign, loop, []))
-    return _finalize(raw, solid.label)
 
 
 def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:

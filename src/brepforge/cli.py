@@ -40,7 +40,6 @@ from .errors import (
     BrepForgeError,
     GrowthFailedError,
     InvalidExtrusionError,
-    MergeConflictError,
     UnreachableRoomError,
 )
 from .grammar import grow
@@ -71,28 +70,18 @@ def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
         trace = grow(cfg.grammar(), rng)
     except GrowthFailedError:
         return stream, "discard", "growth-failed"
-    # Cheap pre-filter: every trace room recurs on the storeys above, so
-    # one bad rectangle already condemns the building.  The authoritative
-    # meta-level check still runs before export.
-    filters = cfg.filters()
-    for r in trace.rooms:
-        w, h = r.width / 10.0, r.height / 10.0
-        lo, hi = min(w, h), max(w, h)
-        if (
-            not filters.min_room_area <= w * h <= filters.max_room_area
-            or lo < filters.min_room_side
-            or hi / lo > filters.max_aspect_ratio
-        ):
-            return stream, "discard", "room-filter"
+    # Every storey's rooms are a prefix of the trace rooms, so checking the
+    # trace once covers the whole building before any geometry is built.
+    trace_rooms = [(r.width / 10.0, r.height / 10.0) for r in trace.rooms]
+    rooms_ok, _ = check_rooms([trace_rooms], cfg.filters())
+    if not rooms_ok:
+        return stream, "discard", "room-filter"
     try:
         building = assemble(trace, cfg.building(), rng)
     except UnreachableRoomError:
         return stream, "discard", "unreachable-room"
-    except (AssemblyInconsistencyError, BooleanFailureError, MergeConflictError, InvalidExtrusionError):
+    except (AssemblyInconsistencyError, BooleanFailureError, InvalidExtrusionError):
         return stream, "discard", "boolean-failure"
-    rooms_ok, _ = check_rooms(building.meta, cfg.filters())
-    if not rooms_ok:
-        return stream, "discard", "room-filter"
     solid_ok, _ = check_solid(building.solid)
     if not solid_ok:
         return stream, "discard", "boolean-failure"
@@ -176,7 +165,7 @@ def cmd_validate(args) -> int:
     for path in files:
         try:
             solid = solid_from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
             print(f"FAIL {path.name}: parse error: {exc}")
             failures += 1
             continue
@@ -188,7 +177,7 @@ def cmd_validate(args) -> int:
         meta_path = path.with_name(path.name.replace(".brep.json", ".meta.json"))
         if meta_path.exists():
             meta = BuildingMeta.from_dict(json.loads(meta_path.read_text()))
-            rooms_ok, violations = check_rooms(meta, cfg.filters())
+            rooms_ok, violations = check_rooms(meta.rooms, cfg.filters())
             if not rooms_ok:
                 print(f"FAIL {path.name}: {violations[0]}")
                 failures += 1
@@ -214,6 +203,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_points(args) -> int:
+    if args.n <= 0:
+        print("points: --n must be positive", file=sys.stderr)
+        return USAGE_ERROR
     directory = Path(args.dir)
     files = _brep_files(directory)
     if not files:
@@ -234,6 +226,9 @@ def cmd_points(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    if not 0 <= args.ratio < float("inf"):
+        print("defect: --ratio must be a finite number >= 0", file=sys.stderr)
+        return USAGE_ERROR
     directory = Path(args.dir)
     out_dir = Path(args.out) if args.out else directory
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,13 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_jobs = int(os.environ.get("BREPFORGE_JOBS", "1"))
-
     p = sub.add_parser("gen", help="generate a building dataset")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    # A string default goes through `type` only when gen runs, so a bad
+    # BREPFORGE_JOBS is a gen usage error (exit 2), not a parser crash.
+    p.add_argument(
+        "--jobs", type=int, default=os.environ.get("BREPFORGE_JOBS", "1"),
+        help="worker processes (default: BREPFORGE_JOBS, else 1)",
+    )
     p.add_argument("--config", type=Path, default=None, help="key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--obj", action="store_true", help="also write triangulated OBJ files")

@@ -86,10 +86,10 @@ class DatasetMeta:
 DISCARD_REASONS = ("growth-failed", "boolean-failure", "room-filter", "unreachable-room")
 
 
-def check_rooms(meta: BuildingMeta, cfg: FilterConfig) -> tuple[bool, list[str]]:
-    """Validate every room instance against the filter thresholds."""
+def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
+    """Validate per-storey (width_m, height_m) rooms against the filter thresholds."""
     violations = []
-    for storey, rooms in enumerate(meta.rooms, start=1):
+    for storey, rooms in enumerate(storeys, start=1):
         for i, (w, h) in enumerate(rooms):
             area = w * h
             lo, hi = min(w, h), max(w, h)

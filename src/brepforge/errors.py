@@ -46,15 +46,11 @@ class InvalidExtrusionError(BrepForgeError):
 
 
 class BooleanFailureError(BrepForgeError):
-    """Opening box does not pierce a wall slab cleanly."""
-
-
-class MergeConflictError(BrepForgeError):
-    """Solids interpenetrate or touch in a way face cancellation cannot express."""
+    """Opening box does not fit inside its wall."""
 
 
 class AssemblyInconsistencyError(BrepForgeError):
-    """Building-level construction invariant violated (e.g. atrium outside slab)."""
+    """Building-level construction invariant violated (e.g. no wall fits the entrance)."""
 
 
 class EmptyMeshError(BrepForgeError):

@@ -19,8 +19,6 @@ from .errors import (
     OffsetTooLargeError,
 )
 
-GRID_M = 0.1  # metres per grid unit
-
 
 def to_units(metres: float) -> int:
     """Snap a metre value to the 0.1 m grid; reject off-grid inputs."""

@@ -33,8 +33,6 @@ from .geom2d import (
 )
 from .rng import SeededRng
 
-RNG_ALGORITHM = "pcg32-xsh-rr"
-
 
 @dataclass(frozen=True)
 class GrammarConfig:
@@ -52,7 +50,6 @@ class GrammarConfig:
     # "step": budget of vertex choices per production step.
     # "total": budget of failed attempts over the whole growth.
     retry_scope: str = "total"
-    rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self):
         if not (1 <= self.max_rooms <= 10):

@@ -31,42 +31,6 @@ class Region:
         vs = np.asarray(vs, dtype=np.int64)
         return cls(us, vs, np.zeros((len(us) - 1, len(vs) - 1), dtype=bool))
 
-    def _span(self, u0: int, u1: int, v0: int, v1: int):
-        iu0 = int(np.searchsorted(self.us, u0))
-        iu1 = int(np.searchsorted(self.us, u1))
-        iv0 = int(np.searchsorted(self.vs, v0))
-        iv1 = int(np.searchsorted(self.vs, v1))
-        if (
-            iu0 >= len(self.us)
-            or iu1 >= len(self.us)
-            or self.us[iu0] != u0
-            or self.us[iu1] != u1
-            or iv0 >= len(self.vs)
-            or iv1 >= len(self.vs)
-            or self.vs[iv0] != v0
-            or self.vs[iv1] != v1
-        ):
-            raise ValueError("rect corner is not on the region grid")
-        return iu0, iu1, iv0, iv1
-
-    def fill_rect(self, u0, v0, u1, v1, value: bool = True):
-        iu0, iu1, iv0, iv1 = self._span(u0, u1, v0, v1)
-        self.mask[iu0:iu1, iv0:iv1] = value
-
-    def rect_filled(self, u0, v0, u1, v1) -> bool:
-        iu0, iu1, iv0, iv1 = self._span(u0, u1, v0, v1)
-        return bool(self.mask[iu0:iu1, iv0:iv1].all())
-
-    def rect_strictly_inside(self, u0, v0, u1, v1) -> bool:
-        """Closed rect lies in the open interior: every touching cell filled."""
-        try:
-            iu0, iu1, iv0, iv1 = self._span(u0, u1, v0, v1)
-        except ValueError:
-            return False
-        if iu0 == 0 or iv0 == 0 or iu1 >= self.mask.shape[0] + 1 or iv1 >= self.mask.shape[1] + 1:
-            return False
-        return bool(self.mask[iu0 - 1 : iu1 + 1, iv0 - 1 : iv1 + 1].all())
-
     def area_units(self) -> int:
         cell = np.outer(np.diff(self.us), np.diff(self.vs))
         return int(cell[self.mask].sum())

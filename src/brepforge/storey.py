@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 from .errors import InconsistentPlanError, UnreachableRoomError
 from .geom2d import Footprint, Point2, Rect
-from .rng import SeededRng
 
 NS = ("N", "S")
 EW = ("E", "W")
@@ -195,12 +194,12 @@ def build_walls(
     return [replace(w, wall_id=i) for i, w in enumerate(walls)]
 
 
-def place_doors(plan: StoreyPlan, rng: SeededRng | None = None) -> list[Opening]:
+def place_doors(plan: StoreyPlan) -> list[Opening]:
     """One door per spanning-tree edge of the room adjacency graph.
 
     Breadth-first from the core, neighbours visited in room-id order; each
-    tree edge gets a door centered on the shared wall.  The rng parameter is
-    part of the interface for future variation; placement is deterministic.
+    tree edge gets a door centered on the shared wall.  Placement is
+    deterministic.
     """
     adjacency: dict[int, list[tuple[int, int]]] = {}
     for w in plan.walls:

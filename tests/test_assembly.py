@@ -8,14 +8,12 @@ from brepforge.assembly import (
     BuildingConfig,
     assemble,
     build_storey_plan,
-    cut_atrium,
-    ground_slab,
     order_storeys,
     place_entrance,
 )
 from brepforge.brep import is_watertight
 from brepforge.dataset import canonical_json, solid_to_dict
-from brepforge.errors import AssemblyInconsistencyError, GrowthFailedError
+from brepforge.errors import GrowthFailedError
 from brepforge.geom2d import Footprint, Rect
 from brepforge.grammar import GrammarConfig, GrowthTrace, Termination, grow
 from brepforge.regions import rasterize_loops
@@ -61,27 +59,39 @@ def test_order_storeys_minimum_two():
         order_storeys(fake_trace(trace.snapshots[:1], trace.rooms[:1]))
 
 
-def test_ground_slab_dilated_bbox():
-    fp = Footprint.from_metres([(0, 0), (10, 0), (10, 8), (0, 8)])
-    trace = fake_trace([fp, fp], [Rect.from_metres(0, 0, 5, 8), Rect.from_metres(5, 0, 10, 8)])
-    slab = ground_slab(trace, BCFG)
-    xs = [v[0] for v in slab.vertices]
-    ys = [v[1] for v in slab.vertices]
-    zs = [v[2] for v in slab.vertices]
-    assert (min(xs), min(ys), max(xs), max(ys)) == (-30, -30, 130, 110)
-    assert (min(zs), max(zs)) == (-2, 0)
+def ground_face(solid):
+    """The single face at the underside of the ground slab (z = -0.2 m)."""
+    bottom = [f for f in solid.faces if f.axis == 2 and f.offset == -BCFG.slab_thickness]
+    assert len(bottom) == 1
+    assert bottom[0].sign < 0 and not bottom[0].inner
+    return [solid.vertices[i] for i in bottom[0].outer]
 
 
-def test_ground_slab_area_algebra():
-    fp = Footprint.from_metres([(0, 0), (10, 0), (10, 8), (0, 8)])
-    trace = fake_trace([fp, fp], [Rect.from_metres(0, 0, 5, 8), Rect.from_metres(5, 0, 10, 8)])
-    slab = ground_slab(trace, BCFG)
-    top = [f for f in slab.faces if f.axis == 2 and f.sign > 0]
-    assert len(top) == 1
-    # (w + 6)(h + 6) for a w x h bounding box.
-    xs = sorted({v[0] for v in slab.vertices})
-    ys = sorted({v[1] for v in slab.vertices})
-    assert (xs[-1] - xs[0]) * (ys[-1] - ys[0]) / 100.0 == (10 + 6) * (8 + 6)
+def test_ground_apron_dilated_bbox():
+    trace, rng = grown(7)
+    b = assemble(trace, BCFG, rng)
+    pts = ground_face(b.solid)
+    assert len(pts) == 4
+    bbox = trace.snapshots[-1].bbox()
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    assert (min(xs), min(ys), max(xs), max(ys)) == (
+        bbox.x0 - 30, bbox.y0 - 30, bbox.x1 + 30, bbox.y1 + 30
+    )
+    assert min(v[2] for v in b.solid.vertices) == -2
+
+
+def test_ground_apron_area_algebra():
+    trace, rng = grown(7)
+    b = assemble(trace, BCFG, rng)
+    pts = ground_face(b.solid)
+    area2 = sum(
+        pts[i][0] * pts[i - 1][1] - pts[i - 1][0] * pts[i][1] for i in range(len(pts))
+    )
+    # (w + 6)(h + 6) m² for a w x h m bounding box; the loop is CCW about -z.
+    bbox = trace.snapshots[-1].bbox()
+    w, h = (bbox.x1 - bbox.x0) / 10.0, (bbox.y1 - bbox.y0) / 10.0
+    assert area2 / 200.0 == (w + 6) * (h + 6)
 
 
 def test_entrance_prefers_long_wall_nearest_centroid():
@@ -222,13 +232,6 @@ def test_atrium_penetration_count_two_storey():
     ]
     assert opened == [1, 2]  # slab between floors 1-2 and the roof
     assert is_watertight(b.solid)[0]
-
-
-def test_cut_atrium_requires_slab_faces():
-    trace, rng = grown(7)
-    b = assemble(trace, BCFG, rng)
-    with pytest.raises(AssemblyInconsistencyError):
-        cut_atrium(b)  # shaft already open; faces are gone
 
 
 def test_assemble_deterministic_bytes():

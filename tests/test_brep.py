@@ -1,22 +1,23 @@
-"""Kernel tests: Euler counts on fixtures, opening arithmetic, merge
-cancellation, watertight diagnostics, triangulation conservation."""
+"""Kernel tests: Euler counts on fixtures, opening arithmetic, box unions,
+watertight diagnostics, triangulation conservation, random box sets."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brepforge.brep import (
+    FRAMES,
     Box,
-    cut_opening,
     drop_faces,
     euler_characteristic,
     extrude_prism,
     is_watertight,
-    merge,
     mesh_to_obj,
     solid_from_boxes,
     total_face_area_m2,
     triangulate,
 )
-from brepforge.errors import BooleanFailureError, InvalidExtrusionError, MergeConflictError
+from brepforge.errors import InvalidExtrusionError
 from brepforge.geom2d import Footprint
 
 UNIT_SQUARE = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -76,13 +77,13 @@ def test_extrude_degenerate_height():
         extrude_prism(UNIT_SQUARE, 5, 5)
 
 
-WALL = solid_from_boxes([Box(0, 0, 0, 2, 40, 30)])
+WALL = Box(0, 0, 0, 2, 40, 30)
 DOOR = Box(0, 10, 5, 2, 19, 26)
 
 
-def test_cut_opening_face_arithmetic():
-    cut = cut_opening(WALL, DOOR)
-    assert len(cut.faces) == len(WALL.faces) + 4
+def test_opening_face_arithmetic():
+    cut = solid_from_boxes([WALL], [DOOR])
+    assert len(cut.faces) == 6 + 4
     holed = [f for f in cut.faces if f.inner]
     assert len(holed) == 2
     assert all(len(f.inner) == 1 for f in holed)
@@ -90,44 +91,23 @@ def test_cut_opening_face_arithmetic():
     assert ok
 
 
-def test_cut_opening_two_disjoint_windows():
-    cut = cut_opening(WALL, DOOR)
-    cut2 = cut_opening(cut, Box(0, 25, 8, 2, 33, 20))
-    assert len(cut2.faces) == len(WALL.faces) + 8
+def test_opening_two_disjoint_windows():
+    cut2 = solid_from_boxes([WALL], [DOOR, Box(0, 25, 8, 2, 33, 20)])
+    assert len(cut2.faces) == 6 + 8
     holed = [f for f in cut2.faces if f.inner]
     assert sorted(len(f.inner) for f in holed) == [2, 2]
     assert is_watertight(cut2)[0]
 
 
-def test_cut_opening_protruding_box_rejected():
-    with pytest.raises(BooleanFailureError):
-        cut_opening(WALL, Box(0, 35, 5, 2, 45, 26))
-
-
-def test_cut_opening_overlapping_opening_rejected():
-    cut = cut_opening(WALL, DOOR)
-    with pytest.raises(BooleanFailureError):
-        cut_opening(cut, Box(0, 15, 10, 2, 25, 20))
-
-
-def test_cut_opening_not_through_piercing():
-    with pytest.raises(BooleanFailureError):
-        cut_opening(WALL, Box(0, 10, 5, 1, 19, 26))  # stops inside the slab
-
-
 def test_merge_stacked_cubes_single_box():
-    a = solid_from_boxes([Box(0, 0, 0, 10, 10, 10)])
-    b = solid_from_boxes([Box(0, 0, 10, 10, 10, 20)])
-    merged = merge([a, b])
+    merged = solid_from_boxes([Box(0, 0, 0, 10, 10, 10), Box(0, 0, 10, 10, 10, 20)])
     assert len(merged.faces) == 6
     assert len(merged.vertices) == 8
     assert is_watertight(merged)[0]
 
 
 def test_merge_setback_terrace_watertight():
-    lower = solid_from_boxes([Box(0, 0, 0, 20, 10, 10)])
-    upper = solid_from_boxes([Box(0, 0, 10, 10, 10, 20)])
-    merged = merge([lower, upper])
+    merged = solid_from_boxes([Box(0, 0, 0, 20, 10, 10), Box(0, 0, 10, 10, 10, 20)])
     ok, problems = is_watertight(merged)
     assert ok, problems
     # The lower top face keeps an exposed remainder (the terrace).
@@ -135,23 +115,62 @@ def test_merge_setback_terrace_watertight():
     assert len(terrace) == 1
 
 
-def test_merge_single_identity():
-    cube = extrude_prism(UNIT_SQUARE, 0, 10)
-    assert merge([cube]) == cube
+def _loop_area2(solid, face, loop) -> int:
+    """Doubled signed area of a loop in the face's (u, v) frame."""
+    ua, va = FRAMES[(face.axis, face.sign)]
+    pts = [(solid.vertices[i][ua], solid.vertices[i][va]) for i in loop]
+    return sum(
+        pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
+        for i in range(len(pts))
+    )
 
 
-def test_merge_associative_on_stack():
-    a = solid_from_boxes([Box(0, 0, 0, 10, 10, 10)])
-    b = solid_from_boxes([Box(0, 0, 10, 10, 10, 20)])
-    c = solid_from_boxes([Box(0, 0, 20, 10, 10, 30)])
-    assert merge([a, merge([b, c])]) == merge([merge([a, b]), c])
+def _divergence_volumes(solid) -> list[int]:
+    """Volume as the flux of x_axis through the faces, once per axis.
+
+    Outer loops are CCW and holes CW about the normal, so the signed loop
+    areas of a face sum to its area.
+    """
+    flux2 = [0, 0, 0]
+    for f in solid.faces:
+        area2 = sum(_loop_area2(solid, f, loop) for loop in f.loops())
+        flux2[f.axis] += f.sign * f.offset * area2
+    return [v // 2 for v in flux2]
 
 
-def test_merge_interpenetration_rejected():
-    a = solid_from_boxes([Box(0, 0, 0, 10, 10, 10)])
-    b = solid_from_boxes([Box(5, 0, 0, 15, 10, 10)])
-    with pytest.raises(MergeConflictError):
-        merge([a, b])
+def _edge_pinched(mat: np.ndarray) -> bool:
+    """Two cells meet along an edge with both other cells around it empty."""
+    padded = np.pad(mat, 1)
+    for axes in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        m = padded.transpose(axes)
+        a, b, c, d = m[:-1, :-1], m[1:, :-1], m[:-1, 1:], m[1:, 1:]
+        if ((a & d & ~b & ~c) | (b & c & ~a & ~d)).any():
+            return True
+    return False
+
+
+GRID = 6
+SPAN = st.integers(0, GRID - 1).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, GRID)))
+BOXES = st.builds(lambda x, y, z: Box(x[0], y[0], z[0], x[1], y[1], z[1]), SPAN, SPAN, SPAN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(BOXES, min_size=1, max_size=4), st.lists(BOXES, max_size=3))
+def test_random_boxes_closed_with_cell_count_volume(positive, negative):
+    mat = np.zeros((GRID, GRID, GRID), dtype=bool)
+    for boxes, value in ((positive, True), (negative, False)):
+        for b in boxes:
+            mat[b.x0:b.x1, b.y0:b.y1, b.z0:b.z1] = value
+    if not mat.any():
+        with pytest.raises(InvalidExtrusionError):
+            solid_from_boxes(positive, negative)
+        return
+    solid = solid_from_boxes(positive, negative)
+    assert _divergence_volumes(solid) == [int(mat.sum())] * 3
+    # Cells that meet only along an edge make that edge non-manifold (four
+    # face uses); every other cell set has a closed, edge-manifold boundary.
+    ok, problems = is_watertight(solid)
+    assert ok != _edge_pinched(mat), problems[:3]
 
 
 def test_watertight_cube_true():

@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from brepforge.cli import main as cli
 
 
@@ -169,3 +171,35 @@ def test_eval_regression_requires_truth(tmp_path):
     csv_path = tmp_path / "p.csv"
     csv_path.write_text("filename,prediction\nx,GOOD\n")
     assert cli(["eval", "regression", str(csv_path)]) == 2
+
+
+def test_validate_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    doc = json.loads(src.read_text())
+    doc["faces"] = None
+    (tmp_path / src.name).write_text(json.dumps(doc))
+    assert cli(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {src.name}: parse error")
+
+
+def test_points_nonpositive_n_usage_error(tmp_path, small_batch_dir):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    assert cli(["points", str(tmp_path), "--n", "0"]) == 2
+    assert not list(tmp_path.glob("*.xyz"))
+
+
+def test_bad_jobs_env_is_gen_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("BREPFORGE_JOBS", "x")
+    # Other subcommands do not read the variable.
+    assert cli(["validate", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli(["gen", "--count", "1", "--seed", "0", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 2
+
+
+def test_defect_negative_ratio_usage_error(tmp_path, small_batch_dir):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    assert cli(["defect", str(tmp_path), "--ratio", "-1"]) == 2
+    assert cli(["defect", str(tmp_path), "--ratio", "nan"]) == 2

@@ -51,18 +51,18 @@ def built(seed):
 
 
 def test_check_rooms_pass():
-    ok, violations = check_rooms(meta_with_rooms([[4.0, 4.0]]), FC)
+    ok, violations = check_rooms([[[4.0, 4.0]]], FC)
     assert ok and not violations
 
 
 def test_check_rooms_small_area_fails():
-    ok, violations = check_rooms(meta_with_rooms([[2.4, 2.4]]), FC)
+    ok, violations = check_rooms([[[2.4, 2.4]]], FC)
     assert not ok
     assert "area" in violations[0]
 
 
 def test_check_rooms_aspect_fails():
-    ok, violations = check_rooms(meta_with_rooms([[2.4, 12.0]]), FC)
+    ok, violations = check_rooms([[[2.4, 12.0]]], FC)
     assert not ok
     assert any("aspect" in v for v in violations)
 

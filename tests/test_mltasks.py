@@ -93,10 +93,7 @@ def test_exterior_face_classification_on_wall():
     # A plain box: every face is an envelope face.
     assert all(is_exterior_face(CUBE, i) for i in range(len(CUBE.faces)))
     # Carve an opening: tunnel faces see the opposite tunnel wall.
-    from brepforge.brep import cut_opening
-
-    wall = solid_from_boxes([Box(0, 0, 0, 2, 40, 30)])
-    cut = cut_opening(wall, Box(0, 10, 5, 2, 19, 26))
+    cut = solid_from_boxes([Box(0, 0, 0, 2, 40, 30)], [Box(0, 10, 5, 2, 19, 26)])
     tunnel = [
         i
         for i, f in enumerate(cut.faces)
