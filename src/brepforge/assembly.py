@@ -4,10 +4,10 @@ Storey k (bottom = 1) of an S-storey building reuses growth snapshot
 S - k + 1, so the ground floor carries the most rooms and each floor above
 drops exactly one — the per-floor pattern (S, S-1, ..., 1) that also
 serves as the dataset's label oracle.  The whole building is one box grid:
-the ground slab and every storey's full-height prism over its offset
-footprint are material; room voids, opening boxes, and one core shaft
-from the ground slab to the roof are removed; a single `solid_from_boxes`
-call traces the solid.
+the ground slab and every storey's full-height prisms over its core and
+rooms, each dilated by half a wall, are material; room voids, opening
+boxes, and one core shaft from the ground slab to the roof are removed; a
+single `solid_from_boxes` call traces the solid.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     BooleanFailureError,
     GrowthFailedError,
 )
-from .geom2d import Footprint, Rect, decompose_rects, offset_loop, polygon_area
+from .geom2d import Footprint, Rect, polygon_area
 from .grammar import GrowthTrace
 from .rng import SeededRng
 from .storey import (
@@ -159,10 +159,10 @@ def building_boxes(
     """(material, void) boxes of the whole building on one integer grid.
 
     Material: the ground slab (footprint bounding box dilated by the apron,
-    below z = 0) and each storey's full-height prism over its dilated
-    footprint, top slab included.  Voids: each storey's rooms up to the
-    slab soffit, its opening boxes, and one core shaft from the ground slab
-    through every inter-storey slab and the roof.
+    below z = 0) and each storey's full-height prisms over its core and
+    rooms, each dilated by half a wall, top slab included.  Voids: each
+    storey's rooms up to the slab soffit, its opening boxes, and one core
+    shaft from the ground slab through every inter-storey slab and the roof.
     """
     t_half = config.wall_thickness // 2
     bbox = trace.snapshots[-1].bbox().dilated(config.ground_offset)
@@ -172,8 +172,11 @@ def building_boxes(
         zb = (level - 1) * config.storey_height
         zt = level * config.storey_height - config.slab_thickness
         z_top = level * config.storey_height
-        dilated, _ = offset_loop(plan.footprint, t_half)
-        positive += [Box(r.x0, r.y0, zb, r.x1, r.y1, z_top) for r in decompose_rects(dilated)]
+        # The core and rooms tile the footprint, and dilating a union is the
+        # union of the dilated pieces.
+        for r in [plan.core, *plan.rooms]:
+            d = r.dilated(t_half)
+            positive.append(Box(d.x0, d.y0, zb, d.x1, d.y1, z_top))
         for room in plan.rooms:
             void = room.eroded(t_half)
             negative.append(Box(void.x0, void.y0, zb, void.x1, void.y1, zt))

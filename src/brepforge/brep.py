@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyMeshError, InvalidExtrusionError
-from .geom2d import Footprint, decompose_rects
+from .geom2d import Footprint
 from .regions import Region, merged_breakpoints, rasterize_loops, trace_region
 
 AXIS_NAMES = "xyz"
@@ -161,21 +161,7 @@ def _finalize(raw_faces: Sequence[RawFace]) -> BRepSolid:
         inner = tuple(sorted(rotate_min(h) for h in inner))
         canon.append(BRepFace(axis, offset, sign, outer, inner))
     canon.sort(key=lambda f: (f.axis, f.offset, f.sign, f.outer))
-
-    used = sorted({i for f in canon for loop in f.loops() for i in loop})
-    remap = {old: new for new, old in enumerate(used)}
-    final_faces = tuple(
-        BRepFace(
-            f.axis,
-            f.offset,
-            f.sign,
-            tuple(remap[i] for i in f.outer),
-            tuple(tuple(remap[i] for i in h) for h in f.inner),
-        )
-        for f in canon
-    )
-    final_vertices = tuple(vertices[i] for i in used)
-    return BRepSolid(final_vertices, final_faces)
+    return BRepSolid(tuple(vertices), tuple(canon))
 
 
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
@@ -235,8 +221,8 @@ def extrude_prism(
     """Closed prism over a rectilinear polygon (optionally with holes)."""
     if z1 <= z0:
         raise InvalidExtrusionError(f"height range [{z0}, {z1}] is empty")
-    pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in decompose_rects(outer)]
-    neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in decompose_rects(h)]
+    pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in outer.rects]
+    neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in h.rects]
     return solid_from_boxes(pos, neg)
 
 

@@ -40,6 +40,7 @@ from .errors import (
     BrepForgeError,
     GrowthFailedError,
     InvalidExtrusionError,
+    MalformedInputError,
     UnreachableRoomError,
 )
 from .grammar import grow
@@ -59,6 +60,9 @@ from .rng import SeededRng
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
+# What reading malformed JSON input raises: JSONDecodeError is a ValueError,
+# missing or mistyped fields raise the others.
+_PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
 
 
 def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
@@ -154,6 +158,15 @@ def _brep_files(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.brep.json"))
 
 
+def _read_json(path: Path, parse):
+    """``parse`` applied to the JSON in ``path``; malformed content raises
+    MalformedInputError naming the file."""
+    try:
+        return parse(json.loads(path.read_text()))
+    except _PARSE_ERRORS as exc:
+        raise MalformedInputError(f"{path.name}: parse error: {exc}") from exc
+
+
 def cmd_validate(args) -> int:
     directory = Path(args.dir)
     files = _brep_files(directory)
@@ -164,9 +177,9 @@ def cmd_validate(args) -> int:
     failures = 0
     for path in files:
         try:
-            solid = solid_from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            print(f"FAIL {path.name}: parse error: {exc}")
+            solid = _read_json(path, solid_from_dict)
+        except MalformedInputError as exc:
+            print(f"FAIL {exc}")
             failures += 1
             continue
         ok, problems = check_solid(solid)
@@ -176,7 +189,12 @@ def cmd_validate(args) -> int:
             continue
         meta_path = path.with_name(path.name.replace(".brep.json", ".meta.json"))
         if meta_path.exists():
-            meta = BuildingMeta.from_dict(json.loads(meta_path.read_text()))
+            try:
+                meta = _read_json(meta_path, BuildingMeta.from_dict)
+            except MalformedInputError as exc:
+                print(f"FAIL {path.name}: {exc}")
+                failures += 1
+                continue
             rooms_ok, violations = check_rooms(meta.rooms, cfg.filters())
             if not rooms_ok:
                 print(f"FAIL {path.name}: {violations[0]}")
@@ -190,10 +208,11 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     directory = Path(args.dir)
     meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        print(f"stats: {meta_path} not found", file=sys.stderr)
+    try:
+        report = dataset_stats(load_dataset_meta(meta_path))
+    except (*_PARSE_ERRORS, OSError) as exc:
+        print(f"stats: {meta_path}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    report = dataset_stats(load_dataset_meta(meta_path))
     print(report.text())
     for name, rows in report.csv_rows().items():
         out = directory / f"stats_{name}.csv"
@@ -213,8 +232,7 @@ def cmd_points(args) -> int:
         return USAGE_ERROR
     mode = UNIT_CUBE if args.mode == "cube" else UNIT_SPHERE
     for i, path in enumerate(files):
-        solid = solid_from_dict(json.loads(path.read_text()))
-        mesh = triangulate(solid)
+        mesh = triangulate(_read_json(path, solid_from_dict))
         stream = args.seed + i
         cloud = sample_points(mesh, args.n, mode, SeededRng(stream, stream))
         base = path.name.replace(".brep.json", "")
@@ -243,7 +261,7 @@ def cmd_defect(args) -> int:
         variant = copy_idx // len(good)
         suffix = "_def" if variant == 0 else f"_def{variant + 1}"
         stream = args.seed + copy_idx
-        solid = solid_from_dict(json.loads(src.read_text()))
+        solid = _read_json(src, solid_from_dict)
         defect = inject_defect(solid, SeededRng(stream, stream))
         base = src.name.replace(".brep.json", "")
         out_path = out_dir / f"{base}{suffix}.brep.json"
@@ -265,7 +283,7 @@ def cmd_eval(args) -> int:
             metrics = eval_regression(
                 read_regression_csv(args.predictions), truths_from_metas(ds.records)
             )
-    except (ValueError, KeyError, OSError) as exc:
+    except (*_PARSE_ERRORS, OSError) as exc:
         print(f"eval: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(metrics.text())

@@ -21,10 +21,6 @@ class ConflictError(BrepForgeError):
     """Union would be non-simple, pinched, or touch only partially/point-wise."""
 
 
-class OffsetTooLargeError(BrepForgeError):
-    """Erosion distance collapses the inner loop."""
-
-
 class ProductionInfeasibleError(BrepForgeError):
     """No legal room rectangle fits at the chosen vertex."""
 
@@ -55,3 +51,7 @@ class AssemblyInconsistencyError(BrepForgeError):
 
 class EmptyMeshError(BrepForgeError):
     """Triangle mesh has zero total area; cannot sample points."""
+
+
+class MalformedInputError(BrepForgeError):
+    """An input file is not JSON or lacks the fields its format needs."""

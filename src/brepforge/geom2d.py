@@ -1,14 +1,18 @@
-"""Exact rectilinear 2-D kernel: footprint loops, unions, cleanup, offsets.
+"""Exact rectilinear 2-D kernel: footprint loops, unions, cleanup, notches.
 
 All coordinates are integers in grid units of 0.1 m.  Arithmetic is exact;
 metres appear only at the API boundary (``to_units`` / ``to_metres``).
-Footprints are simple axis-parallel loops stored counter-clockwise.
+Footprints are simple axis-parallel loops stored counter-clockwise.  Each
+footprint's interior is partitioned once into rectangles (``Footprint.rects``);
+overlap, containment and edge contact with a rectangle are answered piece by
+piece on that partition.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -16,7 +20,6 @@ from .errors import (
     ConflictError,
     InvalidFootprintError,
     MustCleanFirstError,
-    OffsetTooLargeError,
 )
 
 
@@ -117,6 +120,11 @@ def _signed_area2(vertices: tuple[Point2, ...]) -> int:
     return total
 
 
+def _overlap_length(a0: int, a1: int, b0: int, b1: int) -> int:
+    """Length shared by the intervals [a0, a1] and [b0, b1], 0 if disjoint."""
+    return max(0, min(a1, b1) - max(a0, b0))
+
+
 def _segments_cross(p1, p2, q1, q2) -> bool:
     """Interior crossing/overlap test for two axis-parallel segments."""
     v1 = p1.x == p2.x
@@ -214,29 +222,35 @@ class Footprint:
         ys = [p.y for p in self.vertices]
         return Rect(min(xs), min(ys), max(xs), max(ys))
 
-    def classify_point(self, x: int, y: int) -> str:
-        """Exact point location: 'inside', 'boundary', or 'outside'."""
-        for a, b in self.edges():
-            if a.x == b.x:
-                if x == a.x and min(a.y, b.y) <= y <= max(a.y, b.y):
-                    return "boundary"
-            else:
-                if y == a.y and min(a.x, b.x) <= x <= max(a.x, b.x):
-                    return "boundary"
-        # Parity of crossings along the ray (x+t, y+0.5), t>0: the half-unit
-        # offset dodges every integer vertex, so no degenerate cases remain.
-        y2 = 2 * y + 1
-        crossings = 0
-        for a, b in self.edges():
-            if a.x != b.x:
-                continue
-            lo, hi = sorted((2 * a.y, 2 * b.y))
-            if lo < y2 < hi and a.x > x:
-                crossings += 1
-        return "inside" if crossings % 2 else "outside"
+    @cached_property
+    def rects(self) -> tuple[Rect, ...]:
+        """Partition of the interior into horizontal slab rectangles.
+
+        Cached on the footprint: the grammar asks one footprint many
+        overlap, containment and contact questions.
+        """
+        ys = sorted({p.y for p in self.vertices})
+        rects: list[Rect] = []
+        for y_lo, y_hi in zip(ys, ys[1:]):
+            y2 = y_lo + y_hi  # 2 * midpoint, exact
+            crossings = []
+            for a, b in self.edges():
+                if a.x != b.x:
+                    continue
+                lo, hi = sorted((2 * a.y, 2 * b.y))
+                if lo < y2 < hi:
+                    crossings.append(a.x)
+            crossings.sort()
+            for x_lo, x_hi in zip(crossings[::2], crossings[1::2]):
+                rects.append(Rect(x_lo, y_lo, x_hi, y_hi))
+        return tuple(rects)
 
     def contains_rect(self, r: Rect) -> bool:
-        return _clip_area2(self.vertices, r) == 2 * r.area_units
+        covered = sum(
+            _overlap_length(p.x0, p.x1, r.x0, r.x1) * _overlap_length(p.y0, p.y1, r.y0, r.y1)
+            for p in self.rects
+        )
+        return covered == r.area_units
 
 
 def polygon_area(f: Footprint) -> float:
@@ -292,96 +306,29 @@ def clean(f: Footprint) -> Footprint:
     return Footprint(tuple(pts))
 
 
-def _clip_area2(vertices: tuple[Point2, ...], r: Rect) -> int:
-    """Twice the area of loop ∩ rect via Sutherland-Hodgman, exact on ints.
-
-    Concave subjects may leave zero-width bridges in the clipped chain; the
-    shoelace sum still equals the true intersection area.
-    """
-    poly = [(p.x, p.y) for p in vertices]
-    if _signed_area2(tuple(Point2(*p) for p in poly)) < 0:
-        poly.reverse()
-
-    def clip(points, inside, intersect):
-        out = []
-        n = len(points)
-        for i in range(n):
-            cur, nxt = points[i], points[(i + 1) % n]
-            cur_in, nxt_in = inside(cur), inside(nxt)
-            if cur_in:
-                out.append(cur)
-                if not nxt_in:
-                    out.append(intersect(cur, nxt))
-            elif nxt_in:
-                out.append(intersect(cur, nxt))
-        return out
-
-    # Axis-parallel edges make every boundary intersection an integer point.
-    def x_cross(bound):
-        def f(p, q):
-            if p[0] == q[0]:
-                return (p[0], q[1])
-            return (bound, p[1])
-        return f
-
-    def y_cross(bound):
-        def f(p, q):
-            if p[1] == q[1]:
-                return (q[0], p[1])
-            return (p[0], bound)
-        return f
-
-    poly = clip(poly, lambda p: p[0] >= r.x0, x_cross(r.x0))
-    if poly:
-        poly = clip(poly, lambda p: p[0] <= r.x1, x_cross(r.x1))
-    if poly:
-        poly = clip(poly, lambda p: p[1] >= r.y0, y_cross(r.y0))
-    if poly:
-        poly = clip(poly, lambda p: p[1] <= r.y1, y_cross(r.y1))
-    if len(poly) < 3:
-        return 0
-    total = 0
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        total += a[0] * b[1] - b[0] * a[1]
-    return abs(total)
-
-
 def overlaps(f: Footprint, r: Rect) -> bool:
     """True iff interior(f) ∩ interior(r) has positive area."""
-    return _clip_area2(f.vertices, r) > 0
+    return any(p.interior_intersects(r) for p in f.rects)
 
 
 def _contact_lengths(f: Footprint, r: Rect) -> dict[str, int]:
-    """Per-side length of r's boundary lying on f's boundary (grid units)."""
-    sides = {
-        "left": ("x", r.x0, r.y0, r.y1),
-        "right": ("x", r.x1, r.y0, r.y1),
-        "bottom": ("y", r.y0, r.x0, r.x1),
-        "top": ("y", r.y1, r.x0, r.x1),
-    }
-    out = {}
-    for name, (axis, fixed, lo, hi) in sides.items():
-        covered: list[tuple[int, int]] = []
-        for a, b in f.edges():
-            if axis == "x" and a.x == b.x == fixed:
-                e0, e1 = sorted((a.y, b.y))
-            elif axis == "y" and a.y == b.y == fixed:
-                e0, e1 = sorted((a.x, b.x))
-            else:
-                continue
-            s, e = max(lo, e0), min(hi, e1)
-            if s < e:
-                covered.append((s, e))
-        covered.sort()
-        total, reach = 0, lo
-        for s, e in covered:
-            s = max(s, reach)
-            if e > s:
-                total += e - s
-                reach = e
-        out[name] = total
+    """Per-side length of r's boundary lying on f's boundary (grid units).
+
+    Precondition: r does not overlap f (``union_rect`` checks it first).
+    Then f's boundary on a side of r is exactly where a piece of
+    ``f.rects`` has its opposite side on that line: a piece's right side on
+    r's left side, and so on.
+    """
+    out = {"left": 0, "right": 0, "bottom": 0, "top": 0}
+    for p in f.rects:
+        if p.x1 == r.x0:
+            out["left"] += _overlap_length(p.y0, p.y1, r.y0, r.y1)
+        if p.x0 == r.x1:
+            out["right"] += _overlap_length(p.y0, p.y1, r.y0, r.y1)
+        if p.y1 == r.y0:
+            out["bottom"] += _overlap_length(p.x0, p.x1, r.x0, r.x1)
+        if p.y0 == r.y1:
+            out["top"] += _overlap_length(p.x0, p.x1, r.x0, r.x1)
     return out
 
 
@@ -530,74 +477,3 @@ def fill_notches(f: Footprint, max_gap_units: int = 5) -> Footprint:
             break
         if not filled:
             return cur
-
-
-def offset_loop(f: Footprint, d: int) -> tuple[Footprint, Footprint]:
-    """Dilate and erode a clean loop by d units (outer, inner).
-
-    An edge shrinks by d per adjacent concave corner under dilation and per
-    adjacent convex corner under erosion; any edge that would invert makes
-    the offset too large.  Degenerate results are also rejected after
-    cleanup.
-    """
-    if d <= 0:
-        raise ValueError("offset distance must be positive")
-    if not f.is_clean:
-        raise MustCleanFirstError("offset_loop requires a cleaned footprint")
-    v = f.vertices
-    n = len(v)
-    kinds = [classify_vertex(f, i) for i in range(n)]
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        length = abs(b.x - a.x) + abs(b.y - a.y)
-        k1, k2 = kinds[i], kinds[(i + 1) % n]
-        concave = (k1 is VertexKind.CONCAVE) + (k2 is VertexKind.CONCAVE)
-        convex = 2 - concave
-        if length - d * concave < 0 or length - d * convex < 0:
-            raise OffsetTooLargeError(
-                f"offset {d} inverts edge {a}-{b} of length {length}"
-            )
-
-    def shifted(sign: int) -> Footprint:
-        v = f.vertices
-        n = len(v)
-        pts = []
-        for i in range(n):
-            a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
-            # Outward normal of a CCW edge is its direction rotated -90°:
-            # (dx, dy) -> (dy, -dx), normalized to a unit axis step.  The sum
-            # of the two incident normals moves the corner by (±d, ±d).
-            dx1, dy1 = b.x - a.x, b.y - a.y
-            nx1, ny1 = (1 if dy1 > 0 else -1 if dy1 < 0 else 0), (-1 if dx1 > 0 else 1 if dx1 < 0 else 0)
-            dx2, dy2 = c.x - b.x, c.y - b.y
-            nx2, ny2 = (1 if dy2 > 0 else -1 if dy2 < 0 else 0), (-1 if dx2 > 0 else 1 if dx2 < 0 else 0)
-            pts.append(Point2(b.x + sign * d * (nx1 + nx2), b.y + sign * d * (ny1 + ny2)))
-        try:
-            return clean(Footprint(tuple(pts)))
-        except InvalidFootprintError as exc:
-            raise OffsetTooLargeError(str(exc)) from exc
-
-    outer = shifted(+1)
-    inner = shifted(-1)
-    if inner.area_units2() <= 0 or inner.area_units2() >= f.area_units2():
-        raise OffsetTooLargeError("erosion collapsed or inverted the inner loop")
-    return outer, inner
-
-
-def decompose_rects(f: Footprint) -> list[Rect]:
-    """Partition the loop's interior into horizontal slab rectangles."""
-    ys = sorted({p.y for p in f.vertices})
-    rects: list[Rect] = []
-    for y_lo, y_hi in zip(ys, ys[1:]):
-        y2 = y_lo + y_hi  # 2 * midpoint, exact
-        crossings = []
-        for a, b in f.edges():
-            if a.x != b.x:
-                continue
-            lo, hi = sorted((2 * a.y, 2 * b.y))
-            if lo < y2 < hi:
-                crossings.append(a.x)
-        crossings.sort()
-        for x_lo, x_hi in zip(crossings[::2], crossings[1::2]):
-            rects.append(Rect(x_lo, y_lo, x_hi, y_hi))
-    return rects

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .brep import FRAMES, BRepSolid, TriMesh, drop_faces
+from .brep import FRAMES, BRepSolid, TriMesh, _loop_to_2d, drop_faces
 from .dataset import BuildingMeta
 from .errors import EmptyMeshError
+from .regions import _point_in_loop
 from .rng import SeededRng
 
 UNIT_CUBE = "cube"
@@ -106,21 +107,6 @@ def _face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
     return 2 * a[ua] + du - dv, 2 * a[va] + dv + du
 
 
-def _point_in_face(solid: BRepSolid, face, p2u: int, p2v: int) -> bool:
-    ua, va = FRAMES[(face.axis, face.sign)]
-    inside = False
-    for loop in face.loops():
-        n = len(loop)
-        for i in range(n):
-            pa = solid.vertices[loop[i]]
-            pb = solid.vertices[loop[(i + 1) % n]]
-            if pa[ua] != pb[ua]:
-                continue
-            if (2 * pa[va] > p2v) != (2 * pb[va] > p2v) and 2 * pa[ua] > p2u:
-                inside = not inside
-    return inside
-
-
 def is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
     """True when nothing blocks the face's outward normal ray (envelope face)."""
     face = solid.faces[face_index]
@@ -132,14 +118,15 @@ def is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
             continue
         if face.sign < 0 and other.offset >= face.offset:
             continue
-        # The ray's cross-section coordinates match when frames share axis;
-        # opposite-sign frames swap (u, v).
-        if other.sign == face.sign:
-            if _point_in_face(solid, other, p2u, p2v):
-                return False
-        else:
-            if _point_in_face(solid, other, p2v, p2u):
-                return False
+        # Both coordinates of the doubled point are odd, so it lies on no
+        # edge line and parity does not depend on the frame the loops are
+        # projected into.
+        inside = False
+        for loop in other.loops():
+            loop2d = _loop_to_2d([solid.vertices[i] for i in loop], face.axis, face.sign)
+            inside ^= _point_in_loop(p2u, p2v, loop2d)
+        if inside:
+            return False
     return True
 
 

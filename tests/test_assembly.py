@@ -181,8 +181,8 @@ def test_assemble_core_aligned_and_nested():
     for plan in b.storeys:
         assert plan.core == b.storeys[0].core
     for lower, upper in zip(b.storeys, b.storeys[1:]):
-        for p in upper.footprint.vertices:
-            assert lower.footprint.classify_point(p.x, p.y) != "outside"
+        for p in upper.footprint.rects:
+            assert lower.footprint.contains_rect(p)
 
 
 def test_assemble_single_entrance_on_ground_floor():

@@ -173,13 +173,18 @@ def test_eval_regression_requires_truth(tmp_path):
     assert cli(["eval", "regression", str(csv_path)]) == 2
 
 
-def test_validate_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
+def null_faces_copy(small_batch_dir, directory):
     src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
     doc = json.loads(src.read_text())
     doc["faces"] = None
-    (tmp_path / src.name).write_text(json.dumps(doc))
+    (directory / src.name).write_text(json.dumps(doc))
+    return src.name
+
+
+def test_validate_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    name = null_faces_copy(small_batch_dir, tmp_path)
     assert cli(["validate", str(tmp_path)]) == 1
-    assert capsys.readouterr().out.startswith(f"FAIL {src.name}: parse error")
+    assert capsys.readouterr().out.startswith(f"FAIL {name}: parse error")
 
 
 def test_points_nonpositive_n_usage_error(tmp_path, small_batch_dir):
@@ -203,3 +208,53 @@ def test_defect_negative_ratio_usage_error(tmp_path, small_batch_dir):
     (tmp_path / src.name).write_bytes(src.read_bytes())
     assert cli(["defect", str(tmp_path), "--ratio", "-1"]) == 2
     assert cli(["defect", str(tmp_path), "--ratio", "nan"]) == 2
+
+
+def test_points_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    name = null_faces_copy(small_batch_dir, tmp_path)
+    assert cli(["points", str(tmp_path), "--n", "10"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and name in err[0]
+
+
+def test_defect_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    name = null_faces_copy(small_batch_dir, tmp_path)
+    assert cli(["defect", str(tmp_path), "--ratio", "1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and name in err[0]
+    assert not list(tmp_path.glob("*_def*"))
+
+
+def test_validate_empty_meta_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    (tmp_path / src.name.replace(".brep.json", ".meta.json")).write_text("{}")
+    assert cli(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {src.name}: ")
+
+
+@pytest.mark.parametrize(
+    "text", ["{}", "not json", '{"records": [], "discards": []}'],
+    ids=["empty-object", "not-json", "no-records"],
+)
+def test_stats_malformed_meta_usage_error(tmp_path, capsys, text):
+    (tmp_path / "meta.json").write_text(text)
+    assert cli(["stats", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("stats: ")
+
+
+def test_eval_truth_not_an_object_usage_error(tmp_path, capsys):
+    (tmp_path / "meta.json").write_text("[]")
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("filename,pred_storey\n")
+    assert cli(["eval", "regression", str(csv_path), "--truth", str(tmp_path / "meta.json")]) == 2
+    assert capsys.readouterr().err.startswith("eval: ")
+
+
+def test_gen_thick_walls_exports_valid_buildings(tmp_path):
+    out = tmp_path / "thick"
+    assert cli(
+        ["gen", "--count", "20", "--seed", "0", "--out", str(out), "--set", "wall_thickness=0.6"]
+    ) == 0
+    assert list(out.glob("*.brep.json"))
+    assert cli(["validate", str(out)]) == 0

@@ -1,25 +1,27 @@
 """Rectilinear kernel tests; derived expectations use a grid rasterizer
 oracle independent of the kernel's own arithmetic."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from brepforge.errors import (
     CollisionError,
     ConflictError,
+    GrowthFailedError,
     InvalidFootprintError,
     MustCleanFirstError,
-    OffsetTooLargeError,
 )
 from brepforge.geom2d import (
     Footprint,
     Point2,
     Rect,
     VertexKind,
+    _contact_lengths,
     classify_vertex,
     clean,
-    decompose_rects,
     fill_notches,
-    offset_loop,
     overlaps,
     polygon_area,
     to_metres,
@@ -27,6 +29,8 @@ from brepforge.geom2d import (
     union_rect,
     vertex_kind_counts,
 )
+from brepforge.grammar import GrammarConfig, grow
+from brepforge.rng import SeededRng
 
 SQUARE = Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)])
 L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
@@ -229,36 +233,104 @@ def raster_cell_inside(f: Footprint, cx: int, cy: int) -> bool:
     return crossings % 2 == 1
 
 
-def test_offset_square():
-    outer, inner = offset_loop(SQUARE, 1)
-    assert outer.bbox() == Rect(-1, -1, 41, 41)
-    assert inner.bbox() == Rect(1, 1, 39, 39)
-
-
-def test_offset_l_shape_raster_oracle():
-    outer, inner = offset_loop(L_SHAPE, 1)
-    assert raster_area_units(outer) == outer.area_units2() // 2
-    assert raster_area_units(inner) == inner.area_units2() // 2
-    perimeter = sum(abs(b.x - a.x) + abs(b.y - a.y) for a, b in L_SHAPE.edges())
-    assert outer.area_units2() // 2 - inner.area_units2() // 2 == 2 * perimeter
-
-
-def test_offset_nesting():
-    outer, inner = offset_loop(L_SHAPE, 1)
-    for p in inner.vertices:
-        assert L_SHAPE.classify_point(p.x, p.y) != "outside"
-    for p in L_SHAPE.vertices:
-        assert outer.classify_point(p.x, p.y) == "inside"
-
-
-def test_offset_too_large():
-    with pytest.raises(OffsetTooLargeError):
-        offset_loop(SQUARE, 30)
-
-
 def test_decompose_tiles_exactly():
-    rects = decompose_rects(L_SHAPE)
+    rects = L_SHAPE.rects
     assert sum(r.area_units for r in rects) * 2 == L_SHAPE.area_units2()
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
             assert not rects[i].interior_intersects(rects[j])
+
+
+@lru_cache(maxsize=None)
+def grown_snapshots(seed: int) -> tuple[Footprint, ...]:
+    try:
+        return grow(GrammarConfig(), SeededRng(seed, seed)).snapshots
+    except GrowthFailedError:
+        return ()
+
+
+@st.composite
+def footprint_and_rect(draw):
+    """A grown storey footprint and a rectangle near it whose sides are often
+    flush with the footprint's edge lines; half the rectangles sit against
+    the outside of one edge, where contact and unions happen."""
+    snapshots = grown_snapshots(draw(st.integers(0, 199)))
+    assume(snapshots)
+    f = draw(st.sampled_from(snapshots))
+
+    def side_pair(pool):
+        coord = st.one_of(st.sampled_from(pool), st.integers(pool[0] - 30, pool[-1] + 30))
+        lo, hi = sorted((draw(coord), draw(coord)))
+        assume(lo < hi)
+        return lo, hi
+
+    if not draw(st.booleans()):
+        (x0, x1), (y0, y1) = (side_pair(sorted({p[k] for p in f.vertices})) for k in (0, 1))
+        return f, Rect(x0, y0, x1, y1)
+    a, b = draw(st.sampled_from(f.edges()))
+    depth = draw(st.integers(1, 60))
+    # The loop is counter-clockwise: an edge running +x has the outside below
+    # it, one running +y has the outside to its right.
+    if a.y == b.y:
+        x0, x1 = side_pair(sorted((a.x, b.x)))
+        y0, y1 = (a.y - depth, a.y) if b.x > a.x else (a.y, a.y + depth)
+    else:
+        y0, y1 = side_pair(sorted((a.y, b.y)))
+        x0, x1 = (a.x, a.x + depth) if b.y > a.y else (a.x - depth, a.x)
+    return f, Rect(x0, y0, x1, y1)
+
+
+def grid_cells(*shapes):
+    """(x, y, area) of the cells of the grid through every corner of the
+    shapes.  No shape boundary crosses a cell, so the unit cell at a cell's
+    lower-left corner decides membership for the whole cell."""
+    xs, ys = set(), set()
+    for shape in shapes:
+        corners = shape.vertices if isinstance(shape, Footprint) else shape.corners()
+        xs.update(p.x for p in corners)
+        ys.update(p.y for p in corners)
+    xs, ys = sorted(xs), sorted(ys)
+    return [
+        (x0, y0, (x1 - x0) * (y1 - y0))
+        for x0, x1 in zip(xs, xs[1:])
+        for y0, y1 in zip(ys, ys[1:])
+    ]
+
+
+def in_rect(r: Rect, x: int, y: int) -> bool:
+    return r.x0 <= x < r.x1 and r.y0 <= y < r.y1
+
+
+@settings(max_examples=300, deadline=None)
+@given(footprint_and_rect())
+def test_rect_predicates_match_cell_reference(case):
+    f, r = case
+    cells = grid_cells(f, r)
+    shared = sum(a for x, y, a in cells if in_rect(r, x, y) and raster_cell_inside(f, x, y))
+    assert overlaps(f, r) == (shared > 0)
+    assert f.contains_rect(r) == (shared == r.area_units)
+
+    for x, y, _ in cells:
+        pieces = sum(in_rect(p, x, y) for p in f.rects)
+        assert pieces == raster_cell_inside(f, x, y)
+
+    if shared:
+        return
+    # r's cells are all outside f, so a unit of r's side is f's boundary
+    # exactly when the unit cell across it is inside f.
+    ys = range(r.y0, r.y1)
+    xs = range(r.x0, r.x1)
+    assert _contact_lengths(f, r) == {
+        "left": sum(raster_cell_inside(f, r.x0 - 1, y) for y in ys),
+        "right": sum(raster_cell_inside(f, r.x1, y) for y in ys),
+        "bottom": sum(raster_cell_inside(f, x, r.y0 - 1) for x in xs),
+        "top": sum(raster_cell_inside(f, x, r.y1) for x in xs),
+    }
+    try:
+        u = union_rect(f, r)
+    except ConflictError:
+        return
+    assert u.area_units2() == f.area_units2() + 2 * r.area_units
+    for x, y, _ in grid_cells(f, r, u):
+        assert raster_cell_inside(u, x, y) == (raster_cell_inside(f, x, y) or in_rect(r, x, y))
+

@@ -159,8 +159,8 @@ def test_snapshot_monotone_containment():
         for k, snap in enumerate(trace.snapshots):
             assert snap.area_units2() > previous.area_units2()
             assert snap.area_units2() - previous.area_units2() == 2 * trace.rooms[k].area_units
-            for p in previous.vertices:
-                assert snap.classify_point(p.x, p.y) != "outside"
+            for p in previous.rects:
+                assert snap.contains_rect(p)
             previous = snap
 
 
