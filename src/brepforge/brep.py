@@ -11,6 +11,7 @@ no floating-point CSG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -275,50 +276,111 @@ class TriMesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
+def _grid_index(grids, axis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in ``np.concatenate(grids)``, looked up in the
+    part that holds ``grids[axis[k]]``; the values lie on those grids."""
+    out = np.empty(len(values), dtype=np.int64)
+    base = 0
+    for a in range(3):
+        on = axis == a
+        out[on] = base + np.searchsorted(grids[a], values[on])
+        base += len(grids[a])
+    return out
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``[starts[k], starts[k] + counts[k])`` back to back, each
+    value paired with its owner ``k``."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, starts[owner] + np.arange(len(owner)) - first[owner]
+
+
 def triangulate(solid: BRepSolid) -> TriMesh:
     """Cell-decomposition triangulation on the solid's global grid.
 
     Faces are rasterized on the shared breakpoint grid so triangle edges of
     adjacent faces subdivide identically: a GOOD solid yields a closed mesh.
+    All faces are filled in one batch: every vertical loop edge crosses a
+    run of grid rows, and in each (face, row) the sorted crossings pair up
+    into filled spans (the parity fill of ``rasterize_loops``).  Cells come
+    out face by face in ``(u, v)`` order, two triangles per cell, and
+    vertices are numbered in the order the quad corners first reach them.
     """
-    if not solid.faces:
+    faces = solid.faces
+    if not faces:
         raise EmptyMeshError("solid has no faces")
     coords = np.asarray(solid.vertices, dtype=np.int64)
     axes_pts = [np.unique(coords[:, a]) for a in range(3)]
-    vid: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[int, int, int]] = []
-    tris: list[tuple[int, int, int]] = []
+    face_axis, face_offset, face_ua, face_va = np.array(
+        [(f.axis, f.offset, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
+    ).T
 
-    def vertex(p) -> int:
-        i = vid.get(p)
-        if i is None:
-            i = len(verts)
-            vid[p] = i
-            verts.append(p)
-        return i
+    # Every loop edge of every face; as in ``rasterize_loops`` only vertical
+    # ones (u constant, v changing) count.
+    loops = [loop for f in faces for loop in f.loops()]
+    lens = np.fromiter(map(len, loops), np.int64, len(loops))
+    ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
+    first = np.cumsum(lens) - lens
+    nxt = np.arange(1, len(ids) + 1)
+    closed = lens > 0
+    nxt[(first + lens - 1)[closed]] = first[closed]
+    edge_face = np.repeat(np.repeat(np.arange(len(faces)), [1 + len(f.inner) for f in faces]), lens)
+    ua, va = face_ua[edge_face], face_va[edge_face]
+    k = np.arange(len(ids))
+    a, b = coords[ids], coords[ids[nxt]]
+    u, v1, v2 = a[k, ua], a[k, va], b[k, va]
+    vertical = (u == b[k, ua]) & (v1 != v2)
+    edge_face, ua, va, u = edge_face[vertical], ua[vertical], va[vertical], u[vertical]
+    v1, v2 = v1[vertical], v2[vertical]
 
-    for f in solid.faces:
-        ua, va = FRAMES[(f.axis, f.sign)]
-        loops = [
-            _loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign)
-            for loop in f.loops()
-        ]
-        region = rasterize_loops(loops, axes_pts[ua], axes_pts[va])
-        us, vs = region.us, region.vs
-        for iu, iv in np.argwhere(region.mask):
-            u0, u1 = int(us[iu]), int(us[iu + 1])
-            v0, v1 = int(vs[iv]), int(vs[iv + 1])
-            quad = []
-            for u, v in ((u0, v0), (u1, v0), (u1, v1), (u0, v1)):
-                p = [0, 0, 0]
-                p[f.axis] = f.offset
-                p[ua] = u
-                p[va] = v
-                quad.append(vertex(tuple(p)))
-            tris.append((quad[0], quad[1], quad[2]))
-            tris.append((quad[0], quad[2], quad[3]))
-    vertices = np.asarray(verts, dtype=np.float64) / 10.0
-    return TriMesh(vertices, np.asarray(tris, dtype=np.int64))
+    # A vertical edge from v_lo to v_hi crosses the rows between them.
+    iu = _grid_index(axes_pts, ua, u)
+    row_lo = _grid_index(axes_pts, va, np.minimum(v1, v2))
+    row_hi = _grid_index(axes_pts, va, np.maximum(v1, v2))
+    owner, row = _expand(row_lo, row_hi - row_lo)
+    order = np.lexsort((iu[owner], row, edge_face[owner]))
+    c_face, c_row, c_iu = edge_face[owner][order], row[order], iu[owner][order]
+
+    # Crossings 0-1, 2-3, ... of each (face, row) bound filled spans; an odd
+    # last crossing bounds nothing.
+    n = len(c_face)
+    new_row = np.ones(n, dtype=bool)
+    new_row[1:] = (c_face[1:] != c_face[:-1]) | (c_row[1:] != c_row[:-1])
+    rank = np.arange(n) - np.maximum.accumulate(np.where(new_row, np.arange(n), 0))
+    has_next = np.zeros(n, dtype=bool)
+    has_next[:-1] = ~new_row[1:]
+    lo = np.nonzero((rank % 2 == 0) & has_next)[0]
+    owner, cell_iu = _expand(c_iu[lo], c_iu[lo + 1] - c_iu[lo])
+    cell_face, cell_iv = c_face[lo][owner], c_row[lo][owner]
+    order = np.lexsort((cell_iv, cell_iu, cell_face))
+    cell_face, cell_iu, cell_iv = cell_face[order], cell_iu[order], cell_iv[order]
+
+    # Quad corners (u0, v0), (u1, v0), (u1, v1), (u0, v1) in 3-D.
+    grid = np.concatenate(axes_pts)
+    u0, u1 = grid[cell_iu], grid[cell_iu + 1]
+    v0, v1 = grid[cell_iv], grid[cell_iv + 1]
+    ua, va = face_ua[cell_face], face_va[cell_face]
+    cells = np.arange(len(cell_face))
+    corners = np.empty((len(cell_face), 4, 3), dtype=np.int64)
+    corners[cells, :, face_axis[cell_face]] = face_offset[cell_face][:, None]
+    corners[cells, :, ua] = np.stack([u0, u1, u1, u0], axis=1)
+    corners[cells, :, va] = np.stack([v0, v0, v1, v1], axis=1)
+    corners = corners.reshape(-1, 3)
+
+    # One integer key per point: its position on a per-axis grid of every
+    # vertex coordinate and face offset (fits in int64 below ~2e6 per axis).
+    key = np.zeros(len(corners), dtype=np.int64)
+    for axis in range(3):
+        values = np.union1d(axes_pts[axis], face_offset[face_axis == axis])
+        key = key * len(values) + np.searchsorted(values, corners[:, axis])
+    _, seen, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first_sight = np.argsort(seen)
+    vid = np.empty_like(by_first_sight)
+    vid[by_first_sight] = np.arange(len(seen))
+    quads = vid[inverse.reshape(-1)].reshape(-1, 4)
+    vertices = corners[seen[by_first_sight]].astype(np.float64) / 10.0
+    return TriMesh(vertices, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
 def euler_characteristic(mesh: TriMesh) -> int:

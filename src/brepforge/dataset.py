@@ -100,7 +100,9 @@ def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
                 )
             if lo < cfg.min_room_side:
                 violations.append(f"storey {storey} room {i}: side {lo:.2f} below {cfg.min_room_side}")
-            if hi / lo > cfg.max_aspect_ratio:
+            if lo <= 0:
+                violations.append(f"storey {storey} room {i}: side {lo:.2f} is not positive")
+            elif hi / lo > cfg.max_aspect_ratio:
                 violations.append(
                     f"storey {storey} room {i}: aspect {hi / lo:.2f} above {cfg.max_aspect_ratio}"
                 )
@@ -134,10 +136,20 @@ def solid_to_dict(solid: BRepSolid, building_id: str) -> dict:
     }
 
 
+def _vertex_ids(loop, n: int) -> tuple[int, ...]:
+    """The loop as a tuple of vertex ids, each an int in [0, n)."""
+    ids = tuple(loop)
+    for i in ids:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"vertex id {i!r} outside [0, {n})")
+    return ids
+
+
 def solid_from_dict(d: dict) -> BRepSolid:
     vertices = tuple(
         (to_units(x), to_units(y), to_units(z)) for x, y, z in d["vertices"]
     )
+    n = len(vertices)
     faces = []
     for f in d["faces"]:
         normal = f["plane"]["normal"]
@@ -148,8 +160,8 @@ def solid_from_dict(d: dict) -> BRepSolid:
                 axis=axis,
                 offset=to_units(f["plane"]["offset"]),
                 sign=sign,
-                outer=tuple(f["outer"]),
-                inner=tuple(tuple(h) for h in f.get("inner", [])),
+                outer=_vertex_ids(f["outer"], n),
+                inner=tuple(_vertex_ids(h, n) for h in f.get("inner", [])),
             )
         )
     return BRepSolid(vertices, tuple(faces), d.get("label", "GOOD"))

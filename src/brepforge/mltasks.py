@@ -54,8 +54,9 @@ def sample_points(
 ) -> PointCloud:
     """Area-weighted surface sampling with deterministic draws.
 
-    Per point: one draw picks the triangle by cumulative-area inversion,
-    two more give barycentric coordinates (folded into the triangle).
+    Point i takes draws 3i, 3i+1 and 3i+2 of one block: the first picks the
+    triangle by cumulative-area inversion, the other two give barycentric
+    coordinates (folded into the triangle).
     """
     if mode not in (UNIT_CUBE, UNIT_SPHERE):
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -64,11 +65,7 @@ def sample_points(
     if total <= 0.0:
         raise EmptyMeshError("mesh has zero surface area")
     cum = np.cumsum(areas)
-    draws = np.empty((n, 3))
-    for i in range(n):
-        draws[i, 0] = rng.unit_float()
-        draws[i, 1] = rng.unit_float()
-        draws[i, 2] = rng.unit_float()
+    draws = rng.unit_floats(3 * n).reshape(n, 3)
     tri_idx = np.searchsorted(cum, draws[:, 0] * total, side="right")
     tri_idx = np.minimum(tri_idx, len(areas) - 1)
     r1, r2 = draws[:, 1], draws[:, 2]

@@ -1,13 +1,16 @@
 """Kernel tests: Euler counts on fixtures, opening arithmetic, box unions,
-watertight diagnostics, triangulation conservation, random box sets."""
+watertight diagnostics, triangulation conservation, random box sets, and
+the batched triangulation against a face-by-face reference."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brepforge.brep import (
     FRAMES,
     Box,
+    TriMesh,
+    _loop_to_2d,
     drop_faces,
     euler_characteristic,
     extrude_prism,
@@ -19,6 +22,7 @@ from brepforge.brep import (
 )
 from brepforge.errors import InvalidExtrusionError
 from brepforge.geom2d import Footprint
+from brepforge.regions import rasterize_loops
 
 UNIT_SQUARE = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
@@ -152,10 +156,11 @@ def _edge_pinched(mat: np.ndarray) -> bool:
 GRID = 6
 SPAN = st.integers(0, GRID - 1).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, GRID)))
 BOXES = st.builds(lambda x, y, z: Box(x[0], y[0], z[0], x[1], y[1], z[1]), SPAN, SPAN, SPAN)
+BOX_SETS = (st.lists(BOXES, min_size=1, max_size=4), st.lists(BOXES, max_size=3))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(BOXES, min_size=1, max_size=4), st.lists(BOXES, max_size=3))
+@given(*BOX_SETS)
 def test_random_boxes_closed_with_cell_count_volume(positive, negative):
     mat = np.zeros((GRID, GRID, GRID), dtype=bool)
     for boxes, value in ((positive, True), (negative, False)):
@@ -171,6 +176,51 @@ def test_random_boxes_closed_with_cell_count_volume(positive, negative):
     # face uses); every other cell set has a closed, edge-manifold boundary.
     ok, problems = is_watertight(solid)
     assert ok != _edge_pinched(mat), problems[:3]
+
+
+def reference_triangulate(solid) -> TriMesh:
+    """Face-by-face, cell-by-cell triangulation: each face rasterized on the
+    solid's breakpoint grid, two triangles per filled cell in `np.argwhere`
+    order, vertices numbered in the order quad corners first reach them."""
+    coords = np.asarray(solid.vertices, dtype=np.int64)
+    axes_pts = [np.unique(coords[:, a]) for a in range(3)]
+    vid, verts, tris = {}, [], []
+
+    def vertex(p) -> int:
+        if p not in vid:
+            vid[p] = len(verts)
+            verts.append(p)
+        return vid[p]
+
+    for f in solid.faces:
+        ua, va = FRAMES[(f.axis, f.sign)]
+        loops = [_loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
+        region = rasterize_loops(loops, axes_pts[ua], axes_pts[va])
+        us, vs = region.us, region.vs
+        for iu, iv in np.argwhere(region.mask):
+            quad = []
+            for u, v in ((us[iu], vs[iv]), (us[iu + 1], vs[iv]), (us[iu + 1], vs[iv + 1]), (us[iu], vs[iv + 1])):
+                p = [0, 0, 0]
+                p[f.axis], p[ua], p[va] = f.offset, int(u), int(v)
+                quad.append(vertex(tuple(p)))
+            tris += [(quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3])]
+    return TriMesh(np.asarray(verts, dtype=np.float64) / 10.0, np.asarray(tris, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(*BOX_SETS)
+def test_random_boxes_triangulate_like_reference(positive, negative):
+    try:
+        solid = solid_from_boxes(positive, negative)
+    except InvalidExtrusionError:
+        assume(False)
+    mesh, ref = triangulate(solid), reference_triangulate(solid)
+    for got, want in ((mesh.vertices, ref.vertices), (mesh.triangles, ref.triangles)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    face_area = total_face_area_m2(solid)
+    assert abs(mesh.areas.sum() - face_area) <= 1e-9 * face_area
+    if is_watertight(solid)[0]:
+        assert mesh_closed(mesh)
 
 
 def test_watertight_cube_true():

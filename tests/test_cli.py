@@ -173,12 +173,18 @@ def test_eval_regression_requires_truth(tmp_path):
     assert cli(["eval", "regression", str(csv_path)]) == 2
 
 
-def null_faces_copy(small_batch_dir, directory):
+def edited_copy(small_batch_dir, directory, edit):
+    """Copy the batch's first solid into ``directory`` with ``edit`` applied
+    to its JSON document; returns the file name."""
     src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
     doc = json.loads(src.read_text())
-    doc["faces"] = None
+    edit(doc)
     (directory / src.name).write_text(json.dumps(doc))
     return src.name
+
+
+def null_faces_copy(small_batch_dir, directory):
+    return edited_copy(small_batch_dir, directory, lambda doc: doc.update(faces=None))
 
 
 def test_validate_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
@@ -223,6 +229,36 @@ def test_defect_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and name in err[0]
     assert not list(tmp_path.glob("*_def*"))
+
+
+@pytest.mark.parametrize("vertex_id", [1000000, -1])
+@pytest.mark.parametrize("command", ["points", "defect", "validate"])
+def test_vertex_id_out_of_range_fails_cleanly(tmp_path, small_batch_dir, capsys, command, vertex_id):
+    def edit(doc):
+        doc["faces"][0]["outer"][0] = vertex_id
+
+    name = edited_copy(small_batch_dir, tmp_path, edit)
+    extra = {"points": ["--n", "10"], "defect": ["--ratio", "1"], "validate": []}[command]
+    assert cli([command, str(tmp_path), *extra]) == 1
+    out, err = capsys.readouterr()
+    if command == "validate":
+        assert out.startswith(f"FAIL {name}: parse error: vertex id {vertex_id}") and not err
+    else:
+        err = err.strip().splitlines()
+        assert len(err) == 1 and name in err[0] and f"vertex id {vertex_id}" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_validate_zero_room_side_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    meta_name = src.name.replace(".brep.json", ".meta.json")
+    meta = json.loads((small_batch_dir / meta_name).read_text())
+    meta["rooms"][0][0] = [0.0, 3.0]
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    (tmp_path / meta_name).write_text(json.dumps(meta))
+    assert cli(["validate", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {src.name}: storey 1 room 0: ")
 
 
 def test_validate_empty_meta_fails_cleanly(tmp_path, small_batch_dir, capsys):

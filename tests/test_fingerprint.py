@@ -6,7 +6,8 @@ wall-clock timestamps) must match its pinned sha256.  A change that moves
 output bytes on purpose updates these pins and says so in CHANGES.md.
 Geometry changes move `.brep.json`, `_def` and `.xyz` files; `meta.json`,
 `meta.npy`, `discards.csv` and the per-building `.meta.json` files depend
-only on the plans and filters.
+only on the plans and filters.  The `.obj` pins of `gen --obj` fix the
+triangulation's vertex order, which `.xyz` bytes cannot see.
 """
 
 import hashlib
@@ -67,3 +68,23 @@ def test_gen_points_defect_fingerprint(tmp_path):
         if p.name != "manifest.json"
     }
     assert digests == PINS
+
+
+OBJ_PINS = {
+    "bld00000003.obj": "90af07178411934e02d310779a3ccb2ce6a5fdfe3e5b5b5f5311a17c23855f48",
+    "bld00000005.obj": "751a6deffbe8f7aaa63582f35b8579d215b5e1cd3a0d0f8017ae87e42f2d9e67",
+    "bld00000006.obj": "79a29669d1c86773842bec8af01051ccb12bff7ad403ae35f48143a6ca2491f9",
+    "bld00000007.obj": "4abfc1c8e4c92b83139933ae11b4585964db94830d122678a092a642a9fccfc8",
+    "bld00000008.obj": "f1c1fb36f99379f652b9037f63507ca7ff85d6479c26fe36b48fe4a3e3ba0d0c",
+    "bld00000009.obj": "a905ed4b6b637240fa3d6cfa621e607b4dfe16daee9185aaa0d4429def612f80",
+    "bld00000010.obj": "8a5ddfb8e1a301336e78905805e8d419bef47c7e5e0a7c3de0720af3033444c8",
+    "bld00000016.obj": "688d6dbeb854419b0ddcb7596f03a536fc0aeec4373de57a9d24ca748aae68bb",
+    "bld00000018.obj": "dbfaca749152412c6799e3b706b7940c8738ccce431eafc93e1f291395ff3fb3",
+}
+
+
+def test_gen_obj_fingerprint(tmp_path):
+    out = tmp_path / "obj"
+    assert cli(["gen", "--count", "20", "--seed", "0", "--out", str(out), "--obj"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.obj"))}
+    assert digests == OBJ_PINS

@@ -1,8 +1,12 @@
 """Generator contract: outputs must match the published PCG32 algorithm.
 
 Expected words were produced by an independent C implementation of the
-XSH-RR variant (multiplier 6364136223846793005, standard seeding).
+XSH-RR variant (multiplier 6364136223846793005, standard seeding).  A block
+of k draws must be the same words as k sequential draws.
 """
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from brepforge.rng import SeededRng
 
@@ -48,3 +52,16 @@ def test_unit_float_halfopen():
     rng = SeededRng(2, 2)
     draws = [rng.unit_float() for _ in range(1000)]
     assert all(0.0 <= d < 1.0 for d in draws)
+
+
+WORD = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 16, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(WORD, WORD, st.one_of(st.sampled_from([0, 1, 2]), st.integers(1, 400).map(lambda n: 3 * n)))
+def test_block_draws_equal_sequential_draws(seed, stream, k):
+    block, sequential = SeededRng(seed, stream), SeededRng(seed, stream)
+    draws = block.unit_floats(k)
+    assert draws.dtype == np.float64 and draws.shape == (k,)
+    assert draws.tolist() == [sequential.unit_float() for _ in range(k)]
+    assert block.next_u32() == sequential.next_u32()
