@@ -43,12 +43,6 @@ class Box(NamedTuple):
     y1: int
     z1: int
 
-    def lo(self, axis: int) -> int:
-        return self[axis]
-
-    def hi(self, axis: int) -> int:
-        return self[axis + 3]
-
 
 @dataclass(frozen=True)
 class BRepFace:
@@ -79,137 +73,115 @@ class BRepSolid:
 RawFace = tuple[int, int, int, list, list]  # axis, offset, sign, outer2d, holes2d
 
 
-def _loop_to_3d(loop2d, axis: int, offset: int, sign: int):
-    ua, va = FRAMES[(axis, sign)]
-    out = []
-    for u, v in loop2d:
-        p = [0, 0, 0]
-        p[axis] = offset
-        p[ua] = int(u)
-        p[va] = int(v)
-        out.append(tuple(p))
-    return out
-
-
 def _loop_to_2d(coords, axis: int, sign: int):
     ua, va = FRAMES[(axis, sign)]
     return [(p[ua], p[va]) for p in coords]
 
 
 def _finalize(raw_faces: Sequence[RawFace]) -> BRepSolid:
-    """Weld vertices, split T-junctions, and canonicalize ordering."""
-    loops3d = []  # (axis, offset, sign, [outer coords], [hole coords ...])
-    points: set[tuple[int, int, int]] = set()
-    for axis, offset, sign, outer, holes in raw_faces:
-        o3 = _loop_to_3d(outer, axis, offset, sign)
-        h3 = [_loop_to_3d(h, axis, offset, sign) for h in holes]
-        loops3d.append((axis, offset, sign, o3, h3))
-        for loop in (o3, *h3):
-            points.update(loop)
+    """Weld vertices, split T-junctions, and canonicalize ordering.
 
-    # Index every vertex on its three grid lines so loop edges can be split
-    # exactly where any other face has a corner.
-    lines: dict[tuple[int, int, int], list[int]] = {}
-    for x, y, z in points:
-        lines.setdefault((0, y, z), []).append(x)
-        lines.setdefault((1, x, z), []).append(y)
-        lines.setdefault((2, x, y), []).append(z)
-    for positions in lines.values():
-        positions.sort()
+    One numpy pass over the corners of every loop: the vertices are the
+    distinct corners in (x, y, z) order, each loop edge gains the vertices
+    strictly inside it (where another face has a corner) in order along
+    it, each loop starts at its smallest vertex id, and faces are sorted by
+    (axis, offset, sign, outer loop).
+    """
+    loops = [loop for *_, outer, holes in raw_faces for loop in (outer, *holes)]
+    lens = np.fromiter(map(len, loops), np.int64, len(loops))
+    uv = np.fromiter(chain.from_iterable(chain.from_iterable(loops)), np.int64, 2 * int(lens.sum()))
+    u, v = uv[0::2], uv[1::2]
+    face_axis, face_offset, face_ua, face_va = np.array(
+        [(axis, offset, *FRAMES[(axis, sign)]) for axis, offset, sign, _, _ in raw_faces], dtype=np.int64
+    ).T
+    corner_face = np.repeat(np.repeat(np.arange(len(raw_faces)), [1 + len(f[4]) for f in raw_faces]), lens)
+    ua, va = face_ua[corner_face], face_va[corner_face]
+    k = np.arange(len(u))
+    points = np.empty((len(u), 3), dtype=np.int64)
+    points[k, face_axis[corner_face]] = face_offset[corner_face]
+    points[k, ua] = u
+    points[k, va] = v
 
-    def split_loop(loop):
-        out = []
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            out.append(a)
-            diff = [k for k in range(3) if a[k] != b[k]]
-            if len(diff) != 1:
-                raise ValueError(f"loop edge {a}->{b} is not axis-parallel")
-            ax = diff[0]
-            if ax == 0:
-                key = (0, a[1], a[2])
-            elif ax == 1:
-                key = (1, a[0], a[2])
-            else:
-                key = (2, a[0], a[1])
-            lo, hi = sorted((a[ax], b[ax]))
-            between = [t for t in lines[key] if lo < t < hi]
-            if a[ax] > b[ax]:
-                between.reverse()
-            for t in between:
-                p = list(a)
-                p[ax] = t
-                out.append(tuple(p))
-        return out
+    # Weld: one integer key per point, ordered like (x, y, z).
+    key = np.zeros(len(u), dtype=np.int64)
+    for axis in range(3):
+        values, rank = np.unique(points[:, axis], return_inverse=True)
+        key = key * len(values) + rank
+    _, first, vid = np.unique(key, return_index=True, return_inverse=True)
+    coords = points[first]
 
-    vertices = sorted(points)
-    vid = {p: i for i, p in enumerate(vertices)}
+    # Sorted by (the other two coordinates, this one), the vertices of each
+    # grid line along an axis form one stretch, in order along the line, so
+    # the vertices strictly inside an edge lie between its ends there.
+    n = len(coords)
+    line_order = np.empty(3 * n, dtype=np.int64)
+    place = np.empty((3, n), dtype=np.int64)
+    for axis in range(3):
+        o1, o2 = [a for a in range(3) if a != axis]
+        order = np.lexsort((coords[:, axis], coords[:, o2], coords[:, o1]))
+        line_order[axis * n : (axis + 1) * n] = order
+        place[axis, order] = np.arange(n)
+    starts = np.cumsum(lens) - lens
+    nxt = k + 1
+    nxt[starts + lens - 1] = starts
+    # An edge from place pa to place pb on its line gives the vertices at
+    # pa, pa ± 1, ... short of pb, which starts the next edge.
+    edge_axis = np.where(u != u[nxt], ua, va)
+    pa, pb = place[edge_axis, vid], place[edge_axis, vid[nxt]]
+    owner, t = _expand(np.zeros_like(pa), np.abs(pb - pa))
+    ids = line_order[edge_axis[owner] * n + pa[owner] + np.sign(pb - pa)[owner] * t]
 
-    faces = []
-    for axis, offset, sign, o3, h3 in loops3d:
-        outer_ids = tuple(vid[p] for p in split_loop(o3))
-        inner_ids = tuple(tuple(vid[p] for p in split_loop(h)) for h in h3)
-        faces.append((axis, offset, sign, outer_ids, inner_ids))
+    # Rotate every loop to start at the first occurrence of its smallest id.
+    new_lens = np.add.reduceat(np.abs(pb - pa), starts)
+    new_starts = np.cumsum(new_lens) - new_lens
+    loop = np.repeat(np.arange(len(loops)), new_lens)
+    at_min = np.flatnonzero(ids == np.minimum.reduceat(ids, new_starts)[loop])
+    shift = at_min[np.searchsorted(loop[at_min], np.arange(len(loops)))] - new_starts
+    pos = np.arange(len(ids)) - new_starts[loop]
+    ids = ids[new_starts[loop] + (pos + shift[loop]) % new_lens[loop]].tolist()
 
-    def rotate_min(loop: tuple[int, ...]) -> tuple[int, ...]:
-        k = loop.index(min(loop))
-        return loop[k:] + loop[:k]
-
-    canon = []
-    for axis, offset, sign, outer, inner in faces:
-        outer = rotate_min(outer)
-        inner = tuple(sorted(rotate_min(h) for h in inner))
-        canon.append(BRepFace(axis, offset, sign, outer, inner))
-    canon.sort(key=lambda f: (f.axis, f.offset, f.sign, f.outer))
-    return BRepSolid(tuple(vertices), tuple(canon))
+    bounds = np.cumsum(new_lens).tolist()
+    loop_ids = iter([tuple(ids[a:b]) for a, b in zip([0] + bounds[:-1], bounds)])
+    faces = [
+        BRepFace(axis, offset, sign, next(loop_ids), tuple(sorted(next(loop_ids) for _ in holes)))
+        for axis, offset, sign, _, holes in raw_faces
+    ]
+    faces.sort(key=lambda f: (f.axis, f.offset, f.sign, f.outer))
+    return BRepSolid(tuple(map(tuple, coords.tolist())), tuple(faces))
 
 
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
     """Exact boundary of (∪ positive) \\ (∪ negative) on the integer grid."""
     if not positive:
         raise InvalidExtrusionError("no material boxes")
-    boxes = list(positive) + list(negative)
-    axes_pts = []
-    for axis in range(3):
-        axes_pts.append(merged_breakpoints([b.lo(axis) for b in boxes], [b.hi(axis) for b in boxes]))
-    xs, ys, zs = axes_pts
-    mat = np.zeros((len(xs) - 1, len(ys) - 1, len(zs) - 1), dtype=bool)
-
-    def span(vals, lo, hi):
-        return int(np.searchsorted(vals, lo)), int(np.searchsorted(vals, hi))
-
-    for b in positive:
-        ix = span(xs, b.x0, b.x1)
-        iy = span(ys, b.y0, b.y1)
-        iz = span(zs, b.z0, b.z1)
-        mat[ix[0]:ix[1], iy[0]:iy[1], iz[0]:iz[1]] = True
-    for b in negative:
-        ix = span(xs, b.x0, b.x1)
-        iy = span(ys, b.y0, b.y1)
-        iz = span(zs, b.z0, b.z1)
-        mat[ix[0]:ix[1], iy[0]:iy[1], iz[0]:iz[1]] = False
+    boxes = [*positive, *negative]
+    axes_pts = [merged_breakpoints([b[axis] for b in boxes], [b[axis + 3] for b in boxes]) for axis in range(3)]
+    spans = np.stack([np.searchsorted(axes_pts[k % 3], [b[k] for b in boxes]) for k in range(6)], axis=1)
+    mat = np.zeros([len(pts) - 1 for pts in axes_pts], dtype=bool)
+    for k, (x0, y0, z0, x1, y1, z1) in enumerate(spans.tolist()):
+        mat[x0:x1, y0:y1, z0:z1] = k < len(positive)
     if not mat.any():
         raise InvalidExtrusionError("material is empty after subtraction")
 
     raw: list[RawFace] = []
     for axis in range(3):
-        vals = axes_pts[axis]
-        others = [a for a in range(3) if a != axis]
-        grids = {others[0]: axes_pts[others[0]], others[1]: axes_pts[others[1]]}
-        n = mat.shape[axis]
-        empty = np.zeros([mat.shape[a] for a in others], dtype=bool)
-        for i in range(n + 1):
-            below = np.take(mat, i - 1, axis=axis) if i > 0 else empty
-            above = np.take(mat, i, axis=axis) if i < n else empty
-            for sign, mask in ((+1, below & ~above), (-1, above & ~below)):
-                if not mask.any():
-                    continue
-                ua, va = FRAMES[(axis, sign)]
-                m = mask if (ua, va) == tuple(others) else mask.T
-                region = Region(grids[ua], grids[va], m)
+        # Plane i lies between cell layers i - 1 and i; material above it
+        # minus material below is -1 on its +axis faces and +1 on its -axis
+        # faces.
+        layers = np.moveaxis(mat.view(np.int8), axis, 0)
+        step = np.empty((len(layers) + 1, *layers.shape[1:]), dtype=np.int8)
+        step[0], step[-1] = layers[0], -layers[-1]
+        np.subtract(layers[1:], layers[:-1], out=step[1:-1])
+        offsets = axes_pts[axis].tolist()
+        for sign, faced in ((+1, step.min(axis=(1, 2)) < 0), (-1, step.max(axis=(1, 2)) > 0)):
+            # The other two axes stay in increasing order, which is the
+            # face frame's (u, v) order when u < v.
+            ua, va = FRAMES[(axis, sign)]
+            for i in np.flatnonzero(faced).tolist():
+                mask = step[i] == -sign
+                region = Region(axes_pts[ua], axes_pts[va], mask if ua < va else mask.T)
                 for outer, holes in trace_region(region):
-                    raw.append((axis, int(vals[i]), sign, outer, holes))
+                    raw.append((axis, offsets[i], sign, outer, holes))
     return _finalize(raw)
 
 
@@ -236,27 +208,40 @@ def _face_region(solid: BRepSolid, face: BRepFace):
 
 
 def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
-    """Edge-manifold check: every undirected edge used twice, once per way."""
-    uses: dict[tuple[int, int], list[int]] = {}
-    problems: list[str] = []
-    for fi, f in enumerate(solid.faces):
-        for loop in f.loops():
-            n = len(loop)
-            if n < 4:
-                problems.append(f"face {fi}: loop with {n} < 4 vertices")
-            for i in range(n):
-                a, b = loop[i], loop[(i + 1) % n]
-                if a == b:
-                    problems.append(f"face {fi}: degenerate edge at vertex {a}")
-                    continue
-                key = (a, b) if a < b else (b, a)
-                uses.setdefault(key, []).append(1 if a < b else -1)
-    for (a, b), dirs in uses.items():
-        if len(dirs) != 2:
-            problems.append(f"edge {a}-{b} used {len(dirs)} times")
-        elif dirs[0] + dirs[1] != 0:
-            problems.append(f"edge {a}-{b} traversed twice in the same direction")
-    if not solid.faces:
+    """Edge-manifold check: every undirected edge used twice, once per way.
+
+    Problems come in the order of a walk over the loops: each short loop
+    and degenerate edge where the walk meets it, then each badly used edge
+    in the order of its first use.
+    """
+    faces = solid.faces
+    start, end, face, loop_face, lens = _loop_edges(faces)
+    # (edge index, 0 for a loop or 1 for an edge, message)
+    short = lens < 4
+    found = [
+        (at, 0, f"face {f}: loop with {n} < 4 vertices")
+        for at, f, n in zip((np.cumsum(lens) - lens)[short].tolist(), loop_face[short].tolist(), lens[short].tolist())
+    ]
+    found += [
+        (k, 1, f"face {face[k]}: degenerate edge at vertex {start[k]}")
+        for k in np.flatnonzero(start == end).tolist()
+    ]
+    problems = [msg for *_, msg in sorted(found)]
+
+    a, b = start[start != end], end[start != end]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * (int(hi.max(initial=0)) + 1) + hi
+    _, first_use, edge, uses = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    balance = np.zeros(len(uses), dtype=np.int64)
+    np.add.at(balance, edge, np.where(a < b, 1, -1))
+    bad = np.flatnonzero((uses != 2) | (balance != 0))
+    for e in bad[np.argsort(first_use[bad])].tolist():
+        k = int(first_use[e])
+        if uses[e] != 2:
+            problems.append(f"edge {int(lo[k])}-{int(hi[k])} used {int(uses[e])} times")
+        else:
+            problems.append(f"edge {int(lo[k])}-{int(hi[k])} traversed twice in the same direction")
+    if not faces:
         problems.append("solid has no faces")
     return (not problems), problems
 
@@ -274,6 +259,43 @@ class TriMesh:
         b = self.vertices[self.triangles[:, 1]]
         c = self.vertices[self.triangles[:, 2]]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+def _loop_edges(faces: Sequence[BRepFace]):
+    """Every loop edge of every face, loop by loop: the vertex ids at its
+    start and end and the index of its face; then per loop its face and
+    its number of edges."""
+    loops = [loop for f in faces for loop in (f.outer, *f.inner)]
+    loop_face = np.repeat(np.arange(len(faces)), [1 + len(f.inner) for f in faces])
+    lens = np.fromiter(map(len, loops), np.int64, len(loops))
+    ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
+    first = np.cumsum(lens) - lens
+    nxt = np.arange(1, len(ids) + 1)
+    closed = lens > 0
+    nxt[(first + lens - 1)[closed]] = first[closed]
+    return ids, ids[nxt], np.repeat(loop_face, lens), loop_face, lens
+
+
+def geometry_problems(solid: BRepSolid) -> list[str]:
+    """Loop vertices off their face's plane, and loop edges that are not
+    axis-parallel or have zero length, from one pass over all loop edges."""
+    coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3)
+    start, end, face, _, _ = _loop_edges(solid.faces)
+    axis = np.fromiter((f.axis for f in solid.faces), np.int64, len(solid.faces))[face]
+    offset = np.fromiter((f.offset for f in solid.faces), np.int64, len(solid.faces))[face]
+    a, b = coords[start], coords[end]
+    off_plane = a[np.arange(len(a)), axis] != offset
+    moves = np.count_nonzero(a != b, axis=1)
+    bad = moves != 1
+    problems = [
+        f"face {f}: vertex {v} is not on the face's plane"
+        for f, v in zip(face[off_plane].tolist(), start[off_plane].tolist())
+    ]
+    problems += [
+        f"face {f}: edge {p}-{q} " + ("has zero length" if m == 0 else "is not axis-parallel")
+        for f, p, q, m in zip(face[bad].tolist(), start[bad].tolist(), end[bad].tolist(), moves[bad].tolist())
+    ]
+    return problems
 
 
 def _grid_index(grids, axis: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -318,17 +340,10 @@ def triangulate(solid: BRepSolid) -> TriMesh:
 
     # Every loop edge of every face; as in ``rasterize_loops`` only vertical
     # ones (u constant, v changing) count.
-    loops = [loop for f in faces for loop in f.loops()]
-    lens = np.fromiter(map(len, loops), np.int64, len(loops))
-    ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
-    first = np.cumsum(lens) - lens
-    nxt = np.arange(1, len(ids) + 1)
-    closed = lens > 0
-    nxt[(first + lens - 1)[closed]] = first[closed]
-    edge_face = np.repeat(np.repeat(np.arange(len(faces)), [1 + len(f.inner) for f in faces]), lens)
+    start, end, edge_face, _, _ = _loop_edges(faces)
     ua, va = face_ua[edge_face], face_va[edge_face]
-    k = np.arange(len(ids))
-    a, b = coords[ids], coords[ids[nxt]]
+    k = np.arange(len(start))
+    a, b = coords[start], coords[end]
     u, v1, v2 = a[k, ua], a[k, va], b[k, va]
     vertical = (u == b[k, ua]) & (v1 != v2)
     edge_face, ua, va, u = edge_face[vertical], ua[vertical], va[vertical], u[vertical]

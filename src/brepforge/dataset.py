@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .brep import AXIS_NAMES, BRepFace, BRepSolid, is_watertight, mesh_to_obj, triangulate
+from .brep import (
+    AXIS_NAMES,
+    BRepFace,
+    BRepSolid,
+    geometry_problems,
+    is_watertight,
+    mesh_to_obj,
+    triangulate,
+)
 from .geom2d import to_units
 
 META_COLUMNS = 14  # storey_count, room_total, avg_room_area, footprint_area, per-floor 1..10
@@ -64,11 +72,21 @@ class BuildingMeta:
             storey_count=d["storey_count"],
             room_total=d["room_total"],
             room_per_floor=list(d["room_per_floor"]),
-            rooms=d["rooms"],
+            rooms=_checked_rooms(d["rooms"]),
             openings=d["openings"],
             avg_room_area=d["avg_room_area"],
             footprint_area=d["footprint_area"],
         )
+
+
+def _checked_rooms(storeys):
+    """``storeys`` unchanged, once every room is a [width, height] pair of
+    numbers; raises ValueError otherwise."""
+    for rooms in storeys:
+        for room in rooms:
+            if len(room) != 2 or not all(type(side) in (int, float) for side in room):
+                raise ValueError(f"room {room!r} is not a [width, height] pair of numbers")
+    return storeys
 
 
 @dataclass
@@ -110,7 +128,10 @@ def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
-    return is_watertight(solid)
+    """Every edge used twice, once per way; every loop vertex on its face's
+    plane; every loop edge axis-parallel and of non-zero length."""
+    problems = is_watertight(solid)[1] + geometry_problems(solid)
+    return (not problems), problems
 
 
 def canonical_json(obj) -> str:

@@ -5,7 +5,9 @@ Because every input coordinate is a breakpoint, boolean operations,
 rasterization of rectilinear loops, and boundary tracing are all exact.
 The tracer emits minimal corner-only loops: outer boundaries
 counter-clockwise, holes clockwise, holes attached to their containing
-outer loop.
+outer loop.  It traces edges as runs: one numpy diff per axis finds the
+maximal straight stretches of boundary cell edges along each grid line, so
+the walk in Python only visits corners and pinch vertices.
 """
 
 from __future__ import annotations
@@ -85,6 +87,27 @@ def _point_in_loop(p2u: int, p2v: int, loop: Loop) -> bool:
     return inside
 
 
+def _runs(d: np.ndarray):
+    """Maximal runs of one non-zero value along the rows of ``d``, whose first
+    and last columns are zero.
+
+    Column c of ``d`` holds cell c - 1, so the lattice vertex between cells
+    c - 1 and c is c.  Yields per run its row, the vertices where it begins
+    and ends, its value, and whether another run ends or begins at each of
+    those two vertices (a pinch).
+    """
+    flat = d.ravel()
+    p = np.flatnonzero(flat[1:] != flat[:-1])
+    width = d.shape[1]
+    begin = pinched = 0
+    for pos, before, after in zip(p.tolist(), flat[p].tolist(), flat[p + 1].tolist()):
+        if before:
+            row, col = divmod(pos, width)
+            yield row, begin, col, before, pinched, after != 0
+        if after:
+            begin, pinched = pos % width, before != 0
+
+
 def trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
     """Boundary loops of the region as (outer, holes) groups.
 
@@ -92,93 +115,79 @@ def trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
     out counter-clockwise and holes clockwise.  Pinch vertices (diagonal
     cell contact) are resolved by preferring the sharpest left turn, which
     splits the contact into separate simple loops.
+
+    Edges are traced as runs: maximal straight stretches of cell edges
+    between two corners, found with one diff per axis, so the walk only
+    visits corners.  Loops come out in the order, and from the vertex, of a
+    walk over single cell edges started at the smallest non-pinch lattice
+    vertex of each loop: the first corner at or after it begins the loop.
     """
     mask = region.mask
     if not mask.any():
         return []
-    # Crop to the filled bounding box; grids are often much larger.
-    ui = np.nonzero(mask.any(axis=1))[0]
-    vi = np.nonzero(mask.any(axis=0))[0]
-    u0, u1 = int(ui[0]), int(ui[-1]) + 1
-    v0, v1 = int(vi[0]), int(vi[-1]) + 1
-    mask = mask[u0:u1, v0:v1]
-    us = region.us[u0 : u1 + 1]
-    vs = region.vs[v0 : v1 + 1]
-    if mask.all():
-        rect = [
-            (int(us[0]), int(vs[0])),
-            (int(us[-1]), int(vs[0])),
-            (int(us[-1]), int(vs[-1])),
-            (int(us[0]), int(vs[-1])),
-        ]
-        return [(rect, [])]
-
     nu, nv = mask.shape
-    padded = np.zeros((nu + 2, nv + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
+    cells = np.zeros((nu + 2, nv + 2), dtype=np.int8)
+    cells[1:-1, 1:-1] = mask
+    us, vs = region.us.tolist(), region.vs.tolist()
+    w = nv + 1  # vertex (i, j) has key i * w + j, ordered like (i, j)
+    pinch_last = w * (nu + 1)  # sorts loops of pinch corners after the rest
 
-    # Directed cell-boundary edges keyed by start vertex; pinch vertices
-    # (two outgoing edges) go to the overflow dict.
-    single: dict[tuple[int, int], tuple[int, int]] = {}
-    multi: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # Per run: its start corner, its key (start vertex * 4 + direction, the
+    # directions +u, +v, -u, -v counter-clockwise), the keys of the runs
+    # that would turn left and right at its end, and where a cell-edge walk
+    # would have begun its loop: at the run's smallest non-pinch lattice
+    # vertex.  That is the start of a +u or +v run from a non-pinch vertex;
+    # else the vertex one cell in from the run's low end, if the run is
+    # longer than one cell, and the loop then begins at the next corner;
+    # else nowhere on this run.
+    corner, key, left, right, first, shift = [], [], [], [], [], []
 
-    def add(si, sj, ei, ej):
-        s, e = (si, sj), (ei, ej)
-        if s in multi:
-            multi[s].append(e)
-        elif s in single:
-            multi[s] = [single.pop(s), e]
+    def run(si, sj, s, e, d, start_pinch, length, step):
+        corner.append((us[si], vs[sj]))
+        key.append(s * 4 + d)
+        left.append(e * 4 + (d + 1) % 4)
+        right.append(e * 4 + (d + 3) % 4)
+        if d < 2 and not start_pinch:
+            first.append(s), shift.append(False)
+        elif length > 1:
+            first.append(min(s, e) + step), shift.append(True)
         else:
-            single[s] = e
+            first.append(s + start_pinch * pinch_last), shift.append(False)
 
-    sides = (
-        (mask & ~padded[:-2, 1:-1], 0, 1, 0, 0),  # left: down along u = us[i]
-        (mask & ~padded[2:, 1:-1], 1, 0, 1, 1),  # right: up along u = us[i+1]
-        (mask & ~padded[1:-1, :-2], 0, 0, 1, 0),  # bottom: right along v = vs[j]
-        (mask & ~padded[1:-1, 2:], 1, 1, 0, 1),  # top: left along v = vs[j+1]
-    )
-    for m, si_off, sj_off, ei_off, ej_off in sides:
-        ii, jj = np.nonzero(m)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            add(i + si_off, j + sj_off, i + ei_off, j + ej_off)
+    # Region on the left: +v along right sides and -v along left sides of
+    # cells (lines u = us[i]), +u along bottoms and -u along tops (v = vs[j]).
+    for i, a, b, value, pa, pb in _runs(cells[1:] - cells[:-1]):
+        if value < 0:
+            run(i, a, i * w + a, i * w + b, 1, pa, b - a, 1)
+        else:
+            run(i, b, i * w + b, i * w + a, 3, pb, b - a, 1)
+    for j, a, b, value, pa, pb in _runs(cells.T[1:] - cells.T[:-1]):
+        if value > 0:
+            run(a, j, a * w + j, b * w + j, 0, pa, b - a, w)
+        else:
+            run(b, j, b * w + j, a * w + j, 2, pb, b - a, w)
 
-    starts = sorted(single) + sorted(multi)
-    used: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    loops: list[Loop] = []
-    for start in starts:
-        outs = [single[start]] if start in single else multi[start]
-        for first in sorted(outs):
-            if (start, first) in used:
-                continue
-            walk = [(start, first)]
-            used.add((start, first))
-            cur, prev = first, start
-            while cur != start:
-                if cur in single:
-                    nxt = single[cur]
-                else:
-                    din = (cur[0] - prev[0], cur[1] - prev[1])
-                    candidates = [e for e in multi[cur] if (cur, e) not in used]
-                    nxt = max(
-                        candidates,
-                        key=lambda e: din[0] * (e[1] - cur[1]) - din[1] * (e[0] - cur[0]),
-                    )
-                walk.append((cur, nxt))
-                used.add((cur, nxt))
-                prev, cur = cur, nxt
-            # Emit a vertex wherever the direction changes (cyclically).
-            loop: Loop = []
-            k = len(walk)
-            for idx in range(k):
-                (pa, pb), (_, pc) = walk[idx - 1], walk[idx]
-                d1 = (pb[0] - pa[0], pb[1] - pa[1])
-                d2 = (pc[0] - pb[0], pc[1] - pb[1])
-                if d1 != d2:
-                    loop.append((int(us[pb[0]]), int(vs[pb[1]])))
-            loops.append(loop)
+    # The next run turns left at the end vertex if a run leaves it that way,
+    # else right: only a pinch has both, and there the sharpest left turn
+    # wins.
+    at = {k: r for r, k in enumerate(key)}
+    succ = [at[rk] if (s := at.get(lk)) is None else s for lk, rk in zip(left, right)]
+    seen = [False] * len(key)
+    loops: list[tuple[Loop, int]] = []
+    for r in sorted(range(len(key)), key=first.__getitem__):
+        if shift[r]:
+            r = succ[r]
+        if seen[r]:
+            continue
+        loop: Loop = []
+        while not seen[r]:
+            seen[r] = True
+            loop.append(corner[r])
+            r = succ[r]
+        loops.append((loop, _loop_area2(loop)))
 
-    outers = [(lp, _loop_area2(lp)) for lp in loops if _loop_area2(lp) > 0]
-    holes = [lp for lp in loops if _loop_area2(lp) < 0]
+    outers = [(lp, area2) for lp, area2 in loops if area2 > 0]
+    holes = [lp for lp, area2 in loops if area2 < 0]
     groups: list[tuple[Loop, list[Loop]]] = [(lp, []) for lp, _ in outers]
     for hole in holes:
         (u1, v1), (u2, v2) = hole[0], hole[1]

@@ -1,6 +1,8 @@
 """Kernel tests: Euler counts on fixtures, opening arithmetic, box unions,
-watertight diagnostics, triangulation conservation, random box sets, and
-the batched triangulation against a face-by-face reference."""
+watertight diagnostics, the geometric checks, triangulation conservation,
+random box sets, `solid_from_boxes` against the cell-edge tracer and
+scan-based weld it replaced, and the batched triangulation against a
+face-by-face reference."""
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from brepforge.brep import (
     FRAMES,
+    BRepFace,
+    BRepSolid,
     Box,
     TriMesh,
     _loop_to_2d,
     drop_faces,
     euler_characteristic,
     extrude_prism,
+    geometry_problems,
     is_watertight,
     mesh_to_obj,
     solid_from_boxes,
@@ -22,7 +27,8 @@ from brepforge.brep import (
 )
 from brepforge.errors import InvalidExtrusionError
 from brepforge.geom2d import Footprint
-from brepforge.regions import rasterize_loops
+from brepforge.regions import Region, merged_breakpoints, rasterize_loops
+from test_regions import reference_trace_region
 
 UNIT_SQUARE = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
@@ -178,6 +184,125 @@ def test_random_boxes_closed_with_cell_count_volume(positive, negative):
     assert ok != _edge_pinched(mat), problems[:3]
 
 
+def _loop_to_3d(loop2d, axis, offset, sign):
+    ua, va = FRAMES[(axis, sign)]
+    out = []
+    for u, v in loop2d:
+        p = [0, 0, 0]
+        p[axis], p[ua], p[va] = offset, u, v
+        out.append(tuple(p))
+    return out
+
+
+def reference_finalize(raw_faces) -> BRepSolid:
+    """Weld by a sorted point set, split each loop edge at every vertex found
+    by scanning its whole grid line, rotate loops to their smallest id."""
+    loops3d = []
+    points = set()
+    for axis, offset, sign, outer, holes in raw_faces:
+        o3 = _loop_to_3d(outer, axis, offset, sign)
+        h3 = [_loop_to_3d(h, axis, offset, sign) for h in holes]
+        loops3d.append((axis, offset, sign, o3, h3))
+        for loop in (o3, *h3):
+            points.update(loop)
+    lines = {}
+    for x, y, z in points:
+        lines.setdefault((0, y, z), []).append(x)
+        lines.setdefault((1, x, z), []).append(y)
+        lines.setdefault((2, x, y), []).append(z)
+    for positions in lines.values():
+        positions.sort()
+
+    def split_loop(loop):
+        out = []
+        for i, a in enumerate(loop):
+            b = loop[(i + 1) % len(loop)]
+            out.append(a)
+            (ax,) = [k for k in range(3) if a[k] != b[k]]
+            key = (ax, *[a[k] for k in range(3) if k != ax])
+            lo, hi = sorted((a[ax], b[ax]))
+            between = [t for t in lines[key] if lo < t < hi]
+            if a[ax] > b[ax]:
+                between.reverse()
+            for t in between:
+                p = list(a)
+                p[ax] = t
+                out.append(tuple(p))
+        return out
+
+    def rotate_min(loop):
+        k = loop.index(min(loop))
+        return loop[k:] + loop[:k]
+
+    vertices = sorted(points)
+    vid = {p: i for i, p in enumerate(vertices)}
+    faces = []
+    for axis, offset, sign, o3, h3 in loops3d:
+        outer = rotate_min(tuple(vid[p] for p in split_loop(o3)))
+        inner = tuple(sorted(rotate_min(tuple(vid[p] for p in split_loop(h))) for h in h3))
+        faces.append(BRepFace(axis, offset, sign, outer, inner))
+    faces.sort(key=lambda f: (f.axis, f.offset, f.sign, f.outer))
+    return BRepSolid(tuple(vertices), tuple(faces))
+
+
+def reference_solid_from_boxes(positive, negative) -> BRepSolid:
+    """Plane by plane: face masks from the cell layers on either side, traced
+    with the cell-edge tracer, welded with `reference_finalize`."""
+    boxes = list(positive) + list(negative)
+    axes_pts = [merged_breakpoints([b[a] for b in boxes], [b[a + 3] for b in boxes]) for a in range(3)]
+    mat = np.zeros([len(pts) - 1 for pts in axes_pts], dtype=bool)
+    for box_set, value in ((positive, True), (negative, False)):
+        for b in box_set:
+            lo = [int(np.searchsorted(axes_pts[a], b[a])) for a in range(3)]
+            hi = [int(np.searchsorted(axes_pts[a], b[a + 3])) for a in range(3)]
+            mat[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = value
+    if not mat.any():
+        raise InvalidExtrusionError("material is empty after subtraction")
+    raw = []
+    for axis in range(3):
+        others = [a for a in range(3) if a != axis]
+        n = mat.shape[axis]
+        empty = np.zeros([mat.shape[a] for a in others], dtype=bool)
+        for i in range(n + 1):
+            below = np.take(mat, i - 1, axis=axis) if i > 0 else empty
+            above = np.take(mat, i, axis=axis) if i < n else empty
+            for sign, mask in ((+1, below & ~above), (-1, above & ~below)):
+                ua, va = FRAMES[(axis, sign)]
+                m = mask if (ua, va) == tuple(others) else mask.T
+                for outer, holes in reference_trace_region(Region(axes_pts[ua], axes_pts[va], m)):
+                    raw.append((axis, int(axes_pts[axis][i]), sign, outer, holes))
+    return reference_finalize(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*BOX_SETS)
+def test_random_boxes_like_reference_kernel(positive, negative):
+    try:
+        want = reference_solid_from_boxes(positive, negative)
+    except InvalidExtrusionError:
+        with pytest.raises(InvalidExtrusionError):
+            solid_from_boxes(positive, negative)
+        return
+    solid = solid_from_boxes(positive, negative)
+    assert solid.vertices == want.vertices
+    assert solid.faces == want.faces
+
+
+def test_geometry_problems_flag_off_plane_and_bad_edges():
+    cube = extrude_prism(UNIT_SQUARE, 0, 10)
+    assert geometry_problems(cube) == []
+    # Vertex 0 is the corner (0, 0, 0); lift it off the z = 0 plane.
+    moved = BRepSolid(((0, 0, 50),) + cube.vertices[1:], cube.faces)
+    problems = geometry_problems(moved)
+    assert any(p.endswith("vertex 0 is not on the face's plane") for p in problems)
+    assert any(p.endswith("is not axis-parallel") for p in problems)
+    assert is_watertight(moved)[0]  # edge pairing alone cannot see it
+    f = cube.faces[0]
+    doubled = BRepFace(f.axis, f.offset, f.sign, f.outer[:1] + f.outer)
+    problems = geometry_problems(BRepSolid(cube.vertices, (doubled,) + cube.faces[1:]))
+    assert problems == [f"face 0: edge {f.outer[0]}-{f.outer[0]} has zero length"]
+
+
 def reference_triangulate(solid) -> TriMesh:
     """Face-by-face, cell-by-cell triangulation: each face rasterized on the
     solid's breakpoint grid, two triangles per filled cell in `np.argwhere`
@@ -221,6 +346,52 @@ def test_random_boxes_triangulate_like_reference(positive, negative):
     assert abs(mesh.areas.sum() - face_area) <= 1e-9 * face_area
     if is_watertight(solid)[0]:
         assert mesh_closed(mesh)
+
+
+def reference_is_watertight(solid) -> tuple[bool, list[str]]:
+    """Loop-by-loop edge count in a dict, problems in the order found."""
+    uses = {}
+    problems = []
+    for fi, f in enumerate(solid.faces):
+        for loop in f.loops():
+            n = len(loop)
+            if n < 4:
+                problems.append(f"face {fi}: loop with {n} < 4 vertices")
+            for i in range(n):
+                a, b = loop[i], loop[(i + 1) % n]
+                if a == b:
+                    problems.append(f"face {fi}: degenerate edge at vertex {a}")
+                    continue
+                key = (a, b) if a < b else (b, a)
+                uses.setdefault(key, []).append(1 if a < b else -1)
+    for (a, b), dirs in uses.items():
+        if len(dirs) != 2:
+            problems.append(f"edge {a}-{b} used {len(dirs)} times")
+        elif dirs[0] + dirs[1] != 0:
+            problems.append(f"edge {a}-{b} traversed twice in the same direction")
+    if not solid.faces:
+        problems.append("solid has no faces")
+    return (not problems), problems
+
+
+@settings(max_examples=100, deadline=None)
+@given(*BOX_SETS, st.data())
+def test_is_watertight_like_reference(positive, negative, data):
+    try:
+        solid = solid_from_boxes(positive, negative)
+    except InvalidExtrusionError:
+        assume(False)
+    n = len(solid.faces)
+    dropped = drop_faces(solid, data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    faces = list(solid.faces)
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        f = faces[i]
+        # A repeated vertex (degenerate edge), a short loop, or a reversed loop.
+        outer = data.draw(st.sampled_from([f.outer[:1] + f.outer, f.outer[:3], f.outer[::-1]]))
+        faces[i] = BRepFace(f.axis, f.offset, f.sign, outer, f.inner)
+    broken = BRepSolid(solid.vertices, tuple(faces))
+    for s in (solid, dropped, broken, BRepSolid(solid.vertices, ())):
+        assert is_watertight(s) == reference_is_watertight(s)
 
 
 def test_watertight_cube_true():

@@ -261,6 +261,28 @@ def test_validate_zero_room_side_fails_cleanly(tmp_path, small_batch_dir, capsys
     assert out.startswith(f"FAIL {src.name}: storey 1 room 0: ")
 
 
+def test_validate_non_numeric_room_side_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    meta_name = src.name.replace(".brep.json", ".meta.json")
+    meta = json.loads((small_batch_dir / meta_name).read_text())
+    meta["rooms"][0][0] = ["a", 3.0]
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    (tmp_path / meta_name).write_text(json.dumps(meta))
+    assert cli(["validate", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL {src.name}: {meta_name}: parse error: ") and not err
+
+
+def test_validate_vertex_off_plane_fails(tmp_path, small_batch_dir, capsys):
+    def edit(doc):
+        doc["vertices"][0][2] += 5.0
+
+    name = edited_copy(small_batch_dir, tmp_path, edit)
+    assert cli(["validate", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {name}: face ") and "is not on the face's plane" in out
+
+
 def test_validate_empty_meta_fails_cleanly(tmp_path, small_batch_dir, capsys):
     src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
     (tmp_path / src.name).write_bytes(src.read_bytes())

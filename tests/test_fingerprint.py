@@ -88,3 +88,33 @@ def test_gen_obj_fingerprint(tmp_path):
     assert cli(["gen", "--count", "20", "--seed", "0", "--out", str(out), "--obj"]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.obj"))}
     assert digests == OBJ_PINS
+
+
+def brep_digests(tmp_path, name, args):
+    out = tmp_path / name
+    assert cli(["gen", "--out", str(out), *args]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.brep.json"))}
+
+
+def test_tall_building_fingerprint(tmp_path):
+    assert brep_digests(tmp_path, "tall", ["--count", "1", "--seed", "150"]) == {
+        "bld00000150.brep.json": "71b8ec71f776f57bd3f7999355d938e7f947b1b63108ae8547b460f70f7c970a",
+    }
+
+
+THICK_PINS = {
+    "bld00000003.brep.json": "0a0016570bcf2e49dc264aa67fe2b9eb48c8a6e3bcdc3eaf2f6108e406a2e5c3",
+    "bld00000005.brep.json": "13a61fe5fd2a06f05497321ba040b7bd3c960fb0893d9c7a1cba7801e60f8798",
+    "bld00000006.brep.json": "99661ed285efda3d43e9c6732bf0932bb05b5738e4871bc177b5ff1aa4fca968",
+    "bld00000007.brep.json": "43cc0651fd0e191edd0e00ae79cd15d2968fdd7c37c8dfc5f75aeaac1ec124cd",
+    "bld00000008.brep.json": "10c22f42ce47651def8a70f9bf1278c66abfdbacdaea7fcbe7230c4331e98315",
+    "bld00000009.brep.json": "ba938822e4d1e8d5c80fe8296f71d0c12ba578d7cffe87696db00372859e0070",
+    "bld00000010.brep.json": "0e38e77ae80190b85dc8f445c6564fefdc3a9d4304de67329063803ea2ac2735",
+    "bld00000016.brep.json": "4740df13012888180e06e4c460266f8df98d11c277163b9836cccc504ab16768",
+    "bld00000018.brep.json": "20aaff01320c42842058bf35748e6d648c12133f76cfdd25ef850e49d80dc8b3",
+}
+
+
+def test_thick_wall_fingerprint(tmp_path):
+    args = ["--count", "20", "--seed", "0", "--set", "wall_thickness=0.6"]
+    assert brep_digests(tmp_path, "thick", args) == THICK_PINS
