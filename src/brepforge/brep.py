@@ -277,12 +277,18 @@ def _loop_edges(faces: Sequence[BRepFace]):
 
 
 def geometry_problems(solid: BRepSolid) -> list[str]:
-    """Loop vertices off their face's plane, and loop edges that are not
-    axis-parallel or have zero length, from one pass over all loop edges."""
+    """Loop vertices off their face's plane, loop edges that are not
+    axis-parallel or have zero length, outer loops not counter-clockwise
+    and holes not clockwise about the stated normal, and a solid whose
+    divergence-theorem volume is not positive, from one pass over all loop
+    edges."""
+    faces = solid.faces
     coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3)
-    start, end, face, _, _ = _loop_edges(solid.faces)
-    axis = np.fromiter((f.axis for f in solid.faces), np.int64, len(solid.faces))[face]
-    offset = np.fromiter((f.offset for f in solid.faces), np.int64, len(solid.faces))[face]
+    start, end, face, loop_face, lens = _loop_edges(faces)
+    face_axis, face_offset, face_sign, face_ua, face_va = np.array(
+        [(f.axis, f.offset, f.sign, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
+    ).reshape(-1, 5).T
+    axis, offset = face_axis[face], face_offset[face]
     a, b = coords[start], coords[end]
     off_plane = a[np.arange(len(a)), axis] != offset
     moves = np.count_nonzero(a != b, axis=1)
@@ -295,6 +301,28 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
         f"face {f}: edge {p}-{q} " + ("has zero length" if m == 0 else "is not axis-parallel")
         for f, p, q, m in zip(face[bad].tolist(), start[bad].tolist(), end[bad].tolist(), moves[bad].tolist())
     ]
+
+    # Twice each loop's signed area in its face's (u, v) frame, where u × v
+    # is the stated normal: positive for an outer loop, negative for a hole.
+    k = np.arange(len(a))
+    ua, va = face_ua[face], face_va[face]
+    cross = a[k, ua] * b[k, va] - b[k, ua] * a[k, va]
+    loop = np.repeat(np.arange(len(lens)), lens)
+    area2 = np.zeros(len(lens), dtype=np.int64)
+    np.add.at(area2, loop, cross)
+    outer = np.ones(len(lens), dtype=bool)
+    outer[1:] = loop_face[1:] != loop_face[:-1]
+    wrong = np.flatnonzero(np.where(outer, area2 <= 0, area2 >= 0))
+    problems += [
+        f"face {f}: " + ("outer loop is not counter-clockwise" if o else "hole is not clockwise") + " about its normal"
+        for f, o in zip(loop_face[wrong].tolist(), outer[wrong].tolist())
+    ]
+    # Divergence theorem: the flux of the position field out of the solid,
+    # the sum of sign * offset * area2 over every loop, is six times the
+    # enclosed volume.
+    sign = face_sign[loop_face]
+    if faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
+        problems.append("solid encloses no positive volume")
     return problems
 
 
@@ -318,6 +346,15 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owner, starts[owner] + np.arange(len(owner)) - first[owner]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values.  A bare ``np.unique`` would import
+    ``numpy.ma`` (to test for a masked array) on its first call."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def triangulate(solid: BRepSolid) -> TriMesh:
     """Cell-decomposition triangulation on the solid's global grid.
 
@@ -333,7 +370,7 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     if not faces:
         raise EmptyMeshError("solid has no faces")
     coords = np.asarray(solid.vertices, dtype=np.int64)
-    axes_pts = [np.unique(coords[:, a]) for a in range(3)]
+    axes_pts = [_distinct(coords[:, a]) for a in range(3)]
     face_axis, face_offset, face_ua, face_va = np.array(
         [(f.axis, f.offset, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
     ).T
@@ -387,7 +424,7 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     # vertex coordinate and face offset (fits in int64 below ~2e6 per axis).
     key = np.zeros(len(corners), dtype=np.int64)
     for axis in range(3):
-        values = np.union1d(axes_pts[axis], face_offset[face_axis == axis])
+        values = _distinct(np.concatenate((axes_pts[axis], face_offset[face_axis == axis])))
         key = key * len(values) + np.searchsorted(values, corners[:, axis])
     _, seen, inverse = np.unique(key, return_index=True, return_inverse=True)
     by_first_sight = np.argsort(seen)

@@ -129,7 +129,8 @@ def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
     """Every edge used twice, once per way; every loop vertex on its face's
-    plane; every loop edge axis-parallel and of non-zero length."""
+    plane; every loop edge axis-parallel and of non-zero length; loops
+    wound about their stated normals; a positive enclosed volume."""
     problems = is_watertight(solid)[1] + geometry_problems(solid)
     return (not problems), problems
 

@@ -6,11 +6,11 @@ class BrepForgeError(Exception):
 
 
 class InvalidFootprintError(BrepForgeError):
-    """Loop is degenerate, self-intersecting, or collapses below 4 vertices."""
+    """Loop has fewer than 4 vertices, an edge that is not axis-parallel, or zero area."""
 
 
 class MustCleanFirstError(BrepForgeError):
-    """Operation requires a cleaned loop (no collinear or coincident triples)."""
+    """Operation requires a corner-only loop (no collinear or coincident triples)."""
 
 
 class CollisionError(BrepForgeError):

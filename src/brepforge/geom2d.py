@@ -1,11 +1,12 @@
-"""Exact rectilinear 2-D kernel: footprint loops, unions, cleanup, notches.
+"""Exact rectilinear 2-D kernel: footprint loops and rectangle unions.
 
 All coordinates are integers in grid units of 0.1 m.  Arithmetic is exact;
 metres appear only at the API boundary (``to_units`` / ``to_metres``).
 Footprints are simple axis-parallel loops stored counter-clockwise.  Each
 footprint's interior is partitioned once into rectangles (``Footprint.rects``);
 overlap, containment and edge contact with a rectangle are answered piece by
-piece on that partition.
+piece on that partition, and the boundary of a union is traced from those
+pieces by the region engine (``regions.trace_region``).
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import (
     CollisionError,
     ConflictError,
     InvalidFootprintError,
     MustCleanFirstError,
 )
+from .regions import Region, trace_region
 
 
 def to_units(metres: float) -> int:
@@ -125,31 +129,15 @@ def _overlap_length(a0: int, a1: int, b0: int, b1: int) -> int:
     return max(0, min(a1, b1) - max(a0, b0))
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Interior crossing/overlap test for two axis-parallel segments."""
-    v1 = p1.x == p2.x
-    v2 = q1.x == q2.x
-    if v1 != v2:
-        vx, vy0, vy1 = (p1.x, *sorted((p1.y, p2.y))) if v1 else (q1.x, *sorted((q1.y, q2.y)))
-        hy, hx0, hx1 = (q1.y, *sorted((q1.x, q2.x))) if v1 else (p1.y, *sorted((p1.x, p2.x)))
-        # Endpoint contact is allowed; interior crossing is not.
-        return hx0 < vx < hx1 and vy0 < hy < vy1
-    if v1:
-        if p1.x != q1.x:
-            return False
-        a0, a1 = sorted((p1.y, p2.y))
-        b0, b1 = sorted((q1.y, q2.y))
-    else:
-        if p1.y != q1.y:
-            return False
-        a0, a1 = sorted((p1.x, p2.x))
-        b0, b1 = sorted((q1.x, q2.x))
-    return a0 < b1 and b0 < a1  # collinear overlap of positive length
-
-
 @dataclass(frozen=True)
 class Footprint:
-    """Simple axis-parallel loop; may carry redundant vertices until cleaned."""
+    """Axis-parallel loop.
+
+    Construction checks only the vertex count, axis-parallel edges and a
+    non-zero area.  The generator makes footprints with ``from_rect`` and
+    ``union_rect`` alone, and their loops are simple, corner-only and
+    counter-clockwise.
+    """
 
     vertices: tuple[Point2, ...]
 
@@ -165,27 +153,6 @@ class Footprint:
                 raise InvalidFootprintError(f"edge {a}->{b} is not axis-parallel")
         if _signed_area2(v) == 0:
             raise InvalidFootprintError("loop encloses zero area")
-        self._check_simple()
-
-    def _check_simple(self):
-        edges = [
-            (a, b)
-            for a, b in zip(self.vertices, self.vertices[1:] + self.vertices[:1])
-            if a != b
-        ]
-        n = len(edges)
-        for i in range(n):
-            for j in range(i + 1, n):
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                p1, p2 = edges[i]
-                q1, q2 = edges[j]
-                if _segments_cross(p1, p2, q1, q2):
-                    raise InvalidFootprintError(f"edges {edges[i]} and {edges[j]} intersect")
-                if not adjacent:
-                    # Non-adjacent edges may not even share an endpoint
-                    # (that would pinch the loop).
-                    if len({p1, p2} & {q1, q2}) > 0:
-                        raise InvalidFootprintError(f"loop pinches at {set((p1, p2)) & set((q1, q2))}")
 
     @classmethod
     def from_metres(cls, coords: Iterable[tuple[float, float]]) -> "Footprint":
@@ -194,20 +161,6 @@ class Footprint:
     @classmethod
     def from_rect(cls, r: Rect) -> "Footprint":
         return cls(r.corners())
-
-    @property
-    def is_clean(self) -> bool:
-        v = self.vertices
-        n = len(v)
-        if _signed_area2(v) < 0:
-            return False
-        for i in range(n):
-            a, b, c = v[i - 1], v[i], v[(i + 1) % n]
-            if a == b:
-                return False
-            if (a.x == b.x == c.x) or (a.y == b.y == c.y):
-                return False
-        return True
 
     def area_units2(self) -> int:
         """Twice the enclosed area in grid units² (sign follows orientation)."""
@@ -230,17 +183,11 @@ class Footprint:
         overlap, containment and contact questions.
         """
         ys = sorted({p.y for p in self.vertices})
+        verticals = [(a.x, *sorted((2 * a.y, 2 * b.y))) for a, b in self.edges() if a.x == b.x]
         rects: list[Rect] = []
         for y_lo, y_hi in zip(ys, ys[1:]):
             y2 = y_lo + y_hi  # 2 * midpoint, exact
-            crossings = []
-            for a, b in self.edges():
-                if a.x != b.x:
-                    continue
-                lo, hi = sorted((2 * a.y, 2 * b.y))
-                if lo < y2 < hi:
-                    crossings.append(a.x)
-            crossings.sort()
+            crossings = sorted(x for x, lo, hi in verticals if lo < y2 < hi)
             for x_lo, x_hi in zip(crossings[::2], crossings[1::2]):
                 rects.append(Rect(x_lo, y_lo, x_hi, y_hi))
         return tuple(rects)
@@ -273,37 +220,10 @@ def classify_vertex(f: Footprint, i: int) -> VertexKind:
 
 
 def vertex_kind_counts(f: Footprint) -> tuple[int, int]:
-    """(convex, concave) counts over the cleaned loop."""
+    """(convex, concave) counts over the corner-only loop."""
     kinds = [classify_vertex(f, i) for i in range(len(f.vertices))]
     convex = sum(1 for k in kinds if k is VertexKind.CONVEX)
     return convex, len(kinds) - convex
-
-
-def clean(f: Footprint) -> Footprint:
-    """Drop coincident/collinear vertices and normalize orientation to CCW."""
-    pts = list(f.vertices)
-    if _signed_area2(tuple(pts)) < 0:
-        pts.reverse()
-    changed = True
-    while changed:
-        changed = False
-        out: list[Point2] = []
-        n = len(pts)
-        for i in range(n):
-            a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
-            if a == b:
-                changed = True
-                continue
-            # A coincident successor is handled at its own index; dropping b
-            # here as "collinear" would remove both copies.
-            if b != c and ((a.x == b.x == c.x) or (a.y == b.y == c.y)):
-                changed = True
-                continue
-            out.append(b)
-        pts = out
-        if len(pts) < 4:
-            raise InvalidFootprintError("loop collapsed below 4 vertices during cleanup")
-    return Footprint(tuple(pts))
 
 
 def overlaps(f: Footprint, r: Rect) -> bool:
@@ -333,14 +253,13 @@ def _contact_lengths(f: Footprint, r: Rect) -> dict[str, int]:
 
 
 def union_rect(f: Footprint, r: Rect) -> Footprint:
-    """Union of a clean footprint with an edge-adjacent rectangle.
+    """Union of a footprint with an edge-adjacent rectangle.
 
     The rectangle must touch f along full rectangle sides only: any side
     with partial contact (straddling a corner or hanging past an edge end)
-    is rejected, as are point contacts and interior overlaps.
+    is rejected, as are point contacts and interior overlaps, and so is a
+    union that is not one simple loop (it encloses a hole or pinches).
     """
-    if not f.is_clean:
-        raise MustCleanFirstError("union_rect requires a cleaned footprint")
     if overlaps(f, r):
         raise CollisionError(f"rect {r} overlaps footprint interior")
     side_len = {
@@ -356,60 +275,55 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
         if c not in (0, side_len[name]):
             raise ConflictError(f"partial contact on {name} side ({c} of {side_len[name]} units)")
 
-    # Directed boundary edges cancel where the two loops traverse a shared
-    # segment in opposite directions; the survivors stitch into the union.
-    lines: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    # The cells of the grid through every corner of f and r, filled piece by
+    # piece and traced as one region.
+    xs = sorted({p.x for p in f.vertices} | {r.x0, r.x1})
+    ys = sorted({p.y for p in f.vertices} | {r.y0, r.y1})
+    ix = {x: i for i, x in enumerate(xs)}
+    iy = {y: j for j, y in enumerate(ys)}
+    mask = np.zeros((len(xs) - 1, len(ys) - 1), dtype=bool)
+    for p in (*f.rects, r):
+        mask[ix[p.x0] : ix[p.x1], iy[p.y0] : iy[p.y1]] = True
+    # r shares a boundary segment with f, so the union is connected: one
+    # outer loop.
+    ((loop, holes),) = trace_region(Region(np.asarray(xs), np.asarray(ys), mask))
+    if holes:
+        raise ConflictError("union encloses a hole")
+    if len(set(loop)) != len(loop):
+        # A hole that touches the outer boundary at one vertex is traced as
+        # part of the outer loop, which passes that vertex twice.
+        raise ConflictError("union pinches")
+    k = _start_corner(f, r, loop)
+    return Footprint(tuple(loop[k:] + loop[:k]))
 
-    def add_edges(edges):
-        for a, b in edges:
-            if a.x == b.x:
-                key = ("x", a.x)
-                lines.setdefault(key, []).append((a.y, b.y, 1 if b.y > a.y else -1))
-            else:
-                key = ("y", a.y)
-                lines.setdefault(key, []).append((a.x, b.x, 1 if b.x > a.x else -1))
 
-    add_edges(f.edges())
-    add_edges(Footprint.from_rect(r).edges())
+def _start_corner(f: Footprint, r: Rect, loop: list[tuple[int, int]]) -> int:
+    """Index in the traced union loop of the corner the footprint starts at.
 
-    segments: list[tuple[Point2, Point2]] = []
-    for (axis, fixed), entries in lines.items():
-        breaks = sorted({c for s, e, _ in entries for c in (s, e)})
-        for lo, hi in zip(breaks, breaks[1:]):
-            net = 0
-            for s, e, d in entries:
-                if min(s, e) <= lo and hi <= max(s, e):
-                    net += d
-            if net == 0:
-                continue
-            if abs(net) > 1:
-                raise ConflictError("union boundary is non-simple")
-            a, b = (lo, hi) if net > 0 else (hi, lo)
-            if axis == "x":
-                segments.append((Point2(fixed, a), Point2(fixed, b)))
-            else:
-                segments.append((Point2(a, fixed), Point2(b, fixed)))
-
-    outgoing: dict[Point2, Point2] = {}
-    for a, b in segments:
-        if a in outgoing:
-            raise ConflictError(f"union pinches at {a}")
-        outgoing[a] = b
-    start = segments[0][0]
-    loop = [start]
-    cur = outgoing[start]
-    while cur != start:
-        loop.append(cur)
-        cur = outgoing.get(cur)
-        if cur is None or len(loop) > len(segments):
-            raise ConflictError("union boundary does not close into one loop")
-    if len(loop) != len(segments):
-        raise ConflictError("union produced more than one boundary loop")
-
-    result = clean(Footprint(tuple(loop)))
-    if result.area_units2() != f.area_units2() + 2 * r.area_units:
-        raise ConflictError("union area mismatch (shapes touch at a point?)")
-    return result
+    The lines of f's edges are searched, in edge order, for the first that
+    holds a union edge (some line does: r cannot cover all of f's
+    boundary without overlapping f); of the union edges on it, the one with
+    the smallest low end is taken.  The loop starts at that edge's first
+    vertex if the edge runs toward +x or +y, or if no corner of f or r lies
+    strictly inside it; else at its last vertex.  Storey walls and window
+    draws follow the loop's order, so this rule is part of the output.
+    """
+    n = len(loop)
+    lowest: dict[tuple[int, int], tuple[int, int]] = {}
+    for k in range(n):
+        (x1, y1), (x2, y2) = loop[k], loop[(k + 1) % n]
+        line, low = ((0, x1), min(y1, y2)) if x1 == x2 else ((1, y1), min(x1, x2))
+        if line not in lowest or low < lowest[line][0]:
+            lowest[line] = (low, k)
+    edge_lines = (((0, a.x) if a.x == b.x else (1, a.y)) for a, b in f.edges())
+    axis, c = line = next(line for line in edge_lines if line in lowest)
+    low, k = lowest[line]
+    a, b = loop[k], loop[(k + 1) % n]
+    if b[1 - axis] > a[1 - axis]:
+        return k
+    high = a[1 - axis]
+    inside = any(p[axis] == c and low < p[1 - axis] < high for p in (*f.vertices, *r.corners()))
+    return (k + 1) % n if inside else k
 
 
 def facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
@@ -417,7 +331,7 @@ def facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
     across an exterior gap narrower than ``below`` units.
 
     Returns (edge index a, edge index b, gap) triples; used both by the
-    notch filler and by the grammar's sliver guard.
+    notch check and by the grammar's sliver guard.
     """
     edges = f.edges()
     # Outward normal of a CCW edge (dx, dy) is (sign(dy), -sign(dx)).
@@ -448,32 +362,26 @@ def facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def fill_notches(f: Footprint, max_gap_units: int = 5) -> Footprint:
-    """Snap closed every notch: a facing edge pair closer than max_gap with
-    both edges shorter than max_gap.  No-op when nothing qualifies."""
-    cur = f if f.is_clean else clean(f)
-    while True:
-        edges = cur.edges()
-        filled = False
-        for i, j, _gap in facing_gaps(cur, max_gap_units):
-            (a1, a2), (b1, b2) = edges[i], edges[j]
-            len_a = abs(a2.x - a1.x) + abs(a2.y - a1.y)
-            len_b = abs(b2.x - b1.x) + abs(b2.y - b1.y)
-            if len_a >= max_gap_units or len_b >= max_gap_units:
-                continue
-            xs = sorted({a1.x, a2.x, b1.x, b2.x})
-            ys = sorted({a1.y, a2.y, b1.y, b2.y})
-            try:
-                patch = Rect(xs[0], ys[0], xs[-1], ys[-1])
-            except ValueError:
-                continue
-            if overlaps(cur, patch):
-                continue
-            try:
-                cur = union_rect(cur, patch)
-            except (ConflictError, CollisionError):
-                continue
-            filled = True
-            break
-        if not filled:
-            return cur
+
+
+def fillable_notch(f: Footprint, max_gap_units: int) -> bool:
+    """True iff f has a notch that could be snapped closed: a facing edge
+    pair closer than max_gap with both edges shorter than max_gap, whose
+    bounding patch joins f by ``union_rect``."""
+    edges = f.edges()
+    for i, j, _gap in facing_gaps(f, max_gap_units):
+        (a1, a2), (b1, b2) = edges[i], edges[j]
+        len_a = abs(a2.x - a1.x) + abs(a2.y - a1.y)
+        len_b = abs(b2.x - b1.x) + abs(b2.y - b1.y)
+        if len_a >= max_gap_units or len_b >= max_gap_units:
+            continue
+        # The edges are a positive gap apart and overlap along their line,
+        # so the patch is never degenerate.
+        xs = (a1.x, a2.x, b1.x, b2.x)
+        ys = (a1.y, a2.y, b1.y, b2.y)
+        try:
+            union_rect(f, Rect(min(xs), min(ys), max(xs), max(ys)))
+        except (ConflictError, CollisionError):
+            continue
+        return True
+    return False

@@ -25,10 +25,8 @@ from .geom2d import (
     Rect,
     VertexKind,
     classify_vertex,
-    clean,
     facing_gaps,
-    fill_notches,
-    overlaps,
+    fillable_notch,
     union_rect,
 )
 from .rng import SeededRng
@@ -165,11 +163,8 @@ def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) 
         rect = expand_concave(f, i, rng, config)
     else:
         rect = expand_convex(f, i, rng, config)
-    if overlaps(f, rect):
-        raise CollisionError("room rectangle overlaps footprint interior")
     grown = union_rect(f, rect)
-    filled = fill_notches(grown, config.notch_gap)
-    if filled.area_units2() != grown.area_units2():
+    if fillable_notch(grown, config.notch_gap):
         # A filled notch would add area no room tile covers.
         raise ConflictError("production leaves a notch the filler would close")
     if facing_gaps(grown, config.min_exterior_gap):
@@ -183,7 +178,7 @@ def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
     Raises GrowthFailedError when fewer than two rooms were placed (the
     sample is discarded upstream).
     """
-    footprint = clean(Footprint.from_rect(config.core_tube))
+    footprint = Footprint.from_rect(config.core_tube)
     snapshots: list[Footprint] = []
     rooms: list[Rect] = []
     total_failures = 0

@@ -95,9 +95,6 @@ class StoreyPlan:
     walls: list[WallSegment] = field(default_factory=list)
     openings: list[Opening] = field(default_factory=list)
 
-    def rect_of(self, room_id: int) -> Rect:
-        return self.core if room_id == 0 else self.rooms[room_id - 1]
-
     def wall_by_id(self, wall_id: int) -> WallSegment:
         return self.walls[wall_id]
 

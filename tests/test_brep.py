@@ -178,6 +178,7 @@ def test_random_boxes_closed_with_cell_count_volume(positive, negative):
         return
     solid = solid_from_boxes(positive, negative)
     assert _divergence_volumes(solid) == [int(mat.sum())] * 3
+    assert geometry_problems(solid) == []
     # Cells that meet only along an edge make that edge non-manifold (four
     # face uses); every other cell set has a closed, edge-manifold boundary.
     ok, problems = is_watertight(solid)
@@ -301,6 +302,28 @@ def test_geometry_problems_flag_off_plane_and_bad_edges():
     doubled = BRepFace(f.axis, f.offset, f.sign, f.outer[:1] + f.outer)
     problems = geometry_problems(BRepSolid(cube.vertices, (doubled,) + cube.faces[1:]))
     assert problems == [f"face 0: edge {f.outer[0]}-{f.outer[0]} has zero length"]
+
+
+def test_geometry_problems_flag_misoriented_loops():
+    cube = extrude_prism(UNIT_SQUARE, 0, 10)
+    flipped = BRepSolid(cube.vertices, tuple(BRepFace(f.axis, f.offset, -f.sign, f.outer) for f in cube.faces))
+    assert is_watertight(flipped)[0]
+    assert geometry_problems(flipped) == [
+        f"face {i}: outer loop is not counter-clockwise about its normal" for i in range(6)
+    ]
+    inside_out = BRepSolid(
+        cube.vertices, tuple(BRepFace(f.axis, f.offset, -f.sign, f.outer[::-1]) for f in cube.faces)
+    )
+    assert is_watertight(inside_out)[0]
+    assert geometry_problems(inside_out) == ["solid encloses no positive volume"]
+    outer = Footprint.from_metres([(0, 0), (6, 0), (6, 6), (0, 6)])
+    hole = Footprint.from_metres([(2, 2), (4, 2), (4, 4), (2, 4)])
+    ring = extrude_prism(outer, 0, 10, holes=[hole])
+    assert geometry_problems(ring) == []
+    k, f = next((k, f) for k, f in enumerate(ring.faces) if f.inner)
+    bad = BRepFace(f.axis, f.offset, f.sign, f.outer, tuple(h[::-1] for h in f.inner))
+    faces = ring.faces[:k] + (bad,) + ring.faces[k + 1 :]
+    assert geometry_problems(BRepSolid(ring.vertices, faces)) == [f"face {k}: hole is not clockwise about its normal"]
 
 
 def reference_triangulate(solid) -> TriMesh:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import brepforge
 from brepforge.cli import main as cli
 
 
@@ -316,3 +320,50 @@ def test_gen_thick_walls_exports_valid_buildings(tmp_path):
     ) == 0
     assert list(out.glob("*.brep.json"))
     assert cli(["validate", str(out)]) == 0
+
+
+def flip_normals(doc):
+    for face in doc["faces"]:
+        normal = face["plane"]["normal"]
+        face["plane"]["normal"] = ("-" if normal[0] == "+" else "+") + normal[1]
+
+
+def turn_inside_out(doc):
+    flip_normals(doc)
+    for face in doc["faces"]:
+        face["outer"].reverse()
+        for hole in face.get("inner", []):
+            hole.reverse()
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (flip_normals, "outer loop is not counter-clockwise about its normal"),
+        (turn_inside_out, "solid encloses no positive volume"),
+    ],
+    ids=["normals-flipped", "inside-out"],
+)
+def test_validate_misoriented_solid_fails(tmp_path, small_batch_dir, capsys, edit, problem):
+    # Both keep every edge paired once per direction, so only the geometric
+    # checks see them.
+    name = edited_copy(small_batch_dir, tmp_path, edit)
+    assert cli(["validate", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL {name}: ") and problem in out
+
+
+def test_points_leaves_numpy_ma_unimported(tmp_path, small_batch_dir):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['points', {str(tmp_path)!r}, '--n', '50']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src_dir = Path(brepforge.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src_dir), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.glob("*.xyz"))

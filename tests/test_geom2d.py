@@ -4,9 +4,10 @@ oracle independent of the kernel's own arithmetic."""
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from brepforge.errors import (
+    BrepForgeError,
     CollisionError,
     ConflictError,
     GrowthFailedError,
@@ -19,9 +20,9 @@ from brepforge.geom2d import (
     Rect,
     VertexKind,
     _contact_lengths,
+    _signed_area2,
     classify_vertex,
-    clean,
-    fill_notches,
+    fillable_notch,
     overlaps,
     polygon_area,
     to_metres,
@@ -143,53 +144,28 @@ def test_union_disjoint_rejected():
         union_rect(SQUARE, Rect.from_metres(5, 0, 8, 4))
 
 
-def test_clean_collinear_midpoint():
-    messy = Footprint.from_metres([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
-    assert clean(messy).vertices == SQUARE.vertices
-
-
-def test_clean_duplicate_vertex():
-    messy = Footprint(
-        (Point2(0, 0), Point2(40, 0), Point2(40, 0), Point2(40, 40), Point2(0, 40))
-    )
-    assert clean(messy).vertices == SQUARE.vertices
-
-
-def test_clean_idempotent():
-    assert clean(clean(L_SHAPE)).vertices == clean(L_SHAPE).vertices == L_SHAPE.vertices
-
-
-def test_clean_collapse_error():
-    line = Footprint(
-        (Point2(0, 0), Point2(10, 0), Point2(20, 0), Point2(20, 10), Point2(0, 10))
-    )
-    # Removing the midpoint keeps 4 vertices; collapsing further must raise.
-    slab = clean(line)
-    assert len(slab.vertices) == 4
-    with pytest.raises(InvalidFootprintError):
-        clean(Footprint((Point2(0, 0), Point2(10, 0), Point2(10, 1), Point2(10, 0))))
-
-
 SLIT = Footprint.from_metres(
     [(0, 0), (8, 0), (8, 4), (5, 4), (5, 3.7), (4.8, 3.7), (4.8, 4), (0, 4)]
 )
 
 
 def test_fill_notch_narrow_slit():
-    filled = fill_notches(SLIT, to_units(0.5))
+    assert fillable_notch(SLIT, to_units(0.5))
+    # The patch that closes the 0.2 m x 0.3 m slit.
+    filled = union_rect(SLIT, Rect.from_metres(4.8, 3.7, 5, 4))
     assert len(filled.vertices) == len(SLIT.vertices) - 4
     assert raster_area_units(filled) == raster_area_units(SLIT) + 2 * 3
 
 
 def test_fill_notch_square_noop():
-    assert fill_notches(SQUARE, 5).vertices == SQUARE.vertices
+    assert not fillable_notch(SQUARE, 5)
 
 
 def test_fill_notch_wide_slit_untouched():
     wide = Footprint.from_metres(
         [(0, 0), (8, 0), (8, 4), (5, 4), (5, 3.7), (4.2, 3.7), (4.2, 4), (0, 4)]
     )
-    assert fill_notches(wide, 5).vertices == wide.vertices
+    assert not fillable_notch(wide, 5)
 
 
 def test_overlaps_edge_contact_false():
@@ -334,3 +310,195 @@ def test_rect_predicates_match_cell_reference(case):
     for x, y, _ in grid_cells(f, r, u):
         assert raster_cell_inside(u, x, y) == (raster_cell_inside(f, x, y) or in_rect(r, x, y))
 
+
+
+def _reference_segments_cross(p1, p2, q1, q2) -> bool:
+    """Interior crossing/overlap test for two axis-parallel segments."""
+    v1 = p1.x == p2.x
+    v2 = q1.x == q2.x
+    if v1 != v2:
+        vx, vy0, vy1 = (p1.x, *sorted((p1.y, p2.y))) if v1 else (q1.x, *sorted((q1.y, q2.y)))
+        hy, hx0, hx1 = (q1.y, *sorted((q1.x, q2.x))) if v1 else (p1.y, *sorted((p1.x, p2.x)))
+        # Endpoint contact is allowed; interior crossing is not.
+        return hx0 < vx < hx1 and vy0 < hy < vy1
+    if v1:
+        if p1.x != q1.x:
+            return False
+        a0, a1 = sorted((p1.y, p2.y))
+        b0, b1 = sorted((q1.y, q2.y))
+    else:
+        if p1.y != q1.y:
+            return False
+        a0, a1 = sorted((p1.x, p2.x))
+        b0, b1 = sorted((q1.x, q2.x))
+    return a0 < b1 and b0 < a1  # collinear overlap of positive length
+
+
+def reference_is_simple(vertices) -> bool:
+    """Oracle: no two edges of the loop cross or overlap, and no two
+    non-adjacent edges share an endpoint (that would pinch the loop)."""
+    vertices = tuple(Point2(*p) for p in vertices)
+    edges = [(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1]) if a != b]
+    n = len(edges)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            p1, p2 = edges[i]
+            q1, q2 = edges[j]
+            if _reference_segments_cross(p1, p2, q1, q2):
+                return False
+            if not adjacent and {p1, p2} & {q1, q2}:
+                return False
+    return True
+
+
+def reference_clean(vertices) -> tuple[Point2, ...]:
+    """Drop coincident/collinear vertices and normalize orientation to CCW."""
+    pts = [Point2(*p) for p in vertices]
+    if _signed_area2(tuple(pts)) < 0:
+        pts.reverse()
+    changed = True
+    while changed:
+        changed = False
+        out: list[Point2] = []
+        n = len(pts)
+        for i in range(n):
+            a, b, c = pts[(i - 1) % n], pts[i], pts[(i + 1) % n]
+            if a == b:
+                changed = True
+                continue
+            # A coincident successor is handled at its own index; dropping b
+            # here as "collinear" would remove both copies.
+            if b != c and ((a.x == b.x == c.x) or (a.y == b.y == c.y)):
+                changed = True
+                continue
+            out.append(b)
+        pts = out
+        if len(pts) < 4:
+            raise InvalidFootprintError("loop collapsed below 4 vertices during cleanup")
+    return tuple(pts)
+
+
+def reference_union_rect(f: Footprint, r: Rect) -> tuple[Point2, ...]:
+    """Oracle: the union loop stitched from directed boundary edges.
+
+    Edges of f and r cancel where the two loops traverse a shared segment
+    in opposite directions; the survivors, cut at every breakpoint of
+    their line, are stitched into one loop from the first survivor in the
+    order lines are first met (f's edges, then r's sides), which is then
+    cleaned.  Any pinch, second loop or area mismatch is a conflict.
+    """
+    if overlaps(f, r):
+        raise CollisionError(f"rect {r} overlaps footprint interior")
+    side_len = {"left": r.height, "right": r.height, "bottom": r.width, "top": r.width}
+    contact = _contact_lengths(f, r)
+    if all(c == 0 for c in contact.values()):
+        raise ConflictError("rect does not share a boundary segment with footprint")
+    for name, c in contact.items():
+        if c not in (0, side_len[name]):
+            raise ConflictError(f"partial contact on {name} side")
+
+    lines: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    for a, b in f.edges() + Footprint.from_rect(r).edges():
+        if a.x == b.x:
+            lines.setdefault(("x", a.x), []).append((a.y, b.y, 1 if b.y > a.y else -1))
+        else:
+            lines.setdefault(("y", a.y), []).append((a.x, b.x, 1 if b.x > a.x else -1))
+
+    segments: list[tuple[Point2, Point2]] = []
+    for (axis, fixed), entries in lines.items():
+        breaks = sorted({c for s, e, _ in entries for c in (s, e)})
+        for lo, hi in zip(breaks, breaks[1:]):
+            net = sum(d for s, e, d in entries if min(s, e) <= lo and hi <= max(s, e))
+            if net == 0:
+                continue
+            if abs(net) > 1:
+                raise ConflictError("union boundary is non-simple")
+            a, b = (lo, hi) if net > 0 else (hi, lo)
+            if axis == "x":
+                segments.append((Point2(fixed, a), Point2(fixed, b)))
+            else:
+                segments.append((Point2(a, fixed), Point2(b, fixed)))
+
+    outgoing: dict[Point2, Point2] = {}
+    for a, b in segments:
+        if a in outgoing:
+            raise ConflictError(f"union pinches at {a}")
+        outgoing[a] = b
+    start = segments[0][0]
+    loop = [start]
+    cur = outgoing[start]
+    while cur != start:
+        loop.append(cur)
+        cur = outgoing.get(cur)
+        if cur is None or len(loop) > len(segments):
+            raise ConflictError("union boundary does not close into one loop")
+    if len(loop) != len(segments):
+        raise ConflictError("union produced more than one boundary loop")
+    if not reference_is_simple(loop):
+        raise InvalidFootprintError("stitched loop is not simple")
+    result = reference_clean(loop)
+    if not reference_is_simple(result):
+        raise InvalidFootprintError("cleaned loop is not simple")
+    if _signed_area2(result) != f.area_units2() + 2 * r.area_units:
+        raise ConflictError("union area mismatch (shapes touch at a point?)")
+    return result
+
+
+# Unions from ``grow`` (seeds 0..299) that start on an edge running toward
+# -x or -y: one with no corner strictly inside that edge, one with a corner
+# of f inside it.
+MINUS_CLEAR = (
+    Footprint(
+        ((-50, 0), (2, 0), (2, -44), (40, -44), (40, -7), (88, -7), (88, 40), (68, 40),
+         (68, 85), (0, 85), (0, 67), (-16, 67), (-16, 93), (-59, 93), (-59, 43), (-50, 43))
+    ),
+    Rect(-50, -36, 2, 0),
+)
+MINUS_INSIDE = (
+    Footprint(
+        ((2, -36), (2, -44), (40, -44), (40, -7), (88, -7), (88, 40), (68, 40), (68, 85),
+         (34, 85), (34, 130), (8, 130), (8, 85), (0, 85), (0, 67), (-16, 67), (-16, 93),
+         (-59, 93), (-59, 43), (-50, 43), (-50, -36))
+    ),
+    Rect(2, -85, 30, -44),
+)
+PINCH_FOOTPRINT = Footprint(((0, 0), (30, 0), (30, 10), (10, 10), (10, 30), (20, 30), (20, 40), (0, 40)))
+PINCH_RECT = Rect(20, 10, 30, 30)
+
+
+# A U whose arms r joins part way up, closing the hole below it.
+RING_FOOTPRINT = Footprint(((0, 0), (30, 0), (30, 30), (20, 30), (20, 10), (10, 10), (10, 30), (0, 30)))
+RING_RECT = Rect(10, 20, 20, 30)
+
+
+def test_union_enclosed_hole_rejected():
+    with pytest.raises(ConflictError):
+        union_rect(RING_FOOTPRINT, RING_RECT)
+
+
+def test_union_pinched_hole_rejected():
+    # r closes a hole whose corner touches the outside at (20, 30).
+    with pytest.raises(ConflictError):
+        union_rect(PINCH_FOOTPRINT, PINCH_RECT)
+
+
+def outcome(fn, f, r):
+    try:
+        return tuple(fn(f, r))
+    except BrepForgeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(footprint_and_rect())
+@example((PINCH_FOOTPRINT, PINCH_RECT))
+@example((RING_FOOTPRINT, RING_RECT))
+@example(MINUS_CLEAR)
+@example(MINUS_INSIDE)
+def test_union_rect_matches_reference(case):
+    f, r = case
+    want = outcome(reference_union_rect, f, r)
+    got = outcome(lambda f, r: union_rect(f, r).vertices, f, r)
+    # Same loop from the same first vertex, or the same exception class.
+    assert got == want

@@ -20,6 +20,7 @@ from brepforge.grammar import (
     grow,
 )
 from brepforge.rng import SeededRng
+from test_geom2d import reference_is_simple
 
 CONFIG = GrammarConfig()
 SQUARE = Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -136,10 +137,16 @@ def test_snapshot_footprint_invariants_1000_seeds():
         traced += 1
         assert 2 <= len(trace.rooms) <= 10
         for k, snap in enumerate(trace.snapshots):
-            # Footprint construction already enforces simplicity and
-            # axis-parallel edges; check cleanliness and the corner identity.
-            assert snap.is_clean
-            n = len(snap.vertices)
+            # A simple counter-clockwise loop of corners only (Footprint
+            # construction checks axis-parallel edges), and the corner
+            # identity.
+            assert reference_is_simple(snap.vertices)
+            v = snap.vertices
+            n = len(v)
+            for i in range(n):
+                a, b, c = v[i - 1], v[i], v[(i + 1) % n]
+                assert (b.x - a.x) * (c.y - b.y) != (b.y - a.y) * (c.x - b.x)
+            assert snap.area_units2() > 0
             assert n % 2 == 0 and n >= 4
             convex, concave = vertex_kind_counts(snap)
             assert convex == (n + 4) // 2 and concave == (n - 4) // 2
