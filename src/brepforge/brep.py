@@ -17,8 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyMeshError, InvalidExtrusionError
-from .geom2d import Footprint
-from .regions import Region, merged_breakpoints, rasterize_loops, trace_region
+from .regions import expand, merged_breakpoints, trace_planes
 
 AXIS_NAMES = "xyz"
 
@@ -70,57 +69,55 @@ class BRepSolid:
     label: str = "GOOD"
 
 
-RawFace = tuple[int, int, int, list, list]  # axis, offset, sign, outer2d, holes2d
-
-
 def _loop_to_2d(coords, axis: int, sign: int):
     ua, va = FRAMES[(axis, sign)]
     return [(p[ua], p[va]) for p in coords]
 
 
-def _finalize(raw_faces: Sequence[RawFace]) -> BRepSolid:
+# FRAMES as an array indexed by (axis, sign > 0).
+_FRAME_AXES = np.array([[FRAMES[(axis, sign)] for sign in (-1, +1)] for axis in range(3)], dtype=np.int64)
+
+
+def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     """Weld vertices, split T-junctions, and canonicalize ordering.
 
-    One numpy pass over the corners of every loop: the vertices are the
-    distinct corners in (x, y, z) order, each loop edge gains the vertices
-    strictly inside it (where another face has a corner) in order along
-    it, each loop starts at its smallest vertex id, and faces are sorted by
-    (axis, offset, sign, outer loop).
+    Takes the breakpoints of each axis (every coordinate lies on them), per
+    corner its (u, v) in its face's frame, the corners of each loop back to
+    back, and per loop its number of corners, its face's axis,
+    offset and sign, and its face's outer loop (its own index for an outer
+    loop).  One numpy pass over the corners of every loop: the vertices are
+    the distinct corners in (x, y, z) order, each loop edge gains the
+    vertices strictly inside it (where another face has a corner) in order
+    along it, each loop starts at its smallest vertex id, and faces are
+    sorted by (axis, offset, sign, outer loop).
     """
-    loops = [loop for *_, outer, holes in raw_faces for loop in (outer, *holes)]
-    lens = np.fromiter(map(len, loops), np.int64, len(loops))
-    uv = np.fromiter(chain.from_iterable(chain.from_iterable(loops)), np.int64, 2 * int(lens.sum()))
-    u, v = uv[0::2], uv[1::2]
-    face_axis, face_offset, face_ua, face_va = np.array(
-        [(axis, offset, *FRAMES[(axis, sign)]) for axis, offset, sign, _, _ in raw_faces], dtype=np.int64
-    ).T
-    corner_face = np.repeat(np.repeat(np.arange(len(raw_faces)), [1 + len(f[4]) for f in raw_faces]), lens)
-    ua, va = face_ua[corner_face], face_va[corner_face]
+    corner_loop = np.repeat(np.arange(len(lens)), lens)
+    ua, va = _FRAME_AXES[axis, (sign + 1) // 2].T[:, corner_loop]
     k = np.arange(len(u))
-    points = np.empty((len(u), 3), dtype=np.int64)
-    points[k, face_axis[corner_face]] = face_offset[corner_face]
-    points[k, ua] = u
-    points[k, va] = v
+    points = np.empty((3, len(u)), dtype=np.int64)  # one row per axis
+    points[axis[corner_loop], k] = offset[corner_loop]
+    points[ua, k] = u
+    points[va, k] = v
 
-    # Weld: one integer key per point, ordered like (x, y, z).
-    key = np.zeros(len(u), dtype=np.int64)
-    for axis in range(3):
-        values, rank = np.unique(points[:, axis], return_inverse=True)
-        key = key * len(values) + rank
-    _, first, vid = np.unique(key, return_index=True, return_inverse=True)
-    coords = points[first]
+    # Weld: one integer key per point from its place on the grids, ordered
+    # like (x, y, z).
+    size = [len(g) for g in grids]
+    at = [np.searchsorted(grids[a], points[a]) for a in range(3)]
+    _, first, vid = np.unique((at[0] * size[1] + at[1]) * size[2] + at[2], return_index=True, return_inverse=True)
+    coords = points[:, first]
+    at = [x[first] for x in at]
 
     # Sorted by (the other two coordinates, this one), the vertices of each
     # grid line along an axis form one stretch, in order along the line, so
     # the vertices strictly inside an edge lie between its ends there.
-    n = len(coords)
+    n = len(first)
     line_order = np.empty(3 * n, dtype=np.int64)
     place = np.empty((3, n), dtype=np.int64)
-    for axis in range(3):
-        o1, o2 = [a for a in range(3) if a != axis]
-        order = np.lexsort((coords[:, axis], coords[:, o2], coords[:, o1]))
-        line_order[axis * n : (axis + 1) * n] = order
-        place[axis, order] = np.arange(n)
+    for a in range(3):
+        o1, o2 = [b for b in range(3) if b != a]
+        order = np.argsort((at[o1] * size[o2] + at[o2]) * size[a] + at[a])
+        line_order[a * n : (a + 1) * n] = order
+        place[a, order] = np.arange(n)
     starts = np.cumsum(lens) - lens
     nxt = k + 1
     nxt[starts + lens - 1] = starts
@@ -128,26 +125,36 @@ def _finalize(raw_faces: Sequence[RawFace]) -> BRepSolid:
     # pa, pa ± 1, ... short of pb, which starts the next edge.
     edge_axis = np.where(u != u[nxt], ua, va)
     pa, pb = place[edge_axis, vid], place[edge_axis, vid[nxt]]
-    owner, t = _expand(np.zeros_like(pa), np.abs(pb - pa))
+    owner, t = expand(np.zeros_like(pa), np.abs(pb - pa))
     ids = line_order[edge_axis[owner] * n + pa[owner] + np.sign(pb - pa)[owner] * t]
 
     # Rotate every loop to start at the first occurrence of its smallest id.
     new_lens = np.add.reduceat(np.abs(pb - pa), starts)
     new_starts = np.cumsum(new_lens) - new_lens
-    loop = np.repeat(np.arange(len(loops)), new_lens)
-    at_min = np.flatnonzero(ids == np.minimum.reduceat(ids, new_starts)[loop])
-    shift = at_min[np.searchsorted(loop[at_min], np.arange(len(loops)))] - new_starts
+    loop = np.repeat(np.arange(len(lens)), new_lens)
+    smallest = np.minimum.reduceat(ids, new_starts)
+    at_min = np.flatnonzero(ids == smallest[loop])
+    shift = at_min[np.searchsorted(loop[at_min], np.arange(len(lens)))] - new_starts
     pos = np.arange(len(ids)) - new_starts[loop]
     ids = ids[new_starts[loop] + (pos + shift[loop]) % new_lens[loop]].tolist()
-
     bounds = np.cumsum(new_lens).tolist()
-    loop_ids = iter([tuple(ids[a:b]) for a, b in zip([0] + bounds[:-1], bounds)])
-    faces = [
-        BRepFace(axis, offset, sign, next(loop_ids), tuple(sorted(next(loop_ids) for _ in holes)))
-        for axis, offset, sign, _, holes in raw_faces
-    ]
-    faces.sort(key=lambda f: (f.axis, f.offset, f.sign, f.outer))
-    return BRepSolid(tuple(map(tuple, coords.tolist())), tuple(faces))
+    loop_ids = [tuple(ids[a:b]) for a, b in zip([0] + bounds[:-1], bounds)]
+
+    # Faces in (axis, offset, sign, outer loop) order.  The smallest id
+    # decides between outer loops: it is the loop's first corner in
+    # (x, y, z) order, and any other loop through that corner has a smaller
+    # one, so no two outer loops of one plane and sign share it.
+    inner: dict[int, list] = {}
+    holes = np.flatnonzero(outer != np.arange(len(lens)))
+    for hole, owner in zip(holes.tolist(), outer[holes].tolist()):
+        inner.setdefault(owner, []).append(loop_ids[hole])
+    outers = np.flatnonzero(outer == np.arange(len(lens)))
+    outers = outers[np.lexsort((smallest[outers], sign[outers], offset[outers], axis[outers]))]
+    faces = tuple(
+        BRepFace(a, o, s, loop_ids[f], tuple(sorted(inner[f])) if f in inner else ())
+        for f, a, o, s in zip(*(x.tolist() for x in (outers, axis[outers], offset[outers], sign[outers])))
+    )
+    return BRepSolid(tuple(zip(*coords.tolist())), faces)
 
 
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
@@ -163,7 +170,10 @@ def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> B
     if not mat.any():
         raise InvalidExtrusionError("material is empty after subtraction")
 
-    raw: list[RawFace] = []
+    # _finalize's arrays, one part per (axis, sign): every faced plane's
+    # loops from one trace.
+    u, v, lens, loop_axis, loop_offset, loop_sign, outer = ([] for _ in range(7))
+    loops = 0
     for axis in range(3):
         # Plane i lies between cell layers i - 1 and i; material above it
         # minus material below is -1 on its +axis faces and +1 on its -axis
@@ -172,39 +182,22 @@ def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> B
         step = np.empty((len(layers) + 1, *layers.shape[1:]), dtype=np.int8)
         step[0], step[-1] = layers[0], -layers[-1]
         np.subtract(layers[1:], layers[:-1], out=step[1:-1])
-        offsets = axes_pts[axis].tolist()
         for sign, faced in ((+1, step.min(axis=(1, 2)) < 0), (-1, step.max(axis=(1, 2)) > 0)):
             # The other two axes stay in increasing order, which is the
             # face frame's (u, v) order when u < v.
             ua, va = FRAMES[(axis, sign)]
-            for i in np.flatnonzero(faced).tolist():
-                mask = step[i] == -sign
-                region = Region(axes_pts[ua], axes_pts[va], mask if ua < va else mask.T)
-                for outer, holes in trace_region(region):
-                    raw.append((axis, offsets[i], sign, outer, holes))
-    return _finalize(raw)
-
-
-def extrude_prism(
-    outer: Footprint,
-    z0: int,
-    z1: int,
-    holes: Sequence[Footprint] = (),
-) -> BRepSolid:
-    """Closed prism over a rectilinear polygon (optionally with holes)."""
-    if z1 <= z0:
-        raise InvalidExtrusionError(f"height range [{z0}, {z1}] is empty")
-    pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in outer.rects]
-    neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in h.rects]
-    return solid_from_boxes(pos, neg)
-
-
-def _face_region(solid: BRepSolid, face: BRepFace):
-    loops = [[solid.vertices[i] for i in loop] for loop in face.loops()]
-    loops2d = [_loop_to_2d(lp, face.axis, face.sign) for lp in loops]
-    us = merged_breakpoints([p[0] for lp in loops2d for p in lp])
-    vs = merged_breakpoints([p[1] for lp in loops2d for p in lp])
-    return rasterize_loops(loops2d, us, vs)
+            planes = np.flatnonzero(faced)
+            masks = step[planes] == -sign
+            t = trace_planes(masks if ua < va else masks.transpose(0, 2, 1), axes_pts[ua], axes_pts[va])
+            u.append(t.u)
+            v.append(t.v)
+            lens.append(t.lens)
+            loop_axis.append(np.full(len(t.lens), axis))
+            loop_offset.append(axes_pts[axis][planes[t.plane]])
+            loop_sign.append(np.full(len(t.lens), sign))
+            outer.append(t.outer + loops)
+            loops += len(t.lens)
+    return _finalize(axes_pts, *map(np.concatenate, (u, v, lens, loop_axis, loop_offset, loop_sign, outer)))
 
 
 def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -338,14 +331,6 @@ def _grid_index(grids, axis: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ranges ``[starts[k], starts[k] + counts[k])`` back to back, each
-    value paired with its owner ``k``."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts
-    return owner, starts[owner] + np.arange(len(owner)) - first[owner]
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values.  A bare ``np.unique`` would import
     ``numpy.ma`` (to test for a masked array) on its first call."""
@@ -362,7 +347,7 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     adjacent faces subdivide identically: a GOOD solid yields a closed mesh.
     All faces are filled in one batch: every vertical loop edge crosses a
     run of grid rows, and in each (face, row) the sorted crossings pair up
-    into filled spans (the parity fill of ``rasterize_loops``).  Cells come
+    into filled spans (a parity fill of the face's loops).  Cells come
     out face by face in ``(u, v)`` order, two triangles per cell, and
     vertices are numbered in the order the quad corners first reach them.
     """
@@ -375,8 +360,8 @@ def triangulate(solid: BRepSolid) -> TriMesh:
         [(f.axis, f.offset, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
     ).T
 
-    # Every loop edge of every face; as in ``rasterize_loops`` only vertical
-    # ones (u constant, v changing) count.
+    # Every loop edge of every face; for the parity fill only vertical ones
+    # (u constant, v changing) count.
     start, end, edge_face, _, _ = _loop_edges(faces)
     ua, va = face_ua[edge_face], face_va[edge_face]
     k = np.arange(len(start))
@@ -390,7 +375,7 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     iu = _grid_index(axes_pts, ua, u)
     row_lo = _grid_index(axes_pts, va, np.minimum(v1, v2))
     row_hi = _grid_index(axes_pts, va, np.maximum(v1, v2))
-    owner, row = _expand(row_lo, row_hi - row_lo)
+    owner, row = expand(row_lo, row_hi - row_lo)
     order = np.lexsort((iu[owner], row, edge_face[owner]))
     c_face, c_row, c_iu = edge_face[owner][order], row[order], iu[owner][order]
 
@@ -403,7 +388,7 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     has_next = np.zeros(n, dtype=bool)
     has_next[:-1] = ~new_row[1:]
     lo = np.nonzero((rank % 2 == 0) & has_next)[0]
-    owner, cell_iu = _expand(c_iu[lo], c_iu[lo + 1] - c_iu[lo])
+    owner, cell_iu = expand(c_iu[lo], c_iu[lo + 1] - c_iu[lo])
     cell_face, cell_iv = c_face[lo][owner], c_row[lo][owner]
     order = np.lexsort((cell_iv, cell_iu, cell_face))
     cell_face, cell_iu, cell_iv = cell_face[order], cell_iu[order], cell_iv[order]
@@ -435,16 +420,6 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     return TriMesh(vertices, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
-def euler_characteristic(mesh: TriMesh) -> int:
-    v = len(mesh.vertices)
-    f = len(mesh.triangles)
-    edges = set()
-    for a, b, c in mesh.triangles:
-        for p, q in ((a, b), (b, c), (c, a)):
-            edges.add((min(p, q), max(p, q)))
-    return v - len(edges) + f
-
-
 def mesh_to_obj(mesh: TriMesh) -> str:
     """Wavefront OBJ text: v lines then 1-indexed f lines, LF endings."""
     lines = []
@@ -453,14 +428,6 @@ def mesh_to_obj(mesh: TriMesh) -> str:
     for a, b, c in mesh.triangles:
         lines.append(f"f {int(a) + 1} {int(b) + 1} {int(c) + 1}")
     return "\n".join(lines) + "\n"
-
-
-def total_face_area_m2(solid: BRepSolid) -> float:
-    total = 0
-    for f in solid.faces:
-        region = _face_region(solid, f)
-        total += region.area_units()
-    return total / 100.0
 
 
 def drop_faces(solid: BRepSolid, indices: Iterable[int], label: str | None = None) -> BRepSolid:

@@ -184,7 +184,8 @@ def cmd_validate(args) -> int:
             continue
         ok, problems = check_solid(solid)
         if not ok:
-            print(f"FAIL {path.name}: {problems[0]} (+{len(problems) - 1} more)")
+            more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+            print(f"FAIL {path.name}: {problems[0]}{more}")
             failures += 1
             continue
         meta_path = path.with_name(path.name.replace(".brep.json", ".meta.json"))

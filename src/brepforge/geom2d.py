@@ -6,7 +6,7 @@ Footprints are simple axis-parallel loops stored counter-clockwise.  Each
 footprint's interior is partitioned once into rectangles (``Footprint.rects``);
 overlap, containment and edge contact with a rectangle are answered piece by
 piece on that partition, and the boundary of a union is traced from those
-pieces by the region engine (``regions.trace_region``).
+pieces by the region tracer (``regions.trace_planes``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     InvalidFootprintError,
     MustCleanFirstError,
 )
-from .regions import Region, trace_region
+from .regions import trace_planes
 
 
 def to_units(metres: float) -> int:
@@ -285,10 +285,11 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
     for p in (*f.rects, r):
         mask[ix[p.x0] : ix[p.x1], iy[p.y0] : iy[p.y1]] = True
     # r shares a boundary segment with f, so the union is connected: one
-    # outer loop.
-    ((loop, holes),) = trace_region(Region(np.asarray(xs), np.asarray(ys), mask))
-    if holes:
+    # outer loop, and any other loop is a hole.
+    traced = trace_planes(mask[None], np.asarray(xs), np.asarray(ys))
+    if len(traced.lens) != 1:
         raise ConflictError("union encloses a hole")
+    loop = list(zip(traced.u.tolist(), traced.v.tolist()))
     if len(set(loop)) != len(loop):
         # A hole that touches the outer boundary at one vertex is traced as
         # part of the outer loop, which passes that vertex twice.
@@ -330,38 +331,34 @@ def facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
     """Antiparallel boundary edge pairs whose outward normals face each other
     across an exterior gap narrower than ``below`` units.
 
-    Returns (edge index a, edge index b, gap) triples; used both by the
-    notch check and by the grammar's sliver guard.
+    Returns (edge index a, edge index b, gap) triples with a < b, in (a, b)
+    order; used both by the notch check and by the grammar's sliver guard.
+    The edges of each orientation are sorted by their line, so only lines
+    less than ``below`` apart are compared.
     """
-    edges = f.edges()
-    # Outward normal of a CCW edge (dx, dy) is (sign(dy), -sign(dx)).
+    # Per edge: its line, its low and high end along the line, and whether
+    # its outward normal points up the axis across the lines.  The outward
+    # normal of a CCW edge (dx, dy) is (sign(dy), -sign(dx)).
+    vertical, horizontal = [], []
+    for i, (a, b) in enumerate(f.edges()):
+        if a.x == b.x:
+            vertical.append((a.x, min(a.y, b.y), max(a.y, b.y), b.y > a.y, i))
+        elif a.y == b.y:
+            horizontal.append((a.y, min(a.x, b.x), max(a.x, b.x), b.x < a.x, i))
     out: list[tuple[int, int, int]] = []
-    for i in range(len(edges)):
-        a1, a2 = edges[i]
-        for j in range(i + 1, len(edges)):
-            b1, b2 = edges[j]
-            if a1.x == a2.x and b1.x == b2.x:
-                na = 1 if a2.y > a1.y else -1
-                nb = 1 if b2.y > b1.y else -1
-                # Facing: each normal points toward the other edge.
-                gap = (b1.x - a1.x) * na
-                if na == -nb and 0 < gap < below:
-                    lo = max(min(a1.y, a2.y), min(b1.y, b2.y))
-                    hi = min(max(a1.y, a2.y), max(b1.y, b2.y))
-                    if lo < hi:
-                        out.append((i, j, gap))
-            elif a1.y == a2.y and b1.y == b2.y:
-                na = -1 if a2.x > a1.x else 1
-                nb = -1 if b2.x > b1.x else 1
-                gap = (b1.y - a1.y) * na
-                if na == -nb and 0 < gap < below:
-                    lo = max(min(a1.x, a2.x), min(b1.x, b2.x))
-                    hi = min(max(a1.x, a2.x), max(b1.x, b2.x))
-                    if lo < hi:
-                        out.append((i, j, gap))
+    for lines in (sorted(vertical), sorted(horizontal)):
+        for k, (line, lo, hi, up, i) in enumerate(lines):
+            if not up:
+                continue
+            # Facing: this edge's normal points up toward the other line,
+            # whose edge's normal points back down, and the two overlap.
+            for line2, lo2, hi2, up2, j in lines[k + 1 :]:
+                if line2 - line >= below:
+                    break
+                if line2 > line and not up2 and max(lo, lo2) < min(hi, hi2):
+                    out.append((min(i, j), max(i, j), line2 - line))
+    out.sort()
     return out
-
-
 
 
 def fillable_notch(f: Footprint, max_gap_units: int) -> bool:

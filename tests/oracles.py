@@ -1,0 +1,210 @@
+"""Helpers that only tests call: the run-walking tracer of one mask that
+`regions.trace_planes` is checked against, prism extrusion, the parity fill
+of rectilinear loops, face areas from that fill, and the Euler
+characteristic of a triangle mesh."""
+
+from typing import Sequence
+
+import numpy as np
+
+from brepforge.brep import BRepSolid, Box, TriMesh, _loop_to_2d, solid_from_boxes
+from brepforge.errors import InvalidExtrusionError
+from brepforge.geom2d import Footprint
+from brepforge.regions import Loop, _point_in_loop, merged_breakpoints
+
+
+class Region:
+    """Filled cells on the grid us × vs (breakpoints in grid units)."""
+
+    __slots__ = ("us", "vs", "mask")
+
+    def __init__(self, us: np.ndarray, vs: np.ndarray, mask: np.ndarray):
+        self.us = us
+        self.vs = vs
+        self.mask = mask
+
+
+def loop_area2(loop: Loop) -> int:
+    total = 0
+    n = len(loop)
+    for i in range(n):
+        (x1, y1), (x2, y2) = loop[i], loop[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
+def _runs(d: np.ndarray):
+    """Maximal runs of one non-zero value along the rows of ``d``, whose first
+    and last columns are zero.
+
+    Column c of ``d`` holds cell c - 1, so the lattice vertex between cells
+    c - 1 and c is c.  Yields per run its row, the vertices where it begins
+    and ends, its value, and whether another run ends or begins at each of
+    those two vertices (a pinch).
+    """
+    flat = d.ravel()
+    p = np.flatnonzero(flat[1:] != flat[:-1])
+    width = d.shape[1]
+    begin = pinched = 0
+    for pos, before, after in zip(p.tolist(), flat[p].tolist(), flat[p + 1].tolist()):
+        if before:
+            row, col = divmod(pos, width)
+            yield row, begin, col, before, pinched, after != 0
+        if after:
+            begin, pinched = pos % width, before != 0
+
+
+def trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
+    """Boundary loops of the region as (outer, holes) groups.
+
+    Directed boundary edges keep the region on the left, so outer loops come
+    out counter-clockwise and holes clockwise.  Pinch vertices (diagonal
+    cell contact) are resolved by preferring the sharpest left turn, which
+    splits the contact into separate simple loops.
+
+    Edges are traced as runs: maximal straight stretches of cell edges
+    between two corners, found with one diff per axis, so the walk only
+    visits corners.  Loops come out in the order, and from the vertex, of a
+    walk over single cell edges started at the smallest non-pinch lattice
+    vertex of each loop: the first corner at or after it begins the loop.
+    """
+    mask = region.mask
+    if not mask.any():
+        return []
+    nu, nv = mask.shape
+    cells = np.zeros((nu + 2, nv + 2), dtype=np.int8)
+    cells[1:-1, 1:-1] = mask
+    us, vs = region.us.tolist(), region.vs.tolist()
+    w = nv + 1  # vertex (i, j) has key i * w + j, ordered like (i, j)
+    pinch_last = w * (nu + 1)  # sorts loops of pinch corners after the rest
+
+    # Per run: its start corner, its key (start vertex * 4 + direction, the
+    # directions +u, +v, -u, -v counter-clockwise), the keys of the runs
+    # that would turn left and right at its end, and where a cell-edge walk
+    # would have begun its loop: at the run's smallest non-pinch lattice
+    # vertex.  That is the start of a +u or +v run from a non-pinch vertex;
+    # else the vertex one cell in from the run's low end, if the run is
+    # longer than one cell, and the loop then begins at the next corner;
+    # else nowhere on this run.
+    corner, key, left, right, first, shift = [], [], [], [], [], []
+
+    def run(si, sj, s, e, d, start_pinch, length, step):
+        corner.append((us[si], vs[sj]))
+        key.append(s * 4 + d)
+        left.append(e * 4 + (d + 1) % 4)
+        right.append(e * 4 + (d + 3) % 4)
+        if d < 2 and not start_pinch:
+            first.append(s), shift.append(False)
+        elif length > 1:
+            first.append(min(s, e) + step), shift.append(True)
+        else:
+            first.append(s + start_pinch * pinch_last), shift.append(False)
+
+    # Region on the left: +v along right sides and -v along left sides of
+    # cells (lines u = us[i]), +u along bottoms and -u along tops (v = vs[j]).
+    for i, a, b, value, pa, pb in _runs(cells[1:] - cells[:-1]):
+        if value < 0:
+            run(i, a, i * w + a, i * w + b, 1, pa, b - a, 1)
+        else:
+            run(i, b, i * w + b, i * w + a, 3, pb, b - a, 1)
+    for j, a, b, value, pa, pb in _runs(cells.T[1:] - cells.T[:-1]):
+        if value > 0:
+            run(a, j, a * w + j, b * w + j, 0, pa, b - a, w)
+        else:
+            run(b, j, b * w + j, a * w + j, 2, pb, b - a, w)
+
+    # The next run turns left at the end vertex if a run leaves it that way,
+    # else right: only a pinch has both, and there the sharpest left turn
+    # wins.
+    at = {k: r for r, k in enumerate(key)}
+    succ = [at[rk] if (s := at.get(lk)) is None else s for lk, rk in zip(left, right)]
+    seen = [False] * len(key)
+    loops: list[tuple[Loop, int]] = []
+    for r in sorted(range(len(key)), key=first.__getitem__):
+        if shift[r]:
+            r = succ[r]
+        if seen[r]:
+            continue
+        loop: Loop = []
+        while not seen[r]:
+            seen[r] = True
+            loop.append(corner[r])
+            r = succ[r]
+        loops.append((loop, loop_area2(loop)))
+
+    outers = [(lp, area2) for lp, area2 in loops if area2 > 0]
+    holes = [lp for lp, area2 in loops if area2 < 0]
+    groups: list[tuple[Loop, list[Loop]]] = [(lp, []) for lp, _ in outers]
+    for hole in holes:
+        (u1, v1), (u2, v2) = hole[0], hole[1]
+        m2u, m2v = u1 + u2, v1 + v2
+        # Offset half a unit to the right of travel (into the hole void).
+        du, dv = (u2 - u1 and (1 if u2 > u1 else -1)), (v2 - v1 and (1 if v2 > v1 else -1))
+        p2u, p2v = m2u + dv, m2v - du
+        best = None
+        for gi, (outer, area2) in enumerate(outers):
+            if _point_in_loop(p2u, p2v, outer):
+                if best is None or area2 < outers[best][1]:
+                    best = gi
+        if best is None:
+            raise ValueError("hole loop not contained in any outer loop")
+        groups[best][1].append(hole)
+    return groups
+
+
+def extrude_prism(outer: Footprint, z0: int, z1: int, holes: Sequence[Footprint] = ()) -> BRepSolid:
+    """Closed prism over a rectilinear polygon (optionally with holes)."""
+    if z1 <= z0:
+        raise InvalidExtrusionError(f"height range [{z0}, {z1}] is empty")
+    pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in outer.rects]
+    neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in h.rects]
+    return solid_from_boxes(pos, neg)
+
+
+def rasterize_loops(loops: list[Loop], us: np.ndarray, vs: np.ndarray) -> Region:
+    """Parity-fill the loops (any orientation; holes come out empty)."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    region = Region(us, vs, np.zeros((len(us) - 1, len(vs) - 1), dtype=bool))
+    verticals: list[tuple[int, int, int]] = []
+    for loop in loops:
+        n = len(loop)
+        for i in range(n):
+            (u1, v1), (u2, v2) = loop[i], loop[(i + 1) % n]
+            if u1 == u2 and v1 != v2:
+                verticals.append((u1, min(v1, v2), max(v1, v2)))
+    if not verticals:
+        return region
+    for j in range(len(vs) - 1):
+        v2mid = int(vs[j]) + int(vs[j + 1])  # doubled midline
+        crossings = sorted(u for u, vlo, vhi in verticals if 2 * vlo < v2mid < 2 * vhi)
+        for u_lo, u_hi in zip(crossings[::2], crossings[1::2]):
+            iu0 = int(np.searchsorted(us, u_lo))
+            iu1 = int(np.searchsorted(us, u_hi))
+            region.mask[iu0:iu1, j] = True
+    return region
+
+
+def area_units(region: Region) -> int:
+    cell = np.outer(np.diff(region.us), np.diff(region.vs))
+    return int(cell[region.mask].sum())
+
+
+def total_face_area_m2(solid: BRepSolid) -> float:
+    total = 0
+    for f in solid.faces:
+        loops2d = [_loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
+        us = merged_breakpoints([p[0] for lp in loops2d for p in lp])
+        vs = merged_breakpoints([p[1] for lp in loops2d for p in lp])
+        total += area_units(rasterize_loops(loops2d, us, vs))
+    return total / 100.0
+
+
+def euler_characteristic(mesh: TriMesh) -> int:
+    v = len(mesh.vertices)
+    f = len(mesh.triangles)
+    edges = set()
+    for a, b, c in mesh.triangles:
+        for p, q in ((a, b), (b, c), (c, a)):
+            edges.add((min(p, q), max(p, q)))
+    return v - len(edges) + f

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from brepforge.assembly import BuildingConfig, assemble
-from brepforge.brep import (
-    euler_characteristic,
-    extrude_prism,
-    is_watertight,
-    total_face_area_m2,
-    triangulate,
-)
+from brepforge.brep import is_watertight, triangulate
 from brepforge.cli import main as cli
 from brepforge.dataset import load_dataset_meta, solid_from_dict, stats
 from brepforge.geom2d import Footprint, Rect, polygon_area, union_rect
@@ -36,6 +30,7 @@ from brepforge.mltasks import (
 from brepforge.rng import SeededRng
 from brepforge.storey import Opening, StoreyPlan, WallSegment, prune_windows
 from brepforge.geom2d import Point2
+from oracles import euler_characteristic, extrude_prism, total_face_area_m2
 
 GEN_SECONDS_BUDGET = 300.0
 

@@ -16,10 +16,10 @@ from brepforge.dataset import canonical_json, solid_to_dict
 from brepforge.errors import GrowthFailedError
 from brepforge.geom2d import Footprint, Rect
 from brepforge.grammar import GrammarConfig, GrowthTrace, Termination, grow
-from brepforge.regions import rasterize_loops
 from brepforge.rng import SeededRng
 from brepforge.brep import FRAMES
 import brepforge.geom2d as geom2d
+from oracles import rasterize_loops
 
 GCFG = GrammarConfig()
 BCFG = BuildingConfig()

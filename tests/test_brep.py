@@ -16,18 +16,16 @@ from brepforge.brep import (
     TriMesh,
     _loop_to_2d,
     drop_faces,
-    euler_characteristic,
-    extrude_prism,
     geometry_problems,
     is_watertight,
     mesh_to_obj,
     solid_from_boxes,
-    total_face_area_m2,
     triangulate,
 )
 from brepforge.errors import InvalidExtrusionError
 from brepforge.geom2d import Footprint
-from brepforge.regions import Region, merged_breakpoints, rasterize_loops
+from brepforge.regions import merged_breakpoints
+from oracles import Region, euler_characteristic, extrude_prism, rasterize_loops, total_face_area_m2
 from test_regions import reference_trace_region
 
 UNIT_SQUARE = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -287,6 +285,21 @@ def test_random_boxes_like_reference_kernel(positive, negative):
     solid = solid_from_boxes(positive, negative)
     assert solid.vertices == want.vertices
     assert solid.faces == want.faces
+
+
+def test_face_hole_touching_outer_loop_at_a_vertex():
+    # A 3 x 3 slab less its (2, 2) corner cell, with a unit box on its middle
+    # cell: on the slab's top face the box's footprint is a hole that touches
+    # the notch at (2, 2, 1), so the face is one loop through that vertex
+    # twice.
+    positive = [Box(0, 0, 0, 3, 2, 1), Box(0, 2, 0, 2, 3, 1), Box(1, 1, 1, 2, 2, 2)]
+    solid = solid_from_boxes(positive)
+    (top,) = [f for f in solid.faces if (f.axis, f.offset, f.sign) == (2, 1, +1)]
+    assert top.inner == ()
+    pinch = solid.vertices.index((2, 2, 1))
+    assert top.outer.count(pinch) == 2 and len(set(top.outer)) == len(top.outer) - 1
+    assert solid == reference_solid_from_boxes(positive, [])
+    assert is_watertight(solid) == (True, [])
 
 
 def test_geometry_problems_flag_off_plane_and_bad_edges():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,17 +354,29 @@ def test_validate_misoriented_solid_fails(tmp_path, small_batch_dir, capsys, edi
     assert out.startswith(f"FAIL {name}: ") and problem in out
 
 
+def test_validate_names_extra_problems_only_when_there_are_some(tmp_path, small_batch_dir, capsys):
+    name = edited_copy(small_batch_dir, tmp_path, turn_inside_out)
+    assert cli(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"FAIL {name}: solid encloses no positive volume"
+    edited_copy(small_batch_dir, tmp_path, flip_normals)
+    assert cli(["validate", str(tmp_path)]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(rf"FAIL {re.escape(name)}: .* \(\+[1-9][0-9]* more\)", line), line
+
+
 def test_points_leaves_numpy_ma_unimported(tmp_path, small_batch_dir):
     src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
     (tmp_path / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "gen"
     code = (
         "import sys\n"
         "from brepforge.cli import main\n"
         f"assert main(['points', {str(tmp_path)!r}, '--n', '50']) == 0\n"
+        f"assert main(['gen', '--count', '6', '--seed', '0', '--out', {str(out)!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
     src_dir = Path(brepforge.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src_dir), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert list(tmp_path.glob("*.xyz"))
+    assert list(tmp_path.glob("*.xyz")) and list(out.glob("*.brep.json"))

@@ -22,6 +22,7 @@ from brepforge.geom2d import (
     _contact_lengths,
     _signed_area2,
     classify_vertex,
+    facing_gaps,
     fillable_notch,
     overlaps,
     polygon_area,
@@ -502,3 +503,67 @@ def test_union_rect_matches_reference(case):
     got = outcome(lambda f, r: union_rect(f, r).vertices, f, r)
     # Same loop from the same first vertex, or the same exception class.
     assert got == want
+
+
+def reference_facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
+    """Every pair of edges scanned: the O(n²) `facing_gaps` it replaced."""
+    edges = f.edges()
+    # Outward normal of a CCW edge (dx, dy) is (sign(dy), -sign(dx)).
+    out: list[tuple[int, int, int]] = []
+    for i in range(len(edges)):
+        a1, a2 = edges[i]
+        for j in range(i + 1, len(edges)):
+            b1, b2 = edges[j]
+            if a1.x == a2.x and b1.x == b2.x:
+                na = 1 if a2.y > a1.y else -1
+                nb = 1 if b2.y > b1.y else -1
+                # Facing: each normal points toward the other edge.
+                gap = (b1.x - a1.x) * na
+                if na == -nb and 0 < gap < below:
+                    lo = max(min(a1.y, a2.y), min(b1.y, b2.y))
+                    hi = min(max(a1.y, a2.y), max(b1.y, b2.y))
+                    if lo < hi:
+                        out.append((i, j, gap))
+            elif a1.y == a2.y and b1.y == b2.y:
+                na = -1 if a2.x > a1.x else 1
+                nb = -1 if b2.x > b1.x else 1
+                gap = (b1.y - a1.y) * na
+                if na == -nb and 0 < gap < below:
+                    lo = max(min(a1.x, a2.x), min(b1.x, b2.x))
+                    hi = min(max(a1.x, a2.x), max(b1.x, b2.x))
+                    if lo < hi:
+                        out.append((i, j, gap))
+    return out
+
+
+# The grammar's notch and sliver thresholds, a gap of one unit, a wide one,
+# and one that takes every facing pair.
+GAP_BOUNDS = sorted({1, GrammarConfig().notch_gap, GrammarConfig().min_exterior_gap, 60, 10**9})
+
+
+def test_facing_gaps_match_reference_on_grown_footprints():
+    footprints = {f for seed in range(200) for f in grown_snapshots(seed)}
+    pairs = 0
+    for f in footprints:
+        for below in GAP_BOUNDS:
+            want = reference_facing_gaps(f, below)
+            assert facing_gaps(f, below) == want
+            pairs += len(want)
+    assert pairs > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(footprint_and_rect())
+@example((SLIT, Rect(0, 0, 1, 1)))
+def test_facing_gaps_match_reference(case):
+    # The footprint and, where the rectangle joins it, the union, which can
+    # hold the notches and slivers that growth rejects.
+    f, r = case
+    shapes = [f]
+    try:
+        shapes.append(union_rect(f, r))
+    except BrepForgeError:
+        pass
+    for shape in shapes:
+        for below in GAP_BOUNDS:
+            assert facing_gaps(shape, below) == reference_facing_gaps(shape, below)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from brepforge.assembly import BuildingConfig, assemble
-from brepforge.brep import Box, extrude_prism, is_watertight, solid_from_boxes, triangulate, TriMesh
+from brepforge.brep import Box, is_watertight, solid_from_boxes, triangulate, TriMesh
 from brepforge.dataset import BuildingMeta
 from brepforge.errors import EmptyMeshError
 from brepforge.geom2d import Footprint
@@ -29,6 +29,7 @@ from brepforge.mltasks import (
     sample_points,
 )
 from brepforge.rng import SeededRng
+from oracles import extrude_prism
 
 CUBE = extrude_prism(Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
 

@@ -1,11 +1,14 @@
-"""Region tracer: the run-length `trace_region` against the cell-edge tracer
-it replaced, on random masks with diagonal pinches, holes and islands in
-holes; rasterizing the traced loops gives the mask back."""
+"""Region tracers: the run-length `trace_region` (in `oracles`) against the
+cell-edge tracer it replaced, on random masks with diagonal pinches, holes
+and islands in holes; rasterizing the traced loops gives the mask back.  The
+one-pass `regions.trace_planes` against `trace_region`, plane by plane, on
+stacks of such masks."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from brepforge.regions import Loop, Region, _loop_area2, _point_in_loop, rasterize_loops, trace_region
+from brepforge.regions import Loop, Traced, _point_in_loop, trace_planes
+from oracles import Region, loop_area2, rasterize_loops, trace_region
 
 
 def reference_trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
@@ -90,8 +93,8 @@ def reference_trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
                     loop.append((int(us[pb[0]]), int(vs[pb[1]])))
             loops.append(loop)
 
-    outers = [(lp, _loop_area2(lp)) for lp in loops if _loop_area2(lp) > 0]
-    holes = [lp for lp in loops if _loop_area2(lp) < 0]
+    outers = [(lp, loop_area2(lp)) for lp in loops if loop_area2(lp) > 0]
+    holes = [lp for lp in loops if loop_area2(lp) < 0]
     groups: list[tuple[Loop, list[Loop]]] = [(lp, []) for lp, _ in outers]
     for hole in holes:
         (u1, v1), (u2, v2) = hole[0], hole[1]
@@ -111,12 +114,10 @@ def reference_trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
 MAX = 8
 
 
-@st.composite
-def regions(draw) -> Region:
-    """Masks up to 8 x 8 on breakpoints with uneven steps: nested rectangles
-    XORed together (a ring, the hole in it, an island in the hole), then a
-    few flipped cells or a random mask on top (diagonal pinches)."""
-    nu, nv = draw(st.integers(1, MAX)), draw(st.integers(1, MAX))
+def draw_mask(draw, nu: int, nv: int) -> np.ndarray:
+    """Nested rectangles XORed together (a ring, the hole in it, an island in
+    the hole), then a few flipped cells or a random mask on top (diagonal
+    pinches)."""
     mask = np.zeros((nu, nv), dtype=bool)
     inset = st.integers(1, 2)
     i0, j0, i1, j1 = draw(st.integers(0, 1)), draw(st.integers(0, 1)), nu, nv
@@ -130,12 +131,21 @@ def regions(draw) -> Region:
         mask[i, j] ^= True
     if draw(st.integers(0, 3)) == 0:
         mask ^= np.array(draw(st.lists(st.booleans(), min_size=nu * nv, max_size=nu * nv))).reshape(nu, nv)
+    return mask
 
-    def grid(n):
-        steps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-        return np.cumsum([draw(st.integers(-5, 5)), *steps]).astype(np.int64)
 
-    return Region(grid(nu), grid(nv), mask)
+def draw_grid(draw, n: int) -> np.ndarray:
+    """n + 1 breakpoints with uneven steps."""
+    steps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return np.cumsum([draw(st.integers(-5, 5)), *steps]).astype(np.int64)
+
+
+@st.composite
+def regions(draw) -> Region:
+    """Masks up to 8 x 8 from `draw_mask` on breakpoints with uneven steps."""
+    nu, nv = draw(st.integers(1, MAX)), draw(st.integers(1, MAX))
+    mask = draw_mask(draw, nu, nv)
+    return Region(draw_grid(draw, nu), draw_grid(draw, nv), mask)
 
 
 def region_of(rows: list[str]) -> Region:
@@ -148,6 +158,8 @@ def region_of(rows: list[str]) -> Region:
 ISLAND_IN_HOLE = region_of(["#####", "#...#", "#.#.#", "#...#", "#####"])
 PINCHED_HOLE = region_of(["###.", "#.#.", "##..", "...."])
 CHECKER = region_of(["#.#", ".#.", "#.#"])
+# A hole inside an island inside a hole: two outer loops hold it.
+NESTED = region_of(["#######", "#.....#", "#.###.#", "#.#.#.#", "#.###.#", "#.....#", "#######"])
 EMPTY = region_of(["..", ".."])
 
 
@@ -160,6 +172,7 @@ def collinear(a, b, c) -> bool:
 @example(ISLAND_IN_HOLE)
 @example(PINCHED_HOLE)
 @example(CHECKER)
+@example(NESTED)
 @example(EMPTY)
 def test_trace_region_matches_cell_edge_tracer(region):
     groups = trace_region(region)
@@ -174,8 +187,8 @@ def test_trace_region_matches_cell_edge_tracer(region):
         cover += rasterize_loops([outer, *holes], region.us, region.vs).mask
     assert np.array_equal(cover, region.mask)
     for outer, holes in groups:
-        assert _loop_area2(outer) > 0
-        assert all(_loop_area2(hole) < 0 for hole in holes)
+        assert loop_area2(outer) > 0
+        assert all(loop_area2(hole) < 0 for hole in holes)
     # Corners only: every edge is axis-parallel and turns at both ends.
     for loop in loops:
         n = len(loop)
@@ -189,8 +202,72 @@ def test_trace_region_matches_cell_edge_tracer(region):
 def test_fixtures_cover_holes_islands_and_pinches():
     groups = trace_region(ISLAND_IN_HOLE)
     assert [len(holes) for _, holes in groups] == [1, 0]
+    # The innermost hole goes to the island, the smaller of the two outer
+    # loops around it.
+    (ring, (ring_hole,)), (island, (island_hole,)) = trace_region(NESTED)
+    assert len(ring) == len(ring_hole) == len(island) == len(island_hole) == 4
+    assert loop_area2(island) == 2 * 9 and loop_area2(island_hole) == -2
     # The pinch joins the would-be hole to the outside: one loop, touching
     # itself at the pinch vertex.
     ((outer, holes),) = trace_region(PINCHED_HOLE)
     assert not holes and len(outer) == len(set(outer)) + 1
     assert len(trace_region(CHECKER)) == 5
+
+
+@st.composite
+def plane_stacks(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1 to 4 masks up to 8 x 8 on one grid with uneven steps.  Each is
+    empty, drawn by `draw_mask`, or drawn and then filled along its border
+    rows and columns, so its runs touch the zero rows that separate the
+    stacked planes."""
+    nu, nv = draw(st.integers(1, MAX)), draw(st.integers(1, MAX))
+    masks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["empty", "drawn", "border"]))
+        mask = np.zeros((nu, nv), dtype=bool) if kind == "empty" else draw_mask(draw, nu, nv)
+        if kind == "border":
+            mask[[0, -1], :] = mask[:, [0, -1]] = True
+        masks.append(mask)
+    return np.stack(masks), draw_grid(draw, nu), draw_grid(draw, nv)
+
+
+def plane_groups(traced: Traced, planes: int) -> list[list[tuple[Loop, list[Loop]]]]:
+    """The flat arrays of `trace_planes` as `trace_region`'s groups, per
+    plane: outer loops in loop order, each with its holes in loop order."""
+    ends = np.cumsum(traced.lens).tolist()
+    loops = [
+        list(zip(traced.u[a:b].tolist(), traced.v[a:b].tolist())) for a, b in zip([0] + ends[:-1], ends)
+    ]
+    plane, outer = traced.plane.tolist(), traced.outer.tolist()
+    holes_of: dict[int, list[Loop]] = {k: [] for k, o in enumerate(outer) if o == k}
+    for k, o in enumerate(outer):
+        if o != k:
+            assert plane[o] == plane[k] and o in holes_of
+            holes_of[o].append(loops[k])
+    groups: list[list[tuple[Loop, list[Loop]]]] = [[] for _ in range(planes)]
+    for k, holes in holes_of.items():
+        groups[plane[k]].append((loops[k], holes))
+    return groups
+
+
+def stack_of(*regions: Region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.stack([r.mask for r in regions]), regions[0].us, regions[0].vs
+
+
+FULL_4 = region_of(["####"] * 4)
+CHECKER_INVERSE = region_of([".#.", "#.#", ".#."])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(plane_stacks())
+@example(stack_of(FULL_4, PINCHED_HOLE, region_of(["...."] * 4)))
+@example(stack_of(CHECKER, CHECKER_INVERSE, CHECKER))
+@example(stack_of(NESTED, NESTED))
+def test_trace_planes_matches_trace_region(stack):
+    masks, us, vs = stack
+    traced = trace_planes(masks, us, vs)
+    assert len(traced.u) == len(traced.v) == int(traced.lens.sum())
+    assert all(np.diff(traced.plane) >= 0)  # plane by plane
+    # Per plane the same loops, in the same order, from the same first
+    # vertex, with the same holes under the same outer loops.
+    assert plane_groups(traced, len(masks)) == [trace_region(Region(us, vs, mask)) for mask in masks]
