@@ -11,7 +11,9 @@ no floating-point CSG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,8 +45,7 @@ class Box(NamedTuple):
     z1: int
 
 
-@dataclass(frozen=True)
-class BRepFace:
+class BRepFace(NamedTuple):
     """Planar face: outer loop CCW about the outward normal, holes CW."""
 
     axis: int
@@ -62,11 +63,42 @@ class BRepFace:
         yield from self.inner
 
 
+class LoopEdges(NamedTuple):
+    """Every loop edge of every face, loop by loop: the vertex ids at its
+    start and end and the index of its face; per loop its face and its
+    number of edges; per face its axis, offset and sign."""
+
+    start: np.ndarray
+    end: np.ndarray
+    face: np.ndarray
+    loop_face: np.ndarray
+    lens: np.ndarray
+    face_axis: np.ndarray
+    face_offset: np.ndarray
+    face_sign: np.ndarray
+
+
 @dataclass(frozen=True)
 class BRepSolid:
     vertices: tuple[tuple[int, int, int], ...]
     faces: tuple[BRepFace, ...]
     label: str = "GOOD"
+
+    @cached_property
+    def loop_edges(self) -> LoopEdges:
+        """The loop-edge table that the checks and `triangulate` share,
+        built once per solid."""
+        axis, offset, sign, outer, inner = zip(*self.faces) if self.faces else [()] * 5
+        loops = list(chain.from_iterable(map(add, zip(outer), inner)))  # each outer loop, then its holes
+        loop_face = np.repeat(np.arange(len(outer)), np.fromiter(map(len, inner), np.int64, len(inner)) + 1)
+        lens = np.fromiter(map(len, loops), np.int64, len(loops))
+        ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
+        first = np.cumsum(lens) - lens
+        nxt = np.arange(1, len(ids) + 1)
+        closed = lens > 0
+        nxt[(first + lens - 1)[closed]] = first[closed]
+        planes = np.fromiter(chain(axis, offset, sign), np.int64, 3 * len(axis)).reshape(3, -1)
+        return LoopEdges(ids, ids[nxt], np.repeat(loop_face, lens), loop_face, lens, *planes)
 
 
 def _loop_to_2d(coords, axis: int, sign: int):
@@ -76,6 +108,12 @@ def _loop_to_2d(coords, axis: int, sign: int):
 
 # FRAMES as an array indexed by (axis, sign > 0).
 _FRAME_AXES = np.array([[FRAMES[(axis, sign)] for sign in (-1, +1)] for axis in range(3)], dtype=np.int64)
+
+
+def _frames(axis: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The rows (u axes, v axes) of the frames of faces with these axes and
+    signs."""
+    return _FRAME_AXES[axis, (sign > 0).astype(np.int64)].T
 
 
 def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
@@ -92,7 +130,7 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     sorted by (axis, offset, sign, outer loop).
     """
     corner_loop = np.repeat(np.arange(len(lens)), lens)
-    ua, va = _FRAME_AXES[axis, (sign + 1) // 2].T[:, corner_loop]
+    ua, va = _frames(axis, sign)[:, corner_loop]
     k = np.arange(len(u))
     points = np.empty((3, len(u)), dtype=np.int64)  # one row per axis
     points[axis[corner_loop], k] = offset[corner_loop]
@@ -150,10 +188,10 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
         inner.setdefault(owner, []).append(loop_ids[hole])
     outers = np.flatnonzero(outer == np.arange(len(lens)))
     outers = outers[np.lexsort((smallest[outers], sign[outers], offset[outers], axis[outers]))]
-    faces = tuple(
-        BRepFace(a, o, s, loop_ids[f], tuple(sorted(inner[f])) if f in inner else ())
-        for f, a, o, s in zip(*(x.tolist() for x in (outers, axis[outers], offset[outers], sign[outers])))
-    )
+    inner = {f: tuple(sorted(loops)) for f, loops in inner.items()}
+    order = outers.tolist()
+    planes = (x[outers].tolist() for x in (axis, offset, sign))
+    faces = tuple(map(BRepFace, *planes, [loop_ids[f] for f in order], [inner.get(f, ()) for f in order]))
     return BRepSolid(tuple(zip(*coords.tolist())), faces)
 
 
@@ -207,8 +245,7 @@ def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
     and degenerate edge where the walk meets it, then each badly used edge
     in the order of its first use.
     """
-    faces = solid.faces
-    start, end, face, loop_face, lens = _loop_edges(faces)
+    start, end, face, loop_face, lens = solid.loop_edges[:5]
     # (edge index, 0 for a loop or 1 for an edge, message)
     short = lens < 4
     found = [
@@ -225,8 +262,8 @@ def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     key = lo * (int(hi.max(initial=0)) + 1) + hi
     _, first_use, edge, uses = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
-    balance = np.zeros(len(uses), dtype=np.int64)
-    np.add.at(balance, edge, np.where(a < b, 1, -1))
+    # Uses one way minus uses the other.
+    balance = 2 * np.bincount(edge[a < b], minlength=len(uses)) - uses
     bad = np.flatnonzero((uses != 2) | (balance != 0))
     for e in bad[np.argsort(first_use[bad])].tolist():
         k = int(first_use[e])
@@ -234,7 +271,7 @@ def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
             problems.append(f"edge {int(lo[k])}-{int(hi[k])} used {int(uses[e])} times")
         else:
             problems.append(f"edge {int(lo[k])}-{int(hi[k])} traversed twice in the same direction")
-    if not faces:
+    if not solid.faces:
         problems.append("solid has no faces")
     return (not problems), problems
 
@@ -254,33 +291,15 @@ class TriMesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
-def _loop_edges(faces: Sequence[BRepFace]):
-    """Every loop edge of every face, loop by loop: the vertex ids at its
-    start and end and the index of its face; then per loop its face and
-    its number of edges."""
-    loops = [loop for f in faces for loop in (f.outer, *f.inner)]
-    loop_face = np.repeat(np.arange(len(faces)), [1 + len(f.inner) for f in faces])
-    lens = np.fromiter(map(len, loops), np.int64, len(loops))
-    ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
-    first = np.cumsum(lens) - lens
-    nxt = np.arange(1, len(ids) + 1)
-    closed = lens > 0
-    nxt[(first + lens - 1)[closed]] = first[closed]
-    return ids, ids[nxt], np.repeat(loop_face, lens), loop_face, lens
-
-
 def geometry_problems(solid: BRepSolid) -> list[str]:
     """Loop vertices off their face's plane, loop edges that are not
     axis-parallel or have zero length, outer loops not counter-clockwise
     and holes not clockwise about the stated normal, and a solid whose
     divergence-theorem volume is not positive, from one pass over all loop
     edges."""
-    faces = solid.faces
     coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3)
-    start, end, face, loop_face, lens = _loop_edges(faces)
-    face_axis, face_offset, face_sign, face_ua, face_va = np.array(
-        [(f.axis, f.offset, f.sign, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
-    ).reshape(-1, 5).T
+    start, end, face, loop_face, lens, face_axis, face_offset, face_sign = solid.loop_edges
+    face_ua, face_va = _frames(face_axis, face_sign)
     axis, offset = face_axis[face], face_offset[face]
     a, b = coords[start], coords[end]
     off_plane = a[np.arange(len(a)), axis] != offset
@@ -300,9 +319,9 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
     k = np.arange(len(a))
     ua, va = face_ua[face], face_va[face]
     cross = a[k, ua] * b[k, va] - b[k, ua] * a[k, va]
-    loop = np.repeat(np.arange(len(lens)), lens)
-    area2 = np.zeros(len(lens), dtype=np.int64)
-    np.add.at(area2, loop, cross)
+    # Loops are contiguous; the zero appended ends a trailing empty loop,
+    # and an empty loop elsewhere would take its successor's first cross.
+    area2 = np.where(lens > 0, np.add.reduceat(np.append(cross, 0), np.cumsum(lens) - lens), 0)
     outer = np.ones(len(lens), dtype=bool)
     outer[1:] = loop_face[1:] != loop_face[:-1]
     wrong = np.flatnonzero(np.where(outer, area2 <= 0, area2 >= 0))
@@ -314,7 +333,7 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
     # the sum of sign * offset * area2 over every loop, is six times the
     # enclosed volume.
     sign = face_sign[loop_face]
-    if faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
+    if solid.faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
         problems.append("solid encloses no positive volume")
     return problems
 
@@ -351,18 +370,14 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     out face by face in ``(u, v)`` order, two triangles per cell, and
     vertices are numbered in the order the quad corners first reach them.
     """
-    faces = solid.faces
-    if not faces:
+    if not solid.faces:
         raise EmptyMeshError("solid has no faces")
     coords = np.asarray(solid.vertices, dtype=np.int64)
     axes_pts = [_distinct(coords[:, a]) for a in range(3)]
-    face_axis, face_offset, face_ua, face_va = np.array(
-        [(f.axis, f.offset, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
-    ).T
-
     # Every loop edge of every face; for the parity fill only vertical ones
     # (u constant, v changing) count.
-    start, end, edge_face, _, _ = _loop_edges(faces)
+    start, end, edge_face, _, _, face_axis, face_offset, face_sign = solid.loop_edges
+    face_ua, face_va = _frames(face_axis, face_sign)
     ua, va = face_ua[edge_face], face_va[edge_face]
     k = np.arange(len(start))
     a, b = coords[start], coords[end]
@@ -421,13 +436,14 @@ def triangulate(solid: BRepSolid) -> TriMesh:
 
 
 def mesh_to_obj(mesh: TriMesh) -> str:
-    """Wavefront OBJ text: v lines then 1-indexed f lines, LF endings."""
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {int(a) + 1} {int(b) + 1} {int(c) + 1}")
-    return "\n".join(lines) + "\n"
+    """Wavefront OBJ text: v lines then 1-indexed f lines, LF endings.
+
+    One ``%``-format over the flat coordinates and indices; ``%r`` of a
+    float is its shortest round-trip repr.
+    """
+    lines = ["v %r %r %r"] * len(mesh.vertices) + ["f %d %d %d"] * len(mesh.triangles)
+    values = mesh.vertices.ravel().tolist() + (mesh.triangles + 1).ravel().tolist()
+    return "\n".join(lines) % tuple(values) + "\n"
 
 
 def drop_faces(solid: BRepSolid, indices: Iterable[int], label: str | None = None) -> BRepSolid:

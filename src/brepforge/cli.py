@@ -13,7 +13,6 @@ import datetime
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -22,13 +21,12 @@ from .config import ConfigError, GeneratorConfig
 from .dataset import (
     DatasetMeta,
     BuildingMeta,
-    canonical_json,
     check_rooms,
     check_solid,
     export_building,
     load_dataset_meta,
     solid_from_dict,
-    solid_to_dict,
+    solid_json,
     stats as dataset_stats,
     write_dataset_meta,
     write_discards_csv,
@@ -116,6 +114,9 @@ def cmd_gen(args) -> int:
     streams = range(args.seed, args.seed + args.count)
     work = [(s, cfg.values, str(out_dir), args.obj) for s in streams]
     if args.jobs > 1:
+        # Imported only here, so a serial run does not load the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_generate_one, work, chunksize=8))
     else:
@@ -266,7 +267,7 @@ def cmd_defect(args) -> int:
         defect = inject_defect(solid, SeededRng(stream, stream))
         base = src.name.replace(".brep.json", "")
         out_path = out_dir / f"{base}{suffix}.brep.json"
-        out_path.write_text(canonical_json(solid_to_dict(defect, f"{base}{suffix}")) + "\n")
+        out_path.write_text(solid_json(defect, f"{base}{suffix}") + "\n")
         written += 1
     print(f"defect: wrote {written} defect solids (ratio {args.ratio})")
     return 0

@@ -1,9 +1,15 @@
 """Dataset plumbing: room filters, metadata records, file exports, statistics.
 
-Exports are byte-stable: canonical JSON key order, compact separators, and
-shortest-roundtrip float formatting.  The dataset matrix is written as an
-NPY v1.0 file by a self-contained writer (header layout pinned here; any
-standard reader recovers the float64 matrix bit-exactly).
+Exports are byte-stable canonical JSON: sorted keys, compact separators
+and shortest round-trip floats.  Metadata goes through `canonical_json`
+(`json.dumps`).  A solid's `.brep.json` text comes from `solid_json`, a
+direct writer: it formats each distinct coordinate once and fills face
+templates with one ``%``-format, and its output is byte for byte
+`canonical_json` of the solid's dict form (``faces``, ``id``, ``label``,
+``units``, ``vertices``), so `solid_from_dict(json.loads(text))` gives the
+solid back.  The dataset matrix is written as an NPY v1.0 file by a
+self-contained writer (header layout pinned here; any standard reader
+recovers the float64 matrix bit-exactly).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -139,23 +146,43 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def solid_to_dict(solid: BRepSolid, building_id: str) -> dict:
-    faces = []
-    for f in solid.faces:
-        entry = {
-            "plane": {"normal": f.normal_name, "offset": f.offset / 10.0},
-            "outer": list(f.outer),
-        }
-        if f.inner:
-            entry["inner"] = [list(h) for h in f.inner]
-        faces.append(entry)
-    return {
-        "id": building_id,
-        "units": "m",
-        "vertices": [[x / 10.0, y / 10.0, z / 10.0] for x, y, z in solid.vertices],
-        "faces": faces,
-        "label": solid.label,
-    }
+def solid_json(solid: BRepSolid, building_id: str) -> str:
+    """The `.brep.json` text of a solid, without the final newline.
+
+    Byte for byte what `canonical_json` gives for the dict of keys
+    ``faces``, ``id``, ``label``, ``units`` (``"m"``) and ``vertices``,
+    where a vertex is its three coordinates in metres and a face is its
+    ``inner`` loops when it has any, its ``outer`` loop and its ``plane``
+    (``normal``, and ``offset`` in metres).  Written directly: each distinct
+    coordinate and offset is formatted once as ``float.__repr__(c / 10.0)``,
+    which is how `json.dumps` writes a float; the vertices take one
+    ``%``-format, and the faces one more, over a face template per normal
+    and loop lengths.
+    """
+    faces = solid.faces
+    coords = list(chain.from_iterable(solid.vertices))
+    metres = {c: float.__repr__(c / 10.0) for c in {*coords, *(f.offset for f in faces)}}
+    vertices = ",".join(["[%s,%s,%s]"] * len(solid.vertices)) % tuple(map(metres.__getitem__, coords))
+
+    templates: dict[tuple, str] = {}
+    face_templates, values = [], []
+    for f in faces:
+        axis, offset, sign, outer, inner = f
+        key = (axis, sign > 0, len(outer), *map(len, inner))
+        template = templates.get(key)
+        if template is None:
+            loops = [",".join(["%d"] * n) for n in key[2:]]
+            holes = '"inner":[[%s]],' % "],[".join(loops[1:]) if inner else ""
+            template = '{%s"outer":[%s],"plane":{"normal":"%s","offset":%%s}}' % (holes, loops[0], f.normal_name)
+            templates[key] = template
+        face_templates.append(template)
+        for hole in inner:
+            values += hole
+        values += outer
+        values.append(metres[offset])
+    return '{"faces":[%s],"id":%s,"label":%s,"units":"m","vertices":[%s]}' % (
+        ",".join(face_templates) % tuple(values), json.dumps(building_id), json.dumps(solid.label), vertices
+    )
 
 
 def _vertex_ids(loop, n: int) -> tuple[int, ...]:
@@ -196,7 +223,7 @@ def export_building(building, out_dir: Path, write_obj: bool = False) -> list[Pa
     meta = building.meta
     paths = []
     brep_path = out_dir / f"{meta.id}.brep.json"
-    brep_path.write_text(canonical_json(solid_to_dict(building.solid, meta.id)) + "\n")
+    brep_path.write_text(solid_json(building.solid, meta.id) + "\n")
     paths.append(brep_path)
     meta_path = out_dir / f"{meta.id}.meta.json"
     meta_path.write_text(canonical_json(meta.to_dict()) + "\n")

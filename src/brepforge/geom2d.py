@@ -219,13 +219,6 @@ def classify_vertex(f: Footprint, i: int) -> VertexKind:
     return VertexKind.CONVEX if cross > 0 else VertexKind.CONCAVE
 
 
-def vertex_kind_counts(f: Footprint) -> tuple[int, int]:
-    """(convex, concave) counts over the corner-only loop."""
-    kinds = [classify_vertex(f, i) for i in range(len(f.vertices))]
-    convex = sum(1 for k in kinds if k is VertexKind.CONVEX)
-    return convex, len(kinds) - convex
-
-
 def overlaps(f: Footprint, r: Rect) -> bool:
     """True iff interior(f) ∩ interior(r) has positive area."""
     return any(p.interior_intersects(r) for p in f.rects)

@@ -41,9 +41,9 @@ class PointCloud:
         return len(self.points)
 
     def to_xyz(self) -> str:
-        return "\n".join(
-            f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in self.points
-        ) + "\n"
+        """One line of three shortest round-trip floats per point, from one
+        ``%``-format over the flat coordinates."""
+        return "\n".join(["%r %r %r"] * len(self.points)) % tuple(self.points.ravel().tolist()) + "\n"
 
     def to_f32(self) -> bytes:
         return np.ascontiguousarray(self.points, dtype="<f4").tobytes()

@@ -1,15 +1,19 @@
 """Helpers that only tests call: the run-walking tracer of one mask that
 `regions.trace_planes` is checked against, prism extrusion, the parity fill
-of rectilinear loops, face areas from that fill, and the Euler
-characteristic of a triangle mesh."""
+of rectilinear loops, face areas from that fill, the Euler characteristic
+of a triangle mesh, corner counts of a footprint, the dict form of a solid
+that `dataset.solid_json` is checked against, and the scatter-add versions
+of `brep.is_watertight` and `brep.geometry_problems` they are checked
+against."""
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from brepforge.brep import BRepSolid, Box, TriMesh, _loop_to_2d, solid_from_boxes
+from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _loop_to_2d, solid_from_boxes
 from brepforge.errors import InvalidExtrusionError
-from brepforge.geom2d import Footprint
+from brepforge.geom2d import Footprint, VertexKind, classify_vertex
 from brepforge.regions import Loop, _point_in_loop, merged_breakpoints
 
 
@@ -208,3 +212,121 @@ def euler_characteristic(mesh: TriMesh) -> int:
         for p, q in ((a, b), (b, c), (c, a)):
             edges.add((min(p, q), max(p, q)))
     return v - len(edges) + f
+
+
+def vertex_kind_counts(f: Footprint) -> tuple[int, int]:
+    """(convex, concave) counts over the corner-only loop."""
+    kinds = [classify_vertex(f, i) for i in range(len(f.vertices))]
+    convex = sum(1 for k in kinds if k is VertexKind.CONVEX)
+    return convex, len(kinds) - convex
+
+
+def solid_to_dict(solid: BRepSolid, building_id: str) -> dict:
+    """The `.brep.json` content as a dict; `canonical_json` of it gives the
+    bytes `dataset.solid_json` writes."""
+    faces = []
+    for f in solid.faces:
+        entry = {
+            "plane": {"normal": f.normal_name, "offset": f.offset / 10.0},
+            "outer": list(f.outer),
+        }
+        if f.inner:
+            entry["inner"] = [list(h) for h in f.inner]
+        faces.append(entry)
+    return {
+        "id": building_id,
+        "units": "m",
+        "vertices": [[x / 10.0, y / 10.0, z / 10.0] for x, y, z in solid.vertices],
+        "faces": faces,
+        "label": solid.label,
+    }
+
+
+def _loop_edges(faces):
+    """Every loop edge of every face, loop by loop: the vertex ids at its
+    start and end and the index of its face; then per loop its face and
+    its number of edges."""
+    loops = [loop for f in faces for loop in (f.outer, *f.inner)]
+    loop_face = np.repeat(np.arange(len(faces)), [1 + len(f.inner) for f in faces])
+    lens = np.fromiter(map(len, loops), np.int64, len(loops))
+    ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
+    first = np.cumsum(lens) - lens
+    nxt = np.arange(1, len(ids) + 1)
+    closed = lens > 0
+    nxt[(first + lens - 1)[closed]] = first[closed]
+    return ids, ids[nxt], np.repeat(loop_face, lens), loop_face, lens
+
+
+def scatter_is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
+    """`brep.is_watertight` on a loop-edge table of its own, with each edge's
+    balance scattered by `np.add.at`."""
+    faces = solid.faces
+    start, end, face, loop_face, lens = _loop_edges(faces)
+    short = lens < 4
+    found = [
+        (at, 0, f"face {f}: loop with {n} < 4 vertices")
+        for at, f, n in zip((np.cumsum(lens) - lens)[short].tolist(), loop_face[short].tolist(), lens[short].tolist())
+    ]
+    found += [
+        (k, 1, f"face {face[k]}: degenerate edge at vertex {start[k]}")
+        for k in np.flatnonzero(start == end).tolist()
+    ]
+    problems = [msg for *_, msg in sorted(found)]
+
+    a, b = start[start != end], end[start != end]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * (int(hi.max(initial=0)) + 1) + hi
+    _, first_use, edge, uses = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    balance = np.zeros(len(uses), dtype=np.int64)
+    np.add.at(balance, edge, np.where(a < b, 1, -1))
+    bad = np.flatnonzero((uses != 2) | (balance != 0))
+    for e in bad[np.argsort(first_use[bad])].tolist():
+        k = int(first_use[e])
+        if uses[e] != 2:
+            problems.append(f"edge {int(lo[k])}-{int(hi[k])} used {int(uses[e])} times")
+        else:
+            problems.append(f"edge {int(lo[k])}-{int(hi[k])} traversed twice in the same direction")
+    if not faces:
+        problems.append("solid has no faces")
+    return (not problems), problems
+
+
+def scatter_geometry_problems(solid: BRepSolid) -> list[str]:
+    """`brep.geometry_problems` on a loop-edge table of its own, with per-face
+    frames from `FRAMES` and each loop's area scattered by `np.add.at`."""
+    faces = solid.faces
+    coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3)
+    start, end, face, loop_face, lens = _loop_edges(faces)
+    face_axis, face_offset, face_sign, face_ua, face_va = np.array(
+        [(f.axis, f.offset, f.sign, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
+    ).reshape(-1, 5).T
+    axis, offset = face_axis[face], face_offset[face]
+    a, b = coords[start], coords[end]
+    off_plane = a[np.arange(len(a)), axis] != offset
+    moves = np.count_nonzero(a != b, axis=1)
+    bad = moves != 1
+    problems = [
+        f"face {f}: vertex {v} is not on the face's plane"
+        for f, v in zip(face[off_plane].tolist(), start[off_plane].tolist())
+    ]
+    problems += [
+        f"face {f}: edge {p}-{q} " + ("has zero length" if m == 0 else "is not axis-parallel")
+        for f, p, q, m in zip(face[bad].tolist(), start[bad].tolist(), end[bad].tolist(), moves[bad].tolist())
+    ]
+    k = np.arange(len(a))
+    ua, va = face_ua[face], face_va[face]
+    cross = a[k, ua] * b[k, va] - b[k, ua] * a[k, va]
+    loop = np.repeat(np.arange(len(lens)), lens)
+    area2 = np.zeros(len(lens), dtype=np.int64)
+    np.add.at(area2, loop, cross)
+    outer = np.ones(len(lens), dtype=bool)
+    outer[1:] = loop_face[1:] != loop_face[:-1]
+    wrong = np.flatnonzero(np.where(outer, area2 <= 0, area2 >= 0))
+    problems += [
+        f"face {f}: " + ("outer loop is not counter-clockwise" if o else "hole is not clockwise") + " about its normal"
+        for f, o in zip(loop_face[wrong].tolist(), outer[wrong].tolist())
+    ]
+    sign = face_sign[loop_face]
+    if faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
+        problems.append("solid encloses no positive volume")
+    return problems

@@ -12,7 +12,7 @@ from brepforge.assembly import (
     place_entrance,
 )
 from brepforge.brep import is_watertight
-from brepforge.dataset import canonical_json, solid_to_dict
+from brepforge.dataset import solid_json
 from brepforge.errors import GrowthFailedError
 from brepforge.geom2d import Footprint, Rect
 from brepforge.grammar import GrammarConfig, GrowthTrace, Termination, grow
@@ -239,9 +239,7 @@ def test_assemble_deterministic_bytes():
     b1 = assemble(trace1, BCFG, rng1)
     trace2, rng2 = grown(5)
     b2 = assemble(trace2, BCFG, rng2)
-    assert canonical_json(solid_to_dict(b1.solid, "x")) == canonical_json(
-        solid_to_dict(b2.solid, "x")
-    )
+    assert solid_json(b1.solid, "x") == solid_json(b2.solid, "x")
 
 
 def test_meta_totals_consistent():

@@ -25,7 +25,15 @@ from brepforge.brep import (
 from brepforge.errors import InvalidExtrusionError
 from brepforge.geom2d import Footprint
 from brepforge.regions import merged_breakpoints
-from oracles import Region, euler_characteristic, extrude_prism, rasterize_loops, total_face_area_m2
+from oracles import (
+    Region,
+    euler_characteristic,
+    extrude_prism,
+    rasterize_loops,
+    scatter_geometry_problems,
+    scatter_is_watertight,
+    total_face_area_m2,
+)
 from test_regions import reference_trace_region
 
 UNIT_SQUARE = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -428,6 +436,69 @@ def test_is_watertight_like_reference(positive, negative, data):
     broken = BRepSolid(solid.vertices, tuple(faces))
     for s in (solid, dropped, broken, BRepSolid(solid.vertices, ())):
         assert is_watertight(s) == reference_is_watertight(s)
+
+
+COORD = st.integers(-12, 12)
+
+
+@st.composite
+def box_solids(draw):
+    """Solids of up to three boxes minus up to two, with coordinates on both
+    sides of zero; about half have a hole through the first box, so some
+    faces have inner loops."""
+
+    def box(min_side=1):
+        corner = [draw(COORD) for _ in range(3)]
+        return Box(*corner, *(c + draw(st.integers(min_side, 6)) for c in corner))
+
+    positive = [box(3)] + [box() for _ in range(draw(st.integers(0, 2)))]
+    negative = [box() for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        first, axis = positive[0], draw(st.integers(0, 2))
+        lo, hi = [c + 1 for c in first[:3]], [c - 1 for c in first[3:]]
+        lo[axis], hi[axis] = lo[axis] - 2, hi[axis] + 2
+        negative.append(Box(*lo, *hi))
+    try:
+        return solid_from_boxes(positive, negative)
+    except InvalidExtrusionError:
+        assume(False)
+
+
+MUTATIONS = ("reverse loop", "move vertex", "drop face", "flip sign", "duplicate vertex", "empty loop")
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_solids(), st.sampled_from(MUTATIONS), st.data())
+def test_checks_like_scatter_reference_on_mutants(solid, mutation, data):
+    """One mutation of a box solid; the checks on the shared loop-edge table
+    give what the scatter-add versions give, problem for problem."""
+    faces, vertices = list(solid.faces), list(solid.vertices)
+    i = data.draw(st.integers(0, len(faces) - 1))
+    f = faces[i]
+    loops = [f.outer, *f.inner]
+    j = data.draw(st.integers(0, len(loops) - 1))
+    loop = loops[j]
+    if mutation == "reverse loop":
+        loops[j] = loop[::-1]
+    elif mutation == "move vertex":
+        v, axis = data.draw(st.sampled_from(loop)), data.draw(st.integers(0, 2))
+        moved = list(vertices[v])
+        moved[axis] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        vertices[v] = tuple(moved)
+    elif mutation == "drop face":
+        del faces[i]
+    elif mutation == "flip sign":
+        faces[i] = f._replace(sign=-f.sign)
+    elif mutation == "duplicate vertex":
+        k = data.draw(st.integers(0, len(loop) - 1))
+        loops[j] = loop[: k + 1] + loop[k:]
+    else:
+        loops[j] = ()
+    if mutation in ("reverse loop", "duplicate vertex", "empty loop"):
+        faces[i] = f._replace(outer=loops[0], inner=tuple(loops[1:]))
+    for s in (solid, BRepSolid(tuple(vertices), tuple(faces), solid.label)):
+        assert is_watertight(s) == scatter_is_watertight(s)
+        assert geometry_problems(s) == scatter_geometry_problems(s)
 
 
 def test_watertight_cube_true():

@@ -375,8 +375,24 @@ def test_points_leaves_numpy_ma_unimported(tmp_path, small_batch_dir):
         f"assert main(['gen', '--count', '6', '--seed', '0', '--out', {str(out)!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
+    run_in_fresh_interpreter(code)
+    assert list(tmp_path.glob("*.xyz")) and list(out.glob("*.brep.json"))
+
+
+def test_serial_gen_leaves_process_pool_unimported(tmp_path):
+    out = tmp_path / "gen"
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['gen', '--count', '6', '--seed', '0', '--jobs', '1', '--out', {str(out)!r}]) == 0\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    run_in_fresh_interpreter(code)
+    assert list(out.glob("*.brep.json"))
+
+
+def run_in_fresh_interpreter(code: str) -> None:
     src_dir = Path(brepforge.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src_dir), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert list(tmp_path.glob("*.xyz")) and list(out.glob("*.brep.json"))

@@ -4,19 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brepforge.assembly import BuildingConfig, assemble
-from brepforge.brep import is_watertight
+from brepforge.brep import drop_faces, is_watertight
 from brepforge.dataset import (
     BuildingMeta,
     DatasetMeta,
     FilterConfig,
+    canonical_json,
     check_rooms,
     check_solid,
     export_building,
     load_dataset_meta,
     meta_matrix,
     solid_from_dict,
+    solid_json,
     stats,
     write_dataset_meta,
     write_discards_csv,
@@ -25,6 +28,8 @@ from brepforge.dataset import (
 from brepforge.grammar import GrammarConfig, grow
 from brepforge.mltasks import inject_defect
 from brepforge.rng import SeededRng
+from oracles import solid_to_dict
+from test_brep import box_solids
 
 FC = FilterConfig()
 
@@ -87,6 +92,22 @@ def test_export_byte_stable(tmp_path):
     paths2 = export_building(b, tmp_path / "b")
     for p1, p2 in zip(paths1, paths2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Ids that JSON must escape: quotes, backslashes, control and non-ASCII
+# characters (written as \uXXXX, surrogate pairs above the BMP).
+IDS = st.sampled_from(["bld00000003", 'a"b\\c/d', "tab\tnew\nline\x00", "\u00fc\u20ac\U0001f600"]) | st.text(max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_solids(), IDS, st.data())
+def test_solid_json_is_canonical_json_of_dict(solid, building_id, data):
+    n = len(solid.faces)
+    dropped = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    for s in (solid, drop_faces(solid, dropped, "DEFECT")):
+        text = solid_json(s, building_id)
+        assert text == canonical_json(solid_to_dict(s, building_id))
+        assert solid_from_dict(json.loads(text)) == s
 
 
 def test_export_roundtrip_watertight(tmp_path):

@@ -29,10 +29,10 @@ from brepforge.geom2d import (
     to_metres,
     to_units,
     union_rect,
-    vertex_kind_counts,
 )
 from brepforge.grammar import GrammarConfig, grow
 from brepforge.rng import SeededRng
+from oracles import vertex_kind_counts
 
 SQUARE = Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)])
 L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])

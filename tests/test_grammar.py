@@ -10,7 +10,6 @@ from brepforge.geom2d import (
     Rect,
     polygon_area,
     union_rect,
-    vertex_kind_counts,
 )
 from brepforge.grammar import (
     GrammarConfig,
@@ -20,6 +19,7 @@ from brepforge.grammar import (
     grow,
 )
 from brepforge.rng import SeededRng
+from oracles import vertex_kind_counts
 from test_geom2d import reference_is_simple
 
 CONFIG = GrammarConfig()
