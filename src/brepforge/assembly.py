@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brep import Box, BRepSolid, solid_from_boxes
-from .dataset import BuildingMeta
+from .dataset import BuildingMeta, tiered_room_counts
 from .errors import (
     AssemblyInconsistencyError,
     BooleanFailureError,
@@ -79,31 +79,10 @@ def order_storeys(trace: GrowthTrace) -> list[tuple[Footprint, list[Rect]]]:
 def build_storey_plan(
     snapshot: Footprint, rooms: list[Rect], core: Rect, config: BuildingConfig
 ) -> StoreyPlan:
-    plan = StoreyPlan(
-        footprint=snapshot,
-        rooms=rooms,
-        core=core,
-        storey_height=config.storey_height,
-    )
-    plan.walls = build_walls(snapshot, rooms, core, config.wall_thickness)
-    doors = place_doors(plan)
-    windows = generate_windows(plan, config.window_table)
-    plan.openings = doors + windows
-    plan.openings = prune_windows(plan)
-    return plan
-
-
-def _centroid_numerators(f: Footprint) -> tuple[int, int, int]:
-    """(Sx, Sy, area2) with centroid = (Sx, Sy) / (3 * area2), exact."""
-    sx = sy = 0
-    v = f.vertices
-    n = len(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        cross = a.x * b.y - b.x * a.y
-        sx += (a.x + b.x) * cross
-        sy += (a.y + b.y) * cross
-    return sx, sy, f.area_units2()
+    walls = build_walls(snapshot, rooms, core)
+    doors = place_doors(walls, len(rooms))
+    windows = prune_windows(generate_windows(walls, config.window_table))
+    return StoreyPlan(snapshot, rooms, core, walls, doors + windows)
 
 
 def place_entrance(plan: StoreyPlan, config: BuildingConfig) -> Opening:
@@ -111,7 +90,7 @@ def place_entrance(plan: StoreyPlan, config: BuildingConfig) -> Opening:
 
     Walls longer than the minimum are preferred; with none, all exterior
     walls compete.  Distance comparison is exact integer arithmetic and
-    ties break toward the lowest wall id.
+    ties break toward the first wall in plan order.
     """
     exterior = [w for w in plan.walls if w.kind == "exterior"]
     if not exterior:
@@ -124,28 +103,32 @@ def place_entrance(plan: StoreyPlan, config: BuildingConfig) -> Opening:
     candidates = [w for w in fits if w.length > config.entrance_min_wall]
     if not candidates:
         candidates = fits
-    sx, sy, area2 = _centroid_numerators(plan.footprint)
+    # Area and doubled first moments of the footprint from the tiles that
+    # fill it: the centroid is (mx, my) / (2 * area).
+    tiles = [plan.core, *plan.rooms]
+    area = sum(r.area_units for r in tiles)
+    mx = sum(r.area_units * (r.x0 + r.x1) for r in tiles)
+    my = sum(r.area_units * (r.y0 + r.y1) for r in tiles)
 
-    def distance_key(w: WallSegment):
+    def distance2(w: WallSegment) -> int:
+        """Squared midpoint-to-centroid distance, scaled by (2 * area)²."""
         mx2, my2 = w.midpoint2()
-        dx = 3 * area2 * mx2 - 2 * sx
-        dy = 3 * area2 * my2 - 2 * sy
-        return (dx * dx + dy * dy, w.wall_id)
+        dx = area * mx2 - mx
+        dy = area * my2 - my
+        return dx * dx + dy * dy
 
-    wall = min(candidates, key=distance_key)
+    wall = min(candidates, key=distance2)
     offset = (wall.length - config.entrance_width) // 2
-    return Opening(
-        wall.wall_id, "entrance", offset, config.entrance_width, 0, config.entrance_height
-    )
+    return Opening(wall, "entrance", offset, config.entrance_width, 0, config.entrance_height)
 
 
-def _opening_box(plan: StoreyPlan, opening: Opening, z_base: int, z_wall_top: int, t_half: int) -> Box:
-    wall = plan.wall_by_id(opening.wall_id)
+def _opening_box(opening: Opening, z_base: int, z_wall_top: int, t_half: int) -> Box:
+    wall = opening.wall
     z0 = z_base + opening.sill
     z1 = z0 + opening.height
     if z1 > z_wall_top or opening.offset < 0 or opening.offset + opening.width > wall.length:
         # Guards misconfigured window tables; walls end at the slab soffit.
-        raise BooleanFailureError(f"opening {opening} does not fit wall {wall.wall_id}")
+        raise BooleanFailureError(f"opening {opening} does not fit its wall")
     if wall.along_y:
         y0 = wall.p1.y + opening.offset
         return Box(wall.p1.x - t_half, y0, z0, wall.p1.x + t_half, y0 + opening.width, z1)
@@ -180,7 +163,7 @@ def building_boxes(
         for room in plan.rooms:
             void = room.eroded(t_half)
             negative.append(Box(void.x0, void.y0, zb, void.x1, void.y1, zt))
-        negative += [_opening_box(plan, o, zb, zt, t_half) for o in plan.openings]
+        negative += [_opening_box(o, zb, zt, t_half) for o in plan.openings]
     shaft = plans[0].core.eroded(t_half)
     z_roof = len(plans) * config.storey_height
     negative.append(Box(shaft.x0, shaft.y0, 0, shaft.x1, shaft.y1, z_roof))
@@ -193,20 +176,17 @@ def _building_meta(
     trace: GrowthTrace,
     plans: list[StoreyPlan],
 ) -> BuildingMeta:
-    s = len(plans)
-    room_per_floor = [max(s - k, 0) for k in range(10)]
-    room_total = s * (s + 1) // 2
+    room_total, room_per_floor = tiered_room_counts(len(plans))
     rooms = [
         [[r.width / 10.0, r.height / 10.0] for r in plan.rooms] for plan in plans
     ]
     openings = []
     for storey_idx, plan in enumerate(plans, start=1):
         for o in plan.openings:
-            wall = plan.wall_by_id(o.wall_id)
             openings.append(
                 {
                     "kind": o.kind,
-                    "orientation": wall.orientation,
+                    "orientation": o.wall.orientation,
                     "width": o.width / 10.0,
                     "sill": o.sill / 10.0,
                     "height": o.height / 10.0,
@@ -217,7 +197,7 @@ def _building_meta(
     return BuildingMeta(
         id=building_id,
         seed=seed,
-        storey_count=s,
+        storey_count=len(plans),
         room_total=room_total,
         room_per_floor=room_per_floor,
         rooms=rooms,
@@ -233,18 +213,16 @@ def assemble(trace: GrowthTrace, config: BuildingConfig, rng: SeededRng) -> Buil
         build_storey_plan(snapshot, rooms, trace.core, config)
         for snapshot, rooms in order_storeys(trace)
     ]
-    ground_plan = plans[0]
-    entrance = place_entrance(ground_plan, config)
-    wall = ground_plan.wall_by_id(entrance.wall_id)
-    lo, hi = entrance.offset, entrance.offset + entrance.width
-    kept = []
-    for o in ground_plan.openings:
-        if o.kind == "window" and o.wall_id == entrance.wall_id:
-            # Entrance owns its façade strip; drop windows within one unit.
-            if o.offset < hi + 1 and lo < o.offset + o.width + 1:
-                continue
-        kept.append(o)
-    ground_plan.openings = kept + [entrance]
+    ground = plans[0]
+    entrance = place_entrance(ground, config)
+    # Entrance owns its façade strip; drop windows within one unit of it.
+    lo, hi = entrance.offset - 1, entrance.offset + entrance.width + 1
+    ground.openings = [
+        o
+        for o in ground.openings
+        if o.kind != "window" or o.wall != entrance.wall
+        or o.offset + o.width <= lo or hi <= o.offset
+    ] + [entrance]
 
     positive, negative = building_boxes(trace, plans, config)
     return Building(

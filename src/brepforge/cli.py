@@ -100,7 +100,7 @@ def cmd_gen(args) -> int:
             args.config, dict(kv.split("=", 1) for kv in args.set or [])
         )
         cfg.grammar(), cfg.building(), cfg.filters()  # validate eagerly
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"gen: bad config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = Path(args.out)
@@ -251,7 +251,11 @@ def cmd_defect(args) -> int:
         return USAGE_ERROR
     directory = Path(args.dir)
     out_dir = Path(args.out) if args.out else directory
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"defect: cannot create {out_dir}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     good = [p for p in _brep_files(directory) if "_def" not in p.name]
     if not good:
         print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)

@@ -26,7 +26,6 @@ DEFAULTS: dict[str, str] = {
     "notch_gap": "0.5",
     "min_exterior_gap": "0.4",
     "retry_budget": "16",
-    "retry_scope": "total",
     "storey_height": "3.0",
     "slab_thickness": "0.2",
     "wall_thickness": "0.2",
@@ -107,7 +106,6 @@ class GeneratorConfig:
             notch_gap=self._metres("notch_gap"),
             min_exterior_gap=self._metres("min_exterior_gap"),
             retry_budget=self._int("retry_budget"),
-            retry_scope=self.get("retry_scope"),
         )
 
     def building(self) -> BuildingConfig:

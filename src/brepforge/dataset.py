@@ -46,6 +46,16 @@ class FilterConfig:
     max_aspect_ratio: float = 4.0
 
 
+def tiered_room_counts(storey_count: int) -> tuple[int, list[int]]:
+    """(room_total, room_per_floor) of a tiered building.
+
+    Floor k (bottom = 1) of an S-storey building carries S - k + 1 rooms, so
+    the per-floor counts are (S, S-1, ..., 1), zero-padded to 10 floors.
+    """
+    s = storey_count
+    return s * (s + 1) // 2, [max(s - k, 0) for k in range(10)]
+
+
 @dataclass
 class BuildingMeta:
     id: str

@@ -10,7 +10,11 @@ class InvalidFootprintError(BrepForgeError):
 
 
 class MustCleanFirstError(BrepForgeError):
-    """Operation requires a corner-only loop (no collinear or coincident triples)."""
+    """`classify_vertex` met a collinear or coincident triple.
+
+    Footprints from `from_rect` and `union_rect` are corner-only, so only a
+    hand-built loop raises this.
+    """
 
 
 class CollisionError(BrepForgeError):
@@ -38,7 +42,7 @@ class UnreachableRoomError(BrepForgeError):
 
 
 class InvalidExtrusionError(BrepForgeError):
-    """Degenerate polygon or non-positive height passed to an extrusion."""
+    """`solid_from_boxes` got no material boxes, or none left after the voids."""
 
 
 class BooleanFailureError(BrepForgeError):

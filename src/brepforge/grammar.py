@@ -44,18 +44,14 @@ class GrammarConfig:
     # Reject productions that would leave an exterior slot narrower than
     # this between facing walls; keeps the 0.1 m wall offset valid.
     min_exterior_gap: int = 4
+    # Failed attempts allowed over the whole growth.
     retry_budget: int = 16
-    # "step": budget of vertex choices per production step.
-    # "total": budget of failed attempts over the whole growth.
-    retry_scope: str = "total"
 
     def __post_init__(self):
         if not (1 <= self.max_rooms <= 10):
             raise ValueError("max_rooms must be in [1, 10]")
         if self.room_side_min > self.room_side_max or self.room_side_min <= 0:
             raise ValueError("bad room side range")
-        if self.retry_scope not in ("step", "total"):
-            raise ValueError("retry_scope must be 'step' or 'total'")
 
 
 class Termination(enum.Enum):
@@ -185,28 +181,17 @@ def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
     terminated = Termination.CAP
 
     while len(rooms) < config.max_rooms:
-        step_failures = 0
-        placed = False
-        while True:
-            if config.retry_scope == "step":
-                if step_failures >= config.retry_budget:
-                    break
-            elif total_failures >= config.retry_budget:
-                break
-            i = rng.uniform_index(len(footprint.vertices))
-            try:
-                footprint, rect = try_production(footprint, i, rng, config)
-            except (ProductionInfeasibleError, CollisionError, ConflictError):
-                step_failures += 1
-                total_failures += 1
-                continue
-            rooms.append(rect)
-            snapshots.append(footprint)
-            placed = True
-            break
-        if not placed:
+        if total_failures >= config.retry_budget:
             terminated = Termination.COLLISION
             break
+        i = rng.uniform_index(len(footprint.vertices))
+        try:
+            footprint, rect = try_production(footprint, i, rng, config)
+        except (ProductionInfeasibleError, CollisionError, ConflictError):
+            total_failures += 1
+            continue
+        rooms.append(rect)
+        snapshots.append(footprint)
 
     if len(rooms) < 2:
         raise GrowthFailedError(f"only {len(rooms)} rooms placed")

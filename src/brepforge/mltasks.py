@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .brep import FRAMES, BRepSolid, TriMesh, _loop_to_2d, drop_faces
-from .dataset import BuildingMeta
+from .dataset import BuildingMeta, tiered_room_counts
 from .errors import EmptyMeshError
 from .regions import _point_in_loop
 from .rng import SeededRng
@@ -155,11 +155,11 @@ class LabelVector:
 
 def oracle_labels(meta: BuildingMeta) -> LabelVector:
     """Ground-truth labels from metadata via the deterministic floor pattern."""
-    s = meta.storey_count
+    room_total, room_per_floor = tiered_room_counts(meta.storey_count)
     return LabelVector(
-        storey=s,
-        room_total=s * (s + 1) // 2,
-        room_per_floor=[max(s - k, 0) for k in range(10)],
+        storey=meta.storey_count,
+        room_total=room_total,
+        room_per_floor=room_per_floor,
         avg_area=meta.avg_room_area,
     )
 

@@ -6,31 +6,32 @@ adjacent room; interior walls are the shared segments between adjacent
 rectangles.  Doors follow a breadth-first spanning tree rooted at the core
 so every room stays reachable; windows are generated per exterior wall by
 orientation group and length bin, then pruned per room to avoid
-over-fenestration.
+over-fenestration.  Every opening holds the wall it sits in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .errors import InconsistentPlanError, UnreachableRoomError
 from .geom2d import Footprint, Point2, Rect
 
 NS = ("N", "S")
-EW = ("E", "W")
 
 DOOR_WIDTH = 9
 DOOR_HEIGHT = 21
 OPENING_END_MARGIN = 1
 MIN_DOOR_WALL = DOOR_WIDTH + 2 * OPENING_END_MARGIN
 
+# Outward side of a counter-clockwise boundary edge, keyed by
+# (edge runs along y, edge runs toward larger coordinates).
+_ORIENTATION = {(True, True): "E", (True, False): "W", (False, True): "S", (False, False): "N"}
+
 
 @dataclass(frozen=True)
 class WallSegment:
-    wall_id: int
     p1: Point2  # lexicographically smaller endpoint (south/west end)
     p2: Point2
-    thickness: int
     kind: str  # "exterior" | "interior"
     orientation: str | None  # N/E/S/W for exterior walls
     rooms: tuple[int, ...]
@@ -50,7 +51,7 @@ class WallSegment:
 
 @dataclass(frozen=True)
 class Opening:
-    wall_id: int
+    wall: WallSegment
     kind: str  # "door" | "window" | "entrance"
     offset: int  # along the wall from p1
     width: int
@@ -91,12 +92,8 @@ class StoreyPlan:
     footprint: Footprint
     rooms: list[Rect]  # grafted rooms only
     core: Rect
-    storey_height: int
-    walls: list[WallSegment] = field(default_factory=list)
-    openings: list[Opening] = field(default_factory=list)
-
-    def wall_by_id(self, wall_id: int) -> WallSegment:
-        return self.walls[wall_id]
+    walls: list[WallSegment]  # exterior along the footprint loop, then interior
+    openings: list[Opening]
 
 
 def _shared_segment(a: Rect, b: Rect):
@@ -114,10 +111,11 @@ def _shared_segment(a: Rect, b: Rect):
     return None
 
 
-def build_walls(
-    snapshot: Footprint, rooms: list[Rect], core: Rect, thickness: int
-) -> list[WallSegment]:
-    """Wall layout for a storey whose rooms tile the snapshot exactly."""
+def build_walls(snapshot: Footprint, rooms: list[Rect], core: Rect) -> list[WallSegment]:
+    """Wall layout for a storey whose rooms tile the snapshot exactly.
+
+    Every segment is made with p1 below p2 in (x, y) order.
+    """
     rects = [core] + list(rooms)
     total = sum(r.area_units for r in rects)
     if 2 * total != snapshot.area_units2():
@@ -132,109 +130,90 @@ def build_walls(
                 raise InconsistentPlanError(f"rooms {i} and {j} overlap")
 
     walls: list[WallSegment] = []
-
-    def canonical(a: Point2, b: Point2) -> tuple[Point2, Point2]:
-        return (a, b) if (a.x, a.y) <= (b.x, b.y) else (b, a)
-
     # Exterior: split each boundary edge at adjacent-room boundaries so each
-    # piece borders exactly one room.
+    # piece borders exactly one room.  An edge sits at `fixed` on one axis
+    # and runs from `start` to `end` on the other.
     for a, b in snapshot.edges():
-        if a.x == b.x:
-            orientation = "E" if b.y > a.y else "W"
-            lo, hi = sorted((a.y, b.y))
-            pieces = []
-            for rid, r in enumerate(rects):
-                if r.x0 == a.x or r.x1 == a.x:
-                    # The room must lie on the interior side of the edge.
-                    if (orientation == "E" and r.x1 == a.x) or (
-                        orientation == "W" and r.x0 == a.x
-                    ):
-                        s, e = max(lo, r.y0), min(hi, r.y1)
-                        if s < e:
-                            pieces.append((s, e, rid))
-            pieces.sort()
-            covered = sum(e - s for s, e, _ in pieces)
-            if covered != hi - lo:
-                raise InconsistentPlanError(f"boundary edge {a}-{b} not fully tiled")
-            for s, e, rid in pieces:
-                p1, p2 = canonical(Point2(a.x, s), Point2(a.x, e))
-                walls.append(WallSegment(0, p1, p2, thickness, "exterior", orientation, (rid,)))
-        else:
-            orientation = "S" if b.x > a.x else "N"
-            lo, hi = sorted((a.x, b.x))
-            pieces = []
-            for rid, r in enumerate(rects):
-                if r.y0 == a.y or r.y1 == a.y:
-                    if (orientation == "N" and r.y1 == a.y) or (
-                        orientation == "S" and r.y0 == a.y
-                    ):
-                        s, e = max(lo, r.x0), min(hi, r.x1)
-                        if s < e:
-                            pieces.append((s, e, rid))
-            pieces.sort()
-            covered = sum(e - s for s, e, _ in pieces)
-            if covered != hi - lo:
-                raise InconsistentPlanError(f"boundary edge {a}-{b} not fully tiled")
-            for s, e, rid in pieces:
-                p1, p2 = canonical(Point2(s, a.y), Point2(e, a.y))
-                walls.append(WallSegment(0, p1, p2, thickness, "exterior", orientation, (rid,)))
+        along_y = a.x == b.x
+        fixed, start, end = (a.x, a.y, b.y) if along_y else (a.y, a.x, b.x)
+        lo, hi = min(start, end), max(start, end)
+        # The loop keeps the interior on its left, so a bordering room ends
+        # at the edge on its high side when the edge runs up along y or
+        # toward -x, and on its low side otherwise.
+        high_side = (end > start) == along_y
+        pieces = []
+        for rid, r in enumerate(rects):
+            f0, f1, r0, r1 = (r.x0, r.x1, r.y0, r.y1) if along_y else (r.y0, r.y1, r.x0, r.x1)
+            if (f1 if high_side else f0) == fixed:
+                s, e = max(lo, r0), min(hi, r1)
+                if s < e:
+                    pieces.append((s, e, rid))
+        pieces.sort()
+        if sum(e - s for s, e, _ in pieces) != hi - lo:
+            raise InconsistentPlanError(f"boundary edge {a}-{b} not fully tiled")
+        orientation = _ORIENTATION[along_y, end > start]
+        for s, e, rid in pieces:
+            if along_y:
+                p1, p2 = Point2(fixed, s), Point2(fixed, e)
+            else:
+                p1, p2 = Point2(s, fixed), Point2(e, fixed)
+            walls.append(WallSegment(p1, p2, "exterior", orientation, (rid,)))
 
     interior = []
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
             seg = _shared_segment(rects[i], rects[j])
             if seg is not None:
-                p1, p2 = canonical(*seg)
-                interior.append(WallSegment(0, p1, p2, thickness, "interior", None, (i, j)))
-    interior.sort(key=lambda w: (w.p1.x, w.p1.y, w.p2.x, w.p2.y))
-    walls.extend(interior)
-    return [replace(w, wall_id=i) for i, w in enumerate(walls)]
+                interior.append(WallSegment(*seg, "interior", None, (i, j)))
+    interior.sort(key=lambda w: (w.p1, w.p2))
+    return walls + interior
 
 
-def place_doors(plan: StoreyPlan) -> list[Opening]:
+def place_doors(walls: list[WallSegment], n_rooms: int) -> list[Opening]:
     """One door per spanning-tree edge of the room adjacency graph.
 
     Breadth-first from the core, neighbours visited in room-id order; each
     tree edge gets a door centered on the shared wall.  Placement is
     deterministic.
     """
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for w in plan.walls:
+    # Two rooms share at most one wall, so each neighbour appears once.
+    adjacency: dict[int, dict[int, WallSegment]] = {}
+    for w in walls:
         if w.kind != "interior" or w.length < MIN_DOOR_WALL:
             continue
         i, j = w.rooms
-        adjacency.setdefault(i, []).append((j, w.wall_id))
-        adjacency.setdefault(j, []).append((i, w.wall_id))
+        adjacency.setdefault(i, {})[j] = w
+        adjacency.setdefault(j, {})[i] = w
 
-    n_rooms = len(plan.rooms)
     visited = {0}
     queue = [0]
     doors: list[Opening] = []
     while queue:
         cur = queue.pop(0)
-        for neighbour, wall_id in sorted(adjacency.get(cur, [])):
+        neighbours = adjacency.get(cur, {})
+        for neighbour in sorted(neighbours):
             if neighbour in visited:
                 continue
             visited.add(neighbour)
             queue.append(neighbour)
-            wall = plan.wall_by_id(wall_id)
+            wall = neighbours[neighbour]
             offset = (wall.length - DOOR_WIDTH) // 2
-            doors.append(Opening(wall_id, "door", offset, DOOR_WIDTH, 0, DOOR_HEIGHT))
+            doors.append(Opening(wall, "door", offset, DOOR_WIDTH, 0, DOOR_HEIGHT))
     if len(visited) != n_rooms + 1:
         missing = sorted(set(range(n_rooms + 1)) - visited)
         raise UnreachableRoomError(f"rooms {missing} unreachable from the core")
     return doors
 
 
-def generate_windows(plan: StoreyPlan, table: WindowTable | None = None) -> list[Opening]:
+def generate_windows(walls: list[WallSegment], table: WindowTable = WindowTable()) -> list[Opening]:
     """One window per exterior wall, parameterized by orientation and length.
 
     North/south windows are centered; east/west windows sit 0.3 m from the
     wall's southern end.  Walls shorter than the first bin get no window.
+    Windows come in wall order.
     """
-    table = table or WindowTable()
     out: list[Opening] = []
-    for w in plan.walls:
+    for w in walls:
         if w.kind != "exterior":
             continue
         length = w.length
@@ -250,51 +229,37 @@ def generate_windows(plan: StoreyPlan, table: WindowTable | None = None) -> list
             offset = (length - spec.width) // 2
         else:
             offset = 3  # east/west windows offset toward the southern end
-        out.append(Opening(w.wall_id, "window", offset, spec.width, spec.sill, spec.height))
+        out.append(Opening(w, "window", offset, spec.width, spec.sill, spec.height))
     return out
 
 
-def prune_windows(plan: StoreyPlan) -> list[Opening]:
-    """Per-room hierarchical window filter; doors are never touched.
+def _kept_in_room(group: list[Opening]) -> list[Opening]:
+    if not (2 <= len(group) <= 4):
+        return group
+    widest = max(group, key=lambda o: o.width)
+    if widest.width >= 30:
+        return [widest]
+    if widest.width > 10:
+        narrowest = min((o for o in group if o is not widest), key=lambda o: o.width)
+        return [widest, narrowest]
+    if widest.width < 10 and len(group) > 2:
+        return [o for o in group if o.wall.orientation in NS]
+    return group
+
+
+def prune_windows(windows: list[Opening]) -> list[Opening]:
+    """Per-room hierarchical window filter over windows in wall order.
 
     For rooms with two to four windows (spans = widths, metres):
       max span >= 3      -> keep only the widest;
       1 < max span <= 3  -> keep the widest and the narrowest;
       all spans < 1 and more than two windows -> keep north/south facades;
       otherwise keep all.
-    Ties resolve by (wall id, offset) order.
+    Ties resolve to the first window in order.  The kept windows stay in
+    their input order.
     """
-    doors = [o for o in plan.openings if o.kind != "window"]
-    windows = [o for o in plan.openings if o.kind == "window"]
     by_room: dict[int, list[Opening]] = {}
     for o in windows:
-        room = plan.wall_by_id(o.wall_id).rooms[0]
-        by_room.setdefault(room, []).append(o)
-
-    kept: list[Opening] = []
-    for room in sorted(by_room):
-        group = sorted(by_room[room], key=lambda o: (o.wall_id, o.offset))
-        if not (2 <= len(group) <= 4):
-            kept.extend(group)
-            continue
-        max_span = max(o.width for o in group)
-        if max_span >= 30:
-            widest = min(group, key=lambda o: (-o.width, o.wall_id, o.offset))
-            kept.append(widest)
-        elif max_span > 10:
-            widest = min(group, key=lambda o: (-o.width, o.wall_id, o.offset))
-            narrowest = next(
-                o
-                for o in sorted(group, key=lambda o: (o.width, o.wall_id, o.offset))
-                if o is not widest
-            )
-            kept.extend(sorted((widest, narrowest), key=lambda o: (o.wall_id, o.offset)))
-        elif max_span < 10 and len(group) > 2:
-            kept.extend(
-                o for o in group if plan.wall_by_id(o.wall_id).orientation in NS
-            )
-        else:
-            kept.extend(group)
-    order = {id(o): i for i, o in enumerate(windows)}
-    kept.sort(key=lambda o: order[id(o)])
-    return doors + kept
+        by_room.setdefault(o.wall.rooms[0], []).append(o)
+    kept = {room: _kept_in_room(group) for room, group in by_room.items()}
+    return [o for o in windows if o in kept[o.wall.rooms[0]]]

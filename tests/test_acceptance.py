@@ -28,7 +28,7 @@ from brepforge.mltasks import (
     sample_points,
 )
 from brepforge.rng import SeededRng
-from brepforge.storey import Opening, StoreyPlan, WallSegment, prune_windows
+from brepforge.storey import Opening, WallSegment, prune_windows
 from brepforge.geom2d import Point2
 from oracles import euler_characteristic, extrude_prism, total_face_area_m2
 
@@ -235,29 +235,20 @@ def test_geometry_oracles():
     assert euler_characteristic(mesh) == 0
 
     # Window pruning rules a, b, c on hand-trace fixtures.
-    def plan_with(widths_orientations):
-        walls = [
-            WallSegment(i, Point2(0, 10 * i), Point2(40, 10 * i), 2, "exterior", o, (1,))
-            for i, (o, _) in enumerate(widths_orientations)
+    def windows_with(widths_orientations):
+        return [
+            Opening(
+                WallSegment(Point2(0, 10 * i), Point2(40, 10 * i), "exterior", o, (1,)),
+                "window", 1, w, 9, 14,
+            )
+            for i, (o, w) in enumerate(widths_orientations)
         ]
-        plan = StoreyPlan(
-            footprint=Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)]),
-            rooms=[],
-            core=Rect.from_metres(0, 0, 4, 4),
-            storey_height=30,
-        )
-        plan.walls = walls
-        plan.openings = [
-            Opening(i, "window", 1, w, 9, 14) for i, (_, w) in enumerate(widths_orientations)
-        ]
-        return plan
 
-    kept_a = prune_windows(plan_with([("S", 32), ("N", 10), ("W", 8)]))
+    kept_a = prune_windows(windows_with([("S", 32), ("N", 10), ("W", 8)]))
     assert [o.width for o in kept_a] == [32]
-    kept_b = prune_windows(plan_with([("S", 24), ("N", 18), ("W", 12)]))
+    kept_b = prune_windows(windows_with([("S", 24), ("N", 18), ("W", 12)]))
     assert sorted(o.width for o in kept_b) == [12, 24]
-    plan_c = plan_with([("W", 9), ("N", 8), ("S", 7)])
-    kept_c = prune_windows(plan_c)
-    assert {plan_c.wall_by_id(o.wall_id).orientation for o in kept_c} == {"N", "S"}
+    kept_c = prune_windows(windows_with([("W", 9), ("N", 8), ("S", 7)]))
+    assert {o.wall.orientation for o in kept_c} == {"N", "S"}
     print("ACCEPTANCE PASS: union additivity 1e-9, triangulation 1e-6, "
           "Euler chi fixtures, pruning rules a/b/c")

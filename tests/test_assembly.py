@@ -99,7 +99,7 @@ def test_entrance_prefers_long_wall_nearest_centroid():
     plans = order_storeys(trace)
     plan = build_storey_plan(plans[0][0], plans[0][1], trace.core, BCFG)
     entrance = place_entrance(plan, BCFG)
-    wall = plan.wall_by_id(entrance.wall_id)
+    wall = entrance.wall
     assert wall.kind == "exterior"
     assert wall.length > BCFG.entrance_min_wall
     assert entrance.kind == "entrance"
@@ -113,21 +113,21 @@ def test_entrance_square_tie_breaks_to_lowest_id():
     core_fp = Footprint.from_rect(GCFG.core_tube)
     plan = build_storey_plan(core_fp, [], GCFG.core_tube, BCFG)
     entrance = place_entrance(plan, BCFG)
-    assert plan.wall_by_id(entrance.wall_id).length == 40
-    assert entrance.wall_id == 0
+    assert entrance.wall.length == 40
+    assert entrance.wall == plan.walls[0]
 
 
 def test_entrance_nearest_centroid_among_long_walls():
     # 6 x 7 outline, walls [6, 5, 2, 6, 2, 5]; candidates are the four walls
     # over 4 m.  Hand-computed squared distances to the centroid (3, 3.5):
-    # both 6 m walls 12.25, both 5 m walls 10.0 -> the east 5 m wall (lower
-    # id) wins.
+    # both 6 m walls 12.25, both 5 m walls 10.0 -> the east 5 m wall (first
+    # in wall order) wins.
     core = Rect.from_metres(0, 0, 6, 5)
     room = Rect.from_metres(0, 5, 6, 7)
     fp = Footprint.from_metres([(0, 0), (6, 0), (6, 7), (0, 7)])
     plan = build_storey_plan(fp, [room], core, BCFG)
     entrance = place_entrance(plan, BCFG)
-    wall = plan.wall_by_id(entrance.wall_id)
+    wall = entrance.wall
     assert wall.length == 50
     assert wall.orientation == "E"
     assert wall.midpoint2() == (2 * 60, 50)
@@ -264,14 +264,14 @@ def test_opening_invariants_over_seeds():
         for plan in b.storeys:
             doors = [o for o in plan.openings if o.kind == "door"]
             assert len(doors) == len(plan.rooms)  # spanning-tree edge count
-            reached = {r for d in doors for r in plan.wall_by_id(d.wall_id).rooms}
+            reached = {r for d in doors for r in d.wall.rooms}
             assert set(range(1, len(plan.rooms) + 1)) <= reached
             for o in plan.openings:
-                wall = plan.wall_by_id(o.wall_id)
+                wall = o.wall
                 assert 0 <= o.offset
                 assert o.offset + o.width <= wall.length
                 assert o.sill >= 0
-                assert o.sill + o.height <= plan.storey_height
+                assert o.sill + o.height <= BCFG.storey_height
                 if o.kind == "door":
                     assert o.sill == 0 and o.width == door_width
                 if o.kind == "window":

@@ -62,6 +62,20 @@ def test_gen_bad_config_key(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config", ["missing.cfg", "."])
+def test_gen_unreadable_config_usage_error(tmp_path, capsys, config):
+    # A missing file and a directory both fail to read.
+    rc = cli(
+        ["gen", "--count", "1", "--seed", "0", "--out", str(tmp_path / "x"),
+         "--config", str(tmp_path / config)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gen: bad config: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nmax_rooms = 4\n")
@@ -212,6 +226,18 @@ def test_bad_jobs_env_is_gen_usage_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli(["gen", "--count", "1", "--seed", "0", "--out", str(tmp_path / "g")])
     assert exc.value.code == 2
+
+
+def test_defect_out_is_a_file_usage_error(tmp_path, small_batch_dir, capsys):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli(["defect", str(tmp_path), "--out", str(taken), "--ratio", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"defect: cannot create {taken}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_def*"))
 
 
 def test_defect_negative_ratio_usage_error(tmp_path, small_batch_dir):

@@ -179,19 +179,3 @@ def test_grow_failure_below_two_rooms():
         except GrowthFailedError:
             seeds_failed += 1
     assert seeds_failed > 0  # the discard path is reachable
-
-
-def test_retry_scope_step_reaches_cap_more_often():
-    step_cfg = GrammarConfig(retry_scope="step")
-    caps_step = caps_total = runs = 0
-    for seed in range(60):
-        try:
-            a = grow(step_cfg, SeededRng(seed, seed))
-            b = grow(CONFIG, SeededRng(seed, seed))
-        except GrowthFailedError:
-            continue
-        runs += 1
-        caps_step += a.terminated_by is Termination.CAP
-        caps_total += b.terminated_by is Termination.CAP
-    assert runs > 30
-    assert caps_step > caps_total

@@ -2,11 +2,11 @@
 
 import pytest
 
+from brepforge.assembly import BuildingConfig, build_storey_plan
 from brepforge.errors import InconsistentPlanError, UnreachableRoomError
 from brepforge.geom2d import Footprint, Point2, Rect
 from brepforge.storey import (
     Opening,
-    StoreyPlan,
     WallSegment,
     build_walls,
     generate_windows,
@@ -17,17 +17,8 @@ from brepforge.storey import (
 CORE = Rect.from_metres(0, 0, 4, 4)
 
 
-def make_plan(footprint, rooms, walls=None, openings=None):
-    plan = StoreyPlan(footprint=footprint, rooms=rooms, core=CORE, storey_height=30)
-    if walls is None:
-        walls = build_walls(footprint, rooms, CORE, 2)
-    plan.walls = walls
-    plan.openings = openings or []
-    return plan
-
-
 def test_core_only_four_exterior_walls():
-    walls = build_walls(Footprint.from_rect(CORE), [], CORE, 2)
+    walls = build_walls(Footprint.from_rect(CORE), [], CORE)
     assert len(walls) == 4
     assert all(w.kind == "exterior" for w in walls)
     assert sorted(w.orientation for w in walls) == ["E", "N", "S", "W"]
@@ -37,7 +28,7 @@ def test_core_only_four_exterior_walls():
 def test_core_plus_east_room():
     room = Rect.from_metres(4, 0, 8, 4)
     fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
-    walls = build_walls(fp, [room], CORE, 2)
+    walls = build_walls(fp, [room], CORE)
     exterior = [w for w in walls if w.kind == "exterior"]
     interior = [w for w in walls if w.kind == "interior"]
     assert len(exterior) == 6
@@ -56,7 +47,7 @@ def test_bump_plan_wall_count_equals_vertex_count():
     fp = Footprint.from_metres(
         [(0, 0), (4, 0), (4, 1), (7, 1), (7, 3), (4, 3), (4, 4), (0, 4)]
     )
-    walls = build_walls(fp, [room], CORE, 2)
+    walls = build_walls(fp, [room], CORE)
     exterior = [w for w in walls if w.kind == "exterior"]
     assert len(exterior) == len(fp.vertices) == 8
 
@@ -64,17 +55,16 @@ def test_bump_plan_wall_count_equals_vertex_count():
 def test_build_walls_tiling_violated():
     fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
     with pytest.raises(InconsistentPlanError):
-        build_walls(fp, [Rect.from_metres(4, 0, 7, 4)], CORE, 2)
+        build_walls(fp, [Rect.from_metres(4, 0, 7, 4)], CORE)
 
 
 def test_single_room_single_centered_door():
     room = Rect.from_metres(4, 0, 8, 4)
     fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
-    plan = make_plan(fp, [room])
-    doors = place_doors(plan)
+    doors = place_doors(build_walls(fp, [room], CORE), 1)
     assert len(doors) == 1
     door = doors[0]
-    wall = plan.wall_by_id(door.wall_id)
+    wall = door.wall
     assert wall.kind == "interior"
     assert door.kind == "door" and door.sill == 0
     assert door.offset == (wall.length - door.width) // 2
@@ -87,11 +77,10 @@ def test_three_room_chain_three_doors():
         Rect.from_metres(12, 0, 16, 4),
     ]
     fp = Footprint.from_metres([(0, 0), (16, 0), (16, 4), (0, 4)])
-    plan = make_plan(fp, rooms)
-    doors = place_doors(plan)
+    doors = place_doors(build_walls(fp, rooms, CORE), len(rooms))
     assert len(doors) == 3
     # BFS oracle: tree edges are exactly (core,1), (1,2), (2,3).
-    pairs = {tuple(plan.wall_by_id(d.wall_id).rooms) for d in doors}
+    pairs = {d.wall.rooms for d in doors}
     assert pairs == {(0, 1), (1, 2), (2, 3)}
 
 
@@ -100,10 +89,9 @@ def test_room_with_two_walls_gets_one_door():
     # it through exactly one door.
     rooms = [Rect.from_metres(4, 0, 8, 4), Rect.from_metres(0, 4, 8, 8)]
     fp = Footprint.from_metres([(0, 0), (8, 0), (8, 8), (0, 8)])
-    plan = make_plan(fp, rooms)
-    doors = place_doors(plan)
+    doors = place_doors(build_walls(fp, rooms, CORE), len(rooms))
     assert len(doors) == 2  # spanning tree edge count == room count
-    incoming = [d for d in doors if 2 in plan.wall_by_id(d.wall_id).rooms]
+    incoming = [d for d in doors if 2 in d.wall.rooms]
     assert len(incoming) == 1
 
 
@@ -111,25 +99,22 @@ def test_unreachable_room_raises():
     # Shared wall shorter than a door: adjacency edge unusable.
     rooms = [Rect.from_metres(4, 3, 7, 8)]
     fp = Footprint.from_metres([(0, 0), (4, 0), (4, 3), (7, 3), (7, 8), (4, 8), (4, 4), (0, 4)])
-    plan = make_plan(fp, rooms)
+    walls = build_walls(fp, rooms, CORE)
     with pytest.raises(UnreachableRoomError):
-        place_doors(plan)
+        place_doors(walls, len(rooms))
 
 
-def fake_wall(wall_id, orientation, length=40, room=1):
-    p1 = Point2(0, 10 * wall_id)
-    p2 = Point2(length, 10 * wall_id)
-    return WallSegment(wall_id, p1, p2, 2, "exterior", orientation, (room,))
+def fake_wall(index, orientation, length=40, room=1):
+    p1 = Point2(0, 10 * index)
+    p2 = Point2(length, 10 * index)
+    return WallSegment(p1, p2, "exterior", orientation, (room,))
 
 
 def test_window_south_wall_bin2():
     room = Rect.from_metres(0, 4, 4, 8)
     fp = Footprint.from_metres([(0, 0), (4, 0), (4, 8), (0, 8)])
-    plan = make_plan(fp, [room])
-    windows = generate_windows(plan)
-    south = [
-        w for w in windows if plan.wall_by_id(w.wall_id).orientation == "S"
-    ]
+    windows = generate_windows(build_walls(fp, [room], CORE))
+    south = [w for w in windows if w.wall.orientation == "S"]
     assert len(south) == 1
     win = south[0]
     assert (win.width, win.height, win.sill) == (18, 15, 9)
@@ -137,86 +122,72 @@ def test_window_south_wall_bin2():
 
 
 def test_window_west_wall_bin1_south_offset():
-    walls = [fake_wall(0, "W", length=20)]
     # Canonical p1 is the southern end for walls running along y.
-    walls[0] = WallSegment(0, Point2(0, 0), Point2(0, 20), 2, "exterior", "W", (1,))
-    plan = StoreyPlan(
-        footprint=Footprint.from_rect(CORE), rooms=[], core=CORE, storey_height=30
-    )
-    plan.walls = walls
-    wins = generate_windows(plan)
+    walls = [WallSegment(Point2(0, 0), Point2(0, 20), "exterior", "W", (1,))]
+    wins = generate_windows(walls)
     assert len(wins) == 1
     assert (wins[0].width, wins[0].height, wins[0].sill) == (6, 12, 10)
     assert wins[0].offset == 3
 
 
 def test_window_short_wall_skipped():
-    plan = StoreyPlan(
-        footprint=Footprint.from_rect(CORE), rooms=[], core=CORE, storey_height=30
-    )
-    plan.walls = [WallSegment(0, Point2(0, 0), Point2(10, 0), 2, "exterior", "S", (0,))]
-    assert generate_windows(plan) == []
+    walls = [WallSegment(Point2(0, 0), Point2(10, 0), "exterior", "S", (0,))]
+    assert generate_windows(walls) == []
 
 
 def prune_fixture(specs):
-    """specs: list of (orientation, width) for windows all on room 1."""
-    walls = [fake_wall(i, orientation) for i, (orientation, _) in enumerate(specs)]
-    openings = [
-        Opening(i, "window", 1, width, 9, 14) for i, (_, width) in enumerate(specs)
+    """specs: list of (orientation, width) for windows all on room 1, in
+    wall order."""
+    return [
+        Opening(fake_wall(i, orientation), "window", 1, width, 9, 14)
+        for i, (orientation, width) in enumerate(specs)
     ]
-    plan = StoreyPlan(
-        footprint=Footprint.from_rect(CORE), rooms=[], core=CORE, storey_height=30
-    )
-    plan.walls = walls
-    plan.openings = openings
-    return plan
 
 
 def test_prune_rule_a_wide_window_wins():
-    plan = prune_fixture([("S", 32), ("N", 10), ("W", 8)])
-    kept = prune_windows(plan)
+    kept = prune_windows(prune_fixture([("S", 32), ("N", 10), ("W", 8)]))
     assert [o.width for o in kept] == [32]
 
 
 def test_prune_rule_b_keep_widest_and_narrowest():
-    plan = prune_fixture([("S", 24), ("N", 18), ("W", 12)])
-    kept = prune_windows(plan)
+    kept = prune_windows(prune_fixture([("S", 24), ("N", 18), ("W", 12)]))
     assert sorted(o.width for o in kept) == [12, 24]
 
 
 def test_prune_rule_c_only_north_south_remain():
-    plan = prune_fixture([("W", 9), ("N", 8), ("S", 7)])
-    kept = prune_windows(plan)
-    assert {plan.wall_by_id(o.wall_id).orientation for o in kept} == {"N", "S"}
+    kept = prune_windows(prune_fixture([("W", 9), ("N", 8), ("S", 7)]))
+    assert {o.wall.orientation for o in kept} == {"N", "S"}
 
 
 def test_prune_single_window_untouched():
-    plan = prune_fixture([("S", 24)])
-    assert len(prune_windows(plan)) == 1
+    assert len(prune_windows(prune_fixture([("S", 24)]))) == 1
 
 
 def test_prune_two_small_windows_kept():
-    plan = prune_fixture([("W", 9), ("N", 8)])
-    assert len(prune_windows(plan)) == 2
+    assert len(prune_windows(prune_fixture([("W", 9), ("N", 8)]))) == 2
 
 
 def test_prune_never_increases_and_keeps_doors():
-    plan = prune_fixture([("S", 24), ("N", 18), ("W", 12)])
-    door = Opening(0, "door", 5, 9, 0, 21)
-    plan.openings = [door] + plan.openings
-    kept = prune_windows(plan)
-    assert door in kept
-    assert len(kept) <= len(plan.openings)
+    windows = prune_fixture([("S", 24), ("N", 18), ("W", 12)])
+    kept = prune_windows(windows)
+    assert len(kept) <= len(windows)
+    assert all(o in windows for o in kept)
+    # Doors never pass through the window filter: a plan keeps every door.
+    room = Rect.from_metres(4, 0, 8, 4)
+    fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
+    plan = build_storey_plan(fp, [room], CORE, BuildingConfig())
+    doors = place_doors(plan.walls, 1)
+    assert doors and all(door in plan.openings for door in doors)
 
 
 def test_prune_tiebreak_deterministic():
-    plan = prune_fixture([("S", 24), ("N", 24), ("W", 24)])
-    kept1 = prune_windows(plan)
-    kept2 = prune_windows(plan)
+    windows = prune_fixture([("S", 24), ("N", 24), ("W", 24)])
+    kept1 = prune_windows(windows)
+    kept2 = prune_windows(windows)
     assert kept1 == kept2
-    # Equal widths: widest is the lowest (wall id, offset); narrowest is the
-    # next in ascending order.
-    assert [o.wall_id for o in kept1] == [0, 1]
+    # Equal widths: widest is the first window in wall order; narrowest is
+    # the next one.
+    assert kept1 == windows[:2]
 
 
 def test_ns_windows_at_least_as_large_as_ew():
