@@ -100,10 +100,18 @@ class BRepSolid:
         planes = np.fromiter(chain(axis, offset, sign), np.int64, 3 * len(axis)).reshape(3, -1)
         return LoopEdges(ids, ids[nxt], np.repeat(loop_face, lens), loop_face, lens, *planes)
 
+    @cached_property
+    def face_cells(self) -> FaceCells:
+        """The filled grid cells of every face (`fill_faces`), which
+        `triangulate` and `envelope` share, built once per solid."""
+        return fill_faces(self)
 
-def _loop_to_2d(coords, axis: int, sign: int):
-    ua, va = FRAMES[(axis, sign)]
-    return [(p[ua], p[va]) for p in coords]
+    @cached_property
+    def envelope(self) -> np.ndarray:
+        """Per face, whether nothing blocks it along its outward normal (an
+        envelope face); see `_envelope`.  Defined for solids that pass
+        `dataset.check_solid`."""
+        return _envelope(self)
 
 
 # FRAMES as an array indexed by (axis, sign > 0).
@@ -285,10 +293,22 @@ class TriMesh:
 
     @property
     def areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        """Half the length of the cross product of each triangle's two edges
+        from its first corner, written out componentwise on one contiguous
+        row per axis and corner: the float operations of `np.cross` and
+        `np.linalg.norm(axis=1)`, in their order, so the same bits."""
+        corners = np.ascontiguousarray(self.triangles.T)
+        x, y, z = (np.take(coord, corners) for coord in np.ascontiguousarray(self.vertices.T))
+        for rows in (x, y, z):  # per axis: the first corner, then the two edges from it
+            rows[1:] -= rows[0]
+        (_, a0, b0), (_, a1, b1), (_, a2, b2) = x, y, z
+        c = a1 * b2 - a2 * b1
+        total = c * c
+        c = a2 * b0 - a0 * b2
+        total += c * c
+        c = a0 * b1 - a1 * b0
+        total += c * c
+        return 0.5 * np.sqrt(total)
 
 
 def geometry_problems(solid: BRepSolid) -> list[str]:
@@ -338,18 +358,6 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
     return problems
 
 
-def _grid_index(grids, axis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Position of each value in ``np.concatenate(grids)``, looked up in the
-    part that holds ``grids[axis[k]]``; the values lie on those grids."""
-    out = np.empty(len(values), dtype=np.int64)
-    base = 0
-    for a in range(3):
-        on = axis == a
-        out[on] = base + np.searchsorted(grids[a], values[on])
-        base += len(grids[a])
-    return out
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values.  A bare ``np.unique`` would import
     ``numpy.ma`` (to test for a masked array) on its first call."""
@@ -359,80 +367,165 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def triangulate(solid: BRepSolid) -> TriMesh:
-    """Cell-decomposition triangulation on the solid's global grid.
+class FaceCells(NamedTuple):
+    """The parity fill of every face of a solid on its breakpoint grid.
 
-    Faces are rasterized on the shared breakpoint grid so triangle edges of
-    adjacent faces subdivide identically: a GOOD solid yields a closed mesh.
-    All faces are filled in one batch: every vertical loop edge crosses a
-    run of grid rows, and in each (face, row) the sorted crossings pair up
-    into filled spans (a parity fill of the face's loops).  Cells come
-    out face by face in ``(u, v)`` order, two triangles per cell, and
-    vertices are numbered in the order the quad corners first reach them.
+    ``grid`` holds the distinct vertex coordinates of x, then y, then z;
+    axis a's part is ``grid[starts[a]:starts[a + 1]]``, and a grid index is
+    a place in ``grid``.  Per vertex, ``at`` holds its grid index on each
+    axis.  The filled cells come face by face in (u, v) order, each with
+    its face and the grid indices of its low u and low v corner.
     """
-    if not solid.faces:
-        raise EmptyMeshError("solid has no faces")
-    coords = np.asarray(solid.vertices, dtype=np.int64)
-    axes_pts = [_distinct(coords[:, a]) for a in range(3)]
-    # Every loop edge of every face; for the parity fill only vertical ones
-    # (u constant, v changing) count.
-    start, end, edge_face, _, _, face_axis, face_offset, face_sign = solid.loop_edges
+
+    grid: np.ndarray
+    starts: np.ndarray  # 4 entries, the last len(grid)
+    at: np.ndarray  # (3, vertices)
+    face: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def fill_faces(solid: BRepSolid) -> FaceCells:
+    """Parity-fill every face of the solid on its breakpoint grid in one
+    numpy pass.
+
+    Every vertical loop edge (u constant, v changing) crosses a run of grid
+    rows, and in each (face, row) the crossings, sorted by u, pair up:
+    crossings 0-1, 2-3, ... bound filled spans, and an odd last crossing
+    bounds nothing.  Crossings and cells are each ordered by one int64 key
+    that packs (face, row, u) or (face, u, v) into bit fields (it fits while
+    faces × grid size² stays below 2**63); records with equal keys are
+    equal, so any sort gives the same arrays.
+    """
+    coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3).T
+    axes_pts = [_distinct(c) for c in coords]
+    starts = np.cumsum([0] + [len(g) for g in axes_pts])
+    at = np.empty_like(coords)
+    for a in range(3):
+        at[a] = starts[a] + np.searchsorted(axes_pts[a], coords[a])
+    start, end, edge_face, _, _, face_axis, _, face_sign = solid.loop_edges
     face_ua, face_va = _frames(face_axis, face_sign)
     ua, va = face_ua[edge_face], face_va[edge_face]
-    k = np.arange(len(start))
-    a, b = coords[start], coords[end]
-    u, v1, v2 = a[k, ua], a[k, va], b[k, va]
-    vertical = (u == b[k, ua]) & (v1 != v2)
-    edge_face, ua, va, u = edge_face[vertical], ua[vertical], va[vertical], u[vertical]
-    v1, v2 = v1[vertical], v2[vertical]
+    u, v1, v2 = at[ua, start], at[va, start], at[va, end]
+    vertical = (u == at[ua, end]) & (v1 != v2)
+    owner, row = expand(np.minimum(v1, v2)[vertical], np.abs(v2 - v1)[vertical])
+    bits = int(starts[-1]).bit_length()  # every grid index fits in `bits` bits
+    mask = (1 << bits) - 1
+    crossing = np.sort((edge_face[vertical][owner] << bits | row) << bits | u[vertical][owner])
 
-    # A vertical edge from v_lo to v_hi crosses the rows between them.
-    iu = _grid_index(axes_pts, ua, u)
-    row_lo = _grid_index(axes_pts, va, np.minimum(v1, v2))
-    row_hi = _grid_index(axes_pts, va, np.maximum(v1, v2))
-    owner, row = expand(row_lo, row_hi - row_lo)
-    order = np.lexsort((iu[owner], row, edge_face[owner]))
-    c_face, c_row, c_iu = edge_face[owner][order], row[order], iu[owner][order]
-
-    # Crossings 0-1, 2-3, ... of each (face, row) bound filled spans; an odd
-    # last crossing bounds nothing.
-    n = len(c_face)
+    face_row = crossing >> bits
+    n = len(crossing)
     new_row = np.ones(n, dtype=bool)
-    new_row[1:] = (c_face[1:] != c_face[:-1]) | (c_row[1:] != c_row[:-1])
+    new_row[1:] = face_row[1:] != face_row[:-1]
     rank = np.arange(n) - np.maximum.accumulate(np.where(new_row, np.arange(n), 0))
     has_next = np.zeros(n, dtype=bool)
     has_next[:-1] = ~new_row[1:]
-    lo = np.nonzero((rank % 2 == 0) & has_next)[0]
-    owner, cell_iu = expand(c_iu[lo], c_iu[lo + 1] - c_iu[lo])
-    cell_face, cell_iv = c_face[lo][owner], c_row[lo][owner]
-    order = np.lexsort((cell_iv, cell_iu, cell_face))
-    cell_face, cell_iu, cell_iv = cell_face[order], cell_iu[order], cell_iv[order]
+    lo = np.flatnonzero((rank % 2 == 0) & has_next)
+    first = crossing[lo] & mask
+    owner, cell_u = expand(first, (crossing[lo + 1] & mask) - first)
+    face_row = face_row[lo][owner]
+    cell = np.sort(((face_row >> bits) << bits | cell_u) << bits | face_row & mask)
+    return FaceCells(np.concatenate(axes_pts), starts, at, cell >> 2 * bits, cell >> bits & mask, cell & mask)
 
-    # Quad corners (u0, v0), (u1, v0), (u1, v1), (u0, v1) in 3-D.
-    grid = np.concatenate(axes_pts)
-    u0, u1 = grid[cell_iu], grid[cell_iu + 1]
-    v0, v1 = grid[cell_iv], grid[cell_iv + 1]
-    ua, va = face_ua[cell_face], face_va[cell_face]
-    cells = np.arange(len(cell_face))
-    corners = np.empty((len(cell_face), 4, 3), dtype=np.int64)
-    corners[cells, :, face_axis[cell_face]] = face_offset[cell_face][:, None]
-    corners[cells, :, ua] = np.stack([u0, u1, u1, u0], axis=1)
-    corners[cells, :, va] = np.stack([v0, v0, v1, v1], axis=1)
-    corners = corners.reshape(-1, 3)
 
-    # One integer key per point: its position on a per-axis grid of every
-    # vertex coordinate and face offset (fits in int64 below ~2e6 per axis).
-    key = np.zeros(len(corners), dtype=np.int64)
-    for axis in range(3):
-        values = _distinct(np.concatenate((axes_pts[axis], face_offset[face_axis == axis])))
-        key = key * len(values) + np.searchsorted(values, corners[:, axis])
-    _, seen, inverse = np.unique(key, return_index=True, return_inverse=True)
-    by_first_sight = np.argsort(seen)
-    vid = np.empty_like(by_first_sight)
-    vid[by_first_sight] = np.arange(len(seen))
-    quads = vid[inverse.reshape(-1)].reshape(-1, 4)
-    vertices = corners[seen[by_first_sight]].astype(np.float64) / 10.0
-    return TriMesh(vertices, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
+def _envelope(solid: BRepSolid) -> np.ndarray:
+    """Per face, whether no face on its axis beyond its offset (along its
+    outward normal) fills the grid column of its probe cell.
+
+    The probe cell is the cell diagonally inward from the first corner of
+    the face's outer loop: one step along its first edge and one to the
+    left of it.  In a solid from `solid_from_boxes` that corner is the
+    loop's lexicographically smallest, a convex corner, so the cell lies in
+    the face.  In a solid that passes `dataset.check_solid` every loop is
+    closed and rectilinear, so a cell's fill is the parity of the face's
+    loops at any point inside it, seen in any frame: this is the ray-parity
+    test of each face against every face beyond it, with the fill shared.
+    """
+    cells = solid.face_cells
+    start, end, _, loop_face, lens, face_axis, _, face_sign = solid.loop_edges
+    face_ua, face_va = _frames(face_axis, face_sign)
+    edge = (np.cumsum(lens) - lens)[np.searchsorted(loop_face, np.arange(len(face_axis)))]
+    a, b = start[edge], end[edge]
+    at = cells.at
+    au, av = at[face_ua, a], at[face_va, a]
+    du, dv = np.sign(at[face_ua, b] - au), np.sign(at[face_va, b] - av)
+    probe_u = au - (du - dv < 0)
+    probe_v = av - (dv + du < 0)
+    level = at[face_axis, a]  # the face's offset, as a grid index
+
+    # A column is a cell's pair of grid indices, smaller first: they lie on
+    # the two axes other than the face's, so the pair also names the axis.
+    # A probe index off its axis's cells (-1, or the last point of an axis)
+    # is no cell's index, so its column holds no cell.
+    bits = len(cells.grid).bit_length()
+    cell_column = np.minimum(cells.u, cells.v) << bits | np.maximum(cells.u, cells.v)
+    filled = np.sort(cell_column << bits | level[cells.face])
+    column = (np.minimum(probe_u, probe_v) << bits | np.maximum(probe_u, probe_v)) << bits
+    beyond_lo = np.where(face_sign > 0, column + level + 1, column)
+    beyond_hi = np.where(face_sign > 0, column + (1 << bits), column + level)
+    return np.searchsorted(filled, beyond_hi) == np.searchsorted(filled, beyond_lo)
+
+
+def triangulate(solid: BRepSolid) -> TriMesh:
+    """Cell-decomposition triangulation on the solid's global grid.
+
+    Faces are filled on the shared breakpoint grid (`fill_faces`), so
+    triangle edges of adjacent faces subdivide identically: a GOOD solid
+    yields a closed mesh.  Two triangles per cell, cells face by face in
+    ``(u, v)`` order, and vertices numbered in the order the quad corners
+    (u0, v0), (u1, v0), (u1, v1), (u0, v1) first reach them.
+    """
+    if not solid.faces:
+        raise EmptyMeshError("solid has no faces")
+    cells, edges = solid.face_cells, solid.loop_edges
+    face_axis, face_offset, grid, starts = edges.face_axis, edges.face_offset, cells.grid, cells.starts
+
+    # A corner's key packs its places on per-axis grids of every vertex
+    # coordinate and face offset into bit fields, x then y then z; each
+    # grid index and each face's offset maps to its field once, so a
+    # corner's key is the sum of three lookups.
+    values, place, level = [], [], np.empty(len(face_axis), dtype=np.int64)
+    for a in range(3):
+        pts, on = grid[starts[a] : starts[a + 1]], face_axis == a
+        values.append(_distinct(np.concatenate((pts, face_offset[on]))))
+        place.append(np.searchsorted(values[a], pts))
+        level[on] = np.searchsorted(values[a], face_offset[on])
+    bits = [len(x).bit_length() for x in values]
+    shift = [bits[1] + bits[2], bits[2], 0]
+    place = np.concatenate([p << s for p, s in zip(place, shift)])
+    level <<= np.array(shift)[face_axis]
+    lvl = level[cells.face]
+    u0, u1 = place[cells.u], place[cells.u + 1]
+    v0, v1 = place[cells.v], place[cells.v + 1]
+    lu0, lu1 = lvl + u0, lvl + u1
+    key = np.empty((len(lvl), 4), dtype=np.int64)
+    key[:, 0] = lu0 + v0
+    key[:, 1] = lu1 + v0
+    key[:, 2] = lu1 + v1
+    key[:, 3] = lu0 + v1
+    key = key.ravel()
+
+    # Vertices by first sight: with each corner's index in its key's low
+    # bits, one sort makes each distinct key a stretch that starts at the
+    # corner where it is first seen.
+    low = len(key).bit_length()
+    sorted_key = np.sort(key << low | np.arange(len(key)))
+    corner = sorted_key & (1 << low) - 1
+    sorted_key >>= low
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    heads = np.flatnonzero(new)
+    by_sight = np.argsort(corner[heads])
+    vid = np.empty_like(by_sight)
+    vid[by_sight] = np.arange(len(heads))
+    quads = np.empty_like(corner)
+    quads[corner] = np.repeat(vid, np.diff(heads, append=len(key)))
+    distinct = sorted_key[heads[by_sight]]
+    vertices = np.empty((len(distinct), 3), dtype=np.float64)
+    for a in range(3):
+        vertices[:, a] = values[a][distinct >> shift[a] & (1 << bits[a]) - 1]
+    vertices /= 10.0
+    return TriMesh(vertices, quads.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
 def mesh_to_obj(mesh: TriMesh) -> str:

@@ -250,30 +250,34 @@ def cmd_defect(args) -> int:
         print("defect: --ratio must be a finite number >= 0", file=sys.stderr)
         return USAGE_ERROR
     directory = Path(args.dir)
+    good = [p for p in _brep_files(directory) if "_def" not in p.name]
+    if not good:
+        print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)
+        return USAGE_ERROR
     out_dir = Path(args.out) if args.out else directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"defect: cannot create {out_dir}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    good = [p for p in _brep_files(directory) if "_def" not in p.name]
-    if not good:
-        print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)
-        return USAGE_ERROR
+    # Copy k of the total is of source k mod len(good), with stream seed + k
+    # and suffix _def, _def2, ... by k // len(good); each source is read and
+    # checked once, before its first copy.
     total = round(args.ratio * len(good))
-    written = 0
-    for copy_idx in range(total):
-        src = good[copy_idx % len(good)]
-        variant = copy_idx // len(good)
-        suffix = "_def" if variant == 0 else f"_def{variant + 1}"
-        stream = args.seed + copy_idx
+    for i, src in enumerate(good[:total]):
         solid = _read_json(src, solid_from_dict)
-        defect = inject_defect(solid, SeededRng(stream, stream))
+        problems = [f"label {solid.label!r} is not 'GOOD'"] if solid.label != "GOOD" else check_solid(solid)[1]
+        if problems:
+            print(f"defect: {src.name}: {problems[0]}", file=sys.stderr)
+            return VALIDATION_ERROR
         base = src.name.replace(".brep.json", "")
-        out_path = out_dir / f"{base}{suffix}.brep.json"
-        out_path.write_text(solid_json(defect, f"{base}{suffix}") + "\n")
-        written += 1
-    print(f"defect: wrote {written} defect solids (ratio {args.ratio})")
+        for copy_idx in range(i, total, len(good)):
+            variant = copy_idx // len(good)
+            name = base + ("_def" if variant == 0 else f"_def{variant + 1}")
+            stream = args.seed + copy_idx
+            defect = inject_defect(solid, SeededRng(stream, stream))
+            (out_dir / f"{name}.brep.json").write_text(solid_json(defect, name) + "\n")
+    print(f"defect: wrote {total} defect solids (ratio {args.ratio})")
     return 0
 
 

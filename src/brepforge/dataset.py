@@ -204,9 +204,24 @@ def _vertex_ids(loop, n: int) -> tuple[int, ...]:
     return ids
 
 
+# A coordinate further than this from the origin is a parse error: NaN,
+# infinities and values beyond int64 would otherwise fail inside numpy, and
+# within it every product of three coordinates (the volume term of
+# `geometry_problems`) fits in int64.
+MAX_COORDINATE_M = 100_000.0
+
+
+def _coordinate(metres) -> int:
+    """`to_units` of a number within MAX_COORDINATE_M of the origin; raises
+    ValueError for anything else."""
+    if not abs(metres) <= MAX_COORDINATE_M:
+        raise ValueError(f"coordinate {metres!r} is not within {MAX_COORDINATE_M} m of the origin")
+    return to_units(metres)
+
+
 def solid_from_dict(d: dict) -> BRepSolid:
     vertices = tuple(
-        (to_units(x), to_units(y), to_units(z)) for x, y, z in d["vertices"]
+        (_coordinate(x), _coordinate(y), _coordinate(z)) for x, y, z in d["vertices"]
     )
     n = len(vertices)
     faces = []
@@ -217,7 +232,7 @@ def solid_from_dict(d: dict) -> BRepSolid:
         faces.append(
             BRepFace(
                 axis=axis,
-                offset=to_units(f["plane"]["offset"]),
+                offset=_coordinate(f["plane"]["offset"]),
                 sign=sign,
                 outer=_vertex_ids(f["outer"], n),
                 inner=tuple(_vertex_ids(h, n) for h in f.get("inner", [])),

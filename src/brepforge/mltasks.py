@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .brep import FRAMES, BRepSolid, TriMesh, _loop_to_2d, drop_faces
+from .brep import BRepSolid, TriMesh, drop_faces
 from .dataset import BuildingMeta, tiered_room_counts
 from .errors import EmptyMeshError
-from .regions import _point_in_loop
 from .rng import SeededRng
 
 UNIT_CUBE = "cube"
@@ -86,45 +85,10 @@ def sample_points(
     return PointCloud(pts, mode, source_id, rng.stream)
 
 
-def _face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
-    """Doubled (u, v) point inside the face region, just off its first corner.
-
-    The canonical first vertex is the loop's lexicographic extreme, always a
-    convex corner, so the cell diagonally inward along the travel direction
-    is part of the face.
-    """
-    ua, va = FRAMES[(face.axis, face.sign)]
-    a = solid.vertices[face.outer[0]]
-    b = solid.vertices[face.outer[1]]
-    du = b[ua] - a[ua]
-    dv = b[va] - a[va]
-    du = (du > 0) - (du < 0)
-    dv = (dv > 0) - (dv < 0)
-    # left normal of (du, dv) is (-dv, du)
-    return 2 * a[ua] + du - dv, 2 * a[va] + dv + du
-
-
 def is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
-    """True when nothing blocks the face's outward normal ray (envelope face)."""
-    face = solid.faces[face_index]
-    p2u, p2v = _face_interior_point2(solid, face)
-    for other in solid.faces:
-        if other.axis != face.axis or other is face:
-            continue
-        if face.sign > 0 and other.offset <= face.offset:
-            continue
-        if face.sign < 0 and other.offset >= face.offset:
-            continue
-        # Both coordinates of the doubled point are odd, so it lies on no
-        # edge line and parity does not depend on the frame the loops are
-        # projected into.
-        inside = False
-        for loop in other.loops():
-            loop2d = _loop_to_2d([solid.vertices[i] for i in loop], face.axis, face.sign)
-            inside ^= _point_in_loop(p2u, p2v, loop2d)
-        if inside:
-            return False
-    return True
+    """True when nothing blocks the face along its outward normal (an
+    envelope face): its entry in `BRepSolid.envelope`."""
+    return bool(solid.envelope[face_index])
 
 
 def inject_defect(solid: BRepSolid, rng: SeededRng) -> BRepSolid:

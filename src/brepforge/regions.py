@@ -26,19 +26,6 @@ def merged_breakpoints(*arrays) -> np.ndarray:
     return np.asarray(vals, dtype=np.int64)
 
 
-def _point_in_loop(p2u: int, p2v: int, loop: Loop) -> bool:
-    """Parity test for a doubled-coordinate query point."""
-    inside = False
-    n = len(loop)
-    for i in range(n):
-        (u1, v1), (u2, v2) = loop[i], loop[(i + 1) % n]
-        if u1 != u2:
-            continue
-        if (2 * v1 > p2v) != (2 * v2 > p2v) and 2 * u1 > p2u:
-            inside = not inside
-    return inside
-
-
 def expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ranges ``[starts[k], starts[k] + counts[k])`` back to back, each
     value paired with its owner ``k``."""

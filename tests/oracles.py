@@ -2,19 +2,21 @@
 `regions.trace_planes` is checked against, prism extrusion, the parity fill
 of rectilinear loops, face areas from that fill, the Euler characteristic
 of a triangle mesh, corner counts of a footprint, the dict form of a solid
-that `dataset.solid_json` is checked against, and the scatter-add versions
+that `dataset.solid_json` is checked against, the scatter-add versions
 of `brep.is_watertight` and `brep.geometry_problems` they are checked
-against."""
+against, and the references `brep.triangulate`, `TriMesh.areas` and
+`BRepSolid.envelope` are checked against: the lexsort triangulation, the
+`np.cross` area formula and the ray-parity envelope test."""
 
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _loop_to_2d, solid_from_boxes
-from brepforge.errors import InvalidExtrusionError
+from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _distinct, _frames, solid_from_boxes
+from brepforge.errors import EmptyMeshError, InvalidExtrusionError
 from brepforge.geom2d import Footprint, VertexKind, classify_vertex
-from brepforge.regions import Loop, _point_in_loop, merged_breakpoints
+from brepforge.regions import Loop, expand, merged_breakpoints
 
 
 class Region:
@@ -26,6 +28,24 @@ class Region:
         self.us = us
         self.vs = vs
         self.mask = mask
+
+
+def point_in_loop(p2u: int, p2v: int, loop: Loop) -> bool:
+    """Parity test for a doubled-coordinate query point."""
+    inside = False
+    n = len(loop)
+    for i in range(n):
+        (u1, v1), (u2, v2) = loop[i], loop[(i + 1) % n]
+        if u1 != u2:
+            continue
+        if (2 * v1 > p2v) != (2 * v2 > p2v) and 2 * u1 > p2u:
+            inside = not inside
+    return inside
+
+
+def loop_to_2d(coords, axis: int, sign: int):
+    ua, va = FRAMES[(axis, sign)]
+    return [(p[ua], p[va]) for p in coords]
 
 
 def loop_area2(loop: Loop) -> int:
@@ -147,7 +167,7 @@ def trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
         p2u, p2v = m2u + dv, m2v - du
         best = None
         for gi, (outer, area2) in enumerate(outers):
-            if _point_in_loop(p2u, p2v, outer):
+            if point_in_loop(p2u, p2v, outer):
                 if best is None or area2 < outers[best][1]:
                     best = gi
         if best is None:
@@ -197,7 +217,7 @@ def area_units(region: Region) -> int:
 def total_face_area_m2(solid: BRepSolid) -> float:
     total = 0
     for f in solid.faces:
-        loops2d = [_loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
+        loops2d = [loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
         us = merged_breakpoints([p[0] for lp in loops2d for p in lp])
         vs = merged_breakpoints([p[1] for lp in loops2d for p in lp])
         total += area_units(rasterize_loops(loops2d, us, vs))
@@ -330,3 +350,127 @@ def scatter_geometry_problems(solid: BRepSolid) -> list[str]:
     if faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
         problems.append("solid encloses no positive volume")
     return problems
+
+
+def _grid_index(grids, axis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in ``np.concatenate(grids)``, looked up in the
+    part that holds ``grids[axis[k]]``; the values lie on those grids."""
+    out = np.empty(len(values), dtype=np.int64)
+    base = 0
+    for a in range(3):
+        on = axis == a
+        out[on] = base + np.searchsorted(grids[a], values[on])
+        base += len(grids[a])
+    return out
+
+
+def lexsort_triangulate(solid: BRepSolid) -> TriMesh:
+    """`brep.triangulate` as it was before the shared face-cell fill:
+    crossings and cells ordered by three-key `np.lexsort`s, a cells × 4 × 3
+    corner array, one `searchsorted` per corner and axis, and `np.unique`
+    for the first-sight vertex numbering."""
+    if not solid.faces:
+        raise EmptyMeshError("solid has no faces")
+    coords = np.asarray(solid.vertices, dtype=np.int64)
+    axes_pts = [_distinct(coords[:, a]) for a in range(3)]
+    start, end, edge_face, _, _, face_axis, face_offset, face_sign = solid.loop_edges
+    face_ua, face_va = _frames(face_axis, face_sign)
+    ua, va = face_ua[edge_face], face_va[edge_face]
+    k = np.arange(len(start))
+    a, b = coords[start], coords[end]
+    u, v1, v2 = a[k, ua], a[k, va], b[k, va]
+    vertical = (u == b[k, ua]) & (v1 != v2)
+    edge_face, ua, va, u = edge_face[vertical], ua[vertical], va[vertical], u[vertical]
+    v1, v2 = v1[vertical], v2[vertical]
+
+    iu = _grid_index(axes_pts, ua, u)
+    row_lo = _grid_index(axes_pts, va, np.minimum(v1, v2))
+    row_hi = _grid_index(axes_pts, va, np.maximum(v1, v2))
+    owner, row = expand(row_lo, row_hi - row_lo)
+    order = np.lexsort((iu[owner], row, edge_face[owner]))
+    c_face, c_row, c_iu = edge_face[owner][order], row[order], iu[owner][order]
+
+    n = len(c_face)
+    new_row = np.ones(n, dtype=bool)
+    new_row[1:] = (c_face[1:] != c_face[:-1]) | (c_row[1:] != c_row[:-1])
+    rank = np.arange(n) - np.maximum.accumulate(np.where(new_row, np.arange(n), 0))
+    has_next = np.zeros(n, dtype=bool)
+    has_next[:-1] = ~new_row[1:]
+    lo = np.nonzero((rank % 2 == 0) & has_next)[0]
+    owner, cell_iu = expand(c_iu[lo], c_iu[lo + 1] - c_iu[lo])
+    cell_face, cell_iv = c_face[lo][owner], c_row[lo][owner]
+    order = np.lexsort((cell_iv, cell_iu, cell_face))
+    cell_face, cell_iu, cell_iv = cell_face[order], cell_iu[order], cell_iv[order]
+
+    grid = np.concatenate(axes_pts)
+    u0, u1 = grid[cell_iu], grid[cell_iu + 1]
+    v0, v1 = grid[cell_iv], grid[cell_iv + 1]
+    ua, va = face_ua[cell_face], face_va[cell_face]
+    cells = np.arange(len(cell_face))
+    corners = np.empty((len(cell_face), 4, 3), dtype=np.int64)
+    corners[cells, :, face_axis[cell_face]] = face_offset[cell_face][:, None]
+    corners[cells, :, ua] = np.stack([u0, u1, u1, u0], axis=1)
+    corners[cells, :, va] = np.stack([v0, v0, v1, v1], axis=1)
+    corners = corners.reshape(-1, 3)
+
+    key = np.zeros(len(corners), dtype=np.int64)
+    for axis in range(3):
+        values = _distinct(np.concatenate((axes_pts[axis], face_offset[face_axis == axis])))
+        key = key * len(values) + np.searchsorted(values, corners[:, axis])
+    _, seen, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first_sight = np.argsort(seen)
+    vid = np.empty_like(by_first_sight)
+    vid[by_first_sight] = np.arange(len(seen))
+    quads = vid[inverse.reshape(-1)].reshape(-1, 4)
+    vertices = corners[seen[by_first_sight]].astype(np.float64) / 10.0
+    return TriMesh(vertices, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
+
+
+def cross_areas(mesh: TriMesh) -> np.ndarray:
+    """Triangle areas by `np.cross` and `np.linalg.norm`."""
+    a = mesh.vertices[mesh.triangles[:, 0]]
+    b = mesh.vertices[mesh.triangles[:, 1]]
+    c = mesh.vertices[mesh.triangles[:, 2]]
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
+    """Doubled (u, v) point inside the face region, just off its first corner.
+
+    The canonical first vertex is the loop's lexicographic extreme, always a
+    convex corner, so the cell diagonally inward along the travel direction
+    is part of the face.
+    """
+    ua, va = FRAMES[(face.axis, face.sign)]
+    a = solid.vertices[face.outer[0]]
+    b = solid.vertices[face.outer[1]]
+    du = b[ua] - a[ua]
+    dv = b[va] - a[va]
+    du = (du > 0) - (du < 0)
+    dv = (dv > 0) - (dv < 0)
+    # left normal of (du, dv) is (-dv, du)
+    return 2 * a[ua] + du - dv, 2 * a[va] + dv + du
+
+
+def parity_is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
+    """True when nothing blocks the face's outward normal ray (envelope
+    face), by a ray-parity test against every face beyond it."""
+    face = solid.faces[face_index]
+    p2u, p2v = face_interior_point2(solid, face)
+    for other in solid.faces:
+        if other.axis != face.axis or other is face:
+            continue
+        if face.sign > 0 and other.offset <= face.offset:
+            continue
+        if face.sign < 0 and other.offset >= face.offset:
+            continue
+        # Both coordinates of the doubled point are odd, so it lies on no
+        # edge line and parity does not depend on the frame the loops are
+        # projected into.
+        inside = False
+        for loop in other.loops():
+            loop2d = loop_to_2d([solid.vertices[i] for i in loop], face.axis, face.sign)
+            inside ^= point_in_loop(p2u, p2v, loop2d)
+        if inside:
+            return False
+    return True

@@ -1,12 +1,14 @@
 """Kernel tests: Euler counts on fixtures, opening arithmetic, box unions,
 watertight diagnostics, the geometric checks, triangulation conservation,
 random box sets, `solid_from_boxes` against the cell-edge tracer and
-scan-based weld it replaced, and the batched triangulation against a
-face-by-face reference."""
+scan-based weld it replaced, the batched triangulation against a
+face-by-face reference and, array for array, against the lexsort
+triangulation it replaced, and triangle areas against `np.cross`."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from brepforge.brep import (
     FRAMES,
@@ -14,7 +16,6 @@ from brepforge.brep import (
     BRepSolid,
     Box,
     TriMesh,
-    _loop_to_2d,
     drop_faces,
     geometry_problems,
     is_watertight,
@@ -27,8 +28,11 @@ from brepforge.geom2d import Footprint
 from brepforge.regions import merged_breakpoints
 from oracles import (
     Region,
+    cross_areas,
     euler_characteristic,
     extrude_prism,
+    lexsort_triangulate,
+    loop_to_2d,
     rasterize_loops,
     scatter_geometry_problems,
     scatter_is_watertight,
@@ -363,7 +367,7 @@ def reference_triangulate(solid) -> TriMesh:
 
     for f in solid.faces:
         ua, va = FRAMES[(f.axis, f.sign)]
-        loops = [_loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
+        loops = [loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
         region = rasterize_loops(loops, axes_pts[ua], axes_pts[va])
         us, vs = region.us, region.vs
         for iu, iv in np.argwhere(region.mask):
@@ -499,6 +503,59 @@ def test_checks_like_scatter_reference_on_mutants(solid, mutation, data):
     for s in (solid, BRepSolid(tuple(vertices), tuple(faces), solid.label)):
         assert is_watertight(s) == scatter_is_watertight(s)
         assert geometry_problems(s) == scatter_geometry_problems(s)
+
+
+TRIANGULATE_MUTATIONS = ("none", "drop faces", "empty loop", "short loop", "off-plane offset", "far vertex")
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_solids(), st.sampled_from(TRIANGULATE_MUTATIONS), st.data())
+def test_triangulate_like_lexsort_reference(solid, mutation, data):
+    """`triangulate` gives the arrays, dtypes included, of the lexsort
+    triangulation it replaced, on box solids, copies with faces dropped, and
+    broken solids that the reference triangulates."""
+    faces, vertices = list(solid.faces), list(solid.vertices)
+    i = data.draw(st.integers(0, len(faces) - 1))
+    f = faces[i]
+    if mutation == "drop faces":
+        solid = drop_faces(solid, data.draw(st.lists(st.integers(0, len(faces) - 1), max_size=len(faces))))
+    elif mutation in ("empty loop", "short loop"):
+        keep = 0 if mutation == "empty loop" else data.draw(st.integers(1, 3))
+        faces[i] = f._replace(outer=f.outer[:keep])
+    elif mutation == "off-plane offset":
+        faces[i] = f._replace(offset=f.offset + data.draw(st.sampled_from([-7, -1, 1, 2, 50])))
+    elif mutation == "far vertex":
+        v, axis = data.draw(st.integers(0, len(vertices) - 1)), data.draw(st.integers(0, 2))
+        far = list(vertices[v])
+        far[axis] += data.draw(st.sampled_from([-(10**12), -1000, 1000, 10**15]))
+        vertices[v] = tuple(far)
+    if mutation not in ("none", "drop faces"):
+        solid = BRepSolid(tuple(vertices), tuple(faces))
+    try:
+        want = lexsort_triangulate(solid)
+    except Exception:
+        assume(False)
+    got = triangulate(solid)
+    for g, w in ((got.vertices, want.vertices), (got.triangles, want.triangles)):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def float_meshes(draw):
+    vertices = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=FLOATS))
+    triangles = draw(hnp.arrays(np.int64, st.tuples(st.integers(0, 30), st.just(3)), elements=st.integers(0, len(vertices) - 1)))
+    return TriMesh(vertices, triangles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_meshes())
+def test_areas_match_cross_product_formula_bit_for_bit(mesh):
+    with np.errstate(all="ignore"):  # huge coordinates overflow to inf and nan in both
+        got, want = mesh.areas, cross_areas(mesh)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_watertight_cube_true():

@@ -262,6 +262,54 @@ def test_defect_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
     assert not list(tmp_path.glob("*_def*"))
 
 
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda doc: doc.update(label="DEFECT"), "label 'DEFECT' is not 'GOOD'"),
+        (lambda doc: doc["faces"][0].update(outer=[]), "face 0: loop with 0 < 4 vertices"),
+        (lambda doc: doc.update(faces=doc["faces"][:1]), "edge "),
+    ],
+    ids=["label-not-good", "empty-outer-loop", "single-face"],
+)
+def test_defect_bad_source_fails_cleanly(tmp_path, small_batch_dir, capsys, edit, problem):
+    # Each source is checked before its copies are made.
+    name = edited_copy(small_batch_dir, tmp_path, edit)
+    assert cli(["defect", str(tmp_path), "--ratio", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"defect: {name}: {problem}"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_defect_without_inputs_creates_no_directory(tmp_path, capsys):
+    missing, empty, new = tmp_path / "missing", tmp_path / "empty", tmp_path / "new"
+    empty.mkdir()
+    assert cli(["defect", str(missing), "--ratio", "1"]) == 2
+    assert cli(["defect", str(empty), "--out", str(new), "--ratio", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"defect: no GOOD .brep.json files in {missing}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"] and not list(empty.iterdir())
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 1e300, 10**30, 100000.1])
+@pytest.mark.parametrize("field", ["vertex", "offset"])
+@pytest.mark.parametrize("command", ["points", "defect", "validate"])
+def test_coordinate_out_of_range_fails_cleanly(tmp_path, small_batch_dir, capsys, command, field, value):
+    # NaN was already a parse error; infinities and values past int64 ended
+    # in an OverflowError, and 100 km is the reader's bound.
+    def edit(doc):
+        if field == "vertex":
+            doc["vertices"][0][1] = value
+        else:
+            doc["faces"][0]["plane"]["offset"] = value
+
+    name = edited_copy(small_batch_dir, tmp_path, edit)
+    extra = {"points": ["--n", "10"], "defect": ["--ratio", "1"], "validate": []}[command]
+    assert cli([command, str(tmp_path), *extra]) == 1
+    out, err = capsys.readouterr()
+    line = out.splitlines()[0] if command == "validate" else err.strip()
+    assert name in line and "parse error" in line and "\n" not in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
 @pytest.mark.parametrize("vertex_id", [1000000, -1])
 @pytest.mark.parametrize("command", ["points", "defect", "validate"])
 def test_vertex_id_out_of_range_fails_cleanly(tmp_path, small_batch_dir, capsys, command, vertex_id):

@@ -1,0 +1,133 @@
+"""Fuzz of the `.brep.json` readers: a generated solid's JSON document with
+one to three mutations (dropped keys, swapped types, null, NaN and
+infinities, huge and negative numbers, ragged lists, empty and one-vertex
+loops, a label that is not a string) goes through `validate`, `points` and
+`defect` in process.  Each must end with exit code 0, 1 or 2 and nothing
+resembling a traceback on stderr."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+import traceback
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from brepforge.cli import main as cli
+
+
+@pytest.fixture(scope="module")
+def source(small_batch_dir) -> tuple[str, str]:
+    """The name and text of the batch's smallest `.brep.json`."""
+    path = min(small_batch_dir.glob("*.brep.json"), key=lambda p: p.stat().st_size)
+    return path.name, path.read_text()
+
+
+VALUES = {
+    "null": st.just(None),
+    "swapped type": st.sampled_from(["x", "", 1.5, 7, True, [], {}, [[0.0, 0.0, 0.0]], {"outer": []}]),
+    "nan or inf": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "huge": st.sampled_from([2**31, 2**63, 2**64 + 1, 10**30, 1e300, -1e300]),
+    "negative": st.sampled_from([-1, -2, -(2**63), -0.5]),
+}
+KINDS = (*VALUES, "drop key", "ragged list", "empty loop", "one-vertex loop", "label")
+
+
+def pick(data, items):
+    """One of ``items``, drawn by index: the items may be mutable."""
+    return items[data.draw(st.integers(0, len(items) - 1))]
+
+
+def walk(data, doc) -> list:
+    """A path from the root to some node, drawn one step at a time."""
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 7)) > 0:
+        key = pick(data, sorted(node) if isinstance(node, dict) else range(len(node)))
+        path.append(key)
+        node = node[key]
+    return path
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutate(data, doc):
+    """``doc`` with one mutation applied (in place where it can be)."""
+    kind = data.draw(st.sampled_from(KINDS))
+    faces = doc.get("faces") if isinstance(doc, dict) else None
+    if kind in ("empty loop", "one-vertex loop"):
+        face = pick(data, faces) if isinstance(faces, list) and faces else None
+        if isinstance(face, dict):
+            holes = face.get("inner") if isinstance(face.get("inner"), list) else []
+            loops = [loop for loop in (face.get("outer"), *holes) if isinstance(loop, list)]
+            if loops:
+                loop = pick(data, loops)
+                del loop[0 if kind == "empty loop" else 1 :]
+        return doc
+    if kind == "label":
+        if isinstance(doc, dict):
+            doc["label"] = copy.deepcopy(data.draw(st.sampled_from([5, None, [], {"GOOD": 1}, 1.5, False, ["GOOD"]])))
+        return doc
+    path = walk(data, doc)
+    node = node_at(doc, path)
+    if kind == "drop key":
+        if isinstance(node, dict) and node:
+            del node[pick(data, sorted(node))]
+        elif path and isinstance(node_at(doc, path[:-1]), dict):
+            del node_at(doc, path[:-1])[path[-1]]
+        return doc
+    if kind == "ragged list":
+        if isinstance(node, list) and node:
+            inner = [x for x in node if isinstance(x, list)]
+            target = pick(data, inner) if inner else node
+            if target and data.draw(st.booleans()):
+                target.pop()
+            else:
+                target.append(target[0] if target else 0)
+        return doc
+    value = copy.deepcopy(data.draw(VALUES[kind]))  # later mutations may edit it
+    if not path:
+        return value
+    node_at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def run(argv: list[str]) -> tuple[object, str]:
+    """Exit code and stderr of one in-process CLI run; an exception that
+    escapes counts as a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = None
+            err.write(traceback.format_exc())
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_brep_json_readers_never_crash(source, data):
+    name, text = source
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutate(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / name).write_text(json.dumps(doc))
+        for argv in (
+            ["validate", str(work)],
+            ["points", str(work), "--n", "20"],
+            ["defect", str(work), "--ratio", "1", "--out", str(work / "out")],
+        ):
+            code, err = run(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv[0], code, err)

@@ -9,11 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from brepforge.assembly import BuildingConfig, assemble
 from brepforge.brep import Box, is_watertight, solid_from_boxes, triangulate, TriMesh
-from brepforge.dataset import BuildingMeta
-from brepforge.errors import EmptyMeshError
+from brepforge.dataset import BuildingMeta, check_solid
+from brepforge.errors import BrepForgeError, EmptyMeshError
 from brepforge.geom2d import Footprint
 from brepforge.grammar import GrammarConfig, grow
 from brepforge.mltasks import (
@@ -29,7 +30,8 @@ from brepforge.mltasks import (
     sample_points,
 )
 from brepforge.rng import SeededRng
-from oracles import extrude_prism
+from oracles import extrude_prism, parity_is_exterior_face
+from test_brep import box_solids
 
 CUBE = extrude_prism(Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
 
@@ -102,6 +104,32 @@ def test_exterior_face_classification_on_wall():
     ]
     interior = [i for i in range(len(cut.faces)) if not is_exterior_face(cut, i)]
     assert set(interior) == set(tunnel)
+
+
+def parity_envelope(solid) -> list[bool]:
+    return [parity_is_exterior_face(solid, i) for i in range(len(solid.faces))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_solids())
+def test_envelope_matches_parity_test_on_box_solids(solid):
+    assume(check_solid(solid)[0])
+    assert solid.envelope.tolist() == parity_envelope(solid)
+
+
+def test_envelope_matches_parity_test_on_buildings():
+    checked = 0
+    for seed in range(24):
+        try:
+            solid = built(seed).solid
+        except BrepForgeError:
+            continue
+        assert check_solid(solid)[0]
+        want = parity_envelope(solid)
+        assert solid.envelope.tolist() == want
+        assert [is_exterior_face(solid, i) for i in range(len(solid.faces))] == want
+        checked += 1
+    assert checked >= 12
 
 
 def test_inject_defect_breaks_watertightness():

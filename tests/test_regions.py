@@ -7,8 +7,8 @@ stacks of such masks."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from brepforge.regions import Loop, Traced, _point_in_loop, trace_planes
-from oracles import Region, loop_area2, rasterize_loops, trace_region
+from brepforge.regions import Loop, Traced, trace_planes
+from oracles import Region, loop_area2, point_in_loop, rasterize_loops, trace_region
 
 
 def reference_trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
@@ -102,7 +102,7 @@ def reference_trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
         p2u, p2v = u1 + u2 + dv, v1 + v2 - du
         best = None
         for gi, (outer, area2) in enumerate(outers):
-            if _point_in_loop(p2u, p2v, outer):
+            if point_in_loop(p2u, p2v, outer):
                 if best is None or area2 < outers[best][1]:
                     best = gi
         if best is None:
