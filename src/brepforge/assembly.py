@@ -3,7 +3,8 @@
 Storey k (bottom = 1) of an S-storey building reuses growth snapshot
 S - k + 1, so the ground floor carries the most rooms and each floor above
 drops exactly one — the per-floor pattern (S, S-1, ..., 1) that also
-serves as the dataset's label oracle.  The whole building is one box grid:
+serves as the dataset's label oracle.  A storey's core and rooms are its
+snapshot's tiles.  The whole building is one box grid:
 the ground slab and every storey's full-height prisms over its core and
 rooms, each dilated by half a wall, are material; room voids, opening
 boxes, and one core shaft from the ground slab to the roof are removed; a
@@ -21,7 +22,7 @@ from .errors import (
     BooleanFailureError,
     GrowthFailedError,
 )
-from .geom2d import Footprint, Rect, polygon_area
+from .geom2d import Footprint, polygon_area
 from .grammar import GrowthTrace
 from .rng import SeededRng
 from .storey import (
@@ -64,25 +65,18 @@ class Building:
     config: BuildingConfig
 
 
-def order_storeys(trace: GrowthTrace) -> list[tuple[Footprint, list[Rect]]]:
-    """Bottom-up (snapshot, rooms) pairs under the tiered-setback rule."""
-    s = len(trace.snapshots)
-    if s < 2:
+def order_storeys(trace: GrowthTrace) -> tuple[Footprint, ...]:
+    """Bottom-up storey footprints under the tiered-setback rule."""
+    if len(trace.snapshots) < 2:
         raise GrowthFailedError("need at least 2 snapshots to stack storeys")
-    out = []
-    for k in range(1, s + 1):
-        idx = s - k  # snapshot s-k+1, zero-based
-        out.append((trace.snapshots[idx], list(trace.rooms[: idx + 1])))
-    return out
+    return trace.snapshots[::-1]
 
 
-def build_storey_plan(
-    snapshot: Footprint, rooms: list[Rect], core: Rect, config: BuildingConfig
-) -> StoreyPlan:
-    walls = build_walls(snapshot, rooms, core)
-    doors = place_doors(walls, len(rooms))
+def build_storey_plan(snapshot: Footprint, config: BuildingConfig) -> StoreyPlan:
+    walls = build_walls(snapshot)
+    doors = place_doors(walls, len(snapshot.tiles) - 1)
     windows = prune_windows(generate_windows(walls, config.window_table))
-    return StoreyPlan(snapshot, rooms, core, walls, doors + windows)
+    return StoreyPlan(snapshot, walls, doors + windows)
 
 
 def place_entrance(plan: StoreyPlan, config: BuildingConfig) -> Opening:
@@ -105,7 +99,7 @@ def place_entrance(plan: StoreyPlan, config: BuildingConfig) -> Opening:
         candidates = fits
     # Area and doubled first moments of the footprint from the tiles that
     # fill it: the centroid is (mx, my) / (2 * area).
-    tiles = [plan.core, *plan.rooms]
+    tiles = plan.footprint.tiles
     area = sum(r.area_units for r in tiles)
     mx = sum(r.area_units * (r.x0 + r.x1) for r in tiles)
     my = sum(r.area_units * (r.y0 + r.y1) for r in tiles)
@@ -136,19 +130,17 @@ def _opening_box(opening: Opening, z_base: int, z_wall_top: int, t_half: int) ->
     return Box(x0, wall.p1.y - t_half, z0, x0 + opening.width, wall.p1.y + t_half, z1)
 
 
-def building_boxes(
-    trace: GrowthTrace, plans: list[StoreyPlan], config: BuildingConfig
-) -> tuple[list[Box], list[Box]]:
+def building_boxes(plans: list[StoreyPlan], config: BuildingConfig) -> tuple[list[Box], list[Box]]:
     """(material, void) boxes of the whole building on one integer grid.
 
-    Material: the ground slab (footprint bounding box dilated by the apron,
-    below z = 0) and each storey's full-height prisms over its core and
+    Material: the ground slab (ground footprint's bounding box dilated by
+    the apron, below z = 0) and each storey's full-height prisms over its core and
     rooms, each dilated by half a wall, top slab included.  Voids: each
     storey's rooms up to the slab soffit, its opening boxes, and one core
     shaft from the ground slab through every inter-storey slab and the roof.
     """
     t_half = config.wall_thickness // 2
-    bbox = trace.snapshots[-1].bbox().dilated(config.ground_offset)
+    bbox = plans[0].footprint.bbox().dilated(config.ground_offset)
     positive = [Box(bbox.x0, bbox.y0, -config.slab_thickness, bbox.x1, bbox.y1, 0)]
     negative = []
     for level, plan in enumerate(plans, start=1):
@@ -156,29 +148,25 @@ def building_boxes(
         zt = level * config.storey_height - config.slab_thickness
         z_top = level * config.storey_height
         # The core and rooms tile the footprint, and dilating a union is the
-        # union of the dilated pieces.
-        for r in [plan.core, *plan.rooms]:
+        # union of the dilated tiles.
+        tiles = plan.footprint.tiles
+        for r in tiles:
             d = r.dilated(t_half)
             positive.append(Box(d.x0, d.y0, zb, d.x1, d.y1, z_top))
-        for room in plan.rooms:
+        for room in tiles[1:]:
             void = room.eroded(t_half)
             negative.append(Box(void.x0, void.y0, zb, void.x1, void.y1, zt))
         negative += [_opening_box(o, zb, zt, t_half) for o in plan.openings]
-    shaft = plans[0].core.eroded(t_half)
+    shaft = plans[0].footprint.tiles[0].eroded(t_half)
     z_roof = len(plans) * config.storey_height
     negative.append(Box(shaft.x0, shaft.y0, 0, shaft.x1, shaft.y1, z_roof))
     return positive, negative
 
 
-def _building_meta(
-    building_id: str,
-    seed: int,
-    trace: GrowthTrace,
-    plans: list[StoreyPlan],
-) -> BuildingMeta:
+def _building_meta(building_id: str, seed: int, plans: list[StoreyPlan]) -> BuildingMeta:
     room_total, room_per_floor = tiered_room_counts(len(plans))
     rooms = [
-        [[r.width / 10.0, r.height / 10.0] for r in plan.rooms] for plan in plans
+        [[r.width / 10.0, r.height / 10.0] for r in plan.footprint.tiles[1:]] for plan in plans
     ]
     openings = []
     for storey_idx, plan in enumerate(plans, start=1):
@@ -193,7 +181,7 @@ def _building_meta(
                     "storey": storey_idx,
                 }
             )
-    total_area = sum(r.area_m2 for plan in plans for r in plan.rooms)
+    total_area = sum(r.area_m2 for plan in plans for r in plan.footprint.tiles[1:])
     return BuildingMeta(
         id=building_id,
         seed=seed,
@@ -203,16 +191,13 @@ def _building_meta(
         rooms=rooms,
         openings=openings,
         avg_room_area=total_area / room_total,
-        footprint_area=polygon_area(trace.snapshots[-1]),
+        footprint_area=polygon_area(plans[0].footprint),
     )
 
 
 def assemble(trace: GrowthTrace, config: BuildingConfig, rng: SeededRng) -> Building:
     """Full building: plans, entrance, one box-grid solid, metadata."""
-    plans = [
-        build_storey_plan(snapshot, rooms, trace.core, config)
-        for snapshot, rooms in order_storeys(trace)
-    ]
+    plans = [build_storey_plan(snapshot, config) for snapshot in order_storeys(trace)]
     ground = plans[0]
     entrance = place_entrance(ground, config)
     # Entrance owns its façade strip; drop windows within one unit of it.
@@ -224,10 +209,10 @@ def assemble(trace: GrowthTrace, config: BuildingConfig, rng: SeededRng) -> Buil
         or o.offset + o.width <= lo or hi <= o.offset
     ] + [entrance]
 
-    positive, negative = building_boxes(trace, plans, config)
+    positive, negative = building_boxes(plans, config)
     return Building(
         storeys=plans,
         solid=solid_from_boxes(positive, negative),
-        meta=_building_meta(f"bld{rng.stream:08d}", rng.stream, trace, plans),
+        meta=_building_meta(f"bld{rng.stream:08d}", rng.stream, plans),
         config=config,
     )

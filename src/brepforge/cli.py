@@ -1,6 +1,7 @@
 """Command-line front end: gen, validate, stats, points, defect, eval.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error.
+Exit codes: 0 success, 1 validation failure or a closed stdout, 2 usage or
+config error.
 `gen` distributes sample streams across a worker pool (--jobs, or the
 BREPFORGE_JOBS environment variable); outputs are aggregated in stream
 order so the tree is byte-identical no matter the scheduling.
@@ -72,9 +73,10 @@ def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
         trace = grow(cfg.grammar(), rng)
     except GrowthFailedError:
         return stream, "discard", "growth-failed"
-    # Every storey's rooms are a prefix of the trace rooms, so checking the
-    # trace once covers the whole building before any geometry is built.
-    trace_rooms = [(r.width / 10.0, r.height / 10.0) for r in trace.rooms]
+    # Every storey's rooms are a prefix of the last snapshot's rooms, so
+    # checking them once covers the whole building before any geometry is
+    # built.
+    trace_rooms = [(r.width / 10.0, r.height / 10.0) for r in trace.snapshots[-1].tiles[1:]]
     rooms_ok, _ = check_rooms([trace_rooms], cfg.filters())
     if not rooms_ok:
         return stream, "discard", "room-filter"
@@ -357,10 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A closed stdout fails at the latest here, not in the exit-time flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (say `| head -1`): send what is left, and the
+        # exit-time flush, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return VALIDATION_ERROR
     except BrepForgeError as exc:
         print(f"brepforge: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
+    return status
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ recovers the float64 matrix bit-exactly).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -83,26 +84,51 @@ class BuildingMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BuildingMeta":
+        """The record of a parsed `meta.json` entry; a field of the wrong
+        type raises ValueError."""
+        per_floor = d["room_per_floor"]
+        if type(per_floor) is not list:
+            raise ValueError(f"room_per_floor {per_floor!r} is not a list")
         return cls(
             id=d["id"],
-            seed=d["seed"],
-            storey_count=d["storey_count"],
-            room_total=d["room_total"],
-            room_per_floor=list(d["room_per_floor"]),
+            seed=_checked_int(d["seed"], "seed"),
+            storey_count=_checked_int(d["storey_count"], "storey_count"),
+            room_total=_checked_int(d["room_total"], "room_total"),
+            room_per_floor=[_checked_int(n, "room_per_floor entry") for n in per_floor],
             rooms=_checked_rooms(d["rooms"]),
             openings=d["openings"],
-            avg_room_area=d["avg_room_area"],
-            footprint_area=d["footprint_area"],
+            avg_room_area=_checked_number(d["avg_room_area"], "avg_room_area"),
+            footprint_area=_checked_number(d["footprint_area"], "footprint_area"),
         )
+
+
+def _checked_int(value, name: str) -> int:
+    """``value`` if it is an int (a bool is not); raises ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _checked_number(value, name: str):
+    """``value`` if it is an int (a bool is not) or a finite float; raises
+    ValueError otherwise."""
+    if not (type(value) is int or (type(value) is float and math.isfinite(value))):
+        raise ValueError(f"{name} {value!r} is not a finite number")
+    return value
 
 
 def _checked_rooms(storeys):
     """``storeys`` unchanged, once every room is a [width, height] pair of
-    numbers; raises ValueError otherwise."""
+    numbers (ints, not bools, or floats) within MAX_COORDINATE_M of zero, so
+    that areas and aspect ratios are finite; raises ValueError otherwise."""
     for rooms in storeys:
         for room in rooms:
-            if len(room) != 2 or not all(type(side) in (int, float) for side in room):
-                raise ValueError(f"room {room!r} is not a [width, height] pair of numbers")
+            if len(room) != 2 or not all(
+                type(side) in (int, float) and abs(side) <= MAX_COORDINATE_M for side in room
+            ):
+                raise ValueError(
+                    f"room {room!r} is not a [width, height] pair of numbers up to {MAX_COORDINATE_M} m"
+                )
     return storeys
 
 

@@ -2,19 +2,19 @@
 
 All coordinates are integers in grid units of 0.1 m.  Arithmetic is exact;
 metres appear only at the API boundary (``to_units`` / ``to_metres``).
-Footprints are simple axis-parallel loops stored counter-clockwise.  Each
-footprint's interior is partitioned once into rectangles (``Footprint.rects``);
-overlap, containment and edge contact with a rectangle are answered piece by
-piece on that partition, and the boundary of a union is traced from those
-pieces by the region tracer (``regions.trace_planes``).
+Footprints are simple axis-parallel loops stored counter-clockwise, each
+with the rectangles that tile its interior (``Footprint.tiles``): a grown
+footprint is its core and the rooms grafted onto it, in graft order.
+Overlap and edge contact with a rectangle are answered tile by tile, and
+the boundary of a union is traced from the tiles by the region tracer
+(``regions.trace_planes``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,14 +98,6 @@ class Rect:
             and other.y0 < self.y1
         )
 
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and other.x1 <= self.x1
-            and other.y1 <= self.y1
-        )
-
     def eroded(self, d: int) -> "Rect":
         return Rect(self.x0 + d, self.y0 + d, self.x1 - d, self.y1 - d)
 
@@ -131,15 +123,17 @@ def _overlap_length(a0: int, a1: int, b0: int, b1: int) -> int:
 
 @dataclass(frozen=True)
 class Footprint:
-    """Axis-parallel loop.
+    """Axis-parallel loop and the interior-disjoint rectangles that tile it.
 
     Construction checks only the vertex count, axis-parallel edges and a
-    non-zero area.  The generator makes footprints with ``from_rect`` and
-    ``union_rect`` alone, and their loops are simple, corner-only and
-    counter-clockwise.
+    non-zero area; the tiles are taken as given.  The generator makes
+    footprints with ``from_rect`` and ``union_rect`` alone: their loops are
+    simple, corner-only and counter-clockwise, and their tiles are the core
+    and then each grafted room.
     """
 
     vertices: tuple[Point2, ...]
+    tiles: tuple[Rect, ...]
 
     def __post_init__(self):
         v = tuple(Point2(int(p[0]), int(p[1])) for p in self.vertices)
@@ -155,12 +149,8 @@ class Footprint:
             raise InvalidFootprintError("loop encloses zero area")
 
     @classmethod
-    def from_metres(cls, coords: Iterable[tuple[float, float]]) -> "Footprint":
-        return cls(tuple(Point2(to_units(x), to_units(y)) for x, y in coords))
-
-    @classmethod
     def from_rect(cls, r: Rect) -> "Footprint":
-        return cls(r.corners())
+        return cls(r.corners(), (r,))
 
     def area_units2(self) -> int:
         """Twice the enclosed area in grid units² (sign follows orientation)."""
@@ -174,30 +164,6 @@ class Footprint:
         xs = [p.x for p in self.vertices]
         ys = [p.y for p in self.vertices]
         return Rect(min(xs), min(ys), max(xs), max(ys))
-
-    @cached_property
-    def rects(self) -> tuple[Rect, ...]:
-        """Partition of the interior into horizontal slab rectangles.
-
-        Cached on the footprint: the grammar asks one footprint many
-        overlap, containment and contact questions.
-        """
-        ys = sorted({p.y for p in self.vertices})
-        verticals = [(a.x, *sorted((2 * a.y, 2 * b.y))) for a, b in self.edges() if a.x == b.x]
-        rects: list[Rect] = []
-        for y_lo, y_hi in zip(ys, ys[1:]):
-            y2 = y_lo + y_hi  # 2 * midpoint, exact
-            crossings = sorted(x for x, lo, hi in verticals if lo < y2 < hi)
-            for x_lo, x_hi in zip(crossings[::2], crossings[1::2]):
-                rects.append(Rect(x_lo, y_lo, x_hi, y_hi))
-        return tuple(rects)
-
-    def contains_rect(self, r: Rect) -> bool:
-        covered = sum(
-            _overlap_length(p.x0, p.x1, r.x0, r.x1) * _overlap_length(p.y0, p.y1, r.y0, r.y1)
-            for p in self.rects
-        )
-        return covered == r.area_units
 
 
 def polygon_area(f: Footprint) -> float:
@@ -221,32 +187,33 @@ def classify_vertex(f: Footprint, i: int) -> VertexKind:
 
 def overlaps(f: Footprint, r: Rect) -> bool:
     """True iff interior(f) ∩ interior(r) has positive area."""
-    return any(p.interior_intersects(r) for p in f.rects)
+    return any(t.interior_intersects(r) for t in f.tiles)
 
 
 def _contact_lengths(f: Footprint, r: Rect) -> dict[str, int]:
     """Per-side length of r's boundary lying on f's boundary (grid units).
 
     Precondition: r does not overlap f (``union_rect`` checks it first).
-    Then f's boundary on a side of r is exactly where a piece of
-    ``f.rects`` has its opposite side on that line: a piece's right side on
-    r's left side, and so on.
+    Then f's boundary on a side of r is exactly where a tile of f has its
+    opposite side on that line: a tile's right side on r's left side, and
+    so on.
     """
     out = {"left": 0, "right": 0, "bottom": 0, "top": 0}
-    for p in f.rects:
-        if p.x1 == r.x0:
-            out["left"] += _overlap_length(p.y0, p.y1, r.y0, r.y1)
-        if p.x0 == r.x1:
-            out["right"] += _overlap_length(p.y0, p.y1, r.y0, r.y1)
-        if p.y1 == r.y0:
-            out["bottom"] += _overlap_length(p.x0, p.x1, r.x0, r.x1)
-        if p.y0 == r.y1:
-            out["top"] += _overlap_length(p.x0, p.x1, r.x0, r.x1)
+    for t in f.tiles:
+        if t.x1 == r.x0:
+            out["left"] += _overlap_length(t.y0, t.y1, r.y0, r.y1)
+        if t.x0 == r.x1:
+            out["right"] += _overlap_length(t.y0, t.y1, r.y0, r.y1)
+        if t.y1 == r.y0:
+            out["bottom"] += _overlap_length(t.x0, t.x1, r.x0, r.x1)
+        if t.y0 == r.y1:
+            out["top"] += _overlap_length(t.x0, t.x1, r.x0, r.x1)
     return out
 
 
 def union_rect(f: Footprint, r: Rect) -> Footprint:
-    """Union of a footprint with an edge-adjacent rectangle.
+    """Union of a footprint with an edge-adjacent rectangle, tiled by f's
+    tiles and then r.
 
     The rectangle must touch f along full rectangle sides only: any side
     with partial contact (straddling a corner or hanging past an edge end)
@@ -268,15 +235,17 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
         if c not in (0, side_len[name]):
             raise ConflictError(f"partial contact on {name} side ({c} of {side_len[name]} units)")
 
-    # The cells of the grid through every corner of f and r, filled piece by
-    # piece and traced as one region.
-    xs = sorted({p.x for p in f.vertices} | {r.x0, r.x1})
-    ys = sorted({p.y for p in f.vertices} | {r.y0, r.y1})
+    # The cells of the grid through every corner of the tiles and r (a tile
+    # corner need not be a loop vertex), filled tile by tile and traced as
+    # one region.
+    tiles = (*f.tiles, r)
+    xs = sorted({x for t in tiles for x in (t.x0, t.x1)})
+    ys = sorted({y for t in tiles for y in (t.y0, t.y1)})
     ix = {x: i for i, x in enumerate(xs)}
     iy = {y: j for j, y in enumerate(ys)}
     mask = np.zeros((len(xs) - 1, len(ys) - 1), dtype=bool)
-    for p in (*f.rects, r):
-        mask[ix[p.x0] : ix[p.x1], iy[p.y0] : iy[p.y1]] = True
+    for t in tiles:
+        mask[ix[t.x0] : ix[t.x1], iy[t.y0] : iy[t.y1]] = True
     # r shares a boundary segment with f, so the union is connected: one
     # outer loop, and any other loop is a hole.
     traced = trace_planes(mask[None], np.asarray(xs), np.asarray(ys))
@@ -288,7 +257,7 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
         # part of the outer loop, which passes that vertex twice.
         raise ConflictError("union pinches")
     k = _start_corner(f, r, loop)
-    return Footprint(tuple(loop[k:] + loop[:k]))
+    return Footprint(tuple(loop[k:] + loop[:k]), tiles)
 
 
 def _start_corner(f: Footprint, r: Rect, loop: list[tuple[int, int]]) -> int:

@@ -5,8 +5,11 @@ anchored at a randomly chosen vertex: concave corners are filled by a
 rectangle snapped into the notch, convex corners project a rectangle into
 free exterior space.  Growth stops at the room cap or when the retry
 budget is exhausted by rejected productions (collisions, straddles,
-slivers).  Every draw comes from one SeededRng stream, so a (seed, stream)
-pair reproduces the trace bit-for-bit.
+slivers).  A footprint holds its tiles, the core and then each room in
+graft order, so the snapshots are the whole record of the growth: the
+rooms of snapshot k are its tiles after the first.  Every draw comes from
+one SeededRng stream, so a (seed, stream) pair reproduces the trace
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -61,11 +64,10 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True)
 class GrowthTrace:
-    """Snapshot k (0-based) is the core plus the first k+1 rooms."""
+    """Snapshot k (0-based) is the core plus the first k+1 rooms: its tiles
+    are snapshot k-1's tiles and then room k+1."""
 
-    core: Rect
     snapshots: tuple[Footprint, ...]
-    rooms: tuple[Rect, ...]
     terminated_by: Termination
 
 
@@ -152,8 +154,9 @@ def expand_convex(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -
     return _span_rect(b.x, b.y, (-d_along[0], -d_along[1]), e_along, normal, e_out)
 
 
-def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -> tuple[Footprint, Rect]:
-    """One production attempt at vertex i; raises on any rejection."""
+def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -> Footprint:
+    """One production attempt at vertex i: f with one more room tile;
+    raises on any rejection."""
     kind = classify_vertex(f, i)
     if kind is VertexKind.CONCAVE:
         rect = expand_concave(f, i, rng, config)
@@ -165,7 +168,7 @@ def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) 
         raise ConflictError("production leaves a notch the filler would close")
     if facing_gaps(grown, config.min_exterior_gap):
         raise ConflictError("production leaves a sliver gap between facing walls")
-    return grown, rect
+    return grown
 
 
 def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
@@ -176,28 +179,21 @@ def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
     """
     footprint = Footprint.from_rect(config.core_tube)
     snapshots: list[Footprint] = []
-    rooms: list[Rect] = []
     total_failures = 0
     terminated = Termination.CAP
 
-    while len(rooms) < config.max_rooms:
+    while len(snapshots) < config.max_rooms:
         if total_failures >= config.retry_budget:
             terminated = Termination.COLLISION
             break
         i = rng.uniform_index(len(footprint.vertices))
         try:
-            footprint, rect = try_production(footprint, i, rng, config)
+            footprint = try_production(footprint, i, rng, config)
         except (ProductionInfeasibleError, CollisionError, ConflictError):
             total_failures += 1
             continue
-        rooms.append(rect)
         snapshots.append(footprint)
 
-    if len(rooms) < 2:
-        raise GrowthFailedError(f"only {len(rooms)} rooms placed")
-    return GrowthTrace(
-        core=config.core_tube,
-        snapshots=tuple(snapshots),
-        rooms=tuple(rooms),
-        terminated_by=terminated,
-    )
+    if len(snapshots) < 2:
+        raise GrowthFailedError(f"only {len(snapshots)} rooms placed")
+    return GrowthTrace(snapshots=tuple(snapshots), terminated_by=terminated)

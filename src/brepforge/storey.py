@@ -1,12 +1,13 @@
-"""Storey plans: wall segments from a room tiling, doors, and windows.
+"""Storey plans: wall segments from a footprint's tiles, doors, and windows.
 
-Room id 0 is the core; grafted rooms are numbered 1..n in graft order.
-Exterior walls are footprint boundary pieces split so each has exactly one
-adjacent room; interior walls are the shared segments between adjacent
-rectangles.  Doors follow a breadth-first spanning tree rooted at the core
-so every room stays reachable; windows are generated per exterior wall by
-orientation group and length bin, then pruned per room to avoid
-over-fenestration.  Every opening holds the wall it sits in.
+A storey's rooms are its footprint's tiles: room id 0 is the core and
+grafted rooms are numbered 1..n in graft order.  Exterior walls are
+footprint boundary pieces split so each has exactly one adjacent room;
+interior walls are the shared segments between adjacent tiles.  Doors
+follow a breadth-first spanning tree rooted at the core so every room
+stays reachable; windows are generated per exterior wall by orientation
+group and length bin, then pruned per room to avoid over-fenestration.
+Every opening holds the wall it sits in.
 """
 
 from __future__ import annotations
@@ -89,15 +90,13 @@ class WindowTable:
 
 @dataclass
 class StoreyPlan:
-    footprint: Footprint
-    rooms: list[Rect]  # grafted rooms only
-    core: Rect
+    footprint: Footprint  # its tiles are the core, then the grafted rooms
     walls: list[WallSegment]  # exterior along the footprint loop, then interior
     openings: list[Opening]
 
 
 def _shared_segment(a: Rect, b: Rect):
-    """Maximal shared boundary segment between interior-disjoint rects."""
+    """Maximal shared boundary segment between interior-disjoint tiles."""
     if a.x1 == b.x0 or b.x1 == a.x0:
         x = a.x1 if a.x1 == b.x0 else b.x1
         lo, hi = max(a.y0, b.y0), min(a.y1, b.y1)
@@ -111,24 +110,12 @@ def _shared_segment(a: Rect, b: Rect):
     return None
 
 
-def build_walls(snapshot: Footprint, rooms: list[Rect], core: Rect) -> list[WallSegment]:
-    """Wall layout for a storey whose rooms tile the snapshot exactly.
+def build_walls(snapshot: Footprint) -> list[WallSegment]:
+    """Wall layout for a storey whose rooms are the snapshot's tiles.
 
     Every segment is made with p1 below p2 in (x, y) order.
     """
-    rects = [core] + list(rooms)
-    total = sum(r.area_units for r in rects)
-    if 2 * total != snapshot.area_units2():
-        raise InconsistentPlanError(
-            f"room areas ({total}) do not sum to footprint area ({snapshot.area_units2() / 2})"
-        )
-    for i in range(len(rects)):
-        if not snapshot.contains_rect(rects[i]):
-            raise InconsistentPlanError(f"room {i} leaves the footprint")
-        for j in range(i + 1, len(rects)):
-            if rects[i].interior_intersects(rects[j]):
-                raise InconsistentPlanError(f"rooms {i} and {j} overlap")
-
+    tiles = snapshot.tiles
     walls: list[WallSegment] = []
     # Exterior: split each boundary edge at adjacent-room boundaries so each
     # piece borders exactly one room.  An edge sits at `fixed` on one axis
@@ -142,7 +129,7 @@ def build_walls(snapshot: Footprint, rooms: list[Rect], core: Rect) -> list[Wall
         # toward -x, and on its low side otherwise.
         high_side = (end > start) == along_y
         pieces = []
-        for rid, r in enumerate(rects):
+        for rid, r in enumerate(tiles):
             f0, f1, r0, r1 = (r.x0, r.x1, r.y0, r.y1) if along_y else (r.y0, r.y1, r.x0, r.x1)
             if (f1 if high_side else f0) == fixed:
                 s, e = max(lo, r0), min(hi, r1)
@@ -160,9 +147,9 @@ def build_walls(snapshot: Footprint, rooms: list[Rect], core: Rect) -> list[Wall
             walls.append(WallSegment(p1, p2, "exterior", orientation, (rid,)))
 
     interior = []
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            seg = _shared_segment(rects[i], rects[j])
+    for i in range(len(tiles)):
+        for j in range(i + 1, len(tiles)):
+            seg = _shared_segment(tiles[i], tiles[j])
             if seg is not None:
                 interior.append(WallSegment(*seg, "interior", None, (i, j)))
     interior.sort(key=lambda w: (w.p1, w.p2))

@@ -1,8 +1,9 @@
 """Helpers that only tests call: the run-walking tracer of one mask that
 `regions.trace_planes` is checked against, prism extrusion, the parity fill
 of rectilinear loops, face areas from that fill, the Euler characteristic
-of a triangle mesh, corner counts of a footprint, the dict form of a solid
-that `dataset.solid_json` is checked against, the scatter-add versions
+of a triangle mesh, corner counts of a footprint, the slab partition that
+tiles a hand-drawn footprint loop, the dict form of a solid that
+`dataset.solid_json` is checked against, the scatter-add versions
 of `brep.is_watertight` and `brep.geometry_problems` they are checked
 against, and the references `brep.triangulate`, `TriMesh.areas` and
 `BRepSolid.envelope` are checked against: the lexsort triangulation, the
@@ -15,7 +16,7 @@ import numpy as np
 
 from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _distinct, _frames, solid_from_boxes
 from brepforge.errors import EmptyMeshError, InvalidExtrusionError
-from brepforge.geom2d import Footprint, VertexKind, classify_vertex
+from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex, to_units
 from brepforge.regions import Loop, expand, merged_breakpoints
 
 
@@ -176,12 +177,39 @@ def trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:
     return groups
 
 
+def slab_partition(vertices) -> tuple[Rect, ...]:
+    """Partition of the interior of a simple axis-parallel loop into
+    horizontal slab rectangles, bottom to top and left to right: between
+    each two consecutive vertex heights, the spans between the vertical
+    edges crossed at mid-height, paired off from the left."""
+    vertices = [Point2(*p) for p in vertices]
+    edges = [(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1]) if a != b]
+    ys = sorted({p.y for p in vertices})
+    verticals = [(a.x, *sorted((2 * a.y, 2 * b.y))) for a, b in edges if a.x == b.x]
+    rects: list[Rect] = []
+    for y_lo, y_hi in zip(ys, ys[1:]):
+        y2 = y_lo + y_hi  # 2 * midpoint, exact
+        crossings = sorted(x for x, lo, hi in verticals if lo < y2 < hi)
+        for x_lo, x_hi in zip(crossings[::2], crossings[1::2]):
+            rects.append(Rect(x_lo, y_lo, x_hi, y_hi))
+    return tuple(rects)
+
+
+def drawn_footprint(coords, tiles: Sequence[Rect] | None = None) -> Footprint:
+    """A hand-drawn footprint from (x, y) corners in metres, tiled by
+    ``tiles`` when given (the core, then the rooms) and else by the loop's
+    slab partition."""
+    vertices = tuple(Point2(to_units(x), to_units(y)) for x, y in coords)
+    return Footprint(vertices, tuple(tiles) if tiles is not None else slab_partition(vertices))
+
+
 def extrude_prism(outer: Footprint, z0: int, z1: int, holes: Sequence[Footprint] = ()) -> BRepSolid:
-    """Closed prism over a rectilinear polygon (optionally with holes)."""
+    """Closed prism over a rectilinear polygon (optionally with holes),
+    built from the footprints' tiles."""
     if z1 <= z0:
         raise InvalidExtrusionError(f"height range [{z0}, {z1}] is empty")
-    pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in outer.rects]
-    neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in h.rects]
+    pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in outer.tiles]
+    neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in h.tiles]
     return solid_from_boxes(pos, neg)
 
 

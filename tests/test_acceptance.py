@@ -16,7 +16,7 @@ from brepforge.assembly import BuildingConfig, assemble
 from brepforge.brep import is_watertight, triangulate
 from brepforge.cli import main as cli
 from brepforge.dataset import load_dataset_meta, solid_from_dict, stats
-from brepforge.geom2d import Footprint, Rect, polygon_area, union_rect
+from brepforge.geom2d import Rect, polygon_area, union_rect
 from brepforge.grammar import GrammarConfig, Termination, grow
 from brepforge.mltasks import (
     UNIT_CUBE,
@@ -30,7 +30,7 @@ from brepforge.mltasks import (
 from brepforge.rng import SeededRng
 from brepforge.storey import Opening, WallSegment, prune_windows
 from brepforge.geom2d import Point2
-from oracles import euler_characteristic, extrude_prism, total_face_area_m2
+from oracles import drawn_footprint, euler_characteristic, extrude_prism, total_face_area_m2
 
 GEN_SECONDS_BUDGET = 300.0
 
@@ -81,7 +81,7 @@ def test_storey_class_truncation():
     rng = SeededRng(7, 7)
     trace = grow(config, rng)
     assert trace.terminated_by is Termination.COLLISION
-    assert len(trace.rooms) == 5  # the sixth production exhausts the budget
+    assert len(trace.snapshots) == 5  # the sixth production exhausts the budget
     building = assemble(trace, BuildingConfig(), rng)
     assert building.meta.storey_count == 5
     print("ACCEPTANCE PASS: collision at the 6th rectangle yields a 5-storey building")
@@ -216,21 +216,21 @@ def test_defect_oracle_and_point_normalization(timed_batch):
 
 def test_geometry_oracles():
     # Union area additivity at 1e-9 m².
-    square = Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)])
+    square = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
     rect = Rect.from_metres(4, 1, 7, 3)
     union = union_rect(square, rect)
     assert abs(polygon_area(union) - polygon_area(square) - rect.area_m2) <= 1e-9
 
     # Triangulation area conservation at 1e-6 relative.
-    outer = Footprint.from_metres([(0, 0), (6, 0), (6, 6), (0, 6)])
-    hole = Footprint.from_metres([(2, 2), (4, 2), (4, 4), (2, 4)])
+    outer = drawn_footprint([(0, 0), (6, 0), (6, 6), (0, 6)])
+    hole = drawn_footprint([(2, 2), (4, 2), (4, 4), (2, 4)])
     prism = extrude_prism(outer, 0, 30, holes=[hole])
     mesh = triangulate(prism)
     face_area = total_face_area_m2(prism)
     assert abs(float(mesh.areas.sum()) - face_area) <= 1e-6 * face_area
 
     # Euler characteristic: cube chi=2, holed prism chi=0 (genus 1).
-    cube = extrude_prism(Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
+    cube = extrude_prism(drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
     assert euler_characteristic(triangulate(cube)) == 2
     assert euler_characteristic(mesh) == 0
 

@@ -19,19 +19,14 @@ from brepforge.grammar import GrammarConfig, GrowthTrace, Termination, grow
 from brepforge.rng import SeededRng
 from brepforge.brep import FRAMES
 import brepforge.geom2d as geom2d
-from oracles import rasterize_loops
+from oracles import drawn_footprint, rasterize_loops
 
 GCFG = GrammarConfig()
 BCFG = BuildingConfig()
 
 
-def fake_trace(snapshots, rooms):
-    return GrowthTrace(
-        core=GCFG.core_tube,
-        snapshots=tuple(snapshots),
-        rooms=tuple(rooms),
-        terminated_by=Termination.CAP,
-    )
+def fake_trace(snapshots):
+    return GrowthTrace(snapshots=tuple(snapshots), terminated_by=Termination.CAP)
 
 
 def grown(seed):
@@ -41,22 +36,22 @@ def grown(seed):
 
 def test_order_storeys_counts_descend():
     trace, _ = grown(33)  # 10-room trace
-    plans = order_storeys(trace)
-    assert [len(rooms) for _, rooms in plans] == list(range(10, 0, -1))
+    storeys = order_storeys(trace)
+    assert [len(f.tiles) - 1 for f in storeys] == list(range(10, 0, -1))
 
 
 def test_order_storeys_five():
     trace, _ = grown(7)  # collision after 5 rooms
-    plans = order_storeys(trace)
-    assert [len(rooms) for _, rooms in plans] == [5, 4, 3, 2, 1]
+    storeys = order_storeys(trace)
+    assert [len(f.tiles) - 1 for f in storeys] == [5, 4, 3, 2, 1]
 
 
 def test_order_storeys_minimum_two():
     trace, _ = grown(33)
-    two = fake_trace(trace.snapshots[:2], trace.rooms[:2])
-    assert [len(r) for _, r in order_storeys(two)] == [2, 1]
+    two = fake_trace(trace.snapshots[:2])
+    assert [len(f.tiles) - 1 for f in order_storeys(two)] == [2, 1]
     with pytest.raises(GrowthFailedError):
-        order_storeys(fake_trace(trace.snapshots[:1], trace.rooms[:1]))
+        order_storeys(fake_trace(trace.snapshots[:1]))
 
 
 def ground_face(solid):
@@ -96,8 +91,7 @@ def test_ground_apron_area_algebra():
 
 def test_entrance_prefers_long_wall_nearest_centroid():
     trace, _ = grown(33)
-    plans = order_storeys(trace)
-    plan = build_storey_plan(plans[0][0], plans[0][1], trace.core, BCFG)
+    plan = build_storey_plan(order_storeys(trace)[0], BCFG)
     entrance = place_entrance(plan, BCFG)
     wall = entrance.wall
     assert wall.kind == "exterior"
@@ -111,7 +105,7 @@ def test_entrance_square_tie_breaks_to_lowest_id():
     # A bare 4 m core: no wall exceeds the 4 m preference threshold, so the
     # fallback set competes and all four midpoints tie on distance.
     core_fp = Footprint.from_rect(GCFG.core_tube)
-    plan = build_storey_plan(core_fp, [], GCFG.core_tube, BCFG)
+    plan = build_storey_plan(core_fp, BCFG)
     entrance = place_entrance(plan, BCFG)
     assert entrance.wall.length == 40
     assert entrance.wall == plan.walls[0]
@@ -124,8 +118,8 @@ def test_entrance_nearest_centroid_among_long_walls():
     # in wall order) wins.
     core = Rect.from_metres(0, 0, 6, 5)
     room = Rect.from_metres(0, 5, 6, 7)
-    fp = Footprint.from_metres([(0, 0), (6, 0), (6, 7), (0, 7)])
-    plan = build_storey_plan(fp, [room], core, BCFG)
+    fp = drawn_footprint([(0, 0), (6, 0), (6, 7), (0, 7)], [core, room])
+    plan = build_storey_plan(fp, BCFG)
     entrance = place_entrance(plan, BCFG)
     wall = entrance.wall
     assert wall.length == 50
@@ -134,7 +128,7 @@ def test_entrance_nearest_centroid_among_long_walls():
 
 
 def shaft_rect(building):
-    core = building.storeys[0].core
+    core = building.storeys[0].footprint.tiles[0]
     return core.eroded(building.config.wall_thickness // 2)
 
 
@@ -179,10 +173,12 @@ def test_assemble_core_aligned_and_nested():
     trace, rng = grown(12)
     b = assemble(trace, BCFG, rng)
     for plan in b.storeys:
-        assert plan.core == b.storeys[0].core
+        assert plan.footprint.tiles[0] == GCFG.core_tube
+    # Each storey's tiles are the storey above's and then one more room, and
+    # they tile its footprint.
     for lower, upper in zip(b.storeys, b.storeys[1:]):
-        for p in upper.footprint.rects:
-            assert lower.footprint.contains_rect(p)
+        assert lower.footprint.tiles[:-1] == upper.footprint.tiles
+        assert lower.footprint.area_units2() == 2 * sum(t.area_units for t in lower.footprint.tiles)
 
 
 def test_assemble_single_entrance_on_ground_floor():
@@ -222,7 +218,7 @@ def test_atrium_roof_hole_is_inner_loop():
 def test_atrium_penetration_count_two_storey():
     trace, _ = grown(33)
     rng = SeededRng(33, 33)
-    two = fake_trace(trace.snapshots[:2], trace.rooms[:2])
+    two = fake_trace(trace.snapshots[:2])
     b = assemble(two, BCFG, rng)
     shaft = shaft_rect(b)
     opened = [
@@ -263,9 +259,10 @@ def test_opening_invariants_over_seeds():
         b = assemble(trace, BCFG, rng)
         for plan in b.storeys:
             doors = [o for o in plan.openings if o.kind == "door"]
-            assert len(doors) == len(plan.rooms)  # spanning-tree edge count
+            n_rooms = len(plan.footprint.tiles) - 1
+            assert len(doors) == n_rooms  # spanning-tree edge count
             reached = {r for d in doors for r in d.wall.rooms}
-            assert set(range(1, len(plan.rooms) + 1)) <= reached
+            assert set(range(1, n_rooms + 1)) <= reached
             for o in plan.openings:
                 wall = o.wall
                 assert 0 <= o.offset

@@ -24,11 +24,11 @@ from brepforge.brep import (
     triangulate,
 )
 from brepforge.errors import InvalidExtrusionError
-from brepforge.geom2d import Footprint
 from brepforge.regions import merged_breakpoints
 from oracles import (
     Region,
     cross_areas,
+    drawn_footprint,
     euler_characteristic,
     extrude_prism,
     lexsort_triangulate,
@@ -40,8 +40,8 @@ from oracles import (
 )
 from test_regions import reference_trace_region
 
-UNIT_SQUARE = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
-L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
+UNIT_SQUARE = drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)])
+L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
 
 
 def edge_count(solid) -> int:
@@ -84,8 +84,8 @@ def test_l_prism_topology():
 
 
 def test_holed_prism_genus_one():
-    outer = Footprint.from_metres([(0, 0), (6, 0), (6, 6), (0, 6)])
-    hole = Footprint.from_metres([(2, 2), (4, 2), (4, 4), (2, 4)])
+    outer = drawn_footprint([(0, 0), (6, 0), (6, 6), (0, 6)])
+    hole = drawn_footprint([(2, 2), (4, 2), (4, 4), (2, 4)])
     prism = extrude_prism(outer, 0, 30, holes=[hole])
     assert len(prism.faces) == 10
     assert is_watertight(prism)[0]
@@ -341,8 +341,8 @@ def test_geometry_problems_flag_misoriented_loops():
     )
     assert is_watertight(inside_out)[0]
     assert geometry_problems(inside_out) == ["solid encloses no positive volume"]
-    outer = Footprint.from_metres([(0, 0), (6, 0), (6, 6), (0, 6)])
-    hole = Footprint.from_metres([(2, 2), (4, 2), (4, 4), (2, 4)])
+    outer = drawn_footprint([(0, 0), (6, 0), (6, 6), (0, 6)])
+    hole = drawn_footprint([(2, 2), (4, 2), (4, 4), (2, 4)])
     ring = extrude_prism(outer, 0, 10, holes=[hole])
     assert geometry_problems(ring) == []
     k, f = next((k, f) for k, f in enumerate(ring.faces) if f.inner)
@@ -581,8 +581,8 @@ def test_triangulate_cube_counts_and_area():
 
 
 def test_triangulate_holed_face_area_conservation():
-    outer = Footprint.from_metres([(0, 0), (6, 0), (6, 6), (0, 6)])
-    hole = Footprint.from_metres([(2, 2), (4, 2), (4, 4), (2, 4)])
+    outer = drawn_footprint([(0, 0), (6, 0), (6, 6), (0, 6)])
+    hole = drawn_footprint([(2, 2), (4, 2), (4, 4), (2, 4)])
     prism = extrude_prism(outer, 0, 30, holes=[hole])
     mesh = triangulate(prism)
     face_area = total_face_area_m2(prism)

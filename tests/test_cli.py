@@ -119,6 +119,28 @@ def test_stats_reports(small_batch_dir, capsys):
     assert total == len(meta["records"])
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_one_without_traceback(tmp_path, small_batch_dir, unbuffered):
+    # As in `brepforge stats DIR | head -1` once head has exited: the read
+    # end of the pipe is closed before the first write.
+    (tmp_path / "meta.json").write_bytes((small_batch_dir / "meta.json").read_bytes())
+    src_dir = Path(brepforge.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src_dir), os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "brepforge.cli", "stats", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+
 def test_points_outputs(tmp_path, small_batch_dir):
     work = tmp_path / "pts"
     work.mkdir()
@@ -378,6 +400,83 @@ def test_stats_malformed_meta_usage_error(tmp_path, capsys, text):
     (tmp_path / "meta.json").write_text(text)
     assert cli(["stats", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("stats: ")
+
+
+MISTYPED_FIELDS = [
+    ("storey_count", "a"), ("storey_count", True), ("storey_count", None), ("storey_count", 3.0),
+    ("seed", "0"), ("room_total", False), ("room_per_floor", "abc"), ("room_per_floor", [1.5]),
+    ("avg_room_area", True), ("avg_room_area", "9.5"), ("footprint_area", float("inf")),
+    ("footprint_area", float("nan")),
+]
+
+
+def mistyped_meta(small_batch_dir, directory, field, value, records) -> None:
+    """The batch's `meta.json` cut to ``records`` records, the first of
+    which has ``value`` in ``field``, written to ``directory``."""
+    meta = json.loads((small_batch_dir / "meta.json").read_text())
+    meta["records"] = meta["records"][:records]
+    meta["records"][0][field] = value
+    (directory / "meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("records", [1, 2])
+@pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+def test_stats_mistyped_meta_field_usage_error(tmp_path, small_batch_dir, capsys, field, value, records):
+    # A string storey count beside an int one ended in a TypeError traceback
+    # from sorting the histogram; alone, it or a bool was written to
+    # stats_storeys.csv with exit 0.
+    mistyped_meta(small_batch_dir, tmp_path, field, value, records)
+    assert cli(["stats", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("stats: ") and field in err and "\n" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["meta.json"]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+def test_eval_mistyped_meta_field_usage_error(tmp_path, small_batch_dir, capsys, field, value):
+    mistyped_meta(small_batch_dir, tmp_path, field, value, 2)
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("filename,pred_storey\n")
+    assert cli(["eval", "regression", str(csv_path), "--truth", str(tmp_path / "meta.json")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("eval: ") and field in err
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+def test_validate_mistyped_meta_field_fails_cleanly(tmp_path, small_batch_dir, capsys, field, value):
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    meta_name = src.name.replace(".brep.json", ".meta.json")
+    meta = json.loads((small_batch_dir / meta_name).read_text())
+    meta[field] = value
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    (tmp_path / meta_name).write_text(json.dumps(meta))
+    assert cli(["validate", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL {src.name}: {meta_name}: parse error: {field}") and not err
+
+
+@pytest.mark.parametrize(
+    "side", [float("inf"), 1e300, 10**400, 100000.1], ids=["inf", "1e300", "10**400", "past-100km"]
+)
+def test_unbounded_room_side_is_a_parse_error(tmp_path, small_batch_dir, capsys, side):
+    # An infinite room side, or two whose product overflows, ended `stats`
+    # in an OverflowError traceback; an int past float range ended
+    # `validate` in one.
+    meta = json.loads((small_batch_dir / "meta.json").read_text())
+    meta["records"][0]["rooms"][0][0] = [side, side]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    assert cli(["stats", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("stats: ")
+
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    meta_name = src.name.replace(".brep.json", ".meta.json")
+    building = json.loads((small_batch_dir / meta_name).read_text())
+    building["rooms"][0][0] = [side, 3.0]
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    (tmp_path / meta_name).write_text(json.dumps(building))
+    assert cli(["validate", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL {src.name}: {meta_name}: parse error: room ") and not err
 
 
 def test_eval_truth_not_an_object_usage_error(tmp_path, capsys):

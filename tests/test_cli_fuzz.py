@@ -1,9 +1,11 @@
-"""Fuzz of the `.brep.json` readers: a generated solid's JSON document with
-one to three mutations (dropped keys, swapped types, null, NaN and
-infinities, huge and negative numbers, ragged lists, empty and one-vertex
-loops, a label that is not a string) goes through `validate`, `points` and
-`defect` in process.  Each must end with exit code 0, 1 or 2 and nothing
-resembling a traceback on stderr."""
+"""Fuzz of the JSON readers: a generated document with one to three
+mutations (dropped keys, swapped types, null, NaN and infinities, huge and
+negative numbers, ragged lists, empty and one-vertex loops, a label that is
+not a string) goes through the commands that read it, in process: a
+solid's `.brep.json` through `validate`, `points` and `defect`, and the
+dataset's `meta.json` and a building's `<id>.meta.json` through `stats`,
+`eval regression` and `validate`.  Each must end with exit code 0, 1 or 2
+and nothing resembling a traceback on stderr."""
 
 import contextlib
 import copy
@@ -99,6 +101,20 @@ def mutate(data, doc):
     return doc
 
 
+def mutated(data, doc):
+    """``doc`` with one to three mutations.  Half of them, in a document
+    with records, start at one record, so that record fields are reached
+    as often as the top-level keys."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        records = doc.get("records") if isinstance(doc, dict) else None
+        if isinstance(records, list) and records and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(records) - 1))
+            records[k] = mutate(data, records[k])
+        else:
+            doc = mutate(data, doc)
+    return doc
+
+
 def run(argv: list[str]) -> tuple[object, str]:
     """Exit code and stderr of one in-process CLI run; an exception that
     escapes counts as a traceback."""
@@ -118,9 +134,7 @@ def run(argv: list[str]) -> tuple[object, str]:
 @given(st.data())
 def test_brep_json_readers_never_crash(source, data):
     name, text = source
-    doc = json.loads(text)
-    for _ in range(data.draw(st.integers(1, 3))):
-        doc = mutate(data, doc)
+    doc = mutated(data, json.loads(text))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / name).write_text(json.dumps(doc))
@@ -128,6 +142,44 @@ def test_brep_json_readers_never_crash(source, data):
             ["validate", str(work)],
             ["points", str(work), "--n", "20"],
             ["defect", str(work), "--ratio", "1", "--out", str(work / "out")],
+        ):
+            code, err = run(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv[0], code, err)
+
+
+@pytest.fixture(scope="module")
+def metas(small_batch_dir, source) -> tuple[dict, str, str]:
+    """The batch's `meta.json` cut to its first three records, the
+    `<id>.meta.json` of the source solid, and regression predictions equal
+    to the truth of those three records."""
+    dataset = json.loads((small_batch_dir / "meta.json").read_text())
+    dataset["records"] = dataset["records"][:3]
+    building = (small_batch_dir / source[0].replace(".brep.json", ".meta.json")).read_text()
+    per_floor = ",".join(f"pred_room_per_{i}" for i in range(1, 11))
+    rows = [f"filename,pred_storey,pred_room_tot,pred_avg_area,{per_floor}"]
+    for r in dataset["records"]:
+        values = [r["storey_count"], r["room_total"], r["avg_room_area"], *r["room_per_floor"]]
+        rows.append(",".join([f"{r['id']}.brep.json", *map(repr, values)]))
+    return dataset, building, "\n".join(rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_meta_json_readers_never_crash(source, metas, data):
+    name, text = source
+    dataset, building, predictions = metas
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / name).write_text(text)
+        (work / name.replace(".brep.json", ".meta.json")).write_text(
+            json.dumps(mutated(data, json.loads(building)))
+        )
+        (work / "meta.json").write_text(json.dumps(mutated(data, copy.deepcopy(dataset))))
+        (work / "predictions.csv").write_text(predictions)
+        for argv in (
+            ["stats", str(work)],
+            ["eval", "regression", str(work / "predictions.csv"), "--truth", str(work / "meta.json")],
+            ["validate", str(work)],
         ):
             code, err = run(argv)
             assert code in (0, 1, 2) and "Traceback" not in err, (argv[0], code, err)

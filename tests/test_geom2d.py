@@ -32,10 +32,10 @@ from brepforge.geom2d import (
 )
 from brepforge.grammar import GrammarConfig, grow
 from brepforge.rng import SeededRng
-from oracles import vertex_kind_counts
+from oracles import drawn_footprint, slab_partition, vertex_kind_counts
 
-SQUARE = Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)])
-L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
+SQUARE = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
+L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
 
 
 def raster_area_units(f: Footprint) -> int:
@@ -64,7 +64,7 @@ def test_grid_snapping():
 
 
 def test_area_unit_square():
-    unit = Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)])
+    unit = drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert polygon_area(unit) == 1.0
 
 
@@ -80,7 +80,7 @@ def test_area_l_shape_two_rects():
 
 def test_degenerate_loop_rejected():
     with pytest.raises(InvalidFootprintError):
-        Footprint(tuple([Point2(0, 0), Point2(10, 0), Point2(10, 10)]))
+        Footprint(tuple([Point2(0, 0), Point2(10, 0), Point2(10, 10)]), ())
 
 
 def test_classify_rectangle_all_convex():
@@ -100,7 +100,7 @@ def test_classify_counts_match_identity():
 
 
 def test_classify_requires_clean():
-    messy = Footprint.from_metres([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
+    messy = drawn_footprint([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
     with pytest.raises(MustCleanFirstError):
         classify_vertex(messy, 1)
 
@@ -145,7 +145,7 @@ def test_union_disjoint_rejected():
         union_rect(SQUARE, Rect.from_metres(5, 0, 8, 4))
 
 
-SLIT = Footprint.from_metres(
+SLIT = drawn_footprint(
     [(0, 0), (8, 0), (8, 4), (5, 4), (5, 3.7), (4.8, 3.7), (4.8, 4), (0, 4)]
 )
 
@@ -163,7 +163,7 @@ def test_fill_notch_square_noop():
 
 
 def test_fill_notch_wide_slit_untouched():
-    wide = Footprint.from_metres(
+    wide = drawn_footprint(
         [(0, 0), (8, 0), (8, 4), (5, 4), (5, 3.7), (4.2, 3.7), (4.2, 4), (0, 4)]
     )
     assert not fillable_notch(wide, 5)
@@ -211,7 +211,7 @@ def raster_cell_inside(f: Footprint, cx: int, cy: int) -> bool:
 
 
 def test_decompose_tiles_exactly():
-    rects = L_SHAPE.rects
+    rects = slab_partition(L_SHAPE.vertices)
     assert sum(r.area_units for r in rects) * 2 == L_SHAPE.area_units2()
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
@@ -282,13 +282,18 @@ def in_rect(r: Rect, x: int, y: int) -> bool:
 @given(footprint_and_rect())
 def test_rect_predicates_match_cell_reference(case):
     f, r = case
-    cells = grid_cells(f, r)
+    cells = grid_cells(f, r, *f.tiles)
     shared = sum(a for x, y, a in cells if in_rect(r, x, y) and raster_cell_inside(f, x, y))
     assert overlaps(f, r) == (shared > 0)
-    assert f.contains_rect(r) == (shared == r.area_units)
+    covered = sum(
+        max(0, min(t.x1, r.x1) - max(t.x0, r.x0)) * max(0, min(t.y1, r.y1) - max(t.y0, r.y0))
+        for t in f.tiles
+    )
+    assert covered == shared
 
+    # The tiles cover each cell inside f once and no cell outside it.
     for x, y, _ in cells:
-        pieces = sum(in_rect(p, x, y) for p in f.rects)
+        pieces = sum(in_rect(t, x, y) for t in f.tiles)
         assert pieces == raster_cell_inside(f, x, y)
 
     if shared:
@@ -449,27 +454,31 @@ def reference_union_rect(f: Footprint, r: Rect) -> tuple[Point2, ...]:
 # Unions from ``grow`` (seeds 0..299) that start on an edge running toward
 # -x or -y: one with no corner strictly inside that edge, one with a corner
 # of f inside it.
+def slab_footprint(vertices) -> Footprint:
+    return Footprint(vertices, slab_partition(vertices))
+
+
 MINUS_CLEAR = (
-    Footprint(
+    slab_footprint(
         ((-50, 0), (2, 0), (2, -44), (40, -44), (40, -7), (88, -7), (88, 40), (68, 40),
          (68, 85), (0, 85), (0, 67), (-16, 67), (-16, 93), (-59, 93), (-59, 43), (-50, 43))
     ),
     Rect(-50, -36, 2, 0),
 )
 MINUS_INSIDE = (
-    Footprint(
+    slab_footprint(
         ((2, -36), (2, -44), (40, -44), (40, -7), (88, -7), (88, 40), (68, 40), (68, 85),
          (34, 85), (34, 130), (8, 130), (8, 85), (0, 85), (0, 67), (-16, 67), (-16, 93),
          (-59, 93), (-59, 43), (-50, 43), (-50, -36))
     ),
     Rect(2, -85, 30, -44),
 )
-PINCH_FOOTPRINT = Footprint(((0, 0), (30, 0), (30, 10), (10, 10), (10, 30), (20, 30), (20, 40), (0, 40)))
+PINCH_FOOTPRINT = slab_footprint(((0, 0), (30, 0), (30, 10), (10, 10), (10, 30), (20, 30), (20, 40), (0, 40)))
 PINCH_RECT = Rect(20, 10, 30, 30)
 
 
 # A U whose arms r joins part way up, closing the hole below it.
-RING_FOOTPRINT = Footprint(((0, 0), (30, 0), (30, 30), (20, 30), (20, 10), (10, 10), (10, 30), (0, 30)))
+RING_FOOTPRINT = slab_footprint(((0, 0), (30, 0), (30, 30), (20, 30), (20, 10), (10, 10), (10, 30), (0, 30)))
 RING_RECT = Rect(10, 20, 20, 30)
 
 
@@ -503,6 +512,19 @@ def test_union_rect_matches_reference(case):
     got = outcome(lambda f, r: union_rect(f, r).vertices, f, r)
     # Same loop from the same first vertex, or the same exception class.
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(footprint_and_rect())
+def test_union_rect_independent_of_tiling(case):
+    # A grown footprint's tiles are its core and rooms; its loop's slab
+    # partition tiles the same interior, so the union is the same loop.
+    f, r = case
+    slabbed = slab_footprint(f.vertices)
+    got = outcome(lambda f, r: union_rect(f, r).vertices, f, r)
+    assert got == outcome(lambda f, r: union_rect(f, r).vertices, slabbed, r)
+    if not isinstance(got, type):
+        assert union_rect(f, r).tiles == f.tiles + (r,)
 
 
 def reference_facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:

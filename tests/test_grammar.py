@@ -19,12 +19,12 @@ from brepforge.grammar import (
     grow,
 )
 from brepforge.rng import SeededRng
-from oracles import vertex_kind_counts
+from oracles import drawn_footprint, vertex_kind_counts
 from test_geom2d import reference_is_simple
 
 CONFIG = GrammarConfig()
-SQUARE = Footprint.from_metres([(0, 0), (4, 0), (4, 4), (0, 4)])
-L_SHAPE = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
+SQUARE = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
+L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
 
 
 class StubRng:
@@ -66,7 +66,7 @@ def test_concave_caps_sides_at_adjacent_edges():
 
 def test_concave_infeasible_short_edge():
     # Reflex corner whose outgoing edge is 2.0 m (< 2.4 minimum).
-    shape = Footprint.from_metres([(0, 0), (6, 0), (6, 3), (3, 3), (3, 5), (0, 5)])
+    shape = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 5), (0, 5)])
     reflex = shape.vertices.index(Point2(30, 30))
     with pytest.raises(ProductionInfeasibleError):
         expand_concave(shape, reflex, StubRng(ints=[30, 30]), CONFIG)
@@ -105,14 +105,14 @@ def test_convex_deterministic():
 def test_grow_cap_termination():
     trace = grow(CONFIG, SeededRng(0, 0))
     assert trace.terminated_by is Termination.CAP
-    assert len(trace.rooms) == 10
+    assert len(trace.snapshots[-1].tiles[1:]) == 10
     assert len(trace.snapshots) == 10
 
 
 def test_grow_collision_at_sixth_rectangle():
     trace = grow(CONFIG, SeededRng(7, 7))
     assert trace.terminated_by is Termination.COLLISION
-    assert len(trace.rooms) == 5
+    assert len(trace.snapshots[-1].tiles[1:]) == 5
     assert len(trace.snapshots) == 5
 
 
@@ -135,7 +135,8 @@ def test_snapshot_footprint_invariants_1000_seeds():
         except GrowthFailedError:
             continue
         traced += 1
-        assert 2 <= len(trace.rooms) <= 10
+        rooms = trace.snapshots[-1].tiles[1:]
+        assert 2 <= len(rooms) <= 10
         for k, snap in enumerate(trace.snapshots):
             # A simple counter-clockwise loop of corners only (Footprint
             # construction checks axis-parallel edges), and the corner
@@ -151,7 +152,7 @@ def test_snapshot_footprint_invariants_1000_seeds():
             convex, concave = vertex_kind_counts(snap)
             assert convex == (n + 4) // 2 and concave == (n - 4) // 2
             # Exact area additivity: snapshot = core + first k+1 rooms.
-            expected = core_area2 + 2 * sum(r.area_units for r in trace.rooms[: k + 1])
+            expected = core_area2 + 2 * sum(r.area_units for r in rooms[: k + 1])
             assert snap.area_units2() == expected
     assert traced > 900
 
@@ -163,11 +164,15 @@ def test_snapshot_monotone_containment():
         except GrowthFailedError:
             continue
         previous = Footprint.from_rect(CONFIG.core_tube)
-        for k, snap in enumerate(trace.snapshots):
+        assert previous.tiles == (CONFIG.core_tube,)
+        for snap in trace.snapshots:
+            # Snapshot k's tiles are snapshot k-1's and then room k, and
+            # they tile it: their areas sum to its area.
+            room = snap.tiles[-1]
+            assert snap.tiles == previous.tiles + (room,)
             assert snap.area_units2() > previous.area_units2()
-            assert snap.area_units2() - previous.area_units2() == 2 * trace.rooms[k].area_units
-            for p in previous.rects:
-                assert snap.contains_rect(p)
+            assert snap.area_units2() - previous.area_units2() == 2 * room.area_units
+            assert snap.area_units2() == 2 * sum(t.area_units for t in snap.tiles)
             previous = snap
 
 

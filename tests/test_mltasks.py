@@ -15,7 +15,6 @@ from brepforge.assembly import BuildingConfig, assemble
 from brepforge.brep import Box, is_watertight, solid_from_boxes, triangulate, TriMesh
 from brepforge.dataset import BuildingMeta, check_solid
 from brepforge.errors import BrepForgeError, EmptyMeshError
-from brepforge.geom2d import Footprint
 from brepforge.grammar import GrammarConfig, grow
 from brepforge.mltasks import (
     UNIT_CUBE,
@@ -30,10 +29,10 @@ from brepforge.mltasks import (
     sample_points,
 )
 from brepforge.rng import SeededRng
-from oracles import extrude_prism, parity_is_exterior_face
+from oracles import drawn_footprint, extrude_prism, parity_is_exterior_face
 from test_brep import box_solids
 
-CUBE = extrude_prism(Footprint.from_metres([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
+CUBE = extrude_prism(drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
 
 
 def built(seed):

@@ -13,12 +13,13 @@ from brepforge.storey import (
     place_doors,
     prune_windows,
 )
+from oracles import drawn_footprint
 
 CORE = Rect.from_metres(0, 0, 4, 4)
 
 
 def test_core_only_four_exterior_walls():
-    walls = build_walls(Footprint.from_rect(CORE), [], CORE)
+    walls = build_walls(Footprint.from_rect(CORE))
     assert len(walls) == 4
     assert all(w.kind == "exterior" for w in walls)
     assert sorted(w.orientation for w in walls) == ["E", "N", "S", "W"]
@@ -27,8 +28,8 @@ def test_core_only_four_exterior_walls():
 
 def test_core_plus_east_room():
     room = Rect.from_metres(4, 0, 8, 4)
-    fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
-    walls = build_walls(fp, [room], CORE)
+    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
+    walls = build_walls(fp)
     exterior = [w for w in walls if w.kind == "exterior"]
     interior = [w for w in walls if w.kind == "interior"]
     assert len(exterior) == 6
@@ -44,24 +45,25 @@ def test_bump_plan_wall_count_equals_vertex_count():
     # Room grafted on a partial east edge: every boundary edge borders one
     # room, so exterior wall count equals the footprint vertex count.
     room = Rect.from_metres(4, 1, 7, 3)
-    fp = Footprint.from_metres(
-        [(0, 0), (4, 0), (4, 1), (7, 1), (7, 3), (4, 3), (4, 4), (0, 4)]
+    fp = drawn_footprint(
+        [(0, 0), (4, 0), (4, 1), (7, 1), (7, 3), (4, 3), (4, 4), (0, 4)], [CORE, room]
     )
-    walls = build_walls(fp, [room], CORE)
+    walls = build_walls(fp)
     exterior = [w for w in walls if w.kind == "exterior"]
     assert len(exterior) == len(fp.vertices) == 8
 
 
 def test_build_walls_tiling_violated():
-    fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
+    # The tiles stop 1 m short of the east edge, which no tile borders.
+    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, Rect.from_metres(4, 0, 7, 4)])
     with pytest.raises(InconsistentPlanError):
-        build_walls(fp, [Rect.from_metres(4, 0, 7, 4)], CORE)
+        build_walls(fp)
 
 
 def test_single_room_single_centered_door():
     room = Rect.from_metres(4, 0, 8, 4)
-    fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
-    doors = place_doors(build_walls(fp, [room], CORE), 1)
+    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
+    doors = place_doors(build_walls(fp), 1)
     assert len(doors) == 1
     door = doors[0]
     wall = door.wall
@@ -76,8 +78,8 @@ def test_three_room_chain_three_doors():
         Rect.from_metres(8, 0, 12, 4),
         Rect.from_metres(12, 0, 16, 4),
     ]
-    fp = Footprint.from_metres([(0, 0), (16, 0), (16, 4), (0, 4)])
-    doors = place_doors(build_walls(fp, rooms, CORE), len(rooms))
+    fp = drawn_footprint([(0, 0), (16, 0), (16, 4), (0, 4)], [CORE, *rooms])
+    doors = place_doors(build_walls(fp), len(rooms))
     assert len(doors) == 3
     # BFS oracle: tree edges are exactly (core,1), (1,2), (2,3).
     pairs = {d.wall.rooms for d in doors}
@@ -88,8 +90,8 @@ def test_room_with_two_walls_gets_one_door():
     # Room 2 touches both the core and room 1; the spanning tree must reach
     # it through exactly one door.
     rooms = [Rect.from_metres(4, 0, 8, 4), Rect.from_metres(0, 4, 8, 8)]
-    fp = Footprint.from_metres([(0, 0), (8, 0), (8, 8), (0, 8)])
-    doors = place_doors(build_walls(fp, rooms, CORE), len(rooms))
+    fp = drawn_footprint([(0, 0), (8, 0), (8, 8), (0, 8)], [CORE, *rooms])
+    doors = place_doors(build_walls(fp), len(rooms))
     assert len(doors) == 2  # spanning tree edge count == room count
     incoming = [d for d in doors if 2 in d.wall.rooms]
     assert len(incoming) == 1
@@ -98,8 +100,8 @@ def test_room_with_two_walls_gets_one_door():
 def test_unreachable_room_raises():
     # Shared wall shorter than a door: adjacency edge unusable.
     rooms = [Rect.from_metres(4, 3, 7, 8)]
-    fp = Footprint.from_metres([(0, 0), (4, 0), (4, 3), (7, 3), (7, 8), (4, 8), (4, 4), (0, 4)])
-    walls = build_walls(fp, rooms, CORE)
+    fp = drawn_footprint([(0, 0), (4, 0), (4, 3), (7, 3), (7, 8), (4, 8), (4, 4), (0, 4)], [CORE, *rooms])
+    walls = build_walls(fp)
     with pytest.raises(UnreachableRoomError):
         place_doors(walls, len(rooms))
 
@@ -112,8 +114,8 @@ def fake_wall(index, orientation, length=40, room=1):
 
 def test_window_south_wall_bin2():
     room = Rect.from_metres(0, 4, 4, 8)
-    fp = Footprint.from_metres([(0, 0), (4, 0), (4, 8), (0, 8)])
-    windows = generate_windows(build_walls(fp, [room], CORE))
+    fp = drawn_footprint([(0, 0), (4, 0), (4, 8), (0, 8)], [CORE, room])
+    windows = generate_windows(build_walls(fp))
     south = [w for w in windows if w.wall.orientation == "S"]
     assert len(south) == 1
     win = south[0]
@@ -174,8 +176,8 @@ def test_prune_never_increases_and_keeps_doors():
     assert all(o in windows for o in kept)
     # Doors never pass through the window filter: a plan keeps every door.
     room = Rect.from_metres(4, 0, 8, 4)
-    fp = Footprint.from_metres([(0, 0), (8, 0), (8, 4), (0, 4)])
-    plan = build_storey_plan(fp, [room], CORE, BuildingConfig())
+    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
+    plan = build_storey_plan(fp, BuildingConfig())
     doors = place_doors(plan.walls, 1)
     assert doors and all(door in plan.openings for door in doors)
 
