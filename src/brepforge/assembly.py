@@ -41,16 +41,19 @@ from .storey import (
 class BuildingConfig:
     """Vertical dimensions and entrance/slab rules in grid units of 0.1 m."""
 
-    storey_height: int = 30
-    slab_thickness: int = 2
-    wall_thickness: int = 2
-    ground_offset: int = 30
-    entrance_min_wall: int = 40
-    entrance_width: int = 12
-    entrance_height: int = 24
-    window_table: WindowTable = WindowTable()
+    storey_height: int
+    slab_thickness: int
+    wall_thickness: int
+    ground_offset: int
+    entrance_min_wall: int
+    entrance_width: int
+    entrance_height: int
+    window_table: WindowTable
 
     def __post_init__(self):
+        for name in ("wall_thickness", "slab_thickness", "entrance_width", "entrance_height"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.wall_thickness % 2:
             raise ValueError("wall thickness must be an even number of grid units")
         if self.slab_thickness >= self.storey_height:

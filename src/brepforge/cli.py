@@ -44,6 +44,7 @@ from .errors import (
 )
 from .grammar import grow
 from .mltasks import (
+    DEFECT_SUFFIX,
     UNIT_CUBE,
     UNIT_SPHERE,
     eval_binary,
@@ -66,22 +67,21 @@ _PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
 
 def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
     """Worker: grow, assemble, filter, and export one sample stream."""
-    stream, cfg_pairs, out_dir, write_obj = args
-    cfg = GeneratorConfig(cfg_pairs)
+    stream, grammar_cfg, building_cfg, filters, out_dir, write_obj = args
     rng = SeededRng(stream, stream)
     try:
-        trace = grow(cfg.grammar(), rng)
+        trace = grow(grammar_cfg, rng)
     except GrowthFailedError:
         return stream, "discard", "growth-failed"
     # Every storey's rooms are a prefix of the last snapshot's rooms, so
     # checking them once covers the whole building before any geometry is
     # built.
     trace_rooms = [(r.width / 10.0, r.height / 10.0) for r in trace.snapshots[-1].tiles[1:]]
-    rooms_ok, _ = check_rooms([trace_rooms], cfg.filters())
+    rooms_ok, _ = check_rooms([trace_rooms], filters)
     if not rooms_ok:
         return stream, "discard", "room-filter"
     try:
-        building = assemble(trace, cfg.building(), rng)
+        building = assemble(trace, building_cfg, rng)
     except UnreachableRoomError:
         return stream, "discard", "unreachable-room"
     except (AssemblyInconsistencyError, BooleanFailureError, InvalidExtrusionError):
@@ -98,10 +98,11 @@ def cmd_gen(args) -> int:
         print("gen: --count must be positive", file=sys.stderr)
         return USAGE_ERROR
     try:
-        cfg = GeneratorConfig.build(
-            args.config, dict(kv.split("=", 1) for kv in args.set or [])
-        )
-        cfg.grammar(), cfg.building(), cfg.filters()  # validate eagerly
+        bad = [kv for kv in args.set or [] if "=" not in kv]
+        if bad:
+            raise ConfigError(f"--set {bad[0]!r} is not KEY=VALUE")
+        cfg = GeneratorConfig.build(args.config, dict(kv.split("=", 1) for kv in args.set or []))
+        sections = (cfg.grammar(), cfg.building(), cfg.filters())
     except (ConfigError, ValueError, OSError) as exc:
         print(f"gen: bad config: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -114,7 +115,7 @@ def cmd_gen(args) -> int:
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     streams = range(args.seed, args.seed + args.count)
-    work = [(s, cfg.values, str(out_dir), args.obj) for s in streams]
+    work = [(s, *sections, str(out_dir), args.obj) for s in streams]
     if args.jobs > 1:
         # Imported only here, so a serial run does not load the pool machinery.
         from concurrent.futures import ProcessPoolExecutor
@@ -252,7 +253,7 @@ def cmd_defect(args) -> int:
         print("defect: --ratio must be a finite number >= 0", file=sys.stderr)
         return USAGE_ERROR
     directory = Path(args.dir)
-    good = [p for p in _brep_files(directory) if "_def" not in p.name]
+    good = [p for p in _brep_files(directory) if DEFECT_SUFFIX not in p.name]
     if not good:
         print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)
         return USAGE_ERROR
@@ -275,7 +276,7 @@ def cmd_defect(args) -> int:
         base = src.name.replace(".brep.json", "")
         for copy_idx in range(i, total, len(good)):
             variant = copy_idx // len(good)
-            name = base + ("_def" if variant == 0 else f"_def{variant + 1}")
+            name = base + DEFECT_SUFFIX + (str(variant + 1) if variant else "")
             stream = args.seed + copy_idx
             defect = inject_defect(solid, SeededRng(stream, stream))
             (out_dir / f"{name}.brep.json").write_text(solid_json(defect, name) + "\n")
@@ -357,11 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
-        # A closed stdout fails at the latest here, not in the exit-time flush.
-        sys.stdout.flush()
+        try:
+            args = build_parser().parse_args(argv)
+            status = args.func(args)
+        finally:
+            # A closed stdout fails at the latest here, not in the exit-time
+            # flush; also after --help and --version, which exit in parse_args.
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (say `| head -1`): send what is left, and the
         # exit-time flush, to the null device.

@@ -1,16 +1,20 @@
-"""Generator configuration: defaults, key=value file parsing, stable hashing.
+"""Generator configuration: the knob table, key=value file parsing, stable hashing.
 
-Config files are flat `key = value` lines (# comments allowed).  CLI
-overrides merge on top of the file, which merges on top of the defaults;
-the canonical serialized form is hashed into the run manifest so any run
-can be reproduced from (config hash, seed range).
+Each knob is declared once, in `KNOBS`: its default text, the section it
+configures, the parser of its text, and its field in the section.  Config
+files are flat `key = value` lines (# comments allowed).  CLI overrides
+merge on top of the file, which merges on top of the defaults; the
+canonical serialized form is hashed into the run manifest so any run can
+be reproduced from (config hash, seed range).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .assembly import BuildingConfig
 from .dataset import FilterConfig
@@ -18,32 +22,72 @@ from .geom2d import Rect, to_units
 from .grammar import GrammarConfig
 from .storey import WindowSpec, WindowTable
 
-DEFAULTS: dict[str, str] = {
-    "core_tube": "0,0,4,4",
-    "room_side_min": "2.4",
-    "room_side_max": "6.0",
-    "max_rooms": "10",
-    "notch_gap": "0.5",
-    "min_exterior_gap": "0.4",
-    "retry_budget": "16",
-    "storey_height": "3.0",
-    "slab_thickness": "0.2",
-    "wall_thickness": "0.2",
-    "ground_offset": "3.0",
-    "entrance_min_wall": "4.0",
-    "entrance_width": "1.2",
-    "entrance_height": "2.4",
-    "window_bins": "1.2,3.0,5.0",
-    "window_ns_small": "0.9,1.4,0.9",
-    "window_ns_mid": "1.8,1.5,0.9",
-    "window_ns_large": "2.4,1.5,0.9",
-    "window_ew_small": "0.6,1.2,1.0",
-    "window_ew_mid": "0.9,1.2,1.0",
-    "window_ew_large": "1.2,1.2,1.0",
-    "min_room_area": "8.0",
-    "max_room_area": "80.0",
-    "min_room_side": "2.0",
-    "max_aspect_ratio": "4.0",
+# Bound on the magnitude of every configured length.  The core, 10 rooms,
+# the apron and 10 storeys then come to about 13 km at most, well inside
+# dataset.MAX_COORDINATE_M.
+MAX_LENGTH_M = 1000.0
+
+
+def metres(text: str) -> int:
+    """A length in metres on the 0.1 m grid, in grid units."""
+    value = float(text)
+    if not abs(value) <= MAX_LENGTH_M:
+        raise ValueError(f"{text} is not a length within {MAX_LENGTH_M:g} m")
+    return to_units(value)
+
+
+def lengths(text: str, n: int) -> tuple[int, ...]:
+    parts = text.split(",")
+    if len(parts) != n:
+        raise ValueError(f"expected {n} comma-separated lengths")
+    return tuple(metres(p) for p in parts)
+
+
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def window(text: str) -> WindowSpec:
+    """A window spec: width,height,sill."""
+    return WindowSpec(*lengths(text, 3))
+
+
+class Knob(NamedTuple):
+    default: str
+    section: str  # "grammar", "building", "window" or "filters"
+    parse: Callable[[str], object]
+    field: object = None  # the key when None; a window spec's is its (group, bin)
+
+
+KNOBS: dict[str, Knob] = {
+    "core_tube": Knob("0,0,4,4", "grammar", lambda text: Rect(*lengths(text, 4))),
+    "room_side_min": Knob("2.4", "grammar", metres),
+    "room_side_max": Knob("6.0", "grammar", metres),
+    "max_rooms": Knob("10", "grammar", int),
+    "notch_gap": Knob("0.5", "grammar", metres),
+    "min_exterior_gap": Knob("0.4", "grammar", metres),
+    "retry_budget": Knob("16", "grammar", int),
+    "storey_height": Knob("3.0", "building", metres),
+    "slab_thickness": Knob("0.2", "building", metres),
+    "wall_thickness": Knob("0.2", "building", metres),
+    "ground_offset": Knob("3.0", "building", metres),
+    "entrance_min_wall": Knob("4.0", "building", metres),
+    "entrance_width": Knob("1.2", "building", metres),
+    "entrance_height": Knob("2.4", "building", metres),
+    "window_bins": Knob("1.2,3.0,5.0", "window", lambda text: lengths(text, 3), "bins"),
+    "window_ns_small": Knob("0.9,1.4,0.9", "window", window, ("ns", 0)),
+    "window_ns_mid": Knob("1.8,1.5,0.9", "window", window, ("ns", 1)),
+    "window_ns_large": Knob("2.4,1.5,0.9", "window", window, ("ns", 2)),
+    "window_ew_small": Knob("0.6,1.2,1.0", "window", window, ("ew", 0)),
+    "window_ew_mid": Knob("0.9,1.2,1.0", "window", window, ("ew", 1)),
+    "window_ew_large": Knob("1.2,1.2,1.0", "window", window, ("ew", 2)),
+    "min_room_area": Knob("8.0", "filters", finite),
+    "max_room_area": Knob("80.0", "filters", finite),
+    "min_room_side": Knob("2.0", "filters", finite),
+    "max_aspect_ratio": Knob("4.0", "filters", finite),
 }
 
 
@@ -57,84 +101,37 @@ class GeneratorConfig:
 
     @classmethod
     def build(cls, file: Path | None = None, overrides: dict[str, str] | None = None):
-        merged = dict(DEFAULTS)
+        merged = {key: knob.default for key, knob in KNOBS.items()}
         if file is not None:
             merged.update(parse_config_file(file))
         for key, value in (overrides or {}).items():
-            if key not in DEFAULTS:
+            if key not in KNOBS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
         return cls(tuple(sorted(merged.items())))
 
-    def get(self, key: str) -> str:
-        return dict(self.values)[key]
-
-    def _metres(self, key: str) -> int:
-        try:
-            return to_units(float(self.get(key)))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-    def _int(self, key: str) -> int:
-        try:
-            return int(self.get(key))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not an integer") from exc
-
-    def _float(self, key: str) -> float:
-        try:
-            return float(self.get(key))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a number") from exc
-
-    def _spec(self, key: str) -> WindowSpec:
-        parts = self.get(key).split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"{key}: expected width,height,sill")
-        w, h, s = (to_units(float(p)) for p in parts)
-        return WindowSpec(w, h, s)
+    def _section(self, section: str) -> dict:
+        """The parsed values of the section's knobs, by field."""
+        out = {}
+        for key, text in self.values:
+            knob = KNOBS[key]
+            if knob.section == section:
+                try:
+                    out[knob.field or key] = knob.parse(text)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
+        return out
 
     def grammar(self) -> GrammarConfig:
-        core = [to_units(float(p)) for p in self.get("core_tube").split(",")]
-        if len(core) != 4:
-            raise ConfigError("core_tube: expected x0,y0,x1,y1")
-        return GrammarConfig(
-            core_tube=Rect(*core),
-            room_side_min=self._metres("room_side_min"),
-            room_side_max=self._metres("room_side_max"),
-            max_rooms=self._int("max_rooms"),
-            notch_gap=self._metres("notch_gap"),
-            min_exterior_gap=self._metres("min_exterior_gap"),
-            retry_budget=self._int("retry_budget"),
-        )
+        return GrammarConfig(**self._section("grammar"))
 
     def building(self) -> BuildingConfig:
-        bins = [to_units(float(p)) for p in self.get("window_bins").split(",")]
-        if len(bins) != 3:
-            raise ConfigError("window_bins: expected three thresholds")
-        table = WindowTable(
-            bins=tuple(bins),
-            ns=(self._spec("window_ns_small"), self._spec("window_ns_mid"), self._spec("window_ns_large")),
-            ew=(self._spec("window_ew_small"), self._spec("window_ew_mid"), self._spec("window_ew_large")),
-        )
-        return BuildingConfig(
-            storey_height=self._metres("storey_height"),
-            slab_thickness=self._metres("slab_thickness"),
-            wall_thickness=self._metres("wall_thickness"),
-            ground_offset=self._metres("ground_offset"),
-            entrance_min_wall=self._metres("entrance_min_wall"),
-            entrance_width=self._metres("entrance_width"),
-            entrance_height=self._metres("entrance_height"),
-            window_table=table,
-        )
+        w = self._section("window")
+        table = WindowTable(w["bins"], *(tuple(w[group, b] for b in range(3)) for group in ("ns", "ew")))
+        return BuildingConfig(**self._section("building"), window_table=table)
 
     def filters(self) -> FilterConfig:
-        return FilterConfig(
-            min_room_area=self._float("min_room_area"),
-            max_room_area=self._float("max_room_area"),
-            min_room_side=self._float("min_room_side"),
-            max_aspect_ratio=self._float("max_aspect_ratio"),
-        )
+        return FilterConfig(**self._section("filters"))
 
     def canonical_text(self) -> str:
         return "\n".join(f"{k}={v}" for k, v in self.values) + "\n"
@@ -153,7 +150,7 @@ def parse_config_file(path: Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in KNOBS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out

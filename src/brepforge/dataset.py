@@ -34,17 +34,15 @@ from .brep import (
 )
 from .geom2d import to_units
 
-META_COLUMNS = 14  # storey_count, room_total, avg_room_area, footprint_area, per-floor 1..10
-
 
 @dataclass(frozen=True)
 class FilterConfig:
     """Room-level acceptance thresholds (metres / m²)."""
 
-    min_room_area: float = 8.0
-    max_room_area: float = 80.0
-    min_room_side: float = 2.0
-    max_aspect_ratio: float = 4.0
+    min_room_area: float
+    max_room_area: float
+    min_room_side: float
+    max_aspect_ratio: float
 
 
 def tiered_room_counts(storey_count: int) -> tuple[int, list[int]]:
@@ -142,9 +140,6 @@ class DatasetMeta:
             "records": [r.to_dict() for r in self.records],
             "discards": [{"seed": s, "reason": r} for s, r in self.discard_log],
         }
-
-
-DISCARD_REASONS = ("growth-failed", "boolean-failure", "room-filter", "unreachable-room")
 
 
 def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:

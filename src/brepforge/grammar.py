@@ -15,7 +15,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CollisionError,
@@ -39,16 +39,16 @@ from .rng import SeededRng
 class GrammarConfig:
     """Growth parameters; lengths in grid units of 0.1 m."""
 
-    core_tube: Rect = field(default_factory=lambda: Rect(0, 0, 40, 40))
-    room_side_min: int = 24
-    room_side_max: int = 60
-    max_rooms: int = 10
-    notch_gap: int = 5
+    core_tube: Rect
+    room_side_min: int
+    room_side_max: int
+    max_rooms: int
+    notch_gap: int
     # Reject productions that would leave an exterior slot narrower than
     # this between facing walls; keeps the 0.1 m wall offset valid.
-    min_exterior_gap: int = 4
+    min_exterior_gap: int
     # Failed attempts allowed over the whole growth.
-    retry_budget: int = 16
+    retry_budget: int
 
     def __post_init__(self):
         if not (1 <= self.max_rooms <= 10):

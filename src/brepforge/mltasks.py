@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,6 @@ DEFECT_SUFFIX = "_def"
 @dataclass
 class PointCloud:
     points: np.ndarray  # (n, 3) float64
-    mode: str
-    source_id: str
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
     def to_xyz(self) -> str:
         """One line of three shortest round-trip floats per point, from one
@@ -48,9 +41,7 @@ class PointCloud:
         return np.ascontiguousarray(self.points, dtype="<f4").tobytes()
 
 
-def sample_points(
-    mesh: TriMesh, n: int, mode: str, rng: SeededRng, source_id: str = ""
-) -> PointCloud:
+def sample_points(mesh: TriMesh, n: int, mode: str, rng: SeededRng) -> PointCloud:
     """Area-weighted surface sampling with deterministic draws.
 
     Point i takes draws 3i, 3i+1 and 3i+2 of one block: the first picks the
@@ -82,7 +73,7 @@ def sample_points(
         pts = pts - pts.mean(axis=0)
         radius = float(np.linalg.norm(pts, axis=1).max())
         pts = pts / radius
-    return PointCloud(pts, mode, source_id, rng.stream)
+    return PointCloud(pts)
 
 
 def is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
@@ -173,12 +164,12 @@ def eval_regression(
     storey_err, storey_hit, rt_err, aa_err, pf_err = [], [], [], [], []
     for p in predictions:
         truth = truths[_base_id(p["filename"])]
-        ps = float(p["pred_storey"])
+        ps = _finite_cell(p, "pred_storey")
         storey_err.append(abs(ps - truth.storey))
         storey_hit.append(float(round(ps) == truth.storey))
-        rt_err.append(float(p["pred_room_tot"]) - truth.room_total)
-        aa_err.append(float(p["pred_avg_area"]) - truth.avg_area)
-        per = [float(p[f"pred_room_per_{i}"]) for i in range(1, 11)]
+        rt_err.append(_finite_cell(p, "pred_room_tot") - truth.room_total)
+        aa_err.append(_finite_cell(p, "pred_avg_area") - truth.avg_area)
+        per = [_finite_cell(p, f"pred_room_per_{i}") for i in range(1, 11)]
         pf_err.append(
             sum(abs(a - b) for a, b in zip(per, truth.room_per_floor)) / 10.0
         )
@@ -258,6 +249,13 @@ def eval_binary(rows: list[tuple[str, str]]) -> BinaryMetrics:
         else:
             tn += 1
     return BinaryMetrics.from_counts(tp, fn, fp, tn)
+
+
+def _finite_cell(row: dict, column: str) -> float:
+    value = float(row[column])
+    if not isfinite(value):
+        raise ValueError(f"{row['filename']}: {column} {row[column]!r} is not a finite number")
+    return value
 
 
 def _base_id(filename: str) -> str:

@@ -66,6 +66,10 @@ class WindowSpec:
     height: int
     sill: int
 
+    def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError("window width and height must be positive")
+
 
 @dataclass(frozen=True)
 class WindowTable:
@@ -75,17 +79,9 @@ class WindowTable:
     overridable through the generator config.
     """
 
-    bins: tuple[int, int, int] = (12, 30, 50)
-    ns: tuple[WindowSpec, ...] = (
-        WindowSpec(9, 14, 9),
-        WindowSpec(18, 15, 9),
-        WindowSpec(24, 15, 9),
-    )
-    ew: tuple[WindowSpec, ...] = (
-        WindowSpec(6, 12, 10),
-        WindowSpec(9, 12, 10),
-        WindowSpec(12, 12, 10),
-    )
+    bins: tuple[int, int, int]
+    ns: tuple[WindowSpec, ...]
+    ew: tuple[WindowSpec, ...]
 
 
 @dataclass
@@ -192,7 +188,7 @@ def place_doors(walls: list[WallSegment], n_rooms: int) -> list[Opening]:
     return doors
 
 
-def generate_windows(walls: list[WallSegment], table: WindowTable = WindowTable()) -> list[Opening]:
+def generate_windows(walls: list[WallSegment], table: WindowTable) -> list[Opening]:
     """One window per exterior wall, parameterized by orientation and length.
 
     North/south windows are centered; east/west windows sit 0.3 m from the

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brepforge.assembly import BuildingConfig, assemble
+from brepforge.assembly import assemble
 from brepforge.brep import is_watertight, triangulate
 from brepforge.cli import main as cli
+from brepforge.config import GeneratorConfig
 from brepforge.dataset import load_dataset_meta, solid_from_dict, stats
 from brepforge.geom2d import Rect, polygon_area, union_rect
-from brepforge.grammar import GrammarConfig, Termination, grow
+from brepforge.grammar import Termination, grow
 from brepforge.mltasks import (
     UNIT_CUBE,
     UNIT_SPHERE,
@@ -77,12 +78,12 @@ def test_per_floor_pattern(timed_batch):
 
 
 def test_storey_class_truncation():
-    config = GrammarConfig()
+    config = GeneratorConfig.build()
     rng = SeededRng(7, 7)
-    trace = grow(config, rng)
+    trace = grow(config.grammar(), rng)
     assert trace.terminated_by is Termination.COLLISION
     assert len(trace.snapshots) == 5  # the sixth production exhausts the budget
-    building = assemble(trace, BuildingConfig(), rng)
+    building = assemble(trace, config.building(), rng)
     assert building.meta.storey_count == 5
     print("ACCEPTANCE PASS: collision at the 6th rectangle yields a 5-storey building")
 
@@ -204,10 +205,10 @@ def test_defect_oracle_and_point_normalization(timed_batch):
     for i, solid in enumerate(solids[:10]):
         mesh = triangulate(solid)
         cube = sample_points(mesh, 4000, UNIT_CUBE, SeededRng(2000 + i, 2000 + i))
-        assert cube.n == 4000
+        assert len(cube.points) == 4000
         assert cube.points.min() >= 0.0 and cube.points.max() <= 1.0
         sphere = sample_points(mesh, 4000, UNIT_SPHERE, SeededRng(3000 + i, 3000 + i))
-        assert sphere.n == 4000
+        assert len(sphere.points) == 4000
         radii = np.linalg.norm(sphere.points, axis=1)
         assert abs(radii.max() - 1.0) <= 1e-9
     print("ACCEPTANCE PASS: 100 defects all open, 100 GOOD all watertight, "

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from brepforge.assembly import (
-    BuildingConfig,
     assemble,
     build_storey_plan,
     order_storeys,
@@ -15,14 +14,15 @@ from brepforge.brep import is_watertight
 from brepforge.dataset import solid_json
 from brepforge.errors import GrowthFailedError
 from brepforge.geom2d import Footprint, Rect
-from brepforge.grammar import GrammarConfig, GrowthTrace, Termination, grow
+from brepforge.config import GeneratorConfig
+from brepforge.grammar import GrowthTrace, Termination, grow
 from brepforge.rng import SeededRng
 from brepforge.brep import FRAMES
 import brepforge.geom2d as geom2d
 from oracles import drawn_footprint, rasterize_loops
 
-GCFG = GrammarConfig()
-BCFG = BuildingConfig()
+GCFG = GeneratorConfig.build().grammar()
+BCFG = GeneratorConfig.build().building()
 
 
 def fake_trace(snapshots):

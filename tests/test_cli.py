@@ -76,6 +76,38 @@ def test_gen_unreadable_config_usage_error(tmp_path, capsys, config):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        # Lengths that are not finite or lie beyond 1 000 m.
+        "storey_height=inf",
+        "storey_height=1e300",
+        "core_tube=0,0,4,inf",
+        "core_tube=-1e5,0,0,4",
+        "window_bins=1.2,3.0,nan",
+        "min_room_area=inf",
+        "max_aspect_ratio=nan",
+        # Sizes that are not positive.
+        "wall_thickness=0",
+        "wall_thickness=-0.2",
+        "slab_thickness=-0.2",
+        "entrance_width=0",
+        "entrance_height=-1.0",
+        "window_ns_small=0,0,0",
+        "window_ew_mid=0.9,-1.2,1.0",
+        # Not KEY=VALUE.
+        "max_rooms",
+    ],
+)
+def test_gen_bad_config_value_usage_error(tmp_path, capsys, item):
+    out = tmp_path / "x"
+    assert cli(["gen", "--count", "2", "--seed", "0", "--out", str(out), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gen: bad config: ") and len(err.splitlines()) == 1, err
+    assert item.partition("=")[0] in err
+    assert not out.exists()
+
+
 def test_gen_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nmax_rooms = 4\n")
@@ -119,11 +151,22 @@ def test_stats_reports(small_batch_dir, capsys):
     assert total == len(meta["records"])
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_exits_one_without_traceback(tmp_path, small_batch_dir, unbuffered):
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        pytest.param(["stats", "DIR"], False, id="stats"),
+        pytest.param(["stats", "DIR"], True, id="stats-unbuffered"),
+        # argparse itself drops a failed write of these two, so only the
+        # buffered text, flushed in `main`, shows the closed pipe.
+        pytest.param(["--help"], False, id="help"),
+        pytest.param(["--version"], False, id="version"),
+    ],
+)
+def test_closed_stdout_exits_one_without_traceback(tmp_path, small_batch_dir, argv, unbuffered):
     # As in `brepforge stats DIR | head -1` once head has exited: the read
     # end of the pipe is closed before the first write.
     (tmp_path / "meta.json").write_bytes((small_batch_dir / "meta.json").read_bytes())
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
     src_dir = Path(brepforge.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(src_dir), os.environ.get("PYTHONPATH", "")])
@@ -133,7 +176,7 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path, small_batch_dir, un
     os.close(read_end)
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "brepforge.cli", "stats", str(tmp_path)],
+            [sys.executable, "-m", "brepforge.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
         )
     finally:
@@ -206,6 +249,23 @@ def test_eval_regression_cli_identity(tmp_path, small_batch_dir, capsys):
     out = capsys.readouterr().out
     assert "storey accuracy:        1.000" in out
     assert "per-floor MAE (rooms):  0.000" in out
+
+
+@pytest.mark.parametrize("column", ["pred_storey", "pred_room_tot", "pred_avg_area", "pred_room_per_3"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_eval_regression_non_finite_prediction_usage_error(tmp_path, small_batch_dir, capsys, column, value):
+    record = json.loads((small_batch_dir / "meta.json").read_text())["records"][0]
+    header = ["filename", "pred_storey", "pred_room_tot", "pred_avg_area"] + [
+        f"pred_room_per_{i}" for i in range(1, 11)
+    ]
+    row = dict.fromkeys(header, "1")
+    row.update(filename=f"{record['id']}.brep.json", **{column: value})
+    csv_path = tmp_path / "preds.csv"
+    csv_path.write_text(",".join(header) + "\n" + ",".join(row[h] for h in header) + "\n")
+    assert cli(["eval", "regression", str(csv_path), "--truth", str(small_batch_dir / "meta.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eval: ") and f"{column} '{value}' is not a finite number" in err
+    assert "Traceback" not in err
 
 
 def test_eval_regression_requires_truth(tmp_path):

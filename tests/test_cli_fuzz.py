@@ -4,8 +4,10 @@ negative numbers, ragged lists, empty and one-vertex loops, a label that is
 not a string) goes through the commands that read it, in process: a
 solid's `.brep.json` through `validate`, `points` and `defect`, and the
 dataset's `meta.json` and a building's `<id>.meta.json` through `stats`,
-`eval regression` and `validate`.  Each must end with exit code 0, 1 or 2
-and nothing resembling a traceback on stderr."""
+`eval regression` and `validate`.  Prediction CSVs, with one to three
+edits of cells, rows and the header, go through `eval regression` and
+`eval binary`.  Each must end with exit code 0, 1 or 2 and nothing
+resembling a traceback on stderr."""
 
 import contextlib
 import copy
@@ -183,3 +185,60 @@ def test_meta_json_readers_never_crash(source, metas, data):
         ):
             code, err = run(argv)
             assert code in (0, 1, 2) and "Traceback" not in err, (argv[0], code, err)
+
+
+CELLS = st.sampled_from(
+    ["", "x", "nan", "inf", "-inf", "1e400", "-1e400", "1e300", "9" * 400, "-1", "0.5", "3",
+     "GOOD", "DEFECT", "good", '"', '"a,b"', "a_def.brep.json", "../x", "\u00e9"]
+)
+# A changed cell is the edit most likely to reach a parser, so it is drawn
+# half of the time.
+CSV_EDITS = ("cell",) * 5 + ("drop cell", "extra cell", "drop row", "repeat row", "blank row")
+
+
+def mutated_csv(data, text: str) -> str:
+    """``text`` (comma-separated, no quoting) with one to three edits; row 0
+    is the header, so edits reach the column names too."""
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(CSV_EDITS))
+        k = data.draw(st.integers(0, len(rows) - 1)) if rows else None
+        if k is None:
+            rows.append([data.draw(CELLS)])
+        elif edit == "drop row":
+            del rows[k]
+        elif edit == "repeat row":
+            rows.insert(k, list(rows[k]))
+        elif edit == "blank row":
+            rows.insert(k, [])
+        elif edit == "extra cell":
+            rows[k].append(data.draw(CELLS))
+        elif rows[k]:
+            i = data.draw(st.integers(0, len(rows[k]) - 1))
+            if edit == "drop cell":
+                del rows[k][i]
+            else:
+                rows[k][i] = data.draw(CELLS)
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_prediction_csv_readers_never_crash(metas, data):
+    dataset, _, predictions = metas
+    binary = "filename,prediction\n" + "".join(
+        f"{r['id']}{suffix}.brep.json,{label}\n"
+        for r in dataset["records"]
+        for suffix, label in (("", "GOOD"), ("_def", "DEFECT"))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "meta.json").write_text(json.dumps(dataset))
+        (work / "regression.csv").write_text(mutated_csv(data, predictions))
+        (work / "binary.csv").write_text(mutated_csv(data, binary))
+        for argv in (
+            ["eval", "regression", str(work / "regression.csv"), "--truth", str(work / "meta.json")],
+            ["eval", "binary", str(work / "binary.csv")],
+        ):
+            code, err = run(argv)
+            assert code in (0, 2) and "Traceback" not in err, (argv[1], code, err)

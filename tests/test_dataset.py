@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brepforge.assembly import BuildingConfig, assemble
+from brepforge.assembly import assemble
 from brepforge.brep import drop_faces, is_watertight
 from brepforge.dataset import (
     BuildingMeta,
     DatasetMeta,
-    FilterConfig,
     canonical_json,
     check_rooms,
     check_solid,
@@ -25,13 +24,15 @@ from brepforge.dataset import (
     write_discards_csv,
     write_meta_npy,
 )
-from brepforge.grammar import GrammarConfig, grow
+from brepforge.config import GeneratorConfig
+from brepforge.grammar import grow
 from brepforge.mltasks import inject_defect
 from brepforge.rng import SeededRng
 from oracles import solid_to_dict
 from test_brep import box_solids
 
-FC = FilterConfig()
+DEFAULTS = GeneratorConfig.build()
+FC = DEFAULTS.filters()
 
 
 def meta_with_rooms(rooms, storeys=1):
@@ -51,8 +52,8 @@ def meta_with_rooms(rooms, storeys=1):
 
 def built(seed):
     rng = SeededRng(seed, seed)
-    trace = grow(GrammarConfig(), rng)
-    return assemble(trace, BuildingConfig(), rng)
+    trace = grow(DEFAULTS.grammar(), rng)
+    return assemble(trace, DEFAULTS.building(), rng)
 
 
 def test_check_rooms_pass():

@@ -30,10 +30,12 @@ from brepforge.geom2d import (
     to_units,
     union_rect,
 )
-from brepforge.grammar import GrammarConfig, grow
+from brepforge.config import GeneratorConfig
+from brepforge.grammar import grow
 from brepforge.rng import SeededRng
 from oracles import drawn_footprint, slab_partition, vertex_kind_counts
 
+GRAMMAR = GeneratorConfig.build().grammar()
 SQUARE = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
 L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
 
@@ -221,7 +223,7 @@ def test_decompose_tiles_exactly():
 @lru_cache(maxsize=None)
 def grown_snapshots(seed: int) -> tuple[Footprint, ...]:
     try:
-        return grow(GrammarConfig(), SeededRng(seed, seed)).snapshots
+        return grow(GRAMMAR, SeededRng(seed, seed)).snapshots
     except GrowthFailedError:
         return ()
 
@@ -560,7 +562,7 @@ def reference_facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]
 
 # The grammar's notch and sliver thresholds, a gap of one unit, a wide one,
 # and one that takes every facing pair.
-GAP_BOUNDS = sorted({1, GrammarConfig().notch_gap, GrammarConfig().min_exterior_gap, 60, 10**9})
+GAP_BOUNDS = sorted({1, GRAMMAR.notch_gap, GRAMMAR.min_exterior_gap, 60, 10**9})
 
 
 def test_facing_gaps_match_reference_on_grown_footprints():

@@ -3,6 +3,7 @@ determinism, and footprint invariants over a seed sweep."""
 
 import pytest
 
+from brepforge.config import GeneratorConfig
 from brepforge.errors import ConflictError, GrowthFailedError, ProductionInfeasibleError
 from brepforge.geom2d import (
     Footprint,
@@ -12,7 +13,6 @@ from brepforge.geom2d import (
     union_rect,
 )
 from brepforge.grammar import (
-    GrammarConfig,
     Termination,
     expand_concave,
     expand_convex,
@@ -22,7 +22,7 @@ from brepforge.rng import SeededRng
 from oracles import drawn_footprint, vertex_kind_counts
 from test_geom2d import reference_is_simple
 
-CONFIG = GrammarConfig()
+CONFIG = GeneratorConfig.build().grammar()
 SQUARE = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
 L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
 

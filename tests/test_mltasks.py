@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from brepforge.assembly import BuildingConfig, assemble
+from brepforge.assembly import assemble
 from brepforge.brep import Box, is_watertight, solid_from_boxes, triangulate, TriMesh
 from brepforge.dataset import BuildingMeta, check_solid
 from brepforge.errors import BrepForgeError, EmptyMeshError
-from brepforge.grammar import GrammarConfig, grow
+from brepforge.config import GeneratorConfig
+from brepforge.grammar import grow
 from brepforge.mltasks import (
     UNIT_CUBE,
     UNIT_SPHERE,
@@ -37,12 +38,13 @@ CUBE = extrude_prism(drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
 
 def built(seed):
     rng = SeededRng(seed, seed)
-    return assemble(grow(GrammarConfig(), rng), BuildingConfig(), rng)
+    cfg = GeneratorConfig.build()
+    return assemble(grow(cfg.grammar(), rng), cfg.building(), rng)
 
 
 def test_sample_count_and_cube_bounds():
     cloud = sample_points(triangulate(CUBE), 4000, UNIT_CUBE, SeededRng(1, 1))
-    assert cloud.n == 4000
+    assert len(cloud.points) == 4000
     assert cloud.points.min() >= 0.0 and cloud.points.max() <= 1.0
     assert np.allclose(cloud.points.min(axis=0), 0.0)
     assert math.isclose(cloud.points.max(), 1.0)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from brepforge.assembly import BuildingConfig, build_storey_plan
+from brepforge.assembly import build_storey_plan
+from brepforge.config import GeneratorConfig
 from brepforge.errors import InconsistentPlanError, UnreachableRoomError
 from brepforge.geom2d import Footprint, Point2, Rect
 from brepforge.storey import (
@@ -15,6 +16,7 @@ from brepforge.storey import (
 )
 from oracles import drawn_footprint
 
+BUILDING = GeneratorConfig.build().building()
 CORE = Rect.from_metres(0, 0, 4, 4)
 
 
@@ -115,7 +117,7 @@ def fake_wall(index, orientation, length=40, room=1):
 def test_window_south_wall_bin2():
     room = Rect.from_metres(0, 4, 4, 8)
     fp = drawn_footprint([(0, 0), (4, 0), (4, 8), (0, 8)], [CORE, room])
-    windows = generate_windows(build_walls(fp))
+    windows = generate_windows(build_walls(fp), BUILDING.window_table)
     south = [w for w in windows if w.wall.orientation == "S"]
     assert len(south) == 1
     win = south[0]
@@ -126,7 +128,7 @@ def test_window_south_wall_bin2():
 def test_window_west_wall_bin1_south_offset():
     # Canonical p1 is the southern end for walls running along y.
     walls = [WallSegment(Point2(0, 0), Point2(0, 20), "exterior", "W", (1,))]
-    wins = generate_windows(walls)
+    wins = generate_windows(walls, BUILDING.window_table)
     assert len(wins) == 1
     assert (wins[0].width, wins[0].height, wins[0].sill) == (6, 12, 10)
     assert wins[0].offset == 3
@@ -134,7 +136,7 @@ def test_window_west_wall_bin1_south_offset():
 
 def test_window_short_wall_skipped():
     walls = [WallSegment(Point2(0, 0), Point2(10, 0), "exterior", "S", (0,))]
-    assert generate_windows(walls) == []
+    assert generate_windows(walls, BUILDING.window_table) == []
 
 
 def prune_fixture(specs):
@@ -177,7 +179,7 @@ def test_prune_never_increases_and_keeps_doors():
     # Doors never pass through the window filter: a plan keeps every door.
     room = Rect.from_metres(4, 0, 8, 4)
     fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
-    plan = build_storey_plan(fp, BuildingConfig())
+    plan = build_storey_plan(fp, BUILDING)
     doors = place_doors(plan.walls, 1)
     assert doors and all(door in plan.openings for door in doors)
 
@@ -193,8 +195,6 @@ def test_prune_tiebreak_deterministic():
 
 
 def test_ns_windows_at_least_as_large_as_ew():
-    from brepforge.storey import WindowTable
-
-    table = WindowTable()
+    table = BUILDING.window_table
     for ns, ew in zip(table.ns, table.ew):
         assert ns.width * ns.height >= ew.width * ew.height
