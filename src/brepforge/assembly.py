@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brep import Box, BRepSolid, solid_from_boxes
-from .dataset import BuildingMeta, tiered_room_counts
+from .records import BuildingMeta, tiered_room_counts
 from .errors import (
     AssemblyInconsistencyError,
     BooleanFailureError,
@@ -54,6 +54,8 @@ class BuildingConfig:
         for name in ("wall_thickness", "slab_thickness", "entrance_width", "entrance_height"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.ground_offset < 0:
+            raise ValueError("ground_offset must not be negative")
         if self.wall_thickness % 2:
             raise ValueError("wall thickness must be an even number of grid units")
         if self.slab_thickness >= self.storey_height:

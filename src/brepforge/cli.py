@@ -5,34 +5,23 @@ config error.
 `gen` distributes sample streams across a worker pool (--jobs, or the
 BREPFORGE_JOBS environment variable); outputs are aggregated in stream
 order so the tree is byte-identical no matter the scheduling.
+
+Each command imports the modules it runs when it runs, so a process pays
+only for its own command: `stats` and `eval` load no numpy, and
+`validate`, `points` and `defect` load no grammar, storey plans or
+assembly.  `run` is the process entry.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
+import gc
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .assembly import assemble
-from .config import ConfigError, GeneratorConfig
-from .dataset import (
-    DatasetMeta,
-    BuildingMeta,
-    check_rooms,
-    check_solid,
-    export_building,
-    load_dataset_meta,
-    solid_from_dict,
-    solid_json,
-    stats as dataset_stats,
-    write_dataset_meta,
-    write_discards_csv,
-    write_meta_npy,
-)
 from .errors import (
     AssemblyInconsistencyError,
     BooleanFailureError,
@@ -42,21 +31,7 @@ from .errors import (
     MalformedInputError,
     UnreachableRoomError,
 )
-from .grammar import grow
-from .mltasks import (
-    DEFECT_SUFFIX,
-    UNIT_CUBE,
-    UNIT_SPHERE,
-    eval_binary,
-    eval_regression,
-    inject_defect,
-    read_binary_csv,
-    read_regression_csv,
-    sample_points,
-    truths_from_metas,
-)
-from .brep import triangulate
-from .rng import SeededRng
+from .records import check_rooms
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -67,6 +42,11 @@ _PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
 
 def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
     """Worker: grow, assemble, filter, and export one sample stream."""
+    from .assembly import assemble
+    from .dataset import check_solid, export_building
+    from .grammar import grow
+    from .rng import SeededRng
+
     stream, grammar_cfg, building_cfg, filters, out_dir, write_obj = args
     rng = SeededRng(stream, stream)
     try:
@@ -94,6 +74,12 @@ def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
 
 
 def cmd_gen(args) -> int:
+    import datetime
+
+    from .config import ConfigError, GeneratorConfig
+    from .dataset import write_meta_npy
+    from .records import BuildingMeta, DatasetMeta, write_dataset_meta, write_discards_csv
+
     if args.count <= 0:
         print("gen: --count must be positive", file=sys.stderr)
         return USAGE_ERROR
@@ -172,12 +158,26 @@ def _read_json(path: Path, parse):
 
 
 def cmd_validate(args) -> int:
+    from .config import GeneratorConfig
+    from .dataset import check_solid, solid_from_dict
+    from .records import BuildingMeta
+
     directory = Path(args.dir)
     files = _brep_files(directory)
     if not files:
         print(f"validate: no .brep.json files in {directory}", file=sys.stderr)
         return 0
-    cfg = GeneratorConfig.build(None, {})
+    # Rooms are checked against the filters the tree was generated with:
+    # those of the config in its manifest, else the defaults.
+    manifest = directory / "manifest.json"
+    try:
+        config = json.loads(manifest.read_text())["config"] if manifest.exists() else {}
+        if type(config) is not dict or not all(type(v) is str for v in config.values()):
+            raise ValueError("config is not an object of strings")
+        filters = GeneratorConfig.build(None, config).filters()
+    except (*_PARSE_ERRORS, OSError) as exc:
+        print(f"validate: {manifest}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     failures = 0
     for path in files:
         try:
@@ -200,7 +200,7 @@ def cmd_validate(args) -> int:
                 print(f"FAIL {path.name}: {exc}")
                 failures += 1
                 continue
-            rooms_ok, violations = check_rooms(meta.rooms, cfg.filters())
+            rooms_ok, violations = check_rooms(meta.rooms, filters)
             if not rooms_ok:
                 print(f"FAIL {path.name}: {violations[0]}")
                 failures += 1
@@ -211,10 +211,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .records import load_dataset_meta, stats
+
     directory = Path(args.dir)
     meta_path = directory / "meta.json"
     try:
-        report = dataset_stats(load_dataset_meta(meta_path))
+        report = stats(load_dataset_meta(meta_path))
     except (*_PARSE_ERRORS, OSError) as exc:
         print(f"stats: {meta_path}: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -227,6 +229,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_points(args) -> int:
+    from .brep import triangulate
+    from .dataset import solid_from_dict
+    from .mltasks import UNIT_CUBE, UNIT_SPHERE, sample_points
+    from .rng import SeededRng
+
     if args.n <= 0:
         print("points: --n must be positive", file=sys.stderr)
         return USAGE_ERROR
@@ -249,6 +256,11 @@ def cmd_points(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    from .dataset import check_solid, solid_from_dict, solid_json
+    from .mltasks import inject_defect
+    from .records import DEFECT_SUFFIX
+    from .rng import SeededRng
+
     if not 0 <= args.ratio < float("inf"):
         print("defect: --ratio must be a finite number >= 0", file=sys.stderr)
         return USAGE_ERROR
@@ -285,6 +297,15 @@ def cmd_defect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .records import (
+        eval_binary,
+        eval_regression,
+        load_dataset_meta,
+        read_binary_csv,
+        read_regression_csv,
+        truths_from_metas,
+    )
+
     try:
         if args.kind == "binary":
             metrics = eval_binary(read_binary_csv(args.predictions))
@@ -303,8 +324,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; on stdout it must raise, so that
+        # --help and --version into a closed pipe exit 1 like any command,
+        # also when stdout is unbuffered and the write itself fails.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brepforge",
         description="Procedural multi-storey building B-rep generator and task tooling",
     )
@@ -377,5 +409,19 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def run() -> None:
+    """Process entry of `brepforge` and `python -m brepforge.cli`: `main`,
+    then exit with its status.
+
+    The heap is frozen just before exit, so the interpreter's exit-time
+    collection skips every object alive then, most of them made by the
+    command's imports.  Never in `main`, which tests and in-process
+    callers run many times.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

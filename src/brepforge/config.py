@@ -14,17 +14,21 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .assembly import BuildingConfig
-from .dataset import FilterConfig
 from .geom2d import Rect, to_units
-from .grammar import GrammarConfig
-from .storey import WindowSpec, WindowTable
+
+# A section's types are imported when the section is built, so `validate`,
+# which builds only the room filters, loads no grammar, storey or assembly.
+if TYPE_CHECKING:
+    from .assembly import BuildingConfig
+    from .grammar import GrammarConfig
+    from .records import FilterConfig
+    from .storey import WindowSpec
 
 # Bound on the magnitude of every configured length.  The core, 10 rooms,
 # the apron and 10 storeys then come to about 13 km at most, well inside
-# dataset.MAX_COORDINATE_M.
+# records.MAX_COORDINATE_M.
 MAX_LENGTH_M = 1000.0
 
 
@@ -52,6 +56,8 @@ def finite(text: str) -> float:
 
 def window(text: str) -> WindowSpec:
     """A window spec: width,height,sill."""
+    from .storey import WindowSpec
+
     return WindowSpec(*lengths(text, 3))
 
 
@@ -123,14 +129,21 @@ class GeneratorConfig:
         return out
 
     def grammar(self) -> GrammarConfig:
+        from .grammar import GrammarConfig
+
         return GrammarConfig(**self._section("grammar"))
 
     def building(self) -> BuildingConfig:
+        from .assembly import BuildingConfig
+        from .storey import WindowTable
+
         w = self._section("window")
         table = WindowTable(w["bins"], *(tuple(w[group, b] for b in range(3)) for group in ("ns", "ew")))
         return BuildingConfig(**self._section("building"), window_table=table)
 
     def filters(self) -> FilterConfig:
+        from .records import FilterConfig
+
         return FilterConfig(**self._section("filters"))
 
     def canonical_text(self) -> str:

@@ -1,23 +1,23 @@
-"""Dataset plumbing: room filters, metadata records, file exports, statistics.
+"""Solid files: the `check_solid` gate, `.brep.json` text and its reader,
+building exports and the NPY writer.
 
 Exports are byte-stable canonical JSON: sorted keys, compact separators
-and shortest round-trip floats.  Metadata goes through `canonical_json`
-(`json.dumps`).  A solid's `.brep.json` text comes from `solid_json`, a
-direct writer: it formats each distinct coordinate once and fills face
-templates with one ``%``-format, and its output is byte for byte
-`canonical_json` of the solid's dict form (``faces``, ``id``, ``label``,
-``units``, ``vertices``), so `solid_from_dict(json.loads(text))` gives the
-solid back.  The dataset matrix is written as an NPY v1.0 file by a
-self-contained writer (header layout pinned here; any standard reader
-recovers the float64 matrix bit-exactly).
+and shortest round-trip floats.  Metadata goes through
+`records.canonical_json` (`json.dumps`).  A solid's `.brep.json` text
+comes from `solid_json`, a direct writer: it formats each distinct
+coordinate once and fills face templates with one ``%``-format, and its
+output is byte for byte `canonical_json` of the solid's dict form
+(``faces``, ``id``, ``label``, ``units``, ``vertices``), so
+`solid_from_dict(json.loads(text))` gives the solid back.  The dataset
+matrix is written as an NPY v1.0 file by a self-contained writer (header
+layout pinned here; any standard reader recovers the float64 matrix
+bit-exactly).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -33,136 +33,7 @@ from .brep import (
     triangulate,
 )
 from .geom2d import to_units
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Room-level acceptance thresholds (metres / m²)."""
-
-    min_room_area: float
-    max_room_area: float
-    min_room_side: float
-    max_aspect_ratio: float
-
-
-def tiered_room_counts(storey_count: int) -> tuple[int, list[int]]:
-    """(room_total, room_per_floor) of a tiered building.
-
-    Floor k (bottom = 1) of an S-storey building carries S - k + 1 rooms, so
-    the per-floor counts are (S, S-1, ..., 1), zero-padded to 10 floors.
-    """
-    s = storey_count
-    return s * (s + 1) // 2, [max(s - k, 0) for k in range(10)]
-
-
-@dataclass
-class BuildingMeta:
-    id: str
-    seed: int
-    storey_count: int
-    room_total: int
-    room_per_floor: list[int]  # zero-padded to 10 entries
-    rooms: list[list[list[float]]]  # per storey: [width_m, height_m] per room
-    openings: list[dict]
-    avg_room_area: float
-    footprint_area: float
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "seed": self.seed,
-            "storey_count": self.storey_count,
-            "room_total": self.room_total,
-            "room_per_floor": self.room_per_floor,
-            "rooms": self.rooms,
-            "openings": self.openings,
-            "avg_room_area": self.avg_room_area,
-            "footprint_area": self.footprint_area,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BuildingMeta":
-        """The record of a parsed `meta.json` entry; a field of the wrong
-        type raises ValueError."""
-        per_floor = d["room_per_floor"]
-        if type(per_floor) is not list:
-            raise ValueError(f"room_per_floor {per_floor!r} is not a list")
-        return cls(
-            id=d["id"],
-            seed=_checked_int(d["seed"], "seed"),
-            storey_count=_checked_int(d["storey_count"], "storey_count"),
-            room_total=_checked_int(d["room_total"], "room_total"),
-            room_per_floor=[_checked_int(n, "room_per_floor entry") for n in per_floor],
-            rooms=_checked_rooms(d["rooms"]),
-            openings=d["openings"],
-            avg_room_area=_checked_number(d["avg_room_area"], "avg_room_area"),
-            footprint_area=_checked_number(d["footprint_area"], "footprint_area"),
-        )
-
-
-def _checked_int(value, name: str) -> int:
-    """``value`` if it is an int (a bool is not); raises ValueError otherwise."""
-    if type(value) is not int:
-        raise ValueError(f"{name} {value!r} is not an integer")
-    return value
-
-
-def _checked_number(value, name: str):
-    """``value`` if it is an int (a bool is not) or a finite float; raises
-    ValueError otherwise."""
-    if not (type(value) is int or (type(value) is float and math.isfinite(value))):
-        raise ValueError(f"{name} {value!r} is not a finite number")
-    return value
-
-
-def _checked_rooms(storeys):
-    """``storeys`` unchanged, once every room is a [width, height] pair of
-    numbers (ints, not bools, or floats) within MAX_COORDINATE_M of zero, so
-    that areas and aspect ratios are finite; raises ValueError otherwise."""
-    for rooms in storeys:
-        for room in rooms:
-            if len(room) != 2 or not all(
-                type(side) in (int, float) and abs(side) <= MAX_COORDINATE_M for side in room
-            ):
-                raise ValueError(
-                    f"room {room!r} is not a [width, height] pair of numbers up to {MAX_COORDINATE_M} m"
-                )
-    return storeys
-
-
-@dataclass
-class DatasetMeta:
-    records: list[BuildingMeta] = field(default_factory=list)
-    discard_log: list[tuple[int, str]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "discards": [{"seed": s, "reason": r} for s, r in self.discard_log],
-        }
-
-
-def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
-    """Validate per-storey (width_m, height_m) rooms against the filter thresholds."""
-    violations = []
-    for storey, rooms in enumerate(storeys, start=1):
-        for i, (w, h) in enumerate(rooms):
-            area = w * h
-            lo, hi = min(w, h), max(w, h)
-            if not (cfg.min_room_area <= area <= cfg.max_room_area):
-                violations.append(
-                    f"storey {storey} room {i}: area {area:.2f} outside "
-                    f"[{cfg.min_room_area}, {cfg.max_room_area}]"
-                )
-            if lo < cfg.min_room_side:
-                violations.append(f"storey {storey} room {i}: side {lo:.2f} below {cfg.min_room_side}")
-            if lo <= 0:
-                violations.append(f"storey {storey} room {i}: side {lo:.2f} is not positive")
-            elif hi / lo > cfg.max_aspect_ratio:
-                violations.append(
-                    f"storey {storey} room {i}: aspect {hi / lo:.2f} above {cfg.max_aspect_ratio}"
-                )
-    return (not violations), violations
+from .records import MAX_COORDINATE_M, DatasetMeta, canonical_json
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -171,10 +42,6 @@ def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
     wound about their stated normals; a positive enclosed volume."""
     problems = is_watertight(solid)[1] + geometry_problems(solid)
     return (not problems), problems
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def solid_json(solid: BRepSolid, building_id: str) -> str:
@@ -225,11 +92,6 @@ def _vertex_ids(loop, n: int) -> tuple[int, ...]:
     return ids
 
 
-# A coordinate further than this from the origin is a parse error: NaN,
-# infinities and values beyond int64 would otherwise fail inside numpy, and
-# within it every product of three coordinates (the volume term of
-# `geometry_problems`) fits in int64.
-MAX_COORDINATE_M = 100_000.0
 
 
 def _coordinate(metres) -> int:
@@ -309,72 +171,3 @@ def write_meta_npy(ds: DatasetMeta, path: Path) -> None:
         fh.write(struct.pack("<H", len(header)))
         fh.write(header.encode("latin1"))
         fh.write(matrix.tobytes(order="C"))
-
-
-def write_dataset_meta(ds: DatasetMeta, path: Path) -> None:
-    Path(path).write_text(canonical_json(ds.to_dict()) + "\n")
-
-
-def load_dataset_meta(path: Path) -> DatasetMeta:
-    d = json.loads(Path(path).read_text())
-    return DatasetMeta(
-        records=[BuildingMeta.from_dict(r) for r in d["records"]],
-        discard_log=[(e["seed"], e["reason"]) for e in d["discards"]],
-    )
-
-
-def write_discards_csv(ds: DatasetMeta, path: Path) -> None:
-    lines = ["seed,reason"] + [f"{s},{r}" for s, r in ds.discard_log]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-@dataclass
-class StatsReport:
-    storey_hist: dict[int, int]
-    room_area_hist: dict[int, int]  # 1 m² bins keyed by floor(area)
-    footprint_hist: dict[int, int]  # 10 m² bins keyed by bin start
-    room_area_mode: float  # centre of the modal 1 m² bin
-    footprint_mode: float  # centre of the modal 10 m² bin
-
-    def text(self) -> str:
-        lines = ["storey histogram:"]
-        for k in range(2, 11):
-            lines.append(f"  {k:2d}: {self.storey_hist.get(k, 0)}")
-        lines.append(f"room-area mode: {self.room_area_mode:.1f} m^2")
-        lines.append(f"floor-area mode: {self.footprint_mode:.1f} m^2")
-        return "\n".join(lines)
-
-    def csv_rows(self) -> dict[str, list[str]]:
-        return {
-            "storeys": ["storeys,count"]
-            + [f"{k},{v}" for k, v in sorted(self.storey_hist.items())],
-            "room_area": ["bin_start_m2,count"]
-            + [f"{k},{v}" for k, v in sorted(self.room_area_hist.items())],
-            "footprint_area": ["bin_start_m2,count"]
-            + [f"{k},{v}" for k, v in sorted(self.footprint_hist.items())],
-        }
-
-
-def stats(ds: DatasetMeta) -> StatsReport:
-    if not ds.records:
-        raise ValueError("no records to summarize")
-    storey_hist: dict[int, int] = {}
-    room_hist: dict[int, int] = {}
-    fp_hist: dict[int, int] = {}
-    for r in ds.records:
-        storey_hist[r.storey_count] = storey_hist.get(r.storey_count, 0) + 1
-        for rooms in r.rooms:
-            for w, h in rooms:
-                b = int(w * h)
-                room_hist[b] = room_hist.get(b, 0) + 1
-        fb = int(r.footprint_area // 10) * 10
-        fp_hist[fb] = fp_hist.get(fb, 0) + 1
-    room_mode = sorted(room_hist, key=lambda k: (-room_hist[k], k))[0]
-    fp_mode = sorted(fp_hist, key=lambda k: (-fp_hist[k], k))[0]
-    return StatsReport(
-        storey_hist=storey_hist,
-        room_area_hist=room_hist,
-        footprint_hist=fp_hist,
-        room_area_mode=room_mode + 0.5,
-        footprint_mode=fp_mode + 5.0,
-    )

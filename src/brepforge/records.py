@@ -1,0 +1,414 @@
+"""Dataset records and everything computed from them alone: room filters,
+building and dataset metadata, the `meta.json` and `discards.csv` files,
+statistics, task labels and metrics.
+
+Nothing here reads geometry, and the module imports no numpy, so `stats`
+and `eval` load only this and the standard library.  Metadata files are
+byte-stable canonical JSON (`canonical_json`: sorted keys, compact
+separators, shortest round-trip floats).  Task truths come from the
+storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...); a DEFECT
+solid is one whose file name holds `DEFECT_SUFFIX`.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+from dataclasses import dataclass, field
+from pathlib import Path
+
+DEFECT_SUFFIX = "_def"
+
+# A coordinate or room side further than this from zero is a parse error:
+# NaN, infinities and values beyond int64 would otherwise fail inside numpy,
+# and within it every product of three coordinates (the volume term of
+# `brep.geometry_problems`) fits in int64.
+MAX_COORDINATE_M = 100_000.0
+
+
+@dataclass(frozen=True)
+class FilterConfig:
+    """Room-level acceptance thresholds (metres / m²)."""
+
+    min_room_area: float
+    max_room_area: float
+    min_room_side: float
+    max_aspect_ratio: float
+
+
+def tiered_room_counts(storey_count: int) -> tuple[int, list[int]]:
+    """(room_total, room_per_floor) of a tiered building.
+
+    Floor k (bottom = 1) of an S-storey building carries S - k + 1 rooms, so
+    the per-floor counts are (S, S-1, ..., 1), zero-padded to 10 floors.
+    """
+    s = storey_count
+    return s * (s + 1) // 2, [max(s - k, 0) for k in range(10)]
+
+
+@dataclass
+class BuildingMeta:
+    id: str
+    seed: int
+    storey_count: int
+    room_total: int
+    room_per_floor: list[int]  # zero-padded to 10 entries
+    rooms: list[list[list[float]]]  # per storey: [width_m, height_m] per room
+    openings: list[dict]
+    avg_room_area: float
+    footprint_area: float
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "seed": self.seed,
+            "storey_count": self.storey_count,
+            "room_total": self.room_total,
+            "room_per_floor": self.room_per_floor,
+            "rooms": self.rooms,
+            "openings": self.openings,
+            "avg_room_area": self.avg_room_area,
+            "footprint_area": self.footprint_area,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BuildingMeta":
+        """The record of a parsed `meta.json` entry; a field of the wrong
+        type raises ValueError."""
+        per_floor = d["room_per_floor"]
+        if type(per_floor) is not list:
+            raise ValueError(f"room_per_floor {per_floor!r} is not a list")
+        return cls(
+            id=d["id"],
+            seed=_checked_int(d["seed"], "seed"),
+            storey_count=_checked_int(d["storey_count"], "storey_count"),
+            room_total=_checked_int(d["room_total"], "room_total"),
+            room_per_floor=[_checked_int(n, "room_per_floor entry") for n in per_floor],
+            rooms=_checked_rooms(d["rooms"]),
+            openings=d["openings"],
+            avg_room_area=_checked_number(d["avg_room_area"], "avg_room_area"),
+            footprint_area=_checked_number(d["footprint_area"], "footprint_area"),
+        )
+
+
+def _checked_int(value, name: str) -> int:
+    """``value`` if it is an int (a bool is not); raises ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _checked_number(value, name: str):
+    """``value`` if it is an int (a bool is not) or a finite float; raises
+    ValueError otherwise."""
+    if not (type(value) is int or (type(value) is float and math.isfinite(value))):
+        raise ValueError(f"{name} {value!r} is not a finite number")
+    return value
+
+
+def _checked_rooms(storeys):
+    """``storeys`` unchanged, once every room is a [width, height] pair of
+    numbers (ints, not bools, or floats) within MAX_COORDINATE_M of zero, so
+    that areas and aspect ratios are finite; raises ValueError otherwise."""
+    for rooms in storeys:
+        for room in rooms:
+            if len(room) != 2 or not all(
+                type(side) in (int, float) and abs(side) <= MAX_COORDINATE_M for side in room
+            ):
+                raise ValueError(
+                    f"room {room!r} is not a [width, height] pair of numbers up to {MAX_COORDINATE_M} m"
+                )
+    return storeys
+
+
+@dataclass
+class DatasetMeta:
+    records: list[BuildingMeta] = field(default_factory=list)
+    discard_log: list[tuple[int, str]] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return {
+            "records": [r.to_dict() for r in self.records],
+            "discards": [{"seed": s, "reason": r} for s, r in self.discard_log],
+        }
+
+
+def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
+    """Validate per-storey (width_m, height_m) rooms against the filter thresholds."""
+    violations = []
+    for storey, rooms in enumerate(storeys, start=1):
+        for i, (w, h) in enumerate(rooms):
+            area = w * h
+            lo, hi = min(w, h), max(w, h)
+            if not (cfg.min_room_area <= area <= cfg.max_room_area):
+                violations.append(
+                    f"storey {storey} room {i}: area {area:.2f} outside "
+                    f"[{cfg.min_room_area}, {cfg.max_room_area}]"
+                )
+            if lo < cfg.min_room_side:
+                violations.append(f"storey {storey} room {i}: side {lo:.2f} below {cfg.min_room_side}")
+            if lo <= 0:
+                violations.append(f"storey {storey} room {i}: side {lo:.2f} is not positive")
+            elif hi / lo > cfg.max_aspect_ratio:
+                violations.append(
+                    f"storey {storey} room {i}: aspect {hi / lo:.2f} above {cfg.max_aspect_ratio}"
+                )
+    return (not violations), violations
+
+
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_dataset_meta(ds: DatasetMeta, path: Path) -> None:
+    Path(path).write_text(canonical_json(ds.to_dict()) + "\n")
+
+
+def load_dataset_meta(path: Path) -> DatasetMeta:
+    d = json.loads(Path(path).read_text())
+    return DatasetMeta(
+        records=[BuildingMeta.from_dict(r) for r in d["records"]],
+        discard_log=[(e["seed"], e["reason"]) for e in d["discards"]],
+    )
+
+
+def write_discards_csv(ds: DatasetMeta, path: Path) -> None:
+    lines = ["seed,reason"] + [f"{s},{r}" for s, r in ds.discard_log]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@dataclass
+class StatsReport:
+    storey_hist: dict[int, int]
+    room_area_hist: dict[int, int]  # 1 m² bins keyed by floor(area)
+    footprint_hist: dict[int, int]  # 10 m² bins keyed by bin start
+    room_area_mode: float  # centre of the modal 1 m² bin
+    footprint_mode: float  # centre of the modal 10 m² bin
+
+    def text(self) -> str:
+        lines = ["storey histogram:"]
+        for k in range(2, 11):
+            lines.append(f"  {k:2d}: {self.storey_hist.get(k, 0)}")
+        lines.append(f"room-area mode: {self.room_area_mode:.1f} m^2")
+        lines.append(f"floor-area mode: {self.footprint_mode:.1f} m^2")
+        return "\n".join(lines)
+
+    def csv_rows(self) -> dict[str, list[str]]:
+        return {
+            "storeys": ["storeys,count"]
+            + [f"{k},{v}" for k, v in sorted(self.storey_hist.items())],
+            "room_area": ["bin_start_m2,count"]
+            + [f"{k},{v}" for k, v in sorted(self.room_area_hist.items())],
+            "footprint_area": ["bin_start_m2,count"]
+            + [f"{k},{v}" for k, v in sorted(self.footprint_hist.items())],
+        }
+
+
+def stats(ds: DatasetMeta) -> StatsReport:
+    if not ds.records:
+        raise ValueError("no records to summarize")
+    storey_hist: dict[int, int] = {}
+    room_hist: dict[int, int] = {}
+    fp_hist: dict[int, int] = {}
+    for r in ds.records:
+        storey_hist[r.storey_count] = storey_hist.get(r.storey_count, 0) + 1
+        for rooms in r.rooms:
+            for w, h in rooms:
+                b = int(w * h)
+                room_hist[b] = room_hist.get(b, 0) + 1
+        fb = int(r.footprint_area // 10) * 10
+        fp_hist[fb] = fp_hist.get(fb, 0) + 1
+    room_mode = sorted(room_hist, key=lambda k: (-room_hist[k], k))[0]
+    fp_mode = sorted(fp_hist, key=lambda k: (-fp_hist[k], k))[0]
+    return StatsReport(
+        storey_hist=storey_hist,
+        room_area_hist=room_hist,
+        footprint_hist=fp_hist,
+        room_area_mode=room_mode + 0.5,
+        footprint_mode=fp_mode + 5.0,
+    )
+
+
+@dataclass
+class LabelVector:
+    storey: int
+    room_total: int
+    room_per_floor: list[int]
+    avg_area: float
+
+
+def oracle_labels(meta: BuildingMeta) -> LabelVector:
+    """Ground-truth labels from metadata via the deterministic floor pattern."""
+    room_total, room_per_floor = tiered_room_counts(meta.storey_count)
+    return LabelVector(
+        storey=meta.storey_count,
+        room_total=room_total,
+        room_per_floor=room_per_floor,
+        avg_area=meta.avg_room_area,
+    )
+
+
+REGRESSION_HEADER = (
+    ["filename", "pred_storey", "pred_room_tot", "pred_avg_area"]
+    + [f"pred_room_per_{i}" for i in range(1, 11)]
+)
+
+
+@dataclass
+class RegressionMetrics:
+    storey_accuracy: float
+    storey_mae: float
+    roomtot_rmse: float
+    roomtot_mae: float
+    avgarea_mae: float
+    perfloor_mae: float
+
+    def text(self) -> str:
+        return "\n".join(
+            [
+                f"storey accuracy:        {self.storey_accuracy:.3f}",
+                f"storey MAE (floors):    {self.storey_mae:.3f}",
+                f"room-total RMSE:        {self.roomtot_rmse:.3f}",
+                f"room-total MAE:         {self.roomtot_mae:.3f}",
+                f"avg-area MAE (m^2):     {self.avgarea_mae:.3f}",
+                f"per-floor MAE (rooms):  {self.perfloor_mae:.3f}",
+            ]
+        )
+
+
+def eval_regression(
+    predictions: list[dict], truths: dict[str, LabelVector]
+) -> RegressionMetrics:
+    """Error arithmetic for the multi-attribute regression task.
+
+    Prediction rows use the spreadsheet columns (pred_storey, pred_room_tot,
+    pred_avg_area, pred_room_per_1..10); truths are keyed by building id
+    (the filename with any extension stripped).
+    """
+    missing = [p["filename"] for p in predictions if _base_id(p["filename"]) not in truths]
+    if missing:
+        raise KeyError(f"predictions without matching truth ids: {missing[:10]}")
+    if not predictions:
+        raise ValueError("no prediction rows")
+    storey_err, storey_hit, rt_err, aa_err, pf_err = [], [], [], [], []
+    for p in predictions:
+        truth = truths[_base_id(p["filename"])]
+        ps = _finite_cell(p, "pred_storey")
+        storey_err.append(abs(ps - truth.storey))
+        storey_hit.append(float(round(ps) == truth.storey))
+        rt_err.append(_finite_cell(p, "pred_room_tot") - truth.room_total)
+        aa_err.append(_finite_cell(p, "pred_avg_area") - truth.avg_area)
+        per = [_finite_cell(p, f"pred_room_per_{i}") for i in range(1, 11)]
+        pf_err.append(
+            sum(abs(a - b) for a, b in zip(per, truth.room_per_floor)) / 10.0
+        )
+    n = len(predictions)
+    return RegressionMetrics(
+        storey_accuracy=sum(storey_hit) / n,
+        storey_mae=sum(storey_err) / n,
+        roomtot_rmse=math.sqrt(sum(e * e for e in rt_err) / n),
+        roomtot_mae=sum(abs(e) for e in rt_err) / n,
+        avgarea_mae=sum(abs(e) for e in aa_err) / n,
+        perfloor_mae=sum(pf_err) / n,
+    )
+
+
+@dataclass
+class BinaryMetrics:
+    tp: int
+    fn: int
+    fp: int
+    tn: int
+    accuracy: float
+    precision: float
+    recall: float
+    f1: float
+    degenerate: list[str] = field(default_factory=list)
+
+    @classmethod
+    def from_counts(cls, tp: int, fn: int, fp: int, tn: int) -> "BinaryMetrics":
+        total = tp + fn + fp + tn
+        if not total:
+            raise ValueError("empty confusion matrix")
+        degenerate = []
+        if tp + fp:
+            precision = tp / (tp + fp)
+        else:
+            precision = 0.0
+            degenerate.append("precision")
+        if tp + fn:
+            recall = tp / (tp + fn)
+        else:
+            recall = 0.0
+            degenerate.append("recall")
+        if precision + recall:
+            f1 = 2 * precision * recall / (precision + recall)
+        else:
+            f1 = 0.0
+            degenerate.append("f1")
+        return cls(tp, fn, fp, tn, (tp + tn) / total, precision, recall, f1, degenerate)
+
+    def text(self) -> str:
+        flag = f"  (degenerate: {', '.join(self.degenerate)})" if self.degenerate else ""
+        return "\n".join(
+            [
+                f"confusion: tp={self.tp} fn={self.fn} fp={self.fp} tn={self.tn}",
+                f"accuracy:  {self.accuracy:.3f}",
+                f"precision: {self.precision:.3f}",
+                f"recall:    {self.recall:.3f}",
+                f"f1:        {self.f1:.3f}{flag}",
+            ]
+        )
+
+
+def eval_binary(rows: list[tuple[str, str]]) -> BinaryMetrics:
+    """Confusion matrix for GOOD/DEFECT predictions; truth from the filename."""
+    tp = fn = fp = tn = 0
+    for filename, prediction in rows:
+        if prediction not in ("GOOD", "DEFECT"):
+            raise ValueError(f"unknown label {prediction!r} for {filename}")
+        truth_defect = DEFECT_SUFFIX in filename
+        pred_defect = prediction == "DEFECT"
+        if truth_defect and pred_defect:
+            tp += 1
+        elif truth_defect:
+            fn += 1
+        elif pred_defect:
+            fp += 1
+        else:
+            tn += 1
+    return BinaryMetrics.from_counts(tp, fn, fp, tn)
+
+
+def _finite_cell(row: dict, column: str) -> float:
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"{row['filename']}: {column} {row[column]!r} is not a finite number")
+    return value
+
+
+def _base_id(filename: str) -> str:
+    return Path(filename).name.split(".")[0]
+
+
+def read_regression_csv(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    needed = set(REGRESSION_HEADER)
+    if rows and not needed.issubset(rows[0]):
+        raise ValueError(f"missing columns: {sorted(needed - set(rows[0]))}")
+    return rows
+
+
+def read_binary_csv(path: Path) -> list[tuple[str, str]]:
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not {"filename", "prediction"}.issubset(reader.fieldnames or ()):
+            raise ValueError("binary predictions need filename,prediction columns")
+        return [(row["filename"], row["prediction"]) for row in reader]
+
+
+def truths_from_metas(metas: list[BuildingMeta]) -> dict[str, LabelVector]:
+    return {m.id: oracle_labels(m) for m in metas}

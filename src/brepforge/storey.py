@@ -69,6 +69,8 @@ class WindowSpec:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("window width and height must be positive")
+        if self.sill < 0:
+            raise ValueError("window sill must not be negative")
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,10 @@ class WindowTable:
     bins: tuple[int, int, int]
     ns: tuple[WindowSpec, ...]
     ew: tuple[WindowSpec, ...]
+
+    def __post_init__(self):
+        if not self.bins[0] < self.bins[1] < self.bins[2]:
+            raise ValueError("window_bins must be ascending")
 
 
 @dataclass

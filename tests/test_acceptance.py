@@ -16,18 +16,11 @@ from brepforge.assembly import assemble
 from brepforge.brep import is_watertight, triangulate
 from brepforge.cli import main as cli
 from brepforge.config import GeneratorConfig
-from brepforge.dataset import load_dataset_meta, solid_from_dict, stats
+from brepforge.dataset import solid_from_dict
 from brepforge.geom2d import Rect, polygon_area, union_rect
 from brepforge.grammar import Termination, grow
-from brepforge.mltasks import (
-    UNIT_CUBE,
-    UNIT_SPHERE,
-    BinaryMetrics,
-    LabelVector,
-    eval_regression,
-    inject_defect,
-    sample_points,
-)
+from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, inject_defect, sample_points
+from brepforge.records import BinaryMetrics, LabelVector, eval_regression, load_dataset_meta, stats
 from brepforge.rng import SeededRng
 from brepforge.storey import Opening, WallSegment, prune_windows
 from brepforge.geom2d import Point2
@@ -141,7 +134,7 @@ def test_learned_model_results_out_of_scope(timed_batch):
     directory, _ = timed_batch
     matrix = np.load(directory / "meta.npy")
     assert matrix.shape[1] == 14  # storey, total, avg area, footprint, 10 per-floor
-    from brepforge.mltasks import REGRESSION_HEADER
+    from brepforge.records import REGRESSION_HEADER
 
     assert REGRESSION_HEADER[:4] == ["filename", "pred_storey", "pred_room_tot", "pred_avg_area"]
     assert REGRESSION_HEADER[4:] == [f"pred_room_per_{i}" for i in range(1, 11)]

@@ -108,6 +108,28 @@ def test_gen_bad_config_value_usage_error(tmp_path, capsys, item):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        # Each of these exported buildings that passed `validate`: windows
+        # reaching below their storey's floor, a ground slab smaller than
+        # the footprint, window bins out of order.
+        "window_ns_small=0.9,1.4,-0.9",
+        "window_ew_large=1.2,1.2,-0.1",
+        "ground_offset=-3.0",
+        "window_bins=5.0,3.0,1.2",
+        "window_bins=1.2,3.0,3.0",
+    ],
+)
+def test_gen_bad_geometry_config_usage_error(tmp_path, capsys, item):
+    out = tmp_path / "x"
+    assert cli(["gen", "--count", "20", "--seed", "0", "--out", str(out), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gen: bad config: ") and len(err.splitlines()) == 1, err
+    assert item.partition("=")[0] in err
+    assert not out.exists()
+
+
 def test_gen_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nmax_rooms = 4\n")
@@ -136,6 +158,72 @@ def test_validate_detects_defect(tmp_path, small_batch_dir):
     assert cli(["validate", str(work)]) == 1
 
 
+PERMISSIVE_FILTERS = ["min_room_area=0", "max_room_area=1e9", "min_room_side=0", "max_aspect_ratio=1e9"]
+
+
+def test_validate_uses_the_filters_in_the_manifest(tmp_path, capsys):
+    # Generated with filters that admit any room, the tree fails the
+    # default ones ("area 7.68 outside [8.0, 80.0]").
+    out = tmp_path / "d"
+    sets = [arg for item in PERMISSIVE_FILTERS for arg in ("--set", item)]
+    assert cli(["gen", "--count", "5", "--seed", "0", "--out", str(out), *sets]) == 0
+    exported = len(list(out.glob("*.brep.json")))
+    capsys.readouterr()
+    assert cli(["validate", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"validate: {exported}/{exported} passed"
+
+
+def planted_small_room(small_batch_dir, directory) -> str:
+    """Copy the batch's manifest and first building into ``directory``, with
+    a 1 m x 1 m room added to the building's ground storey; returns the
+    building's file name."""
+    (directory / "manifest.json").write_bytes((small_batch_dir / "manifest.json").read_bytes())
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (directory / src.name).write_bytes(src.read_bytes())
+    meta_name = src.name.replace(".brep.json", ".meta.json")
+    meta = json.loads((small_batch_dir / meta_name).read_text())
+    meta["rooms"][0].append([1.0, 1.0])
+    (directory / meta_name).write_text(json.dumps(meta))
+    return src.name
+
+
+def test_validate_default_manifest_fails_small_room(tmp_path, small_batch_dir, capsys):
+    name = planted_small_room(small_batch_dir, tmp_path)
+    assert cli(["validate", str(tmp_path)]) == 1
+    assert "area 1.00 outside [8.0, 80.0]" in capsys.readouterr().out
+    # Without the manifest the defaults apply, and they fail it too.
+    (tmp_path / "manifest.json").unlink()
+    assert cli(["validate", str(tmp_path)]) == 1
+    assert f"FAIL {name}: storey 1 room" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "not json",
+        "[]",
+        '{"counts": {}}',
+        '{"config": ["min_room_area=0"]}',
+        '{"config": {"min_room_area": 0}}',
+        '{"config": {"no_such_key": "1"}}',
+        '{"config": {"min_room_area": "inf"}}',
+        "DIRECTORY",
+    ],
+)
+def test_validate_bad_manifest_usage_error(tmp_path, small_batch_dir, capsys, manifest):
+    planted_small_room(small_batch_dir, tmp_path)
+    path = tmp_path / "manifest.json"
+    path.unlink()
+    if manifest == "DIRECTORY":
+        path.mkdir()
+    else:
+        path.write_text(manifest)
+    assert cli(["validate", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"validate: {path}: ") and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_validate_empty_dir_warns_ok(tmp_path):
     assert cli(["validate", str(tmp_path)]) == 0
 
@@ -156,10 +244,12 @@ def test_stats_reports(small_batch_dir, capsys):
     [
         pytest.param(["stats", "DIR"], False, id="stats"),
         pytest.param(["stats", "DIR"], True, id="stats-unbuffered"),
-        # argparse itself drops a failed write of these two, so only the
-        # buffered text, flushed in `main`, shows the closed pipe.
+        # argparse itself drops a failed write of these two; buffered, the
+        # flush in `main` shows the closed pipe, unbuffered the write does.
         pytest.param(["--help"], False, id="help"),
         pytest.param(["--version"], False, id="version"),
+        pytest.param(["--help"], True, id="help-unbuffered"),
+        pytest.param(["--version"], True, id="version-unbuffered"),
     ],
 )
 def test_closed_stdout_exits_one_without_traceback(tmp_path, small_batch_dir, argv, unbuffered):
@@ -624,8 +714,89 @@ def test_serial_gen_leaves_process_pool_unimported(tmp_path):
     assert list(out.glob("*.brep.json"))
 
 
-def run_in_fresh_interpreter(code: str) -> None:
+def test_stats_and_eval_leave_numpy_unimported(tmp_path, small_batch_dir):
+    (tmp_path / "meta.json").write_bytes((small_batch_dir / "meta.json").read_bytes())
+    record = json.loads((small_batch_dir / "meta.json").read_text())["records"][0]
+    header = ["filename", "pred_storey", "pred_room_tot", "pred_avg_area"] + [
+        f"pred_room_per_{i}" for i in range(1, 11)
+    ]
+    regression = tmp_path / "regression.csv"
+    regression.write_text(",".join(header) + "\n" + ",".join([record["id"]] + ["1"] * 13) + "\n")
+    binary = tmp_path / "binary.csv"
+    binary.write_text("filename,prediction\na.brep.json,GOOD\na_def.brep.json,DEFECT\n")
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['stats', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['eval', 'regression', {str(regression)!r}, '--truth', {str(tmp_path / 'meta.json')!r}]) == 0\n"
+        f"assert main(['eval', 'binary', {str(binary)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    run_in_fresh_interpreter(code)
+    assert (tmp_path / "stats_storeys.csv").is_file()
+
+
+def test_solid_commands_leave_generator_unimported(tmp_path, small_batch_dir):
+    for path in sorted(small_batch_dir.glob("*.brep.json"))[:2]:
+        meta = path.with_name(path.name.replace(".brep.json", ".meta.json"))
+        for src in (path, meta):
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+    generator = ("brepforge.grammar", "brepforge.storey", "brepforge.assembly")
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['validate', {str(tmp_path)!r}]) == 0\n"
+        f"assert not {{*{generator!r}, 'brepforge.mltasks'}} & set(sys.modules)\n"
+        f"assert main(['points', {str(tmp_path)!r}, '--n', '50']) == 0\n"
+        f"assert main(['defect', {str(tmp_path)!r}, '--out', {str(tmp_path / 'mixed')!r}]) == 0\n"
+        f"assert not set({generator!r}) & set(sys.modules)\n"
+    )
+    run_in_fresh_interpreter(code)
+    assert list(tmp_path.glob("*.xyz")) and list((tmp_path / "mixed").glob("*_def.brep.json"))
+
+
+def test_serial_gen_leaves_mltasks_unimported(tmp_path):
+    out = tmp_path / "gen"
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['gen', '--count', '6', '--seed', '0', '--jobs', '1', '--out', {str(out)!r}]) == 0\n"
+        "assert 'brepforge.mltasks' not in sys.modules\n"
+    )
+    run_in_fresh_interpreter(code)
+    assert list(out.glob("*.brep.json"))
+
+
+def test_process_freezes_heap_before_exit(small_batch_dir):
+    # As `python -m brepforge.cli stats DIR`, with an exit hook that reports
+    # how many objects the exit-time collection will skip.
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['brepforge', 'stats', {str(small_batch_dir)!r}]\n"
+        "runpy.run_module('brepforge.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    stderr = run_in_fresh_interpreter(code)
+    frozen = [line.split() for line in stderr.splitlines() if line.startswith("frozen ")]
+    assert len(frozen) == 1 and int(frozen[0][1]) > 0, stderr
+
+
+def test_main_leaves_heap_unfrozen(small_batch_dir):
+    code = (
+        "import gc\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['stats', {str(small_batch_dir)!r}]) == 0\n"
+        f"assert main(['validate', {str(small_batch_dir)!r}]) == 0\n"
+        "assert gc.get_freeze_count() == 0\n"
+    )
+    run_in_fresh_interpreter(code)
+
+
+def run_in_fresh_interpreter(code: str) -> str:
+    """Run ``code`` with this checkout's package first on the path; returns
+    its stderr once it exits 0."""
     src_dir = Path(brepforge.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src_dir), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    return result.stderr

@@ -7,9 +7,9 @@ import pytest
 
 from brepforge.assembly import BuildingConfig
 from brepforge.config import KNOBS, GeneratorConfig
-from brepforge.dataset import FilterConfig
 from brepforge.geom2d import Rect
 from brepforge.grammar import GrammarConfig
+from brepforge.records import FilterConfig
 from brepforge.storey import WindowSpec, WindowTable
 
 
@@ -50,4 +50,7 @@ def test_readme_config_table_equals_declarations():
 
 @pytest.mark.parametrize("value", ["1000.0", "-1000.0"])
 def test_length_bound_is_inclusive(value):
-    assert GeneratorConfig.build(None, {"ground_offset": value}).building().ground_offset == 10 * float(value)
+    # A core tube corner is a length that may be negative.
+    lo, hi = sorted((0.0, float(value)))
+    tube = GeneratorConfig.build(None, {"core_tube": f"{lo},{lo},{hi},{hi}"}).grammar().core_tube
+    assert (tube.x0, tube.x1) == (10 * lo, 10 * hi)

@@ -9,24 +9,26 @@ from hypothesis import given, settings, strategies as st
 from brepforge.assembly import assemble
 from brepforge.brep import drop_faces, is_watertight
 from brepforge.dataset import (
-    BuildingMeta,
-    DatasetMeta,
-    canonical_json,
-    check_rooms,
     check_solid,
     export_building,
-    load_dataset_meta,
     meta_matrix,
     solid_from_dict,
     solid_json,
-    stats,
-    write_dataset_meta,
-    write_discards_csv,
     write_meta_npy,
 )
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import grow
 from brepforge.mltasks import inject_defect
+from brepforge.records import (
+    BuildingMeta,
+    DatasetMeta,
+    canonical_json,
+    check_rooms,
+    load_dataset_meta,
+    stats,
+    write_dataset_meta,
+    write_discards_csv,
+)
 from brepforge.rng import SeededRng
 from oracles import solid_to_dict
 from test_brep import box_solids

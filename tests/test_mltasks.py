@@ -13,21 +13,18 @@ from hypothesis import assume, given, settings
 
 from brepforge.assembly import assemble
 from brepforge.brep import Box, is_watertight, solid_from_boxes, triangulate, TriMesh
-from brepforge.dataset import BuildingMeta, check_solid
+from brepforge.dataset import check_solid
 from brepforge.errors import BrepForgeError, EmptyMeshError
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import grow
-from brepforge.mltasks import (
-    UNIT_CUBE,
-    UNIT_SPHERE,
+from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, inject_defect, is_exterior_face, sample_points
+from brepforge.records import (
     BinaryMetrics,
+    BuildingMeta,
     LabelVector,
     eval_binary,
     eval_regression,
-    inject_defect,
-    is_exterior_face,
     oracle_labels,
-    sample_points,
 )
 from brepforge.rng import SeededRng
 from oracles import drawn_footprint, extrude_prism, parity_is_exterior_face
