@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyMeshError, InvalidExtrusionError
-from .regions import expand, merged_breakpoints, trace_planes
+from .regions import _distinct, expand, trace_planes
 
 AXIS_NAMES = "xyz"
 
@@ -135,7 +135,12 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     the distinct corners in (x, y, z) order, each loop edge gains the
     vertices strictly inside it (where another face has a corner) in order
     along it, each loop starts at its smallest vertex id, and faces are
-    sorted by (axis, offset, sign, outer loop).
+    sorted by (axis, offset, sign, outer loop) and holes by value.
+
+    The canonical order is made here: the tracer promises no loop order
+    and no first vertex.  A loop that passes its smallest vertex twice
+    starts at the first pass in the order it was traced, so its start
+    follows the trace.
     """
     corner_loop = np.repeat(np.arange(len(lens)), lens)
     ua, va = _frames(axis, sign)[:, corner_loop]
@@ -207,9 +212,9 @@ def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> B
     """Exact boundary of (∪ positive) \\ (∪ negative) on the integer grid."""
     if not positive:
         raise InvalidExtrusionError("no material boxes")
-    boxes = [*positive, *negative]
-    axes_pts = [merged_breakpoints([b[axis] for b in boxes], [b[axis + 3] for b in boxes]) for axis in range(3)]
-    spans = np.stack([np.searchsorted(axes_pts[k % 3], [b[k] for b in boxes]) for k in range(6)], axis=1)
+    boxes = np.array([*positive, *negative], dtype=np.int64)
+    axes_pts = [_distinct(boxes[:, [axis, axis + 3]].ravel()) for axis in range(3)]
+    spans = np.stack([np.searchsorted(axes_pts[k % 3], boxes[:, k]) for k in range(6)], axis=1)
     mat = np.zeros([len(pts) - 1 for pts in axes_pts], dtype=bool)
     for k, (x0, y0, z0, x1, y1, z1) in enumerate(spans.tolist()):
         mat[x0:x1, y0:y1, z0:z1] = k < len(positive)
@@ -356,15 +361,6 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
     if solid.faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
         problems.append("solid encloses no positive volume")
     return problems
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values.  A bare ``np.unique`` would import
-    ``numpy.ma`` (to test for a masked array) on its first call."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 class FaceCells(NamedTuple):

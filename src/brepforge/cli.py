@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation failure or a closed stdout, 2 usage or
 config error.
 `gen` distributes sample streams across a worker pool (--jobs, or the
-BREPFORGE_JOBS environment variable); outputs are aggregated in stream
-order so the tree is byte-identical no matter the scheduling.
+BREPFORGE_JOBS environment variable), in chunks of 8 streams and with no
+more workers than chunks; outputs are aggregated in stream order so the
+tree is byte-identical no matter the scheduling.
 
 Each command imports the modules it runs when it runs, so a process pays
 only for its own command: `stats` and `eval` load no numpy, and
@@ -35,6 +36,8 @@ from .records import check_rooms
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
+# Streams per task handed to a `gen` worker.
+CHUNK = 8
 # What reading malformed JSON input raises: JSONDecodeError is a ValueError,
 # missing or mistyped fields raise the others.
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
@@ -83,6 +86,9 @@ def cmd_gen(args) -> int:
     if args.count <= 0:
         print("gen: --count must be positive", file=sys.stderr)
         return USAGE_ERROR
+    if args.jobs <= 0:
+        print("gen: --jobs must be positive", file=sys.stderr)
+        return USAGE_ERROR
     try:
         bad = [kv for kv in args.set or [] if "=" not in kv]
         if bad:
@@ -102,12 +108,15 @@ def cmd_gen(args) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     streams = range(args.seed, args.seed + args.count)
     work = [(s, *sections, str(out_dir), args.obj) for s in streams]
-    if args.jobs > 1:
+    # A pool starts all its workers at once, so it gets no more than there
+    # are chunks to run.
+    workers = min(args.jobs, -(-args.count // CHUNK))
+    if workers > 1:
         # Imported only here, so a serial run does not load the pool machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_generate_one, work, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_generate_one, work, chunksize=CHUNK))
     else:
         results = [_generate_one(w) for w in work]
     results.sort(key=lambda r: r[0])
@@ -163,6 +172,9 @@ def cmd_validate(args) -> int:
     from .records import BuildingMeta
 
     directory = Path(args.dir)
+    if not directory.is_dir():
+        print(f"validate: {directory} is not a directory", file=sys.stderr)
+        return USAGE_ERROR
     files = _brep_files(directory)
     if not files:
         print(f"validate: no .brep.json files in {directory}", file=sys.stderr)

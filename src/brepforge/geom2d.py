@@ -219,6 +219,8 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
     with partial contact (straddling a corner or hanging past an edge end)
     is rejected, as are point contacts and interior overlaps, and so is a
     union that is not one simple loop (it encloses a hole or pinches).
+    The traced loop starts anywhere; `_start_corner` picks the canonical
+    start from its edges.
     """
     if overlaps(f, r):
         raise CollisionError(f"rect {r} overlaps footprint interior")

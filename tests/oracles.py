@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _distinct, _frames, solid_from_boxes
+from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _frames, solid_from_boxes
 from brepforge.errors import EmptyMeshError, InvalidExtrusionError
 from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex, to_units
-from brepforge.regions import Loop, expand, merged_breakpoints
+from brepforge.regions import Loop, _distinct, expand
 
 
 class Region:
@@ -246,8 +246,8 @@ def total_face_area_m2(solid: BRepSolid) -> float:
     total = 0
     for f in solid.faces:
         loops2d = [loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
-        us = merged_breakpoints([p[0] for lp in loops2d for p in lp])
-        vs = merged_breakpoints([p[1] for lp in loops2d for p in lp])
+        corners = np.array([p for lp in loops2d for p in lp], dtype=np.int64)
+        us, vs = _distinct(corners[:, 0]), _distinct(corners[:, 1])
         total += area_units(rasterize_loops(loops2d, us, vs))
     return total / 100.0
 

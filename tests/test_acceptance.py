@@ -57,6 +57,17 @@ def test_watertightness_batch_and_runtime(timed_batch):
           f"(generated in {elapsed:.0f}s < {GEN_SECONDS_BUDGET:.0f}s)")
 
 
+def test_no_loop_passes_a_vertex_twice(timed_batch):
+    # A loop starts at the first occurrence of its smallest vertex id, which
+    # does not depend on where the region tracer began it only when the
+    # loop passes no vertex twice: the output bytes rest on that.
+    directory, _ = timed_batch
+    for path, solid in exported_solids(directory):
+        for k, face in enumerate(solid.faces):
+            for loop in face.loops():
+                assert len(set(loop)) == len(loop), f"{path.name}: face {k} passes a vertex twice"
+
+
 def test_per_floor_pattern(timed_batch):
     directory, _ = timed_batch
     ds = load_dataset_meta(directory / "meta.json")

@@ -24,7 +24,7 @@ from brepforge.brep import (
     triangulate,
 )
 from brepforge.errors import InvalidExtrusionError
-from brepforge.regions import merged_breakpoints
+from brepforge.regions import _distinct
 from oracles import (
     Region,
     cross_areas,
@@ -260,7 +260,7 @@ def reference_solid_from_boxes(positive, negative) -> BRepSolid:
     """Plane by plane: face masks from the cell layers on either side, traced
     with the cell-edge tracer, welded with `reference_finalize`."""
     boxes = list(positive) + list(negative)
-    axes_pts = [merged_breakpoints([b[a] for b in boxes], [b[a + 3] for b in boxes]) for a in range(3)]
+    axes_pts = [_distinct(np.array([b[k] for b in boxes for k in (a, a + 3)], dtype=np.int64)) for a in range(3)]
     mat = np.zeros([len(pts) - 1 for pts in axes_pts], dtype=bool)
     for box_set, value in ((positive, True), (negative, False)):
         for b in box_set:

@@ -228,6 +228,14 @@ def test_validate_empty_dir_warns_ok(tmp_path):
     assert cli(["validate", str(tmp_path)]) == 0
 
 
+def test_validate_not_a_directory_usage_error(tmp_path, capsys):
+    file = tmp_path / "x.brep.json"
+    file.write_text("{}")
+    for path in (tmp_path / "missing", file):
+        assert cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"validate: {path} is not a directory\n"
+
+
 def test_stats_reports(small_batch_dir, capsys):
     assert cli(["stats", str(small_batch_dir)]) == 0
     out = capsys.readouterr().out
@@ -392,12 +400,56 @@ def test_points_nonpositive_n_usage_error(tmp_path, small_batch_dir):
 
 
 def test_bad_jobs_env_is_gen_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("BREPFORGE_JOBS", "x")
-    # Other subcommands do not read the variable.
-    assert cli(["validate", str(tmp_path)]) == 0
-    with pytest.raises(SystemExit) as exc:
-        cli(["gen", "--count", "1", "--seed", "0", "--out", str(tmp_path / "g")])
-    assert exc.value.code == 2
+    for jobs in ("x", "0", "-1"):
+        monkeypatch.setenv("BREPFORGE_JOBS", jobs)
+        # Other subcommands do not read the variable.
+        assert cli(["validate", str(tmp_path)]) == 0
+        # A value that is not a number fails in the parser, one below 1 in gen.
+        try:
+            status = cli(["gen", "--count", "1", "--seed", "0", "--out", str(tmp_path / "g")])
+        except SystemExit as exc:
+            status = exc.code
+        assert status == 2, jobs
+    assert not list(tmp_path.glob("g/*.brep.json"))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_gen_nonpositive_jobs_usage_error(tmp_path, capsys, jobs):
+    assert cli(["gen", "--count", "2", "--seed", "0", "--jobs", jobs, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == "gen: --jobs must be positive\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_gen_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    a, b = tmp_path / "a", tmp_path / "b"
+    # 20 streams are 3 chunks of 8.
+    assert cli(["gen", "--count", "20", "--seed", "0", "--jobs", "64", "--out", str(a)]) == 0
+    assert asked == [3]
+    assert cli(["gen", "--count", "20", "--seed", "0", "--jobs", "1", "--out", str(b)]) == 0
+    assert tree_hash(a) == tree_hash(b)
+    # One chunk runs serially, without a pool.
+    assert cli(["gen", "--count", "8", "--seed", "0", "--jobs", "64", "--out", str(tmp_path / "c")]) == 0
+    assert asked == [3]
 
 
 def test_defect_out_is_a_file_usage_error(tmp_path, small_batch_dir, capsys):
