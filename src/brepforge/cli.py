@@ -1,7 +1,7 @@
 """Command-line front end: gen, validate, stats, points, defect, eval.
 
 Exit codes: 0 success, 1 validation failure or a closed stdout, 2 usage or
-config error.
+config error, or an output that cannot be written.
 `gen` distributes sample streams across a worker pool (--jobs, or the
 BREPFORGE_JOBS environment variable), in chunks of 8 streams and with no
 more workers than chunks; outputs are aggregated in stream order so the
@@ -32,7 +32,7 @@ from .errors import (
     MalformedInputError,
     UnreachableRoomError,
 )
-from .records import check_rooms
+from .records import BuildingMeta, check_rooms
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -43,7 +43,7 @@ CHUNK = 8
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
 
 
-def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
+def _generate_one(args: tuple) -> tuple[int, str, BuildingMeta | str]:
     """Worker: grow, assemble, filter, and export one sample stream."""
     from .assembly import assemble
     from .dataset import check_solid, export_building
@@ -73,7 +73,7 @@ def _generate_one(args: tuple) -> tuple[int, str, dict | str]:
     if not solid_ok:
         return stream, "discard", "boolean-failure"
     export_building(building, Path(out_dir), write_obj=write_obj)
-    return stream, "export", building.meta.to_dict()
+    return stream, "export", building.meta
 
 
 def cmd_gen(args) -> int:
@@ -81,13 +81,18 @@ def cmd_gen(args) -> int:
 
     from .config import ConfigError, GeneratorConfig
     from .dataset import write_meta_npy
-    from .records import BuildingMeta, DatasetMeta, write_dataset_meta, write_discards_csv
+    from .records import DatasetMeta, write_dataset_meta, write_discards_csv
 
     if args.count <= 0:
         print("gen: --count must be positive", file=sys.stderr)
         return USAGE_ERROR
     if args.jobs <= 0:
         print("gen: --jobs must be positive", file=sys.stderr)
+        return USAGE_ERROR
+    # A stream is a 64-bit seed; one outside [0, 2**64) would be exported
+    # under its 64-bit residue.
+    if not 0 <= args.seed <= 2**64 - args.count:
+        print("gen: --seed must be in [0, 2**64 - count]", file=sys.stderr)
         return USAGE_ERROR
     try:
         bad = [kv for kv in args.set or [] if "=" not in kv]
@@ -119,12 +124,11 @@ def cmd_gen(args) -> int:
             results = list(pool.map(_generate_one, work, chunksize=CHUNK))
     else:
         results = [_generate_one(w) for w in work]
-    results.sort(key=lambda r: r[0])
 
     ds = DatasetMeta()
     for stream, status, payload in results:
         if status == "export":
-            ds.records.append(BuildingMeta.from_dict(payload))
+            ds.records.append(payload)
         else:
             ds.discard_log.append((stream, payload))
     if ds.records:
@@ -158,10 +162,12 @@ def _brep_files(directory: Path) -> list[Path]:
 
 
 def _read_json(path: Path, parse):
-    """``parse`` applied to the JSON in ``path``; malformed content raises
-    MalformedInputError naming the file."""
+    """``parse`` applied to the JSON in ``path``; a file that cannot be read
+    or holds malformed content raises MalformedInputError naming it."""
     try:
         return parse(json.loads(path.read_text()))
+    except OSError as exc:
+        raise MalformedInputError(f"{path.name}: cannot read: {exc.strerror or exc}") from exc
     except _PARSE_ERRORS as exc:
         raise MalformedInputError(f"{path.name}: parse error: {exc}") from exc
 
@@ -169,7 +175,6 @@ def _read_json(path: Path, parse):
 def cmd_validate(args) -> int:
     from .config import GeneratorConfig
     from .dataset import check_solid, solid_from_dict
-    from .records import BuildingMeta
 
     directory = Path(args.dir)
     if not directory.is_dir():
@@ -418,6 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrepForgeError as exc:
         print(f"brepforge: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
+    except OSError as exc:
+        # An output that cannot be written; BrokenPipeError, an OSError
+        # too, is caught above.
+        print(f"brepforge: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return status
 
 

@@ -73,7 +73,6 @@ KNOBS: dict[str, Knob] = {
     "room_side_min": Knob("2.4", "grammar", metres),
     "room_side_max": Knob("6.0", "grammar", metres),
     "max_rooms": Knob("10", "grammar", int),
-    "notch_gap": Knob("0.5", "grammar", metres),
     "min_exterior_gap": Knob("0.4", "grammar", metres),
     "retry_budget": Knob("16", "grammar", int),
     "storey_height": Knob("3.0", "building", metres),

@@ -291,12 +291,11 @@ def _start_corner(f: Footprint, r: Rect, loop: list[tuple[int, int]]) -> int:
     return (k + 1) % n if inside else k
 
 
-def facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
-    """Antiparallel boundary edge pairs whose outward normals face each other
-    across an exterior gap narrower than ``below`` units.
+def has_facing_gap(f: Footprint, below: int) -> bool:
+    """True iff two antiparallel boundary edges have outward normals facing
+    each other across an exterior gap narrower than ``below`` units (the
+    grammar's sliver guard).
 
-    Returns (edge index a, edge index b, gap) triples with a < b, in (a, b)
-    order; used both by the notch check and by the grammar's sliver guard.
     The edges of each orientation are sorted by their line, so only lines
     less than ``below`` apart are compared.
     """
@@ -304,45 +303,20 @@ def facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
     # its outward normal points up the axis across the lines.  The outward
     # normal of a CCW edge (dx, dy) is (sign(dy), -sign(dx)).
     vertical, horizontal = [], []
-    for i, (a, b) in enumerate(f.edges()):
+    for a, b in f.edges():
         if a.x == b.x:
-            vertical.append((a.x, min(a.y, b.y), max(a.y, b.y), b.y > a.y, i))
+            vertical.append((a.x, min(a.y, b.y), max(a.y, b.y), b.y > a.y))
         elif a.y == b.y:
-            horizontal.append((a.y, min(a.x, b.x), max(a.x, b.x), b.x < a.x, i))
-    out: list[tuple[int, int, int]] = []
+            horizontal.append((a.y, min(a.x, b.x), max(a.x, b.x), b.x < a.x))
     for lines in (sorted(vertical), sorted(horizontal)):
-        for k, (line, lo, hi, up, i) in enumerate(lines):
+        for k, (line, lo, hi, up) in enumerate(lines):
             if not up:
                 continue
             # Facing: this edge's normal points up toward the other line,
             # whose edge's normal points back down, and the two overlap.
-            for line2, lo2, hi2, up2, j in lines[k + 1 :]:
+            for line2, lo2, hi2, up2 in lines[k + 1 :]:
                 if line2 - line >= below:
                     break
                 if line2 > line and not up2 and max(lo, lo2) < min(hi, hi2):
-                    out.append((min(i, j), max(i, j), line2 - line))
-    out.sort()
-    return out
-
-
-def fillable_notch(f: Footprint, max_gap_units: int) -> bool:
-    """True iff f has a notch that could be snapped closed: a facing edge
-    pair closer than max_gap with both edges shorter than max_gap, whose
-    bounding patch joins f by ``union_rect``."""
-    edges = f.edges()
-    for i, j, _gap in facing_gaps(f, max_gap_units):
-        (a1, a2), (b1, b2) = edges[i], edges[j]
-        len_a = abs(a2.x - a1.x) + abs(a2.y - a1.y)
-        len_b = abs(b2.x - b1.x) + abs(b2.y - b1.y)
-        if len_a >= max_gap_units or len_b >= max_gap_units:
-            continue
-        # The edges are a positive gap apart and overlap along their line,
-        # so the patch is never degenerate.
-        xs = (a1.x, a2.x, b1.x, b2.x)
-        ys = (a1.y, a2.y, b1.y, b2.y)
-        try:
-            union_rect(f, Rect(min(xs), min(ys), max(xs), max(ys)))
-        except (ConflictError, CollisionError):
-            continue
-        return True
+                    return True
     return False

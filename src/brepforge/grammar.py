@@ -28,8 +28,7 @@ from .geom2d import (
     Rect,
     VertexKind,
     classify_vertex,
-    facing_gaps,
-    fillable_notch,
+    has_facing_gap,
     union_rect,
 )
 from .rng import SeededRng
@@ -43,9 +42,10 @@ class GrammarConfig:
     room_side_min: int
     room_side_max: int
     max_rooms: int
-    notch_gap: int
     # Reject productions that would leave an exterior slot narrower than
-    # this between facing walls; keeps the 0.1 m wall offset valid.
+    # this between facing footprint edges.  Walls are the tiles dilated by
+    # half a wall, so the slot left between built walls is this less one
+    # wall thickness.
     min_exterior_gap: int
     # Failed attempts allowed over the whole growth.
     retry_budget: int
@@ -98,10 +98,9 @@ def expand_concave(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) 
     Side extents are drawn from the room range and capped by the two
     adjacent edge lengths (first along the reversed incoming edge, then
     along the outgoing edge).  Raises before drawing when either cap is
-    below the minimum room side.
+    below the minimum room side.  Vertex i must be concave; `try_production`
+    classifies it.
     """
-    if classify_vertex(f, i) is not VertexKind.CONCAVE:
-        raise ValueError(f"vertex {i} is not concave")
     a, b, c, len_prev, len_next = _edge_info(f, i)
     cap1, cap2 = len_prev, len_next
     if cap1 < config.room_side_min or cap2 < config.room_side_min:
@@ -122,10 +121,9 @@ def expand_convex(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -
     One coin picks the anchor: the corner itself (room runs back along the
     base edge) or the base edge's midpoint (room runs toward the corner and
     may straddle it; the union step rejects straddles).  Draw order is
-    anchor coin, then the along-edge side, then the outward side.
+    anchor coin, then the along-edge side, then the outward side.  Vertex i
+    must be convex; `try_production` classifies it.
     """
-    if classify_vertex(f, i) is not VertexKind.CONVEX:
-        raise ValueError(f"vertex {i} is not convex")
     a, b, c, len_prev, len_next = _edge_info(f, i)
     if len_prev >= len_next:
         base_from, base_len = a, len_prev
@@ -157,16 +155,12 @@ def expand_convex(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -
 def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -> Footprint:
     """One production attempt at vertex i: f with one more room tile;
     raises on any rejection."""
-    kind = classify_vertex(f, i)
-    if kind is VertexKind.CONCAVE:
+    if classify_vertex(f, i) is VertexKind.CONCAVE:
         rect = expand_concave(f, i, rng, config)
     else:
         rect = expand_convex(f, i, rng, config)
     grown = union_rect(f, rect)
-    if fillable_notch(grown, config.notch_gap):
-        # A filled notch would add area no room tile covers.
-        raise ConflictError("production leaves a notch the filler would close")
-    if facing_gaps(grown, config.min_exterior_gap):
+    if has_facing_gap(grown, config.min_exterior_gap):
         raise ConflictError("production leaves a sliver gap between facing walls")
     return grown
 

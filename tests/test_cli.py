@@ -54,6 +54,22 @@ def test_gen_zero_count_usage_error(tmp_path):
     assert cli(["gen", "--count", "0", "--seed", "0", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("seed, count", [(-1, 1), (2**64 - 1, 2)])
+def test_gen_seed_outside_64_bits_usage_error(tmp_path, capsys, seed, count):
+    # A stream outside [0, 2**64) was exported under its 64-bit residue,
+    # while the discard log and manifest kept the unmasked number.
+    out = tmp_path / "g"
+    assert cli(["gen", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "gen: --seed must be in [0, 2**64 - count]\n"
+    assert not out.exists()
+
+
+def test_gen_last_64_bit_stream_accepted(tmp_path):
+    out = tmp_path / "g"
+    assert cli(["gen", "--count", "1", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed_range"] == [2**64 - 1] * 2
+
+
 def test_gen_bad_config_key(tmp_path):
     rc = cli(
         ["gen", "--count", "1", "--seed", "0", "--out", str(tmp_path / "x"),
@@ -462,6 +478,37 @@ def test_defect_out_is_a_file_usage_error(tmp_path, small_batch_dir, capsys):
     assert err.startswith(f"defect: cannot create {taken}: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_def*"))
+
+
+def test_validate_directory_for_a_file_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    # A directory where a solid or its meta file is expected fails that
+    # solid, and validate goes on.
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    (tmp_path / src.name.replace(".brep.json", ".meta.json")).mkdir()
+    (tmp_path / "x.brep.json").mkdir()
+    assert cli(["validate", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"FAIL {src.name}: {src.name.replace('.brep.json', '.meta.json')}: cannot read: ")
+    assert out[1].startswith("FAIL x.brep.json: cannot read: ")
+    assert out[2] == "validate: 0/2 passed"
+
+
+@pytest.mark.parametrize("command", ["points", "defect"])
+def test_directory_for_a_solid_fails_cleanly(tmp_path, capsys, command):
+    (tmp_path / "x.brep.json").mkdir()
+    assert cli([command, str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("brepforge: x.brep.json: cannot read: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.brep.json"]
+
+
+def test_stats_unwritable_output_usage_error(tmp_path, small_batch_dir, capsys):
+    (tmp_path / "meta.json").write_bytes((small_batch_dir / "meta.json").read_bytes())
+    (tmp_path / "stats_storeys.csv").mkdir()
+    assert cli(["stats", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("brepforge: ") and "stats_storeys.csv" in err[0]
 
 
 def test_defect_negative_ratio_usage_error(tmp_path, small_batch_dir):

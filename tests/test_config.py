@@ -18,7 +18,7 @@ def test_gen_defaults_equal_dataclass_defaults():
     cfg = GeneratorConfig.build()
     assert cfg.grammar() == GrammarConfig(
         core_tube=Rect(0, 0, 40, 40), room_side_min=24, room_side_max=60, max_rooms=10,
-        notch_gap=5, min_exterior_gap=4, retry_budget=16,
+        min_exterior_gap=4, retry_budget=16,
     )
     assert cfg.building() == BuildingConfig(
         storey_height=30, slab_thickness=2, wall_thickness=2, ground_offset=30,
@@ -36,7 +36,7 @@ def test_gen_defaults_equal_dataclass_defaults():
 
 def test_default_config_hash():
     assert GeneratorConfig.build().config_hash() == (
-        "0b3d048059880f34a9bf0d6c0fc1b1d1c379ecbd3bf464d14ce8146233c791ec"
+        "8b629f9722323d463395ebd582e93d9cede88294fe1e72ddccbf22d4f6dc585c"
     )
 
 

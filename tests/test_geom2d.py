@@ -22,8 +22,7 @@ from brepforge.geom2d import (
     _contact_lengths,
     _signed_area2,
     classify_vertex,
-    facing_gaps,
-    fillable_notch,
+    has_facing_gap,
     overlaps,
     polygon_area,
     to_metres,
@@ -152,23 +151,11 @@ SLIT = drawn_footprint(
 )
 
 
-def test_fill_notch_narrow_slit():
-    assert fillable_notch(SLIT, to_units(0.5))
+def test_union_closes_narrow_slit():
     # The patch that closes the 0.2 m x 0.3 m slit.
     filled = union_rect(SLIT, Rect.from_metres(4.8, 3.7, 5, 4))
     assert len(filled.vertices) == len(SLIT.vertices) - 4
     assert raster_area_units(filled) == raster_area_units(SLIT) + 2 * 3
-
-
-def test_fill_notch_square_noop():
-    assert not fillable_notch(SQUARE, 5)
-
-
-def test_fill_notch_wide_slit_untouched():
-    wide = drawn_footprint(
-        [(0, 0), (8, 0), (8, 4), (5, 4), (5, 3.7), (4.2, 3.7), (4.2, 4), (0, 4)]
-    )
-    assert not fillable_notch(wide, 5)
 
 
 def test_overlaps_edge_contact_false():
@@ -530,7 +517,8 @@ def test_union_rect_independent_of_tiling(case):
 
 
 def reference_facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]]:
-    """Every pair of edges scanned: the O(n²) `facing_gaps` it replaced."""
+    """Every facing pair as (edge a, edge b, gap), found by scanning every
+    pair of edges: the O(n²) scan that `has_facing_gap` replaced."""
     edges = f.edges()
     # Outward normal of a CCW edge (dx, dy) is (sign(dy), -sign(dx)).
     out: list[tuple[int, int, int]] = []
@@ -560,20 +548,20 @@ def reference_facing_gaps(f: Footprint, below: int) -> list[tuple[int, int, int]
     return out
 
 
-# The grammar's notch and sliver thresholds, a gap of one unit, a wide one,
+# The grammar's sliver threshold, gaps of one and five units, a wide one,
 # and one that takes every facing pair.
-GAP_BOUNDS = sorted({1, GRAMMAR.notch_gap, GRAMMAR.min_exterior_gap, 60, 10**9})
+GAP_BOUNDS = sorted({1, GRAMMAR.min_exterior_gap, 5, 60, 10**9})
 
 
 def test_facing_gaps_match_reference_on_grown_footprints():
     footprints = {f for seed in range(200) for f in grown_snapshots(seed)}
-    pairs = 0
+    found = 0
     for f in footprints:
         for below in GAP_BOUNDS:
-            want = reference_facing_gaps(f, below)
-            assert facing_gaps(f, below) == want
-            pairs += len(want)
-    assert pairs > 0
+            want = bool(reference_facing_gaps(f, below))
+            assert has_facing_gap(f, below) == want
+            found += want
+    assert found > 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -590,4 +578,4 @@ def test_facing_gaps_match_reference(case):
         pass
     for shape in shapes:
         for below in GAP_BOUNDS:
-            assert facing_gaps(shape, below) == reference_facing_gaps(shape, below)
+            assert has_facing_gap(shape, below) == bool(reference_facing_gaps(shape, below))

@@ -137,6 +137,10 @@ def test_snapshot_footprint_invariants_1000_seeds():
         traced += 1
         rooms = trace.snapshots[-1].tiles[1:]
         assert 2 <= len(rooms) <= 10
+        # The concave production's cap never cuts a side below the minimum.
+        for r in rooms:
+            assert CONFIG.room_side_min <= min(r.width, r.height)
+            assert max(r.width, r.height) <= CONFIG.room_side_max
         for k, snap in enumerate(trace.snapshots):
             # A simple counter-clockwise loop of corners only (Footprint
             # construction checks axis-parallel edges), and the corner
