@@ -118,3 +118,59 @@ THICK_PINS = {
 def test_thick_wall_fingerprint(tmp_path):
     args = ["--count", "20", "--seed", "0", "--set", "wall_thickness=0.6"]
     assert brep_digests(tmp_path, "thick", args) == THICK_PINS
+
+
+# `points --mode sphere --f32` on the GOOD and DEFECT solids: the sphere
+# normalization and the float32 bytes, which the cube `.xyz` pins above
+# cannot see, and clouds of open shells.
+SPHERE_PINS = {
+    "bld00000003.f32": "49330ea971904ac87a2d195f7cf858498d6604f26ebf4774316fae76b40efc2c",
+    "bld00000003.xyz": "62056348d597e9b608da39135d5be7f42a66f8bb269835af78adb7c5063cb940",
+    "bld00000003_def.f32": "83404942e31cb164c3e785104d4e203b0668e0fcf43d6954f63ccfd532912ae0",
+    "bld00000003_def.xyz": "7efa12fa796fec44197432141542fa8eee239ce863face89ccd8043c9d65c22d",
+    "bld00000005.f32": "13acb24d6ff625baf09a181d017709870f1759b466a05d93475e1f9f6ebf11d1",
+    "bld00000005.xyz": "3a00a642fddecdd0c85790f32315889712b67452604a668dc8c4ff4e40438711",
+    "bld00000005_def.f32": "817e58afa3c3d17756e701f6a61415a4aee3cc92f01b8b18e40abc0ebe5cb705",
+    "bld00000005_def.xyz": "6cfb5246e37075f99a48cdf236b9da1bc792ab4b4c8d5c82a7c5c7888ad83186",
+    "bld00000006.f32": "b0c77013a3e90317e43f9a62f84516a72958bff9e97617fbe4d5cd77599d0dcd",
+    "bld00000006.xyz": "94c70b39f69f775b3a5a94e6c7480a6bcdc2628013c18cc687b218dfcce6e30b",
+    "bld00000006_def.f32": "aa556537947f0223e6d74b4379af0c552c063c05eca4cd6ddf1196cd72ca7dd2",
+    "bld00000006_def.xyz": "81694bee9cdd801c0feda8ad3afb55736d82099b12be6cc1553110d7a5b980dc",
+    "bld00000007.f32": "6be581ec7d1119cfdd81b257ed4e0275d5b5219fd46429a13db5fa5f9399c30c",
+    "bld00000007.xyz": "edd0f102af7bdce4b278ea181c77ab14b84b345eb564fd8fca88de00b238e48e",
+    "bld00000007_def.f32": "e19611c2cd2d6c3dfa8554c1ca29aa6cb5b0795f326a1aeffb21a3a21afee291",
+    "bld00000007_def.xyz": "b0bf5e19ee6b62dd0eb5cb8f168b02e2ea1fef8df3a73d2b4ad1a246a8b1ed97",
+    "bld00000008.f32": "fc28882b150aabca6692ea4f1aa60ee529b2a4bec171d94f4265acc488bad9eb",
+    "bld00000008.xyz": "eb24fe4140da4f73453996b178130ac81aa214c86f577369816c8b72fb22ec01",
+    "bld00000008_def.f32": "4bf35401dffbc800f36ee69244214dbe77c36772bb2d31ce115fcf4b2f2588d5",
+    "bld00000008_def.xyz": "6951494a48045cf9d374496efaaaf67bc6902da4101538dfb1004ccced190247",
+    "bld00000009.f32": "a09c1f307657e2fc2c6c0ec406db1487ad62a571cf828081320c3457742a5469",
+    "bld00000009.xyz": "b873ef0cb378e70c01fe02ed4ad25782d0fb88ef7ca755ec30304a88cd115720",
+    "bld00000009_def.f32": "28b20151fcafeaca92b8dc37077d41f8e2d75ac49b61f608cf9dc73a1a13a6cc",
+    "bld00000009_def.xyz": "148ffe5cf036090369a117d3d4b93c3dade5d2ab7c3eed92373ffa05fbc43e25",
+    "bld00000010.f32": "a12ef4b9cf6610391326899719595511dd219b38b80fa5a1ed8d6530b5065bcc",
+    "bld00000010.xyz": "4d71af1320984439181eda435b7a0a39bfd68951449a73de58b51759aba24c6d",
+    "bld00000010_def.f32": "a28ccaab2124caf7624a6558c29b8a0bbee59a7db7aec4f8fc3030e84c67e8aa",
+    "bld00000010_def.xyz": "2cdeb2416343cc89f4537b928a3ca00d1b1c30f2c99f101edb761efcd422b36a",
+    "bld00000016.f32": "6a6e0332a2f8771b4a19d99fb17b76f69db14936748d3bfc08aa0b21f9e31a4f",
+    "bld00000016.xyz": "e67e1ef0b6502046a7e281f7ae6758d83899a27680298d0195c3f962e4fd2389",
+    "bld00000016_def.f32": "ca1756c6f7e1b73b8c5b085edc0b0dd406be6b2e2063cd1ca27b604a2921707e",
+    "bld00000016_def.xyz": "6ca861e185f884dabc9dbe1c9bc6fe0112f05f45ab5dd28ac49077ef6120f103",
+    "bld00000018.f32": "87370d9191a3375feb879e171f772c53a9c1aa45931cff2317f0e2327dcd4a47",
+    "bld00000018.xyz": "d83749533c9fa693173f72f823461c5efbef4332d4fdc590f63b640b61761c0b",
+    "bld00000018_def.f32": "3aeb2339ca41e022662d0a3598220729458869981be7e6f5a5463adb80ca42b3",
+    "bld00000018_def.xyz": "c6da701b2bf26afe5671c95d0730744b0d990d3e74b900ce868143a5cef83d72",
+}
+
+
+def test_sphere_f32_points_fingerprint(tmp_path):
+    out = tmp_path / "sphere"
+    assert cli(["gen", "--count", "20", "--seed", "0", "--out", str(out)]) == 0
+    assert cli(["defect", str(out), "--ratio", "1"]) == 0
+    assert cli(["points", str(out), "--n", "200", "--mode", "sphere", "--seed", "7", "--f32"]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.suffix in (".xyz", ".f32")
+    }
+    assert digests == SPHERE_PINS
