@@ -103,7 +103,8 @@ class BRepSolid:
     @cached_property
     def face_cells(self) -> FaceCells:
         """The filled grid cells of every face (`fill_faces`), which
-        `triangulate` and `envelope` share, built once per solid."""
+        `triangulate`, `envelope` and `mltasks.sample_points` share, built
+        once per solid."""
         return fill_faces(self)
 
     @cached_property
@@ -295,25 +296,6 @@ class TriMesh:
 
     vertices: np.ndarray  # (V, 3) float64
     triangles: np.ndarray  # (T, 3) int64
-
-    @property
-    def areas(self) -> np.ndarray:
-        """Half the length of the cross product of each triangle's two edges
-        from its first corner, written out componentwise on one contiguous
-        row per axis and corner: the float operations of `np.cross` and
-        `np.linalg.norm(axis=1)`, in their order, so the same bits."""
-        corners = np.ascontiguousarray(self.triangles.T)
-        x, y, z = (np.take(coord, corners) for coord in np.ascontiguousarray(self.vertices.T))
-        for rows in (x, y, z):  # per axis: the first corner, then the two edges from it
-            rows[1:] -= rows[0]
-        (_, a0, b0), (_, a1, b1), (_, a2, b2) = x, y, z
-        c = a1 * b2 - a2 * b1
-        total = c * c
-        c = a2 * b0 - a0 * b2
-        total += c * c
-        c = a0 * b1 - a1 * b0
-        total += c * c
-        return 0.5 * np.sqrt(total)
 
 
 def geometry_problems(solid: BRepSolid) -> list[str]:

@@ -161,6 +161,16 @@ def _brep_files(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.brep.json"))
 
 
+def _seed_in_range(command: str, seed: int, streams: int) -> bool:
+    """Whether streams seed .. seed + streams - 1 all lie in [0, 2**64);
+    prints the usage error if not.  `SeededRng` masks a stream to 64
+    bits, so a seed outside would repeat another seed's output."""
+    if 0 <= seed <= 2**64 - streams:
+        return True
+    print(f"{command}: --seed must be in [0, 2**64 - {streams}]", file=sys.stderr)
+    return False
+
+
 def _read_json(path: Path, parse):
     """``parse`` applied to the JSON in ``path``; a file that cannot be read
     or holds malformed content raises MalformedInputError naming it."""
@@ -246,7 +256,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_points(args) -> int:
-    from .brep import triangulate
     from .dataset import solid_from_dict
     from .mltasks import UNIT_CUBE, UNIT_SPHERE, sample_points
     from .rng import SeededRng
@@ -259,11 +268,13 @@ def cmd_points(args) -> int:
     if not files:
         print(f"points: no .brep.json files in {directory}", file=sys.stderr)
         return USAGE_ERROR
+    if not _seed_in_range("points", args.seed, len(files)):
+        return USAGE_ERROR
     mode = UNIT_CUBE if args.mode == "cube" else UNIT_SPHERE
     for i, path in enumerate(files):
-        mesh = triangulate(_read_json(path, solid_from_dict))
+        solid = _read_json(path, solid_from_dict)
         stream = args.seed + i
-        cloud = sample_points(mesh, args.n, mode, SeededRng(stream, stream))
+        cloud = sample_points(solid, args.n, mode, SeededRng(stream, stream))
         base = path.name.replace(".brep.json", "")
         (directory / f"{base}.xyz").write_text(cloud.to_xyz())
         if args.f32:
@@ -286,16 +297,18 @@ def cmd_defect(args) -> int:
     if not good:
         print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)
         return USAGE_ERROR
+    # Copy k of the total is of source k mod len(good), with stream seed + k
+    # and suffix _def, _def2, ... by k // len(good); each source is read and
+    # checked once, before its first copy.
+    total = round(args.ratio * len(good))
+    if not _seed_in_range("defect", args.seed, total):
+        return USAGE_ERROR
     out_dir = Path(args.out) if args.out else directory
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"defect: cannot create {out_dir}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    # Copy k of the total is of source k mod len(good), with stream seed + k
-    # and suffix _def, _def2, ... by k // len(good); each source is read and
-    # checked once, before its first copy.
-    total = round(args.ratio * len(good))
     for i, src in enumerate(good[:total]):
         solid = _read_json(src, solid_from_dict)
         problems = [f"label {solid.label!r} is not 'GOOD'"] if solid.label != "GOOD" else check_solid(solid)[1]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .geom2d import Rect, to_units
+from .geom2d import Rect
+from .records import to_units
 
 # A section's types are imported when the section is built, so `validate`,
 # which builds only the room filters, loads no grammar, storey or assembly.

@@ -32,8 +32,7 @@ from .brep import (
     mesh_to_obj,
     triangulate,
 )
-from .geom2d import to_units
-from .records import MAX_COORDINATE_M, DatasetMeta, canonical_json
+from .records import MAX_COORDINATE_M, DatasetMeta, canonical_json, to_units
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:

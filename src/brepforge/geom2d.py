@@ -1,7 +1,8 @@
 """Exact rectilinear 2-D kernel: footprint loops and rectangle unions.
 
-All coordinates are integers in grid units of 0.1 m.  Arithmetic is exact;
-metres appear only at the API boundary (``to_units`` / ``to_metres``).
+All coordinates are integers in grid units of 0.1 m, and arithmetic is
+exact; lengths in metres are snapped to the grid where they are read
+(``records.to_units``).
 Footprints are simple axis-parallel loops stored counter-clockwise, each
 with the rectangles that tile its interior (``Footprint.tiles``): a grown
 footprint is its core and the rooms grafted onto it, in graft order.
@@ -27,18 +28,6 @@ from .errors import (
 from .regions import trace_planes
 
 
-def to_units(metres: float) -> int:
-    """Snap a metre value to the 0.1 m grid; reject off-grid inputs."""
-    units = round(metres * 10)
-    if abs(units - metres * 10) > 1e-6:
-        raise ValueError(f"{metres} m is not on the 0.1 m grid")
-    return units
-
-
-def to_metres(units: int) -> float:
-    return units / 10.0
-
-
 class Point2(NamedTuple):
     x: int
     y: int
@@ -61,10 +50,6 @@ class Rect:
     def __post_init__(self):
         if self.x0 >= self.x1 or self.y0 >= self.y1:
             raise ValueError(f"degenerate rect {self}")
-
-    @classmethod
-    def from_metres(cls, x0: float, y0: float, x1: float, y1: float) -> "Rect":
-        return cls(to_units(x0), to_units(y0), to_units(x1), to_units(y1))
 
     @property
     def width(self) -> int:

@@ -1,10 +1,11 @@
 """Baseline-task tooling on solids: surface sampling and defect injection.
 
-Point clouds are sampled area-uniformly from the triangulated solid and
-normalized either to the unit cube (regression task) or the unit sphere
-(defect-detection task).  Defects remove one to three envelope faces,
-which always breaks watertightness.  The labels and metrics that score
-both tasks live in `records`.
+Point clouds are sampled area-uniformly from the solid's face cells, two
+triangles per cell, with no mesh built, and normalized either to the unit
+cube (regression task) or the unit sphere (defect-detection task).
+Defects remove one to three envelope faces, which always breaks
+watertightness.  The labels and metrics that score both tasks live in
+`records`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brep import BRepSolid, TriMesh, drop_faces
+from .brep import BRepSolid, _frames, drop_faces
 from .errors import EmptyMeshError
 from .rng import SeededRng
 
@@ -34,16 +35,38 @@ class PointCloud:
         return np.ascontiguousarray(self.points, dtype="<f4").tobytes()
 
 
-def sample_points(mesh: TriMesh, n: int, mode: str, rng: SeededRng) -> PointCloud:
+def _cell_areas(solid: BRepSolid) -> np.ndarray:
+    """Per face cell of the solid (`fill_faces`), the area in m² of each of
+    the two triangles it stands for: half the cell's.
+
+    A cell's triangles (c0, c1, c2) and (c0, c2, c3) have edges from c0
+    along the face's u and v axes only, so two of the three cross-product
+    terms are exact zeros and, in binary64, the length of the third is
+    its absolute value: these are the bits of the cross-product formula
+    on the triangles' corner floats (grid value / 10.0).
+    """
+    cells = solid.face_cells
+    metres = cells.grid / 10.0
+    du = metres[cells.u + 1] - metres[cells.u]
+    dv = metres[cells.v + 1] - metres[cells.v]
+    return 0.5 * np.abs(du * dv)
+
+
+def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointCloud:
     """Area-weighted surface sampling with deterministic draws.
 
-    Point i takes draws 3i, 3i+1 and 3i+2 of one block: the first picks the
-    triangle by cumulative-area inversion, the other two give barycentric
-    coordinates (folded into the triangle).
+    The surface is the solid's face cells, each split into the triangles
+    (c0, c1, c2) and (c0, c2, c3) over its corners (u0, v0), (u1, v0),
+    (u1, v1), (u0, v1), in cell order.  Point i takes draws 3i, 3i+1 and
+    3i+2 of one block: the first picks the triangle by cumulative-area
+    inversion, the other two give barycentric coordinates (folded into
+    the triangle).
     """
     if mode not in (UNIT_CUBE, UNIT_SPHERE):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    areas = mesh.areas
+    if not solid.faces:
+        raise EmptyMeshError("solid has no faces")
+    areas = np.repeat(_cell_areas(solid), 2)
     total = float(areas.sum())
     if total <= 0.0:
         raise EmptyMeshError("mesh has zero surface area")
@@ -55,7 +78,22 @@ def sample_points(mesh: TriMesh, n: int, mode: str, rng: SeededRng) -> PointClou
     fold = r1 + r2 > 1.0
     r1 = np.where(fold, 1.0 - r1, r1)
     r2 = np.where(fold, 1.0 - r2, r2)
-    tri = mesh.vertices[mesh.triangles[tri_idx]]
+
+    # The picked triangles' corners: c0, then c1 and c2 of an even
+    # triangle or c2 and c3 of an odd one, on the face's plane.
+    cells, edges = solid.face_cells, solid.loop_edges
+    cell, odd = tri_idx >> 1, (tri_idx & 1).astype(bool)
+    face = cells.face[cell]
+    axis = edges.face_axis[face]
+    ua, va = _frames(axis, edges.face_sign[face])
+    metres = cells.grid / 10.0
+    u0, u1 = metres[cells.u[cell]], metres[cells.u[cell] + 1]
+    v0, v1 = metres[cells.v[cell]], metres[cells.v[cell] + 1]
+    k = np.arange(n)
+    tri = np.empty((n, 3, 3), dtype=np.float64)
+    tri[k, :, axis] = (edges.face_offset[face] / 10.0)[:, None]
+    tri[k, :, ua] = np.stack([u0, u1, np.where(odd, u0, u1)], axis=1)
+    tri[k, :, va] = np.stack([v0, np.where(odd, v1, v0), v1], axis=1)
     pts = tri[:, 0] + r1[:, None] * (tri[:, 1] - tri[:, 0]) + r2[:, None] * (tri[:, 2] - tri[:, 0])
 
     if mode == UNIT_CUBE:

@@ -7,7 +7,9 @@ and `eval` load only this and the standard library.  Metadata files are
 byte-stable canonical JSON (`canonical_json`: sorted keys, compact
 separators, shortest round-trip floats).  Task truths come from the
 storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...); a DEFECT
-solid is one whose file name holds `DEFECT_SUFFIX`.
+solid is one whose file name holds `DEFECT_SUFFIX`.  Lengths read from
+files and configs snap to the 0.1 m grid here (`to_units`), so the solid
+readers need no footprint kernel.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ DEFECT_SUFFIX = "_def"
 # and within it every product of three coordinates (the volume term of
 # `brep.geometry_problems`) fits in int64.
 MAX_COORDINATE_M = 100_000.0
+
+
+def to_units(metres: float) -> int:
+    """Snap a metre value to the 0.1 m grid; reject off-grid inputs."""
+    units = round(metres * 10)
+    if abs(units - metres * 10) > 1e-6:
+        raise ValueError(f"{metres} m is not on the 0.1 m grid")
+    return units
 
 
 @dataclass(frozen=True)

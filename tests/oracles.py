@@ -1,13 +1,14 @@
 """Helpers that only tests call: the run-walking tracer of one mask that
 `regions.trace_planes` is checked against, prism extrusion, the parity fill
 of rectilinear loops, face areas from that fill, the Euler characteristic
-of a triangle mesh, corner counts of a footprint, the slab partition that
-tiles a hand-drawn footprint loop, the dict form of a solid that
+of a triangle mesh, corner counts of a footprint, rectangles given in
+metres, the slab partition that tiles a hand-drawn footprint loop, the dict form of a solid that
 `dataset.solid_json` is checked against, the scatter-add versions
 of `brep.is_watertight` and `brep.geometry_problems` they are checked
-against, and the references `brep.triangulate`, `TriMesh.areas` and
-`BRepSolid.envelope` are checked against: the lexsort triangulation, the
-`np.cross` area formula and the ray-parity envelope test."""
+against, the references `brep.triangulate` and `BRepSolid.envelope` are
+checked against (the lexsort triangulation and the ray-parity envelope
+test), and the mesh sampler `mltasks.sample_points` is checked against,
+with its componentwise triangle areas and their `np.cross` reference."""
 
 from itertools import chain
 from typing import Sequence
@@ -16,8 +17,11 @@ import numpy as np
 
 from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _frames, solid_from_boxes
 from brepforge.errors import EmptyMeshError, InvalidExtrusionError
-from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex, to_units
+from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex
+from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, PointCloud
+from brepforge.records import to_units
 from brepforge.regions import Loop, _distinct, expand
+from brepforge.rng import SeededRng
 
 
 class Region:
@@ -193,6 +197,10 @@ def slab_partition(vertices) -> tuple[Rect, ...]:
         for x_lo, x_hi in zip(crossings[::2], crossings[1::2]):
             rects.append(Rect(x_lo, y_lo, x_hi, y_hi))
     return tuple(rects)
+
+
+def rect_from_metres(x0: float, y0: float, x1: float, y1: float) -> Rect:
+    return Rect(to_units(x0), to_units(y0), to_units(x1), to_units(y1))
 
 
 def drawn_footprint(coords, tiles: Sequence[Rect] | None = None) -> Footprint:
@@ -460,6 +468,58 @@ def cross_areas(mesh: TriMesh) -> np.ndarray:
     b = mesh.vertices[mesh.triangles[:, 1]]
     c = mesh.vertices[mesh.triangles[:, 2]]
     return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+def mesh_areas(mesh: TriMesh) -> np.ndarray:
+    """Half the length of the cross product of each triangle's two edges
+    from its first corner, written out componentwise on one contiguous
+    row per axis and corner: the float operations of `np.cross` and
+    `np.linalg.norm(axis=1)`, in their order, so the same bits."""
+    corners = np.ascontiguousarray(mesh.triangles.T)
+    x, y, z = (np.take(coord, corners) for coord in np.ascontiguousarray(mesh.vertices.T))
+    for rows in (x, y, z):  # per axis: the first corner, then the two edges from it
+        rows[1:] -= rows[0]
+    (_, a0, b0), (_, a1, b1), (_, a2, b2) = x, y, z
+    c = a1 * b2 - a2 * b1
+    total = c * c
+    c = a2 * b0 - a0 * b2
+    total += c * c
+    c = a0 * b1 - a1 * b0
+    total += c * c
+    return 0.5 * np.sqrt(total)
+
+
+def mesh_sample_points(mesh: TriMesh, n: int, mode: str, rng: SeededRng) -> PointCloud:
+    """`mltasks.sample_points` as it was on the welded mesh of
+    `brep.triangulate`: point i takes draws 3i, 3i+1 and 3i+2 of one block,
+    the first picking the triangle by cumulative-area inversion over
+    `mesh_areas`, the other two giving folded barycentric coordinates."""
+    if mode not in (UNIT_CUBE, UNIT_SPHERE):
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    areas = mesh_areas(mesh)
+    total = float(areas.sum())
+    if total <= 0.0:
+        raise EmptyMeshError("mesh has zero surface area")
+    cum = np.cumsum(areas)
+    draws = rng.unit_floats(3 * n).reshape(n, 3)
+    tri_idx = np.searchsorted(cum, draws[:, 0] * total, side="right")
+    tri_idx = np.minimum(tri_idx, len(areas) - 1)
+    r1, r2 = draws[:, 1], draws[:, 2]
+    fold = r1 + r2 > 1.0
+    r1 = np.where(fold, 1.0 - r1, r1)
+    r2 = np.where(fold, 1.0 - r2, r2)
+    tri = mesh.vertices[mesh.triangles[tri_idx]]
+    pts = tri[:, 0] + r1[:, None] * (tri[:, 1] - tri[:, 0]) + r2[:, None] * (tri[:, 2] - tri[:, 0])
+
+    if mode == UNIT_CUBE:
+        lo = pts.min(axis=0)
+        extent = float((pts.max(axis=0) - lo).max())
+        pts = (pts - lo) / extent
+    else:
+        pts = pts - pts.mean(axis=0)
+        radius = float(np.linalg.norm(pts, axis=1).max())
+        pts = pts / radius
+    return PointCloud(pts)
 
 
 def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:

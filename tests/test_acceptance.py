@@ -17,14 +17,21 @@ from brepforge.brep import is_watertight, triangulate
 from brepforge.cli import main as cli
 from brepforge.config import GeneratorConfig
 from brepforge.dataset import solid_from_dict
-from brepforge.geom2d import Rect, polygon_area, union_rect
+from brepforge.geom2d import polygon_area, union_rect
 from brepforge.grammar import Termination, grow
 from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, inject_defect, sample_points
 from brepforge.records import BinaryMetrics, LabelVector, eval_regression, load_dataset_meta, stats
 from brepforge.rng import SeededRng
 from brepforge.storey import Opening, WallSegment, prune_windows
 from brepforge.geom2d import Point2
-from oracles import drawn_footprint, euler_characteristic, extrude_prism, total_face_area_m2
+from oracles import (
+    drawn_footprint,
+    euler_characteristic,
+    extrude_prism,
+    mesh_areas,
+    rect_from_metres,
+    total_face_area_m2,
+)
 
 GEN_SECONDS_BUDGET = 300.0
 
@@ -207,11 +214,10 @@ def test_defect_oracle_and_point_normalization(timed_batch):
         assert not is_watertight(defect)[0], f"defect {i} still watertight"
 
     for i, solid in enumerate(solids[:10]):
-        mesh = triangulate(solid)
-        cube = sample_points(mesh, 4000, UNIT_CUBE, SeededRng(2000 + i, 2000 + i))
+        cube = sample_points(solid, 4000, UNIT_CUBE, SeededRng(2000 + i, 2000 + i))
         assert len(cube.points) == 4000
         assert cube.points.min() >= 0.0 and cube.points.max() <= 1.0
-        sphere = sample_points(mesh, 4000, UNIT_SPHERE, SeededRng(3000 + i, 3000 + i))
+        sphere = sample_points(solid, 4000, UNIT_SPHERE, SeededRng(3000 + i, 3000 + i))
         assert len(sphere.points) == 4000
         radii = np.linalg.norm(sphere.points, axis=1)
         assert abs(radii.max() - 1.0) <= 1e-9
@@ -222,7 +228,7 @@ def test_defect_oracle_and_point_normalization(timed_batch):
 def test_geometry_oracles():
     # Union area additivity at 1e-9 m².
     square = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
-    rect = Rect.from_metres(4, 1, 7, 3)
+    rect = rect_from_metres(4, 1, 7, 3)
     union = union_rect(square, rect)
     assert abs(polygon_area(union) - polygon_area(square) - rect.area_m2) <= 1e-9
 
@@ -232,7 +238,7 @@ def test_geometry_oracles():
     prism = extrude_prism(outer, 0, 30, holes=[hole])
     mesh = triangulate(prism)
     face_area = total_face_area_m2(prism)
-    assert abs(float(mesh.areas.sum()) - face_area) <= 1e-6 * face_area
+    assert abs(float(mesh_areas(mesh).sum()) - face_area) <= 1e-6 * face_area
 
     # Euler characteristic: cube chi=2, holed prism chi=0 (genus 1).
     cube = extrude_prism(drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)

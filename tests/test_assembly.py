@@ -13,13 +13,13 @@ from brepforge.assembly import (
 from brepforge.brep import is_watertight
 from brepforge.dataset import solid_json
 from brepforge.errors import GrowthFailedError
-from brepforge.geom2d import Footprint, Rect
+from brepforge.geom2d import Footprint
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import GrowthTrace, Termination, grow
 from brepforge.rng import SeededRng
 from brepforge.brep import FRAMES
 import brepforge.geom2d as geom2d
-from oracles import drawn_footprint, rasterize_loops
+from oracles import drawn_footprint, rasterize_loops, rect_from_metres
 
 GCFG = GeneratorConfig.build().grammar()
 BCFG = GeneratorConfig.build().building()
@@ -116,8 +116,8 @@ def test_entrance_nearest_centroid_among_long_walls():
     # over 4 m.  Hand-computed squared distances to the centroid (3, 3.5):
     # both 6 m walls 12.25, both 5 m walls 10.0 -> the east 5 m wall (first
     # in wall order) wins.
-    core = Rect.from_metres(0, 0, 6, 5)
-    room = Rect.from_metres(0, 5, 6, 7)
+    core = rect_from_metres(0, 0, 6, 5)
+    room = rect_from_metres(0, 5, 6, 7)
     fp = drawn_footprint([(0, 0), (6, 0), (6, 7), (0, 7)], [core, room])
     plan = build_storey_plan(fp, BCFG)
     entrance = place_entrance(plan, BCFG)

@@ -525,6 +525,51 @@ def test_points_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
     assert len(err) == 1 and name in err[0]
 
 
+def test_points_faceless_solid_fails_cleanly(tmp_path, small_batch_dir, capsys):
+    edited_copy(small_batch_dir, tmp_path, lambda doc: doc.update(faces=[]))
+    assert cli(["points", str(tmp_path), "--n", "10"]) == 1
+    assert capsys.readouterr().err == "brepforge: solid has no faces\n"
+    assert not list(tmp_path.glob("*.xyz"))
+
+
+def test_points_builds_no_mesh(tmp_path, small_batch_dir, monkeypatch):
+    import brepforge.brep
+
+    def no_mesh(solid):
+        raise AssertionError("points triangulated a solid")
+
+    monkeypatch.setattr(brepforge.brep, "triangulate", no_mesh)
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    assert cli(["points", str(tmp_path), "--n", "50", "--mode", "sphere", "--f32"]) == 0
+    assert len(list(tmp_path.glob("*.xyz"))) == 1 and len(list(tmp_path.glob("*.f32"))) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1])
+def test_points_seed_outside_64_bits_usage_error(tmp_path, small_batch_dir, capsys, seed):
+    # Two files take streams seed and seed + 1; `SeededRng` masks each to
+    # 64 bits, so -1 and 2**64 - 1 wrote the same clouds.
+    for path in sorted(small_batch_dir.glob("*.brep.json"))[:2]:
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    assert cli(["points", str(tmp_path), "--n", "10", "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == "points: --seed must be in [0, 2**64 - 2]\n"
+    assert not list(tmp_path.glob("*.xyz"))
+    assert cli(["points", str(tmp_path), "--n", "10", "--seed", str(2**64 - 2)]) == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 2])
+def test_defect_seed_outside_64_bits_usage_error(tmp_path, small_batch_dir, capsys, seed):
+    # --ratio 3 on one source makes three copies, streams seed .. seed + 2.
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "out"
+    assert cli(["defect", str(tmp_path), "--out", str(out), "--ratio", "3", "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == "defect: --seed must be in [0, 2**64 - 3]\n"
+    assert not out.exists()
+    assert cli(["defect", str(tmp_path), "--out", str(out), "--ratio", "3", "--seed", str(2**64 - 3)]) == 0
+    assert len(list(out.glob("*_def*.brep.json"))) == 3
+
+
 def test_defect_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
     name = null_faces_copy(small_batch_dir, tmp_path)
     assert cli(["defect", str(tmp_path), "--ratio", "1"]) == 1
@@ -841,14 +886,21 @@ def test_solid_commands_leave_generator_unimported(tmp_path, small_batch_dir):
         for src in (path, meta):
             (tmp_path / src.name).write_bytes(src.read_bytes())
     generator = ("brepforge.grammar", "brepforge.storey", "brepforge.assembly")
+    # `validate` loads the footprint kernel through `config`; `points` and
+    # `defect` load no config and so no footprint kernel either.
     code = (
         "import sys\n"
         "from brepforge.cli import main\n"
         f"assert main(['validate', {str(tmp_path)!r}]) == 0\n"
         f"assert not {{*{generator!r}, 'brepforge.mltasks'}} & set(sys.modules)\n"
+    )
+    run_in_fresh_interpreter(code)
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
         f"assert main(['points', {str(tmp_path)!r}, '--n', '50']) == 0\n"
         f"assert main(['defect', {str(tmp_path)!r}, '--out', {str(tmp_path / 'mixed')!r}]) == 0\n"
-        f"assert not set({generator!r}) & set(sys.modules)\n"
+        f"assert not {{*{generator!r}, 'brepforge.geom2d'}} & set(sys.modules)\n"
     )
     run_in_fresh_interpreter(code)
     assert list(tmp_path.glob("*.xyz")) and list((tmp_path / "mixed").glob("*_def.brep.json"))

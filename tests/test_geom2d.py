@@ -25,14 +25,13 @@ from brepforge.geom2d import (
     has_facing_gap,
     overlaps,
     polygon_area,
-    to_metres,
-    to_units,
     union_rect,
 )
 from brepforge.config import GeneratorConfig
+from brepforge.records import to_units
 from brepforge.grammar import grow
 from brepforge.rng import SeededRng
-from oracles import drawn_footprint, slab_partition, vertex_kind_counts
+from oracles import drawn_footprint, rect_from_metres, slab_partition, vertex_kind_counts
 
 GRAMMAR = GeneratorConfig.build().grammar()
 SQUARE = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -59,7 +58,6 @@ def raster_area_units(f: Footprint) -> int:
 
 def test_grid_snapping():
     assert to_units(2.4) == 24
-    assert to_metres(24) == 2.4
     with pytest.raises(ValueError):
         to_units(2.45)
 
@@ -107,13 +105,13 @@ def test_classify_requires_clean():
 
 
 def test_union_coplanar_merge():
-    u = union_rect(SQUARE, Rect.from_metres(4, 0, 8, 4))
+    u = union_rect(SQUARE, rect_from_metres(4, 0, 8, 4))
     assert polygon_area(u) == 32.0
     assert len(u.vertices) == 4
 
 
 def test_union_partial_side_eight_vertices():
-    r = Rect.from_metres(4, 1, 7, 3)
+    r = rect_from_metres(4, 1, 7, 3)
     u = union_rect(SQUARE, r)
     assert len(u.vertices) == 8
     assert polygon_area(u) == 22.0
@@ -121,29 +119,29 @@ def test_union_partial_side_eight_vertices():
 
 
 def test_union_area_additive_exact():
-    r = Rect.from_metres(4, 1, 7, 3)
+    r = rect_from_metres(4, 1, 7, 3)
     u = union_rect(SQUARE, r)
     assert abs(polygon_area(u) - (polygon_area(SQUARE) + r.area_m2)) <= 1e-9
 
 
 def test_union_overlap_is_collision():
     with pytest.raises(CollisionError):
-        union_rect(SQUARE, Rect.from_metres(3, 3, 6, 6))
+        union_rect(SQUARE, rect_from_metres(3, 3, 6, 6))
 
 
 def test_union_straddling_corner_rejected():
     with pytest.raises(ConflictError):
-        union_rect(SQUARE, Rect.from_metres(4, 2, 7, 5))
+        union_rect(SQUARE, rect_from_metres(4, 2, 7, 5))
 
 
 def test_union_point_touch_rejected():
     with pytest.raises(ConflictError):
-        union_rect(SQUARE, Rect.from_metres(4, 4, 6, 6))
+        union_rect(SQUARE, rect_from_metres(4, 4, 6, 6))
 
 
 def test_union_disjoint_rejected():
     with pytest.raises(ConflictError):
-        union_rect(SQUARE, Rect.from_metres(5, 0, 8, 4))
+        union_rect(SQUARE, rect_from_metres(5, 0, 8, 4))
 
 
 SLIT = drawn_footprint(
@@ -153,30 +151,30 @@ SLIT = drawn_footprint(
 
 def test_union_closes_narrow_slit():
     # The patch that closes the 0.2 m x 0.3 m slit.
-    filled = union_rect(SLIT, Rect.from_metres(4.8, 3.7, 5, 4))
+    filled = union_rect(SLIT, rect_from_metres(4.8, 3.7, 5, 4))
     assert len(filled.vertices) == len(SLIT.vertices) - 4
     assert raster_area_units(filled) == raster_area_units(SLIT) + 2 * 3
 
 
 def test_overlaps_edge_contact_false():
-    assert not overlaps(SQUARE, Rect.from_metres(4, 0, 6, 2))
+    assert not overlaps(SQUARE, rect_from_metres(4, 0, 6, 2))
 
 
 def test_overlaps_interior_true():
-    assert overlaps(SQUARE, Rect.from_metres(3, 3, 6, 6))
+    assert overlaps(SQUARE, rect_from_metres(3, 3, 6, 6))
 
 
 def test_overlaps_disjoint_false():
-    assert not overlaps(SQUARE, Rect.from_metres(9, 9, 11, 11))
+    assert not overlaps(SQUARE, rect_from_metres(9, 9, 11, 11))
 
 
 def test_overlaps_agrees_with_rasterization():
     rects = [
-        Rect.from_metres(1, 1, 2, 2),
-        Rect.from_metres(3, 2.9, 7, 5),
-        Rect.from_metres(5.9, 0, 9, 3),
-        Rect.from_metres(3, 3, 3.1, 3.1),
-        Rect.from_metres(-2, -2, 0, 6),
+        rect_from_metres(1, 1, 2, 2),
+        rect_from_metres(3, 2.9, 7, 5),
+        rect_from_metres(5.9, 0, 9, 3),
+        rect_from_metres(3, 3, 3.1, 3.1),
+        rect_from_metres(-2, -2, 0, 6),
     ]
     for r in rects:
         expected = any(

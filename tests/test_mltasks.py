@@ -1,6 +1,7 @@
 """Sampling, defect, label, and metric tests.
 
-Sampling shares are checked against binomial confidence bounds; the
+Sampling shares are checked against binomial confidence bounds, and the
+face-cell sampler against the mesh sampler it replaced, bit for bit; the
 confusion-matrix numbers replicate the published quality-control
 benchmark exactly.
 """
@@ -9,15 +10,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from brepforge.assembly import assemble
-from brepforge.brep import Box, is_watertight, solid_from_boxes, triangulate, TriMesh
+from brepforge.brep import Box, BRepFace, BRepSolid, drop_faces, is_watertight, solid_from_boxes, triangulate
 from brepforge.dataset import check_solid
 from brepforge.errors import BrepForgeError, EmptyMeshError
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import grow
-from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, inject_defect, is_exterior_face, sample_points
+from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, _cell_areas, inject_defect, is_exterior_face, sample_points
 from brepforge.records import (
     BinaryMetrics,
     BuildingMeta,
@@ -27,7 +28,7 @@ from brepforge.records import (
     oracle_labels,
 )
 from brepforge.rng import SeededRng
-from oracles import drawn_footprint, extrude_prism, parity_is_exterior_face
+from oracles import drawn_footprint, extrude_prism, mesh_areas, mesh_sample_points, parity_is_exterior_face
 from test_brep import box_solids
 
 CUBE = extrude_prism(drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
@@ -40,7 +41,7 @@ def built(seed):
 
 
 def test_sample_count_and_cube_bounds():
-    cloud = sample_points(triangulate(CUBE), 4000, UNIT_CUBE, SeededRng(1, 1))
+    cloud = sample_points(CUBE, 4000, UNIT_CUBE, SeededRng(1, 1))
     assert len(cloud.points) == 4000
     assert cloud.points.min() >= 0.0 and cloud.points.max() <= 1.0
     assert np.allclose(cloud.points.min(axis=0), 0.0)
@@ -48,8 +49,7 @@ def test_sample_count_and_cube_bounds():
 
 
 def test_sample_cube_face_shares_binomial():
-    mesh = triangulate(CUBE)
-    cloud = sample_points(mesh, 4000, UNIT_CUBE, SeededRng(2, 2))
+    cloud = sample_points(CUBE, 4000, UNIT_CUBE, SeededRng(2, 2))
     pts = cloud.points
     n = len(pts)
     p = 1 / 6
@@ -61,10 +61,13 @@ def test_sample_cube_face_shares_binomial():
 
 
 def test_sample_two_triangle_weighting():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 1], [4, 0, 1], [2, 2, 1]], dtype=float)
-    tris = np.array([[0, 1, 2], [3, 4, 5]])  # areas 0.5 and 2.0
-    mesh = TriMesh(verts, tris)
-    cloud = sample_points(mesh, 4000, UNIT_SPHERE, SeededRng(3, 3))
+    # The open shell of two faces of a 1 x 4 x 1 m box: the top, 4 m², and
+    # the +y end, 1 m², each one cell of two triangles.
+    box = solid_from_boxes([Box(0, 0, 0, 10, 40, 10)])
+    keep = {("+z", 10), ("+y", 40)}
+    shell = drop_faces(box, [i for i, f in enumerate(box.faces) if (f.normal_name, f.offset) not in keep])
+    assert len(shell.faces) == 2
+    cloud = sample_points(shell, 4000, UNIT_SPHERE, SeededRng(3, 3))
     upper = int((np.abs(cloud.points[:, 2] - cloud.points[:, 2].max()) < 1e-9).sum())
     n, p = 4000, 0.8
     sigma = math.sqrt(n * p * (1 - p))
@@ -72,22 +75,44 @@ def test_sample_two_triangle_weighting():
 
 
 def test_sample_sphere_max_radius_one():
-    cloud = sample_points(triangulate(CUBE), 4000, UNIT_SPHERE, SeededRng(4, 4))
+    cloud = sample_points(CUBE, 4000, UNIT_SPHERE, SeededRng(4, 4))
     radii = np.linalg.norm(cloud.points, axis=1)
     assert abs(radii.max() - 1.0) <= 1e-9
 
 
 def test_sample_deterministic():
-    mesh = triangulate(CUBE)
-    a = sample_points(mesh, 1000, UNIT_CUBE, SeededRng(5, 5))
-    b = sample_points(mesh, 1000, UNIT_CUBE, SeededRng(5, 5))
+    a = sample_points(CUBE, 1000, UNIT_CUBE, SeededRng(5, 5))
+    b = sample_points(CUBE, 1000, UNIT_CUBE, SeededRng(5, 5))
     assert np.array_equal(a.points, b.points)
 
 
 def test_sample_empty_mesh_rejected():
-    degenerate = TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
-    with pytest.raises(EmptyMeshError):
+    # A face whose loop runs out and back along one line fills no cell.
+    degenerate = BRepSolid(((0, 0, 0), (10, 0, 0)), (BRepFace(2, 0, 1, (0, 1)),))
+    with pytest.raises(EmptyMeshError, match="^mesh has zero surface area$"):
         sample_points(degenerate, 10, UNIT_CUBE, SeededRng(1, 1))
+    with pytest.raises(EmptyMeshError, match="^solid has no faces$"):
+        sample_points(BRepSolid((), ()), 10, UNIT_CUBE, SeededRng(1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_solids(), st.data())
+def test_sample_points_like_mesh_sampler(solid, data):
+    """The cell sampler gives the mesh sampler's clouds bit for bit, on
+    closed solids and on open shells, in both modes; its triangle areas
+    are the mesh's."""
+    n = len(solid.faces)
+    dropped = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    shell = drop_faces(solid, dropped) if dropped and len(set(dropped)) < n else solid
+    mesh = triangulate(shell)
+    assert np.repeat(_cell_areas(shell), 2).tobytes() == mesh_areas(mesh).tobytes()
+    count = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    for mode in (UNIT_CUBE, UNIT_SPHERE):
+        with np.errstate(invalid="ignore"):  # a single point normalizes by 0 in both
+            got = sample_points(shell, count, mode, SeededRng(seed, seed))
+            want = mesh_sample_points(mesh, count, mode, SeededRng(seed, seed))
+        assert got.to_xyz() == want.to_xyz() and got.to_f32() == want.to_f32()
 
 
 def test_exterior_face_classification_on_wall():
@@ -146,8 +171,6 @@ def test_inject_defect_refuses_defect_input():
 
 
 def test_defect_boundary_edge_count_on_cube():
-    from brepforge.brep import drop_faces
-
     open_box = drop_faces(CUBE, [0], label="DEFECT")
     ok, problems = is_watertight(open_box)
     assert not ok
@@ -157,8 +180,6 @@ def test_defect_boundary_edge_count_on_cube():
 def test_defect_adjacent_faces_share_cancelled_edge():
     # Removing two adjacent faces: 4 + 4 perimeter edges minus the shared
     # edge, which disappears entirely and is no longer reported.
-    from brepforge.brep import drop_faces
-
     shared = None
     for i in range(len(CUBE.faces)):
         for j in range(i + 1, len(CUBE.faces)):

@@ -5,7 +5,7 @@ import pytest
 from brepforge.assembly import build_storey_plan
 from brepforge.config import GeneratorConfig
 from brepforge.errors import InconsistentPlanError, UnreachableRoomError
-from brepforge.geom2d import Footprint, Point2, Rect
+from brepforge.geom2d import Footprint, Point2
 from brepforge.storey import (
     Opening,
     WallSegment,
@@ -14,10 +14,10 @@ from brepforge.storey import (
     place_doors,
     prune_windows,
 )
-from oracles import drawn_footprint
+from oracles import drawn_footprint, rect_from_metres
 
 BUILDING = GeneratorConfig.build().building()
-CORE = Rect.from_metres(0, 0, 4, 4)
+CORE = rect_from_metres(0, 0, 4, 4)
 
 
 def test_core_only_four_exterior_walls():
@@ -29,7 +29,7 @@ def test_core_only_four_exterior_walls():
 
 
 def test_core_plus_east_room():
-    room = Rect.from_metres(4, 0, 8, 4)
+    room = rect_from_metres(4, 0, 8, 4)
     fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
     walls = build_walls(fp)
     exterior = [w for w in walls if w.kind == "exterior"]
@@ -46,7 +46,7 @@ def test_core_plus_east_room():
 def test_bump_plan_wall_count_equals_vertex_count():
     # Room grafted on a partial east edge: every boundary edge borders one
     # room, so exterior wall count equals the footprint vertex count.
-    room = Rect.from_metres(4, 1, 7, 3)
+    room = rect_from_metres(4, 1, 7, 3)
     fp = drawn_footprint(
         [(0, 0), (4, 0), (4, 1), (7, 1), (7, 3), (4, 3), (4, 4), (0, 4)], [CORE, room]
     )
@@ -57,13 +57,13 @@ def test_bump_plan_wall_count_equals_vertex_count():
 
 def test_build_walls_tiling_violated():
     # The tiles stop 1 m short of the east edge, which no tile borders.
-    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, Rect.from_metres(4, 0, 7, 4)])
+    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, rect_from_metres(4, 0, 7, 4)])
     with pytest.raises(InconsistentPlanError):
         build_walls(fp)
 
 
 def test_single_room_single_centered_door():
-    room = Rect.from_metres(4, 0, 8, 4)
+    room = rect_from_metres(4, 0, 8, 4)
     fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
     doors = place_doors(build_walls(fp), 1)
     assert len(doors) == 1
@@ -76,9 +76,9 @@ def test_single_room_single_centered_door():
 
 def test_three_room_chain_three_doors():
     rooms = [
-        Rect.from_metres(4, 0, 8, 4),
-        Rect.from_metres(8, 0, 12, 4),
-        Rect.from_metres(12, 0, 16, 4),
+        rect_from_metres(4, 0, 8, 4),
+        rect_from_metres(8, 0, 12, 4),
+        rect_from_metres(12, 0, 16, 4),
     ]
     fp = drawn_footprint([(0, 0), (16, 0), (16, 4), (0, 4)], [CORE, *rooms])
     doors = place_doors(build_walls(fp), len(rooms))
@@ -91,7 +91,7 @@ def test_three_room_chain_three_doors():
 def test_room_with_two_walls_gets_one_door():
     # Room 2 touches both the core and room 1; the spanning tree must reach
     # it through exactly one door.
-    rooms = [Rect.from_metres(4, 0, 8, 4), Rect.from_metres(0, 4, 8, 8)]
+    rooms = [rect_from_metres(4, 0, 8, 4), rect_from_metres(0, 4, 8, 8)]
     fp = drawn_footprint([(0, 0), (8, 0), (8, 8), (0, 8)], [CORE, *rooms])
     doors = place_doors(build_walls(fp), len(rooms))
     assert len(doors) == 2  # spanning tree edge count == room count
@@ -101,7 +101,7 @@ def test_room_with_two_walls_gets_one_door():
 
 def test_unreachable_room_raises():
     # Shared wall shorter than a door: adjacency edge unusable.
-    rooms = [Rect.from_metres(4, 3, 7, 8)]
+    rooms = [rect_from_metres(4, 3, 7, 8)]
     fp = drawn_footprint([(0, 0), (4, 0), (4, 3), (7, 3), (7, 8), (4, 8), (4, 4), (0, 4)], [CORE, *rooms])
     walls = build_walls(fp)
     with pytest.raises(UnreachableRoomError):
@@ -115,7 +115,7 @@ def fake_wall(index, orientation, length=40, room=1):
 
 
 def test_window_south_wall_bin2():
-    room = Rect.from_metres(0, 4, 4, 8)
+    room = rect_from_metres(0, 4, 4, 8)
     fp = drawn_footprint([(0, 0), (4, 0), (4, 8), (0, 8)], [CORE, room])
     windows = generate_windows(build_walls(fp), BUILDING.window_table)
     south = [w for w in windows if w.wall.orientation == "S"]
@@ -177,7 +177,7 @@ def test_prune_never_increases_and_keeps_doors():
     assert len(kept) <= len(windows)
     assert all(o in windows for o in kept)
     # Doors never pass through the window filter: a plan keeps every door.
-    room = Rect.from_metres(4, 0, 8, 4)
+    room = rect_from_metres(4, 0, 8, 4)
     fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, room])
     plan = build_storey_plan(fp, BUILDING)
     doors = place_doors(plan.walls, 1)
