@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation failure or a closed stdout, 2 usage or
 config error, or an output that cannot be written.
 `gen` distributes sample streams across a worker pool (--jobs, or the
 BREPFORGE_JOBS environment variable), in chunks of 8 streams and with no
-more workers than chunks; outputs are aggregated in stream order so the
-tree is byte-identical no matter the scheduling.
+more workers than chunks; each stream's result goes to the dataset files
+in stream order as it comes, so the tree is byte-identical no matter the
+scheduling and memory does not grow with --count.
 
 Each command imports the modules it runs when it runs, so a process pays
 only for its own command: `stats` and `eval` load no numpy, and
@@ -43,11 +44,16 @@ CHUNK = 8
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
 
 
-def _generate_one(args: tuple) -> tuple[int, str, BuildingMeta | str]:
-    """Worker: grow, assemble, filter, and export one sample stream."""
+def _generate_one(args: tuple) -> tuple[int, str, tuple[str, bytes] | str]:
+    """Worker: grow, assemble, filter, and export one sample stream.
+
+    An export comes back as the building's metadata text and `meta.npy`
+    row, so no record object crosses the pool or outlives its stream; a
+    discard as its reason."""
     from .assembly import assemble
     from .dataset import check_solid, export_building
     from .grammar import grow
+    from .records import meta_row
     from .rng import SeededRng
 
     stream, grammar_cfg, building_cfg, filters, out_dir, write_obj = args
@@ -72,16 +78,28 @@ def _generate_one(args: tuple) -> tuple[int, str, BuildingMeta | str]:
     solid_ok, _ = check_solid(building.solid)
     if not solid_ok:
         return stream, "discard", "boolean-failure"
-    export_building(building, Path(out_dir), write_obj=write_obj)
-    return stream, "export", building.meta
+    text = export_building(building, Path(out_dir), write_obj=write_obj)
+    return stream, "export", (text, meta_row(building.meta))
+
+
+def _generate(work, workers: int):
+    """`_generate_one` over `work`, yielded in stream order as the results
+    come: serially, or from a pool of `workers` processes."""
+    if workers > 1:
+        # Imported only here, so a serial run does not load the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_generate_one, work, chunksize=CHUNK)
+    else:
+        yield from map(_generate_one, work)
 
 
 def cmd_gen(args) -> int:
     import datetime
 
     from .config import ConfigError, GeneratorConfig
-    from .dataset import write_meta_npy
-    from .records import DatasetMeta, write_dataset_meta, write_discards_csv
+    from .records import DatasetWriter
 
     if args.count <= 0:
         print("gen: --count must be positive", file=sys.stderr)
@@ -112,29 +130,17 @@ def cmd_gen(args) -> int:
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     streams = range(args.seed, args.seed + args.count)
-    work = [(s, *sections, str(out_dir), args.obj) for s in streams]
+    work = ((s, *sections, str(out_dir), args.obj) for s in streams)
     # A pool starts all its workers at once, so it gets no more than there
     # are chunks to run.
     workers = min(args.jobs, -(-args.count // CHUNK))
-    if workers > 1:
-        # Imported only here, so a serial run does not load the pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_generate_one, work, chunksize=CHUNK))
-    else:
-        results = [_generate_one(w) for w in work]
-
-    ds = DatasetMeta()
-    for stream, status, payload in results:
-        if status == "export":
-            ds.records.append(payload)
-        else:
-            ds.discard_log.append((stream, payload))
-    if ds.records:
-        write_dataset_meta(ds, out_dir / "meta.json")
-        write_meta_npy(ds, out_dir / "meta.npy")
-    write_discards_csv(ds, out_dir / "discards.csv")
+    with DatasetWriter(out_dir) as dataset:
+        for stream, status, payload in _generate(work, workers):
+            if status == "export":
+                dataset.add(*payload)
+            else:
+                dataset.discard(stream, payload)
+        dataset.finish()
     manifest = {
         "command": " ".join(sys.argv),
         "config_hash": cfg.config_hash(),
@@ -145,14 +151,14 @@ def cmd_gen(args) -> int:
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "counts": {
             "generated": args.count,
-            "exported": len(ds.records),
-            "discarded": len(ds.discard_log),
+            "exported": dataset.exported,
+            "discarded": len(dataset.discard_log),
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
-        f"generated {args.count}, exported {len(ds.records)}, "
-        f"discarded {len(ds.discard_log)} -> {out_dir}"
+        f"generated {args.count}, exported {dataset.exported}, "
+        f"discarded {len(dataset.discard_log)} -> {out_dir}"
     )
     return 0
 
@@ -260,8 +266,9 @@ def cmd_points(args) -> int:
     from .mltasks import UNIT_CUBE, UNIT_SPHERE, sample_points
     from .rng import SeededRng
 
-    if args.n <= 0:
-        print("points: --n must be positive", file=sys.stderr)
+    # Fewer than two points have no extent to normalize by.
+    if args.n < 2:
+        print("points: --n must be at least 2", file=sys.stderr)
         return USAGE_ERROR
     directory = Path(args.dir)
     files = _brep_files(directory)

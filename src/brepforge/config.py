@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .geom2d import Rect
 from .records import to_units
 
 # A section's types are imported when the section is built, so `validate`,
-# which builds only the room filters, loads no grammar, storey or assembly.
+# which builds only the room filters, loads no grammar, storey, assembly or
+# footprint kernel.
 if TYPE_CHECKING:
     from .assembly import BuildingConfig
+    from .geom2d import Rect
     from .grammar import GrammarConfig
     from .records import FilterConfig
     from .storey import WindowSpec
@@ -55,6 +56,13 @@ def finite(text: str) -> float:
     return value
 
 
+def core_tube(text: str) -> Rect:
+    """The core rectangle: x0,y0,x1,y1."""
+    from .geom2d import Rect
+
+    return Rect(*lengths(text, 4))
+
+
 def window(text: str) -> WindowSpec:
     """A window spec: width,height,sill."""
     from .storey import WindowSpec
@@ -70,7 +78,7 @@ class Knob(NamedTuple):
 
 
 KNOBS: dict[str, Knob] = {
-    "core_tube": Knob("0,0,4,4", "grammar", lambda text: Rect(*lengths(text, 4))),
+    "core_tube": Knob("0,0,4,4", "grammar", core_tube),
     "room_side_min": Knob("2.4", "grammar", metres),
     "room_side_max": Knob("6.0", "grammar", metres),
     "max_rooms": Knob("10", "grammar", int),

@@ -1,5 +1,5 @@
 """Solid files: the `check_solid` gate, `.brep.json` text and its reader,
-building exports and the NPY writer.
+and building exports.
 
 Exports are byte-stable canonical JSON: sorted keys, compact separators
 and shortest round-trip floats.  Metadata goes through
@@ -8,20 +8,14 @@ comes from `solid_json`, a direct writer: it formats each distinct
 coordinate once and fills face templates with one ``%``-format, and its
 output is byte for byte `canonical_json` of the solid's dict form
 (``faces``, ``id``, ``label``, ``units``, ``vertices``), so
-`solid_from_dict(json.loads(text))` gives the solid back.  The dataset
-matrix is written as an NPY v1.0 file by a self-contained writer (header
-layout pinned here; any standard reader recovers the float64 matrix
-bit-exactly).
+`solid_from_dict(json.loads(text))` gives the solid back.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from .brep import (
     AXIS_NAMES,
@@ -32,7 +26,7 @@ from .brep import (
     mesh_to_obj,
     triangulate,
 )
-from .records import MAX_COORDINATE_M, DatasetMeta, canonical_json, to_units
+from .records import MAX_COORDINATE_M, canonical_json, to_units
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -123,50 +117,16 @@ def solid_from_dict(d: dict) -> BRepSolid:
     return BRepSolid(vertices, tuple(faces), d.get("label", "GOOD"))
 
 
-def export_building(building, out_dir: Path, write_obj: bool = False) -> list[Path]:
-    """Write <id>.brep.json and <id>.meta.json (optionally <id>.obj)."""
+def export_building(building, out_dir: Path, write_obj: bool = False) -> str:
+    """Write <id>.brep.json and <id>.meta.json (optionally <id>.obj);
+    returns the canonical JSON text of the metadata, the meta file without
+    its newline."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = building.meta
-    paths = []
-    brep_path = out_dir / f"{meta.id}.brep.json"
-    brep_path.write_text(solid_json(building.solid, meta.id) + "\n")
-    paths.append(brep_path)
-    meta_path = out_dir / f"{meta.id}.meta.json"
-    meta_path.write_text(canonical_json(meta.to_dict()) + "\n")
-    paths.append(meta_path)
+    (out_dir / f"{meta.id}.brep.json").write_text(solid_json(building.solid, meta.id) + "\n")
+    text = canonical_json(meta.to_dict())
+    (out_dir / f"{meta.id}.meta.json").write_text(text + "\n")
     if write_obj:
-        obj_path = out_dir / f"{meta.id}.obj"
-        obj_path.write_text(mesh_to_obj(triangulate(building.solid)))
-        paths.append(obj_path)
-    return paths
-
-
-def meta_matrix(ds: DatasetMeta) -> np.ndarray:
-    rows = []
-    for r in ds.records:
-        rows.append(
-            [r.storey_count, r.room_total, r.avg_room_area, r.footprint_area]
-            + list(r.room_per_floor)
-        )
-    return np.asarray(rows, dtype="<f8")
-
-
-def write_meta_npy(ds: DatasetMeta, path: Path) -> None:
-    """NPY v1.0 writer: magic, version (1, 0), padded header, C-order f8 data."""
-    if not ds.records:
-        raise ValueError("refusing to write an empty dataset matrix")
-    matrix = meta_matrix(ds)
-    header = (
-        "{'descr': '<f8', 'fortran_order': False, "
-        f"'shape': {matrix.shape!r}, }}"
-    )
-    base = 6 + 2 + 2  # magic + version + header-length field
-    pad = (64 - (base + len(header) + 1) % 64) % 64
-    header = header + " " * pad + "\n"
-    with open(path, "wb") as fh:
-        fh.write(b"\x93NUMPY")
-        fh.write(bytes([1, 0]))
-        fh.write(struct.pack("<H", len(header)))
-        fh.write(header.encode("latin1"))
-        fh.write(matrix.tobytes(order="C"))
+        (out_dir / f"{meta.id}.obj").write_text(mesh_to_obj(triangulate(building.solid)))
+    return text

@@ -60,7 +60,8 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
     (u1, v1), (u0, v1), in cell order.  Point i takes draws 3i, 3i+1 and
     3i+2 of one block: the first picks the triangle by cumulative-area
     inversion, the other two give barycentric coordinates (folded into
-    the triangle).
+    the triangle).  Points that all coincide (say n = 1) have no extent
+    to normalize by and raise EmptyMeshError.
     """
     if mode not in (UNIT_CUBE, UNIT_SPHERE):
         raise ValueError(f"unknown normalization mode {mode!r}")
@@ -99,10 +100,14 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
     if mode == UNIT_CUBE:
         lo = pts.min(axis=0)
         extent = float((pts.max(axis=0) - lo).max())
+        if extent == 0.0:
+            raise EmptyMeshError("sampled points have zero extent")
         pts = (pts - lo) / extent
     else:
         pts = pts - pts.mean(axis=0)
         radius = float(np.linalg.norm(pts, axis=1).max())
+        if radius == 0.0:
+            raise EmptyMeshError("sampled points have zero radius")
         pts = pts / radius
     return PointCloud(pts)
 

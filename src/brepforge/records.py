@@ -1,6 +1,6 @@
 """Dataset records and everything computed from them alone: room filters,
-building and dataset metadata, the `meta.json` and `discards.csv` files,
-statistics, task labels and metrics.
+building and dataset metadata, the dataset files (`meta.json`,
+`meta.npy` and `discards.csv`), statistics, task labels and metrics.
 
 Nothing here reads geometry, and the module imports no numpy, so `stats`
 and `eval` load only this and the standard library.  Metadata files are
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,12 +138,6 @@ class DatasetMeta:
     records: list[BuildingMeta] = field(default_factory=list)
     discard_log: list[tuple[int, str]] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "discards": [{"seed": s, "reason": r} for s, r in self.discard_log],
-        }
-
 
 def check_rooms(storeys, cfg: FilterConfig) -> tuple[bool, list[str]]:
     """Validate per-storey (width_m, height_m) rooms against the filter thresholds."""
@@ -171,10 +166,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_dataset_meta(ds: DatasetMeta, path: Path) -> None:
-    Path(path).write_text(canonical_json(ds.to_dict()) + "\n")
-
-
 def load_dataset_meta(path: Path) -> DatasetMeta:
     d = json.loads(Path(path).read_text())
     return DatasetMeta(
@@ -183,9 +174,76 @@ def load_dataset_meta(path: Path) -> DatasetMeta:
     )
 
 
-def write_discards_csv(ds: DatasetMeta, path: Path) -> None:
-    lines = ["seed,reason"] + [f"{s},{r}" for s, r in ds.discard_log]
-    Path(path).write_text("\n".join(lines) + "\n")
+def meta_row(meta: BuildingMeta) -> bytes:
+    """The record's `meta.npy` row: storey_count, room_total,
+    avg_room_area, footprint_area, room_per_floor_1..10, as 14
+    little-endian float64."""
+    return struct.pack(
+        "<14d", meta.storey_count, meta.room_total, meta.avg_room_area, meta.footprint_area, *meta.room_per_floor
+    )
+
+
+class DatasetWriter:
+    """The dataset-wide files of a `gen` run, written from its streams as
+    they come, so memory does not grow with the number of streams.
+
+    `add` takes one exported record as its canonical JSON text (its
+    `<id>.meta.json` without the newline) and its `meta_row`: the text goes
+    to an anonymous spool file in the output directory and only the row
+    stays in memory.  `discard` logs one discarded stream.  `finish` writes
+    `meta.json` and `meta.npy`, only when a record was added, and
+    `discards.csv`.  `meta.json` is byte for byte the canonical JSON of
+    ``{"discards": [...], "records": [...]}``: "discards" sorts first, so
+    the spooled texts, joined by commas, come last.  `meta.npy` is NPY
+    v1.0: magic, version (1, 0), a header padded to 64 bytes, then the
+    rows in C order.
+    """
+
+    def __init__(self, out_dir: Path):
+        # Imported here: `stats` and `eval` write no dataset.
+        import tempfile
+
+        self.out_dir = Path(out_dir)
+        self.exported = 0
+        self.discard_log: list[tuple[int, str]] = []
+        self._rows = bytearray()
+        self._spool = tempfile.TemporaryFile(dir=self.out_dir)
+
+    def __enter__(self) -> "DatasetWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._spool.close()
+
+    def add(self, text: str, row: bytes) -> None:
+        if self.exported:
+            self._spool.write(b",")
+        self._spool.write(text.encode())
+        self._rows += row
+        self.exported += 1
+
+    def discard(self, seed: int, reason: str) -> None:
+        self.discard_log.append((seed, reason))
+
+    def finish(self) -> None:
+        import shutil
+
+        if self.exported:
+            discards = canonical_json([{"seed": s, "reason": r} for s, r in self.discard_log])
+            with open(self.out_dir / "meta.json", "wb") as fh:
+                fh.write(b'{"discards":%s,"records":[' % discards.encode())
+                self._spool.seek(0)
+                shutil.copyfileobj(self._spool, fh)
+                fh.write(b"]}\n")
+            header = "{'descr': '<f8', 'fortran_order': False, 'shape': (%d, 14), }" % self.exported
+            # magic + version + header-length field, then the header and
+            # its newline, padded to a multiple of 64 bytes.
+            header += " " * (-(10 + len(header) + 1) % 64) + "\n"
+            with open(self.out_dir / "meta.npy", "wb") as fh:
+                fh.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode("latin1"))
+                fh.write(self._rows)
+        lines = ["seed,reason"] + [f"{s},{r}" for s, r in self.discard_log]
+        (self.out_dir / "discards.csv").write_text("\n".join(lines) + "\n")
 
 
 @dataclass

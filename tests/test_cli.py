@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import brepforge
 from brepforge.cli import main as cli
+from brepforge.records import canonical_json
 
 
 def tree_hash(directory: Path, exclude=("manifest.json",)) -> dict[str, str]:
@@ -35,6 +37,45 @@ def test_gen_jobs_parallel_identical(tmp_path):
     assert cli(["gen", "--count", "10", "--seed", "0", "--out", str(a)]) == 0
     assert cli(["gen", "--count", "10", "--seed", "0", "--out", str(b), "--jobs", "2"]) == 0
     assert tree_hash(a) == tree_hash(b)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_gen_meta_json_is_the_records_and_discards(tmp_path, jobs):
+    # Stream 0 is a discard; 20 streams are three chunks, so --jobs 2 runs a pool.
+    out = tmp_path / "d"
+    assert cli(["gen", "--count", "20", "--seed", "0", "--jobs", jobs, "--out", str(out)]) == 0
+    discards = [line.split(",") for line in (out / "discards.csv").read_text().splitlines()[1:]]
+    assert discards[0][0] == "0"
+    metas = [json.loads(p.read_text()) for p in out.glob("*.meta.json")]
+    records = sorted(metas, key=lambda m: m["seed"])
+    expected = {"discards": [{"seed": int(s), "reason": r} for s, r in discards], "records": records}
+    assert len(records) + len(discards) == 20 and records
+    assert (out / "meta.json").read_text() == canonical_json(expected) + "\n"
+
+
+def test_gen_all_discards_writes_no_dataset_meta(tmp_path):
+    out = tmp_path / "d"
+    assert cli(["gen", "--count", "7", "--seed", "96", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["discards.csv", "manifest.json"]
+    assert len((out / "discards.csv").read_text().splitlines()) == 8
+
+
+def _gen_peak_bytes(out: Path, count: int) -> int:
+    """Peak traced Python allocation of one in-process `gen` run."""
+    tracemalloc.start()
+    try:
+        assert cli(["gen", "--count", str(count), "--seed", "43", "--jobs", "1", "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_memory_flat_in_count(tmp_path):
+    # The first run imports the generator; those allocations are not the run's.
+    assert cli(["gen", "--count", "1", "--seed", "43", "--out", str(tmp_path / "warm")]) == 0
+    small = _gen_peak_bytes(tmp_path / "small", 50)
+    large = _gen_peak_bytes(tmp_path / "large", 200)
+    assert large - small < 2**20, (small, large)
 
 
 def test_gen_counts_accounting(tmp_path):
@@ -413,6 +454,18 @@ def test_points_nonpositive_n_usage_error(tmp_path, small_batch_dir):
     (tmp_path / src.name).write_bytes(src.read_bytes())
     assert cli(["points", str(tmp_path), "--n", "0"]) == 2
     assert not list(tmp_path.glob("*.xyz"))
+
+
+@pytest.mark.parametrize("mode", ["cube", "sphere"])
+def test_points_single_point_usage_error(tmp_path, small_batch_dir, capsys, mode):
+    # One point has no extent or radius to normalize by.
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    assert cli(["points", str(tmp_path), "--n", "1", "--mode", mode]) == 2
+    assert capsys.readouterr().err == "points: --n must be at least 2\n"
+    assert not list(tmp_path.glob("*.xyz"))
+    assert cli(["points", str(tmp_path), "--n", "2", "--mode", mode]) == 0
+    assert "nan" not in next(tmp_path.glob("*.xyz")).read_text()
 
 
 def test_bad_jobs_env_is_gen_usage_error(tmp_path, monkeypatch):
@@ -886,13 +939,13 @@ def test_solid_commands_leave_generator_unimported(tmp_path, small_batch_dir):
         for src in (path, meta):
             (tmp_path / src.name).write_bytes(src.read_bytes())
     generator = ("brepforge.grammar", "brepforge.storey", "brepforge.assembly")
-    # `validate` loads the footprint kernel through `config`; `points` and
-    # `defect` load no config and so no footprint kernel either.
+    # `validate` builds only the filters of the config, and no command but
+    # `gen` loads the footprint kernel.
     code = (
         "import sys\n"
         "from brepforge.cli import main\n"
         f"assert main(['validate', {str(tmp_path)!r}]) == 0\n"
-        f"assert not {{*{generator!r}, 'brepforge.mltasks'}} & set(sys.modules)\n"
+        f"assert not {{*{generator!r}, 'brepforge.mltasks', 'brepforge.geom2d'}} & set(sys.modules)\n"
     )
     run_in_fresh_interpreter(code)
     code = (

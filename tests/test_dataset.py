@@ -3,31 +3,23 @@
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from brepforge.assembly import assemble
 from brepforge.brep import drop_faces, is_watertight
-from brepforge.dataset import (
-    check_solid,
-    export_building,
-    meta_matrix,
-    solid_from_dict,
-    solid_json,
-    write_meta_npy,
-)
+from brepforge.dataset import check_solid, export_building, solid_from_dict, solid_json
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import grow
 from brepforge.mltasks import inject_defect
 from brepforge.records import (
     BuildingMeta,
     DatasetMeta,
+    DatasetWriter,
     canonical_json,
     check_rooms,
     load_dataset_meta,
+    meta_row,
     stats,
-    write_dataset_meta,
-    write_discards_csv,
 )
 from brepforge.rng import SeededRng
 from oracles import solid_to_dict
@@ -89,12 +81,23 @@ def test_check_solid_empty_fails():
     assert not ok and problems
 
 
+def write_dataset(out_dir, metas, discards=()):
+    """The dataset files of `metas` and `discards`, as `gen` writes them."""
+    with DatasetWriter(out_dir) as writer:
+        for meta in metas:
+            writer.add(canonical_json(meta.to_dict()), meta_row(meta))
+        for seed, reason in discards:
+            writer.discard(seed, reason)
+        writer.finish()
+
+
 def test_export_byte_stable(tmp_path):
     b = built(0)
-    paths1 = export_building(b, tmp_path / "a")
-    paths2 = export_building(b, tmp_path / "b")
-    for p1, p2 in zip(paths1, paths2):
-        assert p1.read_bytes() == p2.read_bytes()
+    text = export_building(b, tmp_path / "a")
+    assert export_building(b, tmp_path / "b") == text
+    assert (tmp_path / "a" / f"{b.meta.id}.meta.json").read_text() == text + "\n"
+    for name in (f"{b.meta.id}.brep.json", f"{b.meta.id}.meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # Ids that JSON must escape: quotes, backslashes, control and non-ASCII
@@ -115,8 +118,8 @@ def test_solid_json_is_canonical_json_of_dict(solid, building_id, data):
 
 def test_export_roundtrip_watertight(tmp_path):
     b = built(0)
-    brep_path, meta_path = export_building(b, tmp_path)
-    reloaded = solid_from_dict(json.loads(brep_path.read_text()))
+    export_building(b, tmp_path)
+    reloaded = solid_from_dict(json.loads((tmp_path / f"{b.meta.id}.brep.json").read_text()))
     assert reloaded == b.solid
     assert is_watertight(reloaded)[0]
 
@@ -125,9 +128,8 @@ def test_meta_matches_geometry(tmp_path):
     """Recompute storey count, per-floor rooms, and footprint area from the
     exported B-rep alone and compare against the meta file."""
     b = built(0)
-    brep_path, meta_path = export_building(b, tmp_path)
-    solid = solid_from_dict(json.loads(brep_path.read_text()))
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(export_building(b, tmp_path))
+    solid = solid_from_dict(json.loads((tmp_path / f"{b.meta.id}.brep.json").read_text()))
     height = b.config.storey_height
     slab = b.config.slab_thickness
     z_top = max(v[2] for v in solid.vertices)
@@ -174,9 +176,8 @@ def test_npy_header_and_roundtrip(tmp_path):
         avg_room_area=12.0,
         footprint_area=52.0,
     )
-    ds = DatasetMeta(records=[meta])
+    write_dataset(tmp_path, [meta])
     path = tmp_path / "meta.npy"
-    write_meta_npy(ds, path)
     raw = path.read_bytes()
     assert raw[:8] == bytes([0x93, 0x4E, 0x55, 0x4D, 0x50, 0x59, 0x01, 0x00])
     header_len = int.from_bytes(raw[8:10], "little")
@@ -188,13 +189,13 @@ def test_npy_header_and_roundtrip(tmp_path):
     assert len(raw) == 10 + header_len + 1 * 14 * 8
     loaded = np.load(path)
     assert loaded.dtype == np.dtype("<f8") and loaded.shape == (1, 14)
-    assert np.array_equal(loaded, meta_matrix(ds))
     assert loaded[0].tolist() == [3, 6, 12.0, 52.0, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_npy_refuses_empty(tmp_path):
-    with pytest.raises(ValueError):
-        write_meta_npy(DatasetMeta(), tmp_path / "m.npy")
+    # No records: no empty matrix, and no meta.json either.
+    write_dataset(tmp_path, [], [(4, "growth-failed")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["discards.csv"]
 
 
 def test_npy_payload_length_many(tmp_path):
@@ -213,27 +214,29 @@ def test_npy_payload_length_many(tmp_path):
         for i in range(7)
     ]
     path = tmp_path / "meta.npy"
-    write_meta_npy(DatasetMeta(records=metas), path)
+    write_dataset(tmp_path, metas)
     raw = path.read_bytes()
     header_len = int.from_bytes(raw[8:10], "little")
     assert len(raw) == 10 + header_len + 7 * 14 * 8
     assert np.load(path).shape == (7, 14)
+    assert np.load(path).tolist() == [[2, 3, 9.0, 34.0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0]] * 7
 
 
 def test_dataset_meta_roundtrip(tmp_path):
-    b = built(0)
-    ds = DatasetMeta(records=[b.meta], discard_log=[(3, "room-filter")])
+    b, c = built(0), built(1)
+    write_dataset(tmp_path, [b.meta, c.meta], [(3, "room-filter")])
     path = tmp_path / "meta.json"
-    write_dataset_meta(ds, path)
     again = load_dataset_meta(path)
-    assert again.records[0] == b.meta
+    assert again.records == [b.meta, c.meta]
     assert again.discard_log == [(3, "room-filter")]
+    records = [b.meta.to_dict(), c.meta.to_dict()]
+    discards = [{"seed": 3, "reason": "room-filter"}]
+    assert path.read_text() == canonical_json({"records": records, "discards": discards}) + "\n"
 
 
 def test_discards_csv(tmp_path):
-    ds = DatasetMeta(discard_log=[(0, "growth-failed"), (9, "room-filter")])
-    path = tmp_path / "d.csv"
-    write_discards_csv(ds, path)
+    write_dataset(tmp_path, [], [(0, "growth-failed"), (9, "room-filter")])
+    path = tmp_path / "discards.csv"
     assert path.read_text() == "seed,reason\n0,growth-failed\n9,room-filter\n"
 
 

@@ -95,6 +95,14 @@ def test_sample_empty_mesh_rejected():
         sample_points(BRepSolid((), ()), 10, UNIT_CUBE, SeededRng(1, 1))
 
 
+@pytest.mark.parametrize("mode, word", [(UNIT_CUBE, "extent"), (UNIT_SPHERE, "radius")])
+def test_sample_single_point_rejected(mode, word):
+    # One point, or any that coincide, would normalize by zero into NaN.
+    with np.errstate(all="raise"), pytest.raises(EmptyMeshError, match=f"^sampled points have zero {word}$"):
+        sample_points(CUBE, 1, mode, SeededRng(1, 1))
+    assert np.isfinite(sample_points(CUBE, 2, mode, SeededRng(1, 1)).points).all()
+
+
 @settings(max_examples=150, deadline=None)
 @given(box_solids(), st.data())
 def test_sample_points_like_mesh_sampler(solid, data):
@@ -106,12 +114,12 @@ def test_sample_points_like_mesh_sampler(solid, data):
     shell = drop_faces(solid, dropped) if dropped and len(set(dropped)) < n else solid
     mesh = triangulate(shell)
     assert np.repeat(_cell_areas(shell), 2).tobytes() == mesh_areas(mesh).tobytes()
-    count = data.draw(st.integers(1, 300))
+    # One point has no extent to normalize by (test_sample_single_point_rejected).
+    count = data.draw(st.integers(2, 300))
     seed = data.draw(st.integers(0, 2**64 - 1))
     for mode in (UNIT_CUBE, UNIT_SPHERE):
-        with np.errstate(invalid="ignore"):  # a single point normalizes by 0 in both
-            got = sample_points(shell, count, mode, SeededRng(seed, seed))
-            want = mesh_sample_points(mesh, count, mode, SeededRng(seed, seed))
+        got = sample_points(shell, count, mode, SeededRng(seed, seed))
+        want = mesh_sample_points(mesh, count, mode, SeededRng(seed, seed))
         assert got.to_xyz() == want.to_xyz() and got.to_f32() == want.to_f32()
 
 
