@@ -1,9 +1,11 @@
 """Axis-aligned B-rep kernel: solids as plane-bound faces with loop topology.
 
 Solids are built from exact integer-grid boxes and represented as faces on
-axis-aligned planes; loops store vertex ids, so watertightness is a pure
-combinatorial check (every undirected edge used exactly twice, once per
-direction).  The only Boolean is `solid_from_boxes`: union minus difference
+axis-aligned planes, all in integer arrays (`BRepSolid`): a vertex table
+and a loop table of vertex ids, so watertightness is a pure combinatorial
+check (every undirected edge used exactly twice, once per direction), and
+every check and the triangulation are numpy passes over those arrays.
+The only Boolean is `solid_from_boxes`: union minus difference
 of boxes on one compressed cell grid, traced into maximal faces per plane —
 no floating-point CSG.
 """
@@ -12,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,60 +45,41 @@ class Box(NamedTuple):
     z1: int
 
 
-class BRepFace(NamedTuple):
-    """Planar face: outer loop CCW about the outward normal, holes CW."""
-
-    axis: int
-    offset: int
-    sign: int
-    outer: tuple[int, ...]
-    inner: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def normal_name(self) -> str:
-        return ("+" if self.sign > 0 else "-") + AXIS_NAMES[self.axis]
-
-    def loops(self) -> Iterable[tuple[int, ...]]:
-        yield self.outer
-        yield from self.inner
-
-
-class LoopEdges(NamedTuple):
-    """Every loop edge of every face, loop by loop: the vertex ids at its
-    start and end and the index of its face; per loop its face and its
-    number of edges; per face its axis, offset and sign."""
-
-    start: np.ndarray
-    end: np.ndarray
-    face: np.ndarray
-    loop_face: np.ndarray
-    lens: np.ndarray
-    face_axis: np.ndarray
-    face_offset: np.ndarray
-    face_sign: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BRepSolid:
-    vertices: tuple[tuple[int, int, int], ...]
-    faces: tuple[BRepFace, ...]
+    """A solid as read-only int64 arrays in grid units (0.1 m): ``coords``,
+    one (x, y, z) row per vertex; ``ids``, the corner vertex ids of every
+    loop back to back, face by face, each face's outer loop
+    (counter-clockwise about its outward normal) and then its holes
+    (clockwise); per loop its ``lens`` and face (``loop_face``); per face
+    its plane ``x[axis] = offset`` and its outward normal's ``sign``.  The
+    cached properties assume the arrays never change."""
+
+    coords: np.ndarray  # (V, 3)
+    ids: np.ndarray
+    lens: np.ndarray
+    loop_face: np.ndarray
+    axis: np.ndarray
+    offset: np.ndarray
+    sign: np.ndarray
     label: str = "GOOD"
 
+    def __post_init__(self):
+        for name in ("coords", "ids", "lens", "loop_face", "axis", "offset", "sign"):
+            a = np.asarray(getattr(self, name), dtype=np.int64)
+            a = a.reshape(-1, 3) if name == "coords" else a.view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
     @cached_property
-    def loop_edges(self) -> LoopEdges:
-        """The loop-edge table that the checks and `triangulate` share,
-        built once per solid."""
-        axis, offset, sign, outer, inner = zip(*self.faces) if self.faces else [()] * 5
-        loops = list(chain.from_iterable(map(add, zip(outer), inner)))  # each outer loop, then its holes
-        loop_face = np.repeat(np.arange(len(outer)), np.fromiter(map(len, inner), np.int64, len(inner)) + 1)
-        lens = np.fromiter(map(len, loops), np.int64, len(loops))
-        ids = np.fromiter(chain.from_iterable(loops), np.int64, int(lens.sum()))
-        first = np.cumsum(lens) - lens
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every loop edge, loop by loop: the vertex ids at its start and
+        end and its face."""
+        ids, lens = self.ids, self.lens
+        last = (np.cumsum(lens) - 1)[lens > 0]  # the corner whose edge closes its loop
         nxt = np.arange(1, len(ids) + 1)
-        closed = lens > 0
-        nxt[(first + lens - 1)[closed]] = first[closed]
-        planes = np.fromiter(chain(axis, offset, sign), np.int64, 3 * len(axis)).reshape(3, -1)
-        return LoopEdges(ids, ids[nxt], np.repeat(loop_face, lens), loop_face, lens, *planes)
+        nxt[last] = last + 1 - lens[lens > 0]
+        return ids, ids[nxt], np.repeat(self.loop_face, lens)
 
     @cached_property
     def face_cells(self) -> FaceCells:
@@ -136,7 +117,8 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     the distinct corners in (x, y, z) order, each loop edge gains the
     vertices strictly inside it (where another face has a corner) in order
     along it, each loop starts at its smallest vertex id, and faces are
-    sorted by (axis, offset, sign, outer loop) and holes by value.
+    sorted by (axis, offset, sign, outer loop) and holes by value; the
+    solid's arrays come straight from that pass.
 
     The canonical order is made here: the tracer promises no loop order
     and no first vertex.  A loop that passes its smallest vertex twice
@@ -156,7 +138,7 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     size = [len(g) for g in grids]
     at = [np.searchsorted(grids[a], points[a]) for a in range(3)]
     _, first, vid = np.unique((at[0] * size[1] + at[1]) * size[2] + at[2], return_index=True, return_inverse=True)
-    coords = points[:, first]
+    coords = points[:, first].T.copy()  # one (x, y, z) row per vertex
     at = [x[first] for x in at]
 
     # Sorted by (the other two coordinates, this one), the vertices of each
@@ -188,25 +170,22 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     at_min = np.flatnonzero(ids == smallest[loop])
     shift = at_min[np.searchsorted(loop[at_min], np.arange(len(lens)))] - new_starts
     pos = np.arange(len(ids)) - new_starts[loop]
-    ids = ids[new_starts[loop] + (pos + shift[loop]) % new_lens[loop]].tolist()
-    bounds = np.cumsum(new_lens).tolist()
-    loop_ids = [tuple(ids[a:b]) for a, b in zip([0] + bounds[:-1], bounds)]
 
-    # Faces in (axis, offset, sign, outer loop) order.  The smallest id
-    # decides between outer loops: it is the loop's first corner in
-    # (x, y, z) order, and any other loop through that corner has a smaller
-    # one, so no two outer loops of one plane and sign share it.
-    inner: dict[int, list] = {}
-    holes = np.flatnonzero(outer != np.arange(len(lens)))
-    for hole, owner in zip(holes.tolist(), outer[holes].tolist()):
-        inner.setdefault(owner, []).append(loop_ids[hole])
-    outers = np.flatnonzero(outer == np.arange(len(lens)))
+    # Faces in (axis, offset, sign, outer loop) order, each its outer loop
+    # and then its holes by value.  A loop's two edges at its smallest id,
+    # its first corner in (x, y, z) order, both run forwards from it, so any
+    # other loop of its plane and sign through that corner has an edge to a
+    # smaller id: no two share one, and their order is the id tuples' order.
+    is_hole = outer != np.arange(len(lens))
+    outers = np.flatnonzero(~is_hole)
     outers = outers[np.lexsort((smallest[outers], sign[outers], offset[outers], axis[outers]))]
-    inner = {f: tuple(sorted(loops)) for f, loops in inner.items()}
-    order = outers.tolist()
-    planes = (x[outers].tolist() for x in (axis, offset, sign))
-    faces = tuple(map(BRepFace, *planes, [loop_ids[f] for f in order], [inner.get(f, ()) for f in order]))
-    return BRepSolid(tuple(zip(*coords.tolist())), faces)
+    face = np.empty(len(lens), dtype=np.int64)
+    face[outers] = np.arange(len(outers))
+    face = face[outer]
+    order = np.lexsort((smallest, is_hole, face))
+    _, corner = expand(new_starts[order], new_lens[order])
+    ids = ids[new_starts[loop] + (pos + shift[loop]) % new_lens[loop]][corner]
+    return BRepSolid(coords, ids, new_lens[order], face[order], axis[outers], offset[outers], sign[outers])
 
 
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
@@ -259,7 +238,7 @@ def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
     and degenerate edge where the walk meets it, then each badly used edge
     in the order of its first use.
     """
-    start, end, face, loop_face, lens = solid.loop_edges[:5]
+    (start, end, face), loop_face, lens = solid.edges, solid.loop_face, solid.lens
     # (edge index, 0 for a loop or 1 for an edge, message)
     short = lens < 4
     found = [
@@ -285,7 +264,7 @@ def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
             problems.append(f"edge {int(lo[k])}-{int(hi[k])} used {int(uses[e])} times")
         else:
             problems.append(f"edge {int(lo[k])}-{int(hi[k])} traversed twice in the same direction")
-    if not solid.faces:
+    if not len(solid.axis):
         problems.append("solid has no faces")
     return (not problems), problems
 
@@ -304,8 +283,8 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
     and holes not clockwise about the stated normal, and a solid whose
     divergence-theorem volume is not positive, from one pass over all loop
     edges."""
-    coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3)
-    start, end, face, loop_face, lens, face_axis, face_offset, face_sign = solid.loop_edges
+    (start, end, face), coords, lens, loop_face = solid.edges, solid.coords, solid.lens, solid.loop_face
+    face_axis, face_offset, face_sign = solid.axis, solid.offset, solid.sign
     face_ua, face_va = _frames(face_axis, face_sign)
     axis, offset = face_axis[face], face_offset[face]
     a, b = coords[start], coords[end]
@@ -340,7 +319,7 @@ def geometry_problems(solid: BRepSolid) -> list[str]:
     # the sum of sign * offset * area2 over every loop, is six times the
     # enclosed volume.
     sign = face_sign[loop_face]
-    if solid.faces and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
+    if len(face_axis) and int((sign * face_offset[loop_face] * area2).sum()) <= 0:
         problems.append("solid encloses no positive volume")
     return problems
 
@@ -375,14 +354,14 @@ def fill_faces(solid: BRepSolid) -> FaceCells:
     faces × grid size² stays below 2**63); records with equal keys are
     equal, so any sort gives the same arrays.
     """
-    coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3).T
+    coords = solid.coords.T
     axes_pts = [_distinct(c) for c in coords]
     starts = np.cumsum([0] + [len(g) for g in axes_pts])
     at = np.empty_like(coords)
     for a in range(3):
         at[a] = starts[a] + np.searchsorted(axes_pts[a], coords[a])
-    start, end, edge_face, _, _, face_axis, _, face_sign = solid.loop_edges
-    face_ua, face_va = _frames(face_axis, face_sign)
+    start, end, edge_face = solid.edges
+    face_ua, face_va = _frames(solid.axis, solid.sign)
     ua, va = face_ua[edge_face], face_va[edge_face]
     u, v1, v2 = at[ua, start], at[va, start], at[va, end]
     vertical = (u == at[ua, end]) & (v1 != v2)
@@ -420,9 +399,9 @@ def _envelope(solid: BRepSolid) -> np.ndarray:
     test of each face against every face beyond it, with the fill shared.
     """
     cells = solid.face_cells
-    start, end, _, loop_face, lens, face_axis, _, face_sign = solid.loop_edges
+    (start, end, _), lens, face_axis, face_sign = solid.edges, solid.lens, solid.axis, solid.sign
     face_ua, face_va = _frames(face_axis, face_sign)
-    edge = (np.cumsum(lens) - lens)[np.searchsorted(loop_face, np.arange(len(face_axis)))]
+    edge = (np.cumsum(lens) - lens)[np.searchsorted(solid.loop_face, np.arange(len(face_axis)))]
     a, b = start[edge], end[edge]
     at = cells.at
     au, av = at[face_ua, a], at[face_va, a]
@@ -453,10 +432,10 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     ``(u, v)`` order, and vertices numbered in the order the quad corners
     (u0, v0), (u1, v0), (u1, v1), (u0, v1) first reach them.
     """
-    if not solid.faces:
+    if not len(solid.axis):
         raise EmptyMeshError("solid has no faces")
-    cells, edges = solid.face_cells, solid.loop_edges
-    face_axis, face_offset, grid, starts = edges.face_axis, edges.face_offset, cells.grid, cells.starts
+    cells, face_axis, face_offset = solid.face_cells, solid.axis, solid.offset
+    grid, starts = cells.grid, cells.starts
 
     # A corner's key packs its places on per-axis grids of every vertex
     # coordinate and face offset into bit fields, x then y then z; each
@@ -518,20 +497,16 @@ def mesh_to_obj(mesh: TriMesh) -> str:
 
 
 def drop_faces(solid: BRepSolid, indices: Iterable[int], label: str | None = None) -> BRepSolid:
-    """Remove faces by index (used for defect injection); prunes orphan vertices."""
-    drop = set(indices)
-    kept = [f for i, f in enumerate(solid.faces) if i not in drop]
-    used = sorted({i for f in kept for loop in f.loops() for i in loop})
-    remap = {old: new for new, old in enumerate(used)}
-    faces = tuple(
-        BRepFace(
-            f.axis,
-            f.offset,
-            f.sign,
-            tuple(remap[i] for i in f.outer),
-            tuple(tuple(remap[i] for i in h) for h in f.inner),
-        )
-        for f in kept
-    )
-    vertices = tuple(solid.vertices[i] for i in used)
-    return BRepSolid(vertices, faces, label if label is not None else solid.label)
+    """The solid less the faces at these indices in [0, faces) (defect
+    injection), with the vertices no kept loop uses pruned and the rest
+    renumbered in order."""
+    keep = np.ones(len(solid.axis), dtype=bool)
+    keep[np.fromiter(indices, np.int64)] = False
+    kept_loop = keep[solid.loop_face]
+    ids = solid.ids[np.repeat(kept_loop, solid.lens)]
+    used = np.zeros(len(solid.coords), dtype=bool)
+    used[ids] = True
+    new_id, new_face = np.cumsum(used) - 1, np.cumsum(keep) - 1
+    loops = (new_id[ids], solid.lens[kept_loop], new_face[solid.loop_face[kept_loop]])
+    planes = (x[keep] for x in (solid.axis, solid.offset, solid.sign))
+    return BRepSolid(solid.coords[used], *loops, *planes, solid.label if label is None else label)

@@ -33,7 +33,7 @@ from .errors import (
     MalformedInputError,
     UnreachableRoomError,
 )
-from .records import BuildingMeta, check_rooms
+from .records import BuildingMeta, check_rooms, write_output
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -155,7 +155,7 @@ def cmd_gen(args) -> int:
             "discarded": len(dataset.discard_log),
         },
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_output(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
         f"generated {args.count}, exported {dataset.exported}, "
         f"discarded {len(dataset.discard_log)} -> {out_dir}"
@@ -256,7 +256,7 @@ def cmd_stats(args) -> int:
     print(report.text())
     for name, rows in report.csv_rows().items():
         out = directory / f"stats_{name}.csv"
-        out.write_text("\n".join(rows) + "\n")
+        write_output(out, "\n".join(rows) + "\n")
         print(f"wrote {out}")
     return 0
 
@@ -283,9 +283,9 @@ def cmd_points(args) -> int:
         stream = args.seed + i
         cloud = sample_points(solid, args.n, mode, SeededRng(stream, stream))
         base = path.name.replace(".brep.json", "")
-        (directory / f"{base}.xyz").write_text(cloud.to_xyz())
+        write_output(directory / f"{base}.xyz", cloud.to_xyz())
         if args.f32:
-            (directory / f"{base}.f32").write_bytes(cloud.to_f32())
+            write_output(directory / f"{base}.f32", cloud.to_f32())
     print(f"points: wrote {len(files)} clouds (n={args.n}, mode={args.mode})")
     return 0
 
@@ -328,7 +328,7 @@ def cmd_defect(args) -> int:
             name = base + DEFECT_SUFFIX + (str(variant + 1) if variant else "")
             stream = args.seed + copy_idx
             defect = inject_defect(solid, SeededRng(stream, stream))
-            (out_dir / f"{name}.brep.json").write_text(solid_json(defect, name) + "\n")
+            write_output(out_dir / f"{name}.brep.json", solid_json(defect, name) + "\n")
     print(f"defect: wrote {total} defect solids (ratio {args.ratio})")
     return 0
 

@@ -2,13 +2,12 @@
 and building exports.
 
 Exports are byte-stable canonical JSON: sorted keys, compact separators
-and shortest round-trip floats.  Metadata goes through
-`records.canonical_json` (`json.dumps`).  A solid's `.brep.json` text
-comes from `solid_json`, a direct writer: it formats each distinct
-coordinate once and fills face templates with one ``%``-format, and its
-output is byte for byte `canonical_json` of the solid's dict form
-(``faces``, ``id``, ``label``, ``units``, ``vertices``), so
-`solid_from_dict(json.loads(text))` gives the solid back.
+and shortest round-trip floats; metadata goes through
+`records.canonical_json`.  `solid_json` writes a solid's arrays directly,
+byte for byte `canonical_json` of its dict form (``faces``, ``id``,
+``label``, ``units``, ``vertices``), and `solid_from_dict` builds the
+arrays back from that dict with one type check and one numpy pass per
+kind of number, so `solid_from_dict(json.loads(text))` gives the solid.
 """
 
 from __future__ import annotations
@@ -17,16 +16,10 @@ import json
 from itertools import chain
 from pathlib import Path
 
-from .brep import (
-    AXIS_NAMES,
-    BRepFace,
-    BRepSolid,
-    geometry_problems,
-    is_watertight,
-    mesh_to_obj,
-    triangulate,
-)
-from .records import MAX_COORDINATE_M, canonical_json, to_units
+import numpy as np
+
+from .brep import AXIS_NAMES, BRepSolid, geometry_problems, is_watertight, mesh_to_obj, triangulate
+from .records import MAX_COORDINATE_M, canonical_json, write_output
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -44,27 +37,30 @@ def solid_json(solid: BRepSolid, building_id: str) -> str:
     ``faces``, ``id``, ``label``, ``units`` (``"m"``) and ``vertices``,
     where a vertex is its three coordinates in metres and a face is its
     ``inner`` loops when it has any, its ``outer`` loop and its ``plane``
-    (``normal``, and ``offset`` in metres).  Written directly: each distinct
-    coordinate and offset is formatted once as ``float.__repr__(c / 10.0)``,
-    which is how `json.dumps` writes a float; the vertices take one
-    ``%``-format, and the faces one more, over a face template per normal
-    and loop lengths.
+    (``normal``, and ``offset`` in metres).  Written directly from the
+    solid's arrays: each distinct coordinate and offset is formatted once
+    as ``float.__repr__(c / 10.0)``, which is how `json.dumps` writes a
+    float; the vertices take one ``%``-format, and the faces one more,
+    over a face template per normal and loop lengths.
     """
-    faces = solid.faces
-    coords = list(chain.from_iterable(solid.vertices))
-    metres = {c: float.__repr__(c / 10.0) for c in {*coords, *(f.offset for f in faces)}}
-    vertices = ",".join(["[%s,%s,%s]"] * len(solid.vertices)) % tuple(map(metres.__getitem__, coords))
+    coords, offsets = solid.coords.ravel().tolist(), solid.offset.tolist()
+    metres = {c: float.__repr__(c / 10.0) for c in {*coords, *offsets}}
+    vertices = ",".join(["[%s,%s,%s]"] * len(solid.coords)) % tuple(map(metres.__getitem__, coords))
 
+    ids, ends = solid.ids.tolist(), np.cumsum(solid.lens).tolist()
+    loops = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    ends = np.cumsum(np.bincount(solid.loop_face, minlength=len(offsets))).tolist()
     templates: dict[tuple, str] = {}
     face_templates, values = [], []
-    for f in faces:
-        axis, offset, sign, outer, inner = f
+    for axis, sign, offset, a, b in zip(solid.axis.tolist(), solid.sign.tolist(), offsets, [0] + ends[:-1], ends):
+        outer, *inner = loops[a:b]
         key = (axis, sign > 0, len(outer), *map(len, inner))
         template = templates.get(key)
         if template is None:
-            loops = [",".join(["%d"] * n) for n in key[2:]]
-            holes = '"inner":[[%s]],' % "],[".join(loops[1:]) if inner else ""
-            template = '{%s"outer":[%s],"plane":{"normal":"%s","offset":%%s}}' % (holes, loops[0], f.normal_name)
+            ids_of = [",".join(["%d"] * n) for n in key[2:]]
+            holes = '"inner":[[%s]],' % "],[".join(ids_of[1:]) if inner else ""
+            normal = "+-"[sign < 0] + AXIS_NAMES[axis]
+            template = '{%s"outer":[%s],"plane":{"normal":"%s","offset":%%s}}' % (holes, ids_of[0], normal)
             templates[key] = template
         face_templates.append(template)
         for hole in inner:
@@ -76,45 +72,61 @@ def solid_json(solid: BRepSolid, building_id: str) -> str:
     )
 
 
-def _vertex_ids(loop, n: int) -> tuple[int, ...]:
-    """The loop as a tuple of vertex ids, each an int in [0, n)."""
-    ids = tuple(loop)
-    for i in ids:
-        if type(i) is not int or not 0 <= i < n:
-            raise ValueError(f"vertex id {i!r} outside [0, {n})")
-    return ids
+NORMALS = {s + name: (axis, 1 if s == "+" else -1) for axis, name in enumerate(AXIS_NAMES) for s in "+-"}
 
 
+def _array(values: list, kinds: set, what: str, dtype) -> np.ndarray:
+    """The values in one array; raises ValueError unless each one's type is
+    in ``kinds`` (a bool's is not int) and ``dtype`` holds it."""
+    if not set(map(type, values)) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise ValueError(f"{what} {bad!r} is not {'an int' if kinds == {int} else 'a number'}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"a {what} is too large") from None
 
 
-def _coordinate(metres) -> int:
-    """`to_units` of a number within MAX_COORDINATE_M of the origin; raises
-    ValueError for anything else."""
-    if not abs(metres) <= MAX_COORDINATE_M:
-        raise ValueError(f"coordinate {metres!r} is not within {MAX_COORDINATE_M} m of the origin")
-    return to_units(metres)
+def _units(values: list) -> np.ndarray:
+    """`records.to_units` of numbers within MAX_COORDINATE_M of the origin;
+    raises ValueError, naming the first bad value, for anything else."""
+    metres = _array(values, {int, float}, "coordinate", np.float64)
+    far = ~(np.abs(metres) <= MAX_COORDINATE_M)  # NaN too
+    scaled = np.where(far, 0.0, metres) * 10
+    units = np.round(scaled)
+    bad = np.flatnonzero(far | (np.abs(units - scaled) > 1e-6))
+    if len(bad):
+        v = values[bad[0]]
+        if far[bad[0]]:
+            raise ValueError(f"coordinate {v!r} is not within {MAX_COORDINATE_M} m of the origin")
+        raise ValueError(f"{v} m is not on the 0.1 m grid")
+    return units.astype(np.int64)
 
 
 def solid_from_dict(d: dict) -> BRepSolid:
-    vertices = tuple(
-        (_coordinate(x), _coordinate(y), _coordinate(z)) for x, y, z in d["vertices"]
-    )
-    n = len(vertices)
-    faces = []
+    """The solid of a `.brep.json` dict, in the file's order.  Malformed
+    content raises ValueError, KeyError, TypeError or IndexError: say a
+    vertex of other than three coordinates, a coordinate or offset that is
+    no number (a bool is none) on the 0.1 m grid within MAX_COORDINATE_M of
+    the origin, an unknown normal, or a vertex id no int in [0, vertices)."""
+    vertices = d["vertices"]
+    if not set(map(len, vertices)) <= {3}:
+        raise ValueError("a vertex does not have three coordinates")
+    loops, planes, offsets, loop_counts = [], [], [], []
     for f in d["faces"]:
-        normal = f["plane"]["normal"]
-        sign = +1 if normal[0] == "+" else -1
-        axis = AXIS_NAMES.index(normal[1])
-        faces.append(
-            BRepFace(
-                axis=axis,
-                offset=_coordinate(f["plane"]["offset"]),
-                sign=sign,
-                outer=_vertex_ids(f["outer"], n),
-                inner=tuple(_vertex_ids(h, n) for h in f.get("inner", [])),
-            )
-        )
-    return BRepSolid(vertices, tuple(faces), d.get("label", "GOOD"))
+        planes.append(NORMALS[f["plane"]["normal"]])
+        offsets.append(f["plane"]["offset"])
+        holes = f.get("inner", [])
+        loops += [f["outer"], *holes]
+        loop_counts.append(1 + len(holes))
+    ids = _array(list(chain.from_iterable(loops)), {int}, "vertex id", np.int64)
+    bad = ids[(ids < 0) | (ids >= len(vertices))]
+    if len(bad):
+        raise ValueError(f"vertex id {bad[0]} outside [0, {len(vertices)})")
+    axis, sign = np.array(planes, dtype=np.int64).reshape(-1, 2).T
+    loop_face = np.repeat(np.arange(len(planes)), loop_counts)
+    coords = _units(list(chain.from_iterable(vertices)))
+    return BRepSolid(coords, ids, list(map(len, loops)), loop_face, axis, _units(offsets), sign, d.get("label", "GOOD"))
 
 
 def export_building(building, out_dir: Path, write_obj: bool = False) -> str:
@@ -124,9 +136,9 @@ def export_building(building, out_dir: Path, write_obj: bool = False) -> str:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = building.meta
-    (out_dir / f"{meta.id}.brep.json").write_text(solid_json(building.solid, meta.id) + "\n")
+    write_output(out_dir / f"{meta.id}.brep.json", solid_json(building.solid, meta.id) + "\n")
     text = canonical_json(meta.to_dict())
-    (out_dir / f"{meta.id}.meta.json").write_text(text + "\n")
+    write_output(out_dir / f"{meta.id}.meta.json", text + "\n")
     if write_obj:
-        (out_dir / f"{meta.id}.obj").write_text(mesh_to_obj(triangulate(building.solid)))
+        write_output(out_dir / f"{meta.id}.obj", mesh_to_obj(triangulate(building.solid)))
     return text

@@ -65,7 +65,7 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
     """
     if mode not in (UNIT_CUBE, UNIT_SPHERE):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    if not solid.faces:
+    if not len(solid.axis):
         raise EmptyMeshError("solid has no faces")
     areas = np.repeat(_cell_areas(solid), 2)
     total = float(areas.sum())
@@ -82,17 +82,17 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
 
     # The picked triangles' corners: c0, then c1 and c2 of an even
     # triangle or c2 and c3 of an odd one, on the face's plane.
-    cells, edges = solid.face_cells, solid.loop_edges
+    cells = solid.face_cells
     cell, odd = tri_idx >> 1, (tri_idx & 1).astype(bool)
     face = cells.face[cell]
-    axis = edges.face_axis[face]
-    ua, va = _frames(axis, edges.face_sign[face])
+    axis = solid.axis[face]
+    ua, va = _frames(axis, solid.sign[face])
     metres = cells.grid / 10.0
     u0, u1 = metres[cells.u[cell]], metres[cells.u[cell] + 1]
     v0, v1 = metres[cells.v[cell]], metres[cells.v[cell] + 1]
     k = np.arange(n)
     tri = np.empty((n, 3, 3), dtype=np.float64)
-    tri[k, :, axis] = (edges.face_offset[face] / 10.0)[:, None]
+    tri[k, :, axis] = (solid.offset[face] / 10.0)[:, None]
     tri[k, :, ua] = np.stack([u0, u1, np.where(odd, u0, u1)], axis=1)
     tri[k, :, va] = np.stack([v0, np.where(odd, v1, v0), v1], axis=1)
     pts = tri[:, 0] + r1[:, None] * (tri[:, 1] - tri[:, 0]) + r2[:, None] * (tri[:, 2] - tri[:, 0])
@@ -127,9 +127,9 @@ def inject_defect(solid: BRepSolid, rng: SeededRng) -> BRepSolid:
     attempts = 0
     while len(chosen) < k:
         attempts += 1
-        if attempts > 100 * len(solid.faces):
+        if attempts > 100 * len(solid.axis):
             raise ValueError("could not find enough exterior faces to remove")
-        fi = rng.uniform_index(len(solid.faces))
+        fi = rng.uniform_index(len(solid.axis))
         if fi in chosen or not is_exterior_face(solid, fi):
             continue
         chosen.add(fi)

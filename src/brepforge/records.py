@@ -1,6 +1,7 @@
 """Dataset records and everything computed from them alone: room filters,
-building and dataset metadata, the dataset files (`meta.json`,
-`meta.npy` and `discards.csv`), statistics, task labels and metrics.
+building and dataset metadata, the dataset files (`meta.json`, `meta.npy`
+and `discards.csv`), statistics, task labels and metrics; and
+`write_output`, which every command writes its files through.
 
 Nothing here reads geometry, and the module imports no numpy, so `stats`
 and `eval` load only this and the standard library.  Metadata files are
@@ -8,8 +9,8 @@ byte-stable canonical JSON (`canonical_json`: sorted keys, compact
 separators, shortest round-trip floats).  Task truths come from the
 storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...); a DEFECT
 solid is one whose file name holds `DEFECT_SUFFIX`.  Lengths read from
-files and configs snap to the 0.1 m grid here (`to_units`), so the solid
-readers need no footprint kernel.
+files and configs snap to the 0.1 m grid by `to_units` (the solid reader
+does the same in numpy), so no reader needs the footprint kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ DEFECT_SUFFIX = "_def"
 # and within it every product of three coordinates (the volume term of
 # `brep.geometry_problems`) fits in int64.
 MAX_COORDINATE_M = 100_000.0
+
+
+def write_output(path: Path, *parts) -> None:
+    """Write the parts (str, bytes, or a binary file read from where it
+    stands) to ``path`` as a new file.  An existing file is unlinked first:
+    truncating one whose data the filesystem has not written yet forces
+    that out (about 50 ms on ext4 for a file just written), and a symlink
+    at ``path`` is replaced, not written through."""
+    Path(path).unlink(missing_ok=True)
+    with open(path, "wb") as fh:
+        for part in parts:
+            if hasattr(part, "read"):
+                import shutil
+
+                shutil.copyfileobj(part, fh)
+            else:
+                fh.write(part.encode() if isinstance(part, str) else part)
 
 
 def to_units(metres: float) -> int:
@@ -226,24 +244,18 @@ class DatasetWriter:
         self.discard_log.append((seed, reason))
 
     def finish(self) -> None:
-        import shutil
-
         if self.exported:
             discards = canonical_json([{"seed": s, "reason": r} for s, r in self.discard_log])
-            with open(self.out_dir / "meta.json", "wb") as fh:
-                fh.write(b'{"discards":%s,"records":[' % discards.encode())
-                self._spool.seek(0)
-                shutil.copyfileobj(self._spool, fh)
-                fh.write(b"]}\n")
+            self._spool.seek(0)
+            write_output(self.out_dir / "meta.json", '{"discards":%s,"records":[' % discards, self._spool, "]}\n")
             header = "{'descr': '<f8', 'fortran_order': False, 'shape': (%d, 14), }" % self.exported
             # magic + version + header-length field, then the header and
             # its newline, padded to a multiple of 64 bytes.
             header += " " * (-(10 + len(header) + 1) % 64) + "\n"
-            with open(self.out_dir / "meta.npy", "wb") as fh:
-                fh.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode("latin1"))
-                fh.write(self._rows)
+            magic = b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode("latin1")
+            write_output(self.out_dir / "meta.npy", magic, self._rows)
         lines = ["seed,reason"] + [f"{s},{r}" for s, r in self.discard_log]
-        (self.out_dir / "discards.csv").write_text("\n".join(lines) + "\n")
+        write_output(self.out_dir / "discards.csv", "\n".join(lines) + "\n")
 
 
 @dataclass

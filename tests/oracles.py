@@ -1,4 +1,7 @@
-"""Helpers that only tests call: the run-walking tracer of one mask that
+"""Helpers that only tests call: a tuple view of a solid's faces and
+vertices, the solid built from such tuples, a field-by-field solid
+comparison, the tuple `drop_faces` that `brep.drop_faces` is checked
+against, the run-walking tracer of one mask that
 `regions.trace_planes` is checked against, prism extrusion, the parity fill
 of rectilinear loops, face areas from that fill, the Euler characteristic
 of a triangle mesh, corner counts of a footprint, rectangles given in
@@ -11,17 +14,93 @@ test), and the mesh sampler `mltasks.sample_points` is checked against,
 with its componentwise triangle areas and their `np.cross` reference."""
 
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from brepforge.brep import FRAMES, BRepSolid, Box, TriMesh, _frames, solid_from_boxes
+from brepforge.brep import AXIS_NAMES, FRAMES, BRepSolid, Box, TriMesh, _frames, solid_from_boxes
 from brepforge.errors import EmptyMeshError, InvalidExtrusionError
 from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex
 from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, PointCloud
 from brepforge.records import to_units
 from brepforge.regions import Loop, _distinct, expand
 from brepforge.rng import SeededRng
+
+
+class Face(NamedTuple):
+    """One face of a solid as tuples: outer loop counter-clockwise about
+    the outward normal, holes clockwise."""
+
+    axis: int
+    offset: int
+    sign: int
+    outer: tuple[int, ...]
+    inner: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def normal_name(self) -> str:
+        return ("+" if self.sign > 0 else "-") + AXIS_NAMES[self.axis]
+
+    def loops(self):
+        yield self.outer
+        yield from self.inner
+
+
+def vertices_of(solid: BRepSolid) -> tuple[tuple[int, int, int], ...]:
+    return tuple(map(tuple, solid.coords.tolist()))
+
+
+def faces_of(solid: BRepSolid) -> tuple[Face, ...]:
+    """The solid's faces in order, each its first loop as the outer one and
+    the rest as holes."""
+    ids, bounds = solid.ids.tolist(), np.cumsum(solid.lens).tolist()
+    loops: list[list] = [[] for _ in range(len(solid.axis))]
+    for f, a, b in zip(solid.loop_face.tolist(), [0] + bounds[:-1], bounds):
+        loops[f].append(tuple(ids[a:b]))
+    planes = zip(solid.axis.tolist(), solid.offset.tolist(), solid.sign.tolist())
+    return tuple(Face(*plane, f[0], tuple(f[1:])) for plane, f in zip(planes, loops))
+
+
+def solid_of(vertices, faces: Sequence[Face], label: str = "GOOD") -> BRepSolid:
+    """The solid with these vertices and faces, through the constructor
+    `dataset.solid_from_dict` uses."""
+    loops = [loop for f in faces for loop in f.loops()]
+    return BRepSolid(
+        np.array(vertices, dtype=np.int64).reshape(-1, 3),
+        list(chain.from_iterable(loops)),
+        [len(loop) for loop in loops],
+        np.repeat(np.arange(len(faces)), [1 + len(f.inner) for f in faces]),
+        [f.axis for f in faces],
+        [f.offset for f in faces],
+        [f.sign for f in faces],
+        label,
+    )
+
+
+SOLID_FIELDS = ("coords", "ids", "lens", "loop_face", "axis", "offset", "sign")
+
+
+def assert_same_solid(got: BRepSolid, want: BRepSolid) -> None:
+    """Array for array, dtypes and shapes included, and the same label."""
+    for name in SOLID_FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), name
+    assert got.label == want.label
+
+
+def tuple_drop_faces(solid: BRepSolid, indices: Iterable[int], label: str | None = None) -> BRepSolid:
+    """`brep.drop_faces` on tuples, as it was: the kept faces' vertex ids
+    remapped through a dict to their places among the used ids."""
+    drop = set(indices)
+    kept = [f for i, f in enumerate(faces_of(solid)) if i not in drop]
+    used = sorted({i for f in kept for loop in f.loops() for i in loop})
+    remap = {old: new for new, old in enumerate(used)}
+    faces = []
+    for f in kept:
+        outer, *inner = (tuple(remap[i] for i in loop) for loop in f.loops())
+        faces.append(Face(f.axis, f.offset, f.sign, outer, tuple(inner)))
+    vertices = vertices_of(solid)
+    return solid_of([vertices[i] for i in used], faces, label if label is not None else solid.label)
 
 
 class Region:
@@ -252,8 +331,9 @@ def area_units(region: Region) -> int:
 
 def total_face_area_m2(solid: BRepSolid) -> float:
     total = 0
-    for f in solid.faces:
-        loops2d = [loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
+    vertices = vertices_of(solid)
+    for f in faces_of(solid):
+        loops2d = [loop_to_2d([vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
         corners = np.array([p for lp in loops2d for p in lp], dtype=np.int64)
         us, vs = _distinct(corners[:, 0]), _distinct(corners[:, 1])
         total += area_units(rasterize_loops(loops2d, us, vs))
@@ -281,7 +361,7 @@ def solid_to_dict(solid: BRepSolid, building_id: str) -> dict:
     """The `.brep.json` content as a dict; `canonical_json` of it gives the
     bytes `dataset.solid_json` writes."""
     faces = []
-    for f in solid.faces:
+    for f in faces_of(solid):
         entry = {
             "plane": {"normal": f.normal_name, "offset": f.offset / 10.0},
             "outer": list(f.outer),
@@ -292,7 +372,7 @@ def solid_to_dict(solid: BRepSolid, building_id: str) -> dict:
     return {
         "id": building_id,
         "units": "m",
-        "vertices": [[x / 10.0, y / 10.0, z / 10.0] for x, y, z in solid.vertices],
+        "vertices": [[x / 10.0, y / 10.0, z / 10.0] for x, y, z in vertices_of(solid)],
         "faces": faces,
         "label": solid.label,
     }
@@ -316,7 +396,7 @@ def _loop_edges(faces):
 def scatter_is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
     """`brep.is_watertight` on a loop-edge table of its own, with each edge's
     balance scattered by `np.add.at`."""
-    faces = solid.faces
+    faces = faces_of(solid)
     start, end, face, loop_face, lens = _loop_edges(faces)
     short = lens < 4
     found = [
@@ -350,8 +430,8 @@ def scatter_is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:
 def scatter_geometry_problems(solid: BRepSolid) -> list[str]:
     """`brep.geometry_problems` on a loop-edge table of its own, with per-face
     frames from `FRAMES` and each loop's area scattered by `np.add.at`."""
-    faces = solid.faces
-    coords = np.fromiter(chain.from_iterable(solid.vertices), np.int64, 3 * len(solid.vertices)).reshape(-1, 3)
+    faces = faces_of(solid)
+    coords = np.array(vertices_of(solid), dtype=np.int64).reshape(-1, 3)
     start, end, face, loop_face, lens = _loop_edges(faces)
     face_axis, face_offset, face_sign, face_ua, face_va = np.array(
         [(f.axis, f.offset, f.sign, *FRAMES[(f.axis, f.sign)]) for f in faces], dtype=np.int64
@@ -405,11 +485,12 @@ def lexsort_triangulate(solid: BRepSolid) -> TriMesh:
     crossings and cells ordered by three-key `np.lexsort`s, a cells × 4 × 3
     corner array, one `searchsorted` per corner and axis, and `np.unique`
     for the first-sight vertex numbering."""
-    if not solid.faces:
+    if not len(solid.axis):
         raise EmptyMeshError("solid has no faces")
-    coords = np.asarray(solid.vertices, dtype=np.int64)
+    coords = solid.coords
     axes_pts = [_distinct(coords[:, a]) for a in range(3)]
-    start, end, edge_face, _, _, face_axis, face_offset, face_sign = solid.loop_edges
+    start, end, edge_face = solid.edges
+    face_axis, face_offset, face_sign = solid.axis, solid.offset, solid.sign
     face_ua, face_va = _frames(face_axis, face_sign)
     ua, va = face_ua[edge_face], face_va[edge_face]
     k = np.arange(len(start))
@@ -530,8 +611,8 @@ def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
     is part of the face.
     """
     ua, va = FRAMES[(face.axis, face.sign)]
-    a = solid.vertices[face.outer[0]]
-    b = solid.vertices[face.outer[1]]
+    a = vertices_of(solid)[face.outer[0]]
+    b = vertices_of(solid)[face.outer[1]]
     du = b[ua] - a[ua]
     dv = b[va] - a[va]
     du = (du > 0) - (du < 0)
@@ -543,9 +624,10 @@ def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
 def parity_is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
     """True when nothing blocks the face's outward normal ray (envelope
     face), by a ray-parity test against every face beyond it."""
-    face = solid.faces[face_index]
+    faces, vertices = faces_of(solid), vertices_of(solid)
+    face = faces[face_index]
     p2u, p2v = face_interior_point2(solid, face)
-    for other in solid.faces:
+    for other in faces:
         if other.axis != face.axis or other is face:
             continue
         if face.sign > 0 and other.offset <= face.offset:
@@ -557,7 +639,7 @@ def parity_is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
         # projected into.
         inside = False
         for loop in other.loops():
-            loop2d = loop_to_2d([solid.vertices[i] for i in loop], face.axis, face.sign)
+            loop2d = loop_to_2d([vertices[i] for i in loop], face.axis, face.sign)
             inside ^= point_in_loop(p2u, p2v, loop2d)
         if inside:
             return False

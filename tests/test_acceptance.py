@@ -28,6 +28,7 @@ from oracles import (
     drawn_footprint,
     euler_characteristic,
     extrude_prism,
+    faces_of,
     mesh_areas,
     rect_from_metres,
     total_face_area_m2,
@@ -70,7 +71,7 @@ def test_no_loop_passes_a_vertex_twice(timed_batch):
     # loop passes no vertex twice: the output bytes rest on that.
     directory, _ = timed_batch
     for path, solid in exported_solids(directory):
-        for k, face in enumerate(solid.faces):
+        for k, face in enumerate(faces_of(solid)):
             for loop in face.loops():
                 assert len(set(loop)) == len(loop), f"{path.name}: face {k} passes a vertex twice"
 

@@ -19,7 +19,7 @@ from brepforge.grammar import GrowthTrace, Termination, grow
 from brepforge.rng import SeededRng
 from brepforge.brep import FRAMES
 import brepforge.geom2d as geom2d
-from oracles import drawn_footprint, rasterize_loops, rect_from_metres
+from oracles import drawn_footprint, faces_of, rasterize_loops, rect_from_metres, vertices_of
 
 GCFG = GeneratorConfig.build().grammar()
 BCFG = GeneratorConfig.build().building()
@@ -56,10 +56,10 @@ def test_order_storeys_minimum_two():
 
 def ground_face(solid):
     """The single face at the underside of the ground slab (z = -0.2 m)."""
-    bottom = [f for f in solid.faces if f.axis == 2 and f.offset == -BCFG.slab_thickness]
+    bottom = [f for f in faces_of(solid) if f.axis == 2 and f.offset == -BCFG.slab_thickness]
     assert len(bottom) == 1
     assert bottom[0].sign < 0 and not bottom[0].inner
-    return [solid.vertices[i] for i in bottom[0].outer]
+    return [vertices_of(solid)[i] for i in bottom[0].outer]
 
 
 def test_ground_apron_dilated_bbox():
@@ -73,7 +73,7 @@ def test_ground_apron_dilated_bbox():
     assert (min(xs), min(ys), max(xs), max(ys)) == (
         bbox.x0 - 30, bbox.y0 - 30, bbox.x1 + 30, bbox.y1 + 30
     )
-    assert min(v[2] for v in b.solid.vertices) == -2
+    assert min(v[2] for v in vertices_of(b.solid)) == -2
 
 
 def test_ground_apron_area_algebra():
@@ -135,13 +135,14 @@ def shaft_rect(building):
 def faces_covering_rect_at(solid, z, sign, rect):
     """Cells of the rect covered by faces in plane z with the given sign."""
     covered = 0
-    for f in solid.faces:
+    vertices = vertices_of(solid)
+    for f in faces_of(solid):
         if f.axis != 2 or f.offset != z or f.sign != sign:
             continue
         ua, va = FRAMES[(2, f.sign)]
         loops = []
         for loop in f.loops():
-            loops.append([(solid.vertices[i][ua], solid.vertices[i][va]) for i in loop])
+            loops.append([(vertices[i][ua], vertices[i][va]) for i in loop])
         r = (rect.x0, rect.y0, rect.x1, rect.y1) if sign > 0 else (rect.y0, rect.x0, rect.y1, rect.x1)
         us = np.asarray(sorted({p[0] for lp in loops for p in lp} | {r[0], r[2]}), dtype=np.int64)
         vs = np.asarray(sorted({p[1] for lp in loops for p in lp} | {r[1], r[3]}), dtype=np.int64)
@@ -209,7 +210,7 @@ def test_atrium_roof_hole_is_inner_loop():
     s = b.meta.storey_count
     roof = [
         f
-        for f in b.solid.faces
+        for f in faces_of(b.solid)
         if f.axis == 2 and f.offset == s * BCFG.storey_height and f.sign > 0
     ]
     assert sum(len(f.inner) for f in roof) == 1

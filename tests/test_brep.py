@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from brepforge.brep import (
     FRAMES,
-    BRepFace,
     BRepSolid,
     Box,
     TriMesh,
@@ -27,18 +26,25 @@ from brepforge.brep import (
 from brepforge.errors import InvalidExtrusionError
 from brepforge.regions import _distinct
 from oracles import (
+    SOLID_FIELDS,
+    Face,
     Region,
+    assert_same_solid,
     cross_areas,
     drawn_footprint,
     euler_characteristic,
     extrude_prism,
+    faces_of,
     lexsort_triangulate,
     mesh_areas,
     loop_to_2d,
     rasterize_loops,
     scatter_geometry_problems,
     scatter_is_watertight,
+    solid_of,
     total_face_area_m2,
+    tuple_drop_faces,
+    vertices_of,
 )
 from test_regions import reference_trace_region
 
@@ -48,7 +54,7 @@ L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
 
 def edge_count(solid) -> int:
     edges = set()
-    for f in solid.faces:
+    for f in faces_of(solid):
         for loop in f.loops():
             n = len(loop)
             for i in range(n):
@@ -69,19 +75,19 @@ def mesh_closed(mesh) -> bool:
 
 def test_cube_topology():
     cube = extrude_prism(UNIT_SQUARE, 0, 10)
-    assert len(cube.faces) == 6
-    assert len(cube.vertices) == 8
+    assert len(faces_of(cube)) == 6
+    assert len(vertices_of(cube)) == 8
     assert edge_count(cube) == 12
-    assert len(cube.vertices) - edge_count(cube) + len(cube.faces) == 2
+    assert len(vertices_of(cube)) - edge_count(cube) + len(faces_of(cube)) == 2
     assert is_watertight(cube)[0]
 
 
 def test_l_prism_topology():
     prism = extrude_prism(L_SHAPE, 0, 30)
-    assert len(prism.faces) == 8
-    assert len(prism.vertices) == 12
+    assert len(faces_of(prism)) == 8
+    assert len(vertices_of(prism)) == 12
     assert edge_count(prism) == 18
-    assert len(prism.vertices) - edge_count(prism) + len(prism.faces) == 2
+    assert len(vertices_of(prism)) - edge_count(prism) + len(faces_of(prism)) == 2
     assert euler_characteristic(triangulate(prism)) == 2
 
 
@@ -89,7 +95,7 @@ def test_holed_prism_genus_one():
     outer = drawn_footprint([(0, 0), (6, 0), (6, 6), (0, 6)])
     hole = drawn_footprint([(2, 2), (4, 2), (4, 4), (2, 4)])
     prism = extrude_prism(outer, 0, 30, holes=[hole])
-    assert len(prism.faces) == 10
+    assert len(faces_of(prism)) == 10
     assert is_watertight(prism)[0]
     assert euler_characteristic(triangulate(prism)) == 0  # chi = 2 - 2g, g = 1
 
@@ -105,8 +111,8 @@ DOOR = Box(0, 10, 5, 2, 19, 26)
 
 def test_opening_face_arithmetic():
     cut = solid_from_boxes([WALL], [DOOR])
-    assert len(cut.faces) == 6 + 4
-    holed = [f for f in cut.faces if f.inner]
+    assert len(faces_of(cut)) == 6 + 4
+    holed = [f for f in faces_of(cut) if f.inner]
     assert len(holed) == 2
     assert all(len(f.inner) == 1 for f in holed)
     ok, _ = is_watertight(cut)
@@ -115,16 +121,16 @@ def test_opening_face_arithmetic():
 
 def test_opening_two_disjoint_windows():
     cut2 = solid_from_boxes([WALL], [DOOR, Box(0, 25, 8, 2, 33, 20)])
-    assert len(cut2.faces) == 6 + 8
-    holed = [f for f in cut2.faces if f.inner]
+    assert len(faces_of(cut2)) == 6 + 8
+    holed = [f for f in faces_of(cut2) if f.inner]
     assert sorted(len(f.inner) for f in holed) == [2, 2]
     assert is_watertight(cut2)[0]
 
 
 def test_merge_stacked_cubes_single_box():
     merged = solid_from_boxes([Box(0, 0, 0, 10, 10, 10), Box(0, 0, 10, 10, 10, 20)])
-    assert len(merged.faces) == 6
-    assert len(merged.vertices) == 8
+    assert len(faces_of(merged)) == 6
+    assert len(vertices_of(merged)) == 8
     assert is_watertight(merged)[0]
 
 
@@ -133,14 +139,15 @@ def test_merge_setback_terrace_watertight():
     ok, problems = is_watertight(merged)
     assert ok, problems
     # The lower top face keeps an exposed remainder (the terrace).
-    terrace = [f for f in merged.faces if f.axis == 2 and f.offset == 10 and f.sign > 0]
+    terrace = [f for f in faces_of(merged) if f.axis == 2 and f.offset == 10 and f.sign > 0]
     assert len(terrace) == 1
 
 
 def _loop_area2(solid, face, loop) -> int:
     """Doubled signed area of a loop in the face's (u, v) frame."""
     ua, va = FRAMES[(face.axis, face.sign)]
-    pts = [(solid.vertices[i][ua], solid.vertices[i][va]) for i in loop]
+    vertices = vertices_of(solid)
+    pts = [(vertices[i][ua], vertices[i][va]) for i in loop]
     return sum(
         pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
         for i in range(len(pts))
@@ -154,7 +161,7 @@ def _divergence_volumes(solid) -> list[int]:
     areas of a face sum to its area.
     """
     flux2 = [0, 0, 0]
-    for f in solid.faces:
+    for f in faces_of(solid):
         area2 = sum(_loop_area2(solid, f, loop) for loop in f.loops())
         flux2[f.axis] += f.sign * f.offset * area2
     return [v // 2 for v in flux2]
@@ -253,9 +260,9 @@ def reference_finalize(raw_faces) -> BRepSolid:
     for axis, offset, sign, o3, h3 in loops3d:
         outer = rotate_min(tuple(vid[p] for p in split_loop(o3)))
         inner = tuple(sorted(rotate_min(tuple(vid[p] for p in split_loop(h))) for h in h3))
-        faces.append(BRepFace(axis, offset, sign, outer, inner))
+        faces.append(Face(axis, offset, sign, outer, inner))
     faces.sort(key=lambda f: (f.axis, f.offset, f.sign, f.outer))
-    return BRepSolid(tuple(vertices), tuple(faces))
+    return solid_of(vertices, faces)
 
 
 def reference_solid_from_boxes(positive, negative) -> BRepSolid:
@@ -297,8 +304,7 @@ def test_random_boxes_like_reference_kernel(positive, negative):
             solid_from_boxes(positive, negative)
         return
     solid = solid_from_boxes(positive, negative)
-    assert solid.vertices == want.vertices
-    assert solid.faces == want.faces
+    assert_same_solid(solid, want)
 
 
 def test_face_hole_touching_outer_loop_at_a_vertex():
@@ -308,11 +314,11 @@ def test_face_hole_touching_outer_loop_at_a_vertex():
     # twice.
     positive = [Box(0, 0, 0, 3, 2, 1), Box(0, 2, 0, 2, 3, 1), Box(1, 1, 1, 2, 2, 2)]
     solid = solid_from_boxes(positive)
-    (top,) = [f for f in solid.faces if (f.axis, f.offset, f.sign) == (2, 1, +1)]
+    (top,) = [f for f in faces_of(solid) if (f.axis, f.offset, f.sign) == (2, 1, +1)]
     assert top.inner == ()
-    pinch = solid.vertices.index((2, 2, 1))
+    pinch = vertices_of(solid).index((2, 2, 1))
     assert top.outer.count(pinch) == 2 and len(set(top.outer)) == len(top.outer) - 1
-    assert solid == reference_solid_from_boxes(positive, [])
+    assert_same_solid(solid, reference_solid_from_boxes(positive, []))
     assert is_watertight(solid) == (True, [])
 
 
@@ -320,26 +326,26 @@ def test_geometry_problems_flag_off_plane_and_bad_edges():
     cube = extrude_prism(UNIT_SQUARE, 0, 10)
     assert geometry_problems(cube) == []
     # Vertex 0 is the corner (0, 0, 0); lift it off the z = 0 plane.
-    moved = BRepSolid(((0, 0, 50),) + cube.vertices[1:], cube.faces)
+    moved = solid_of(((0, 0, 50),) + vertices_of(cube)[1:], faces_of(cube))
     problems = geometry_problems(moved)
     assert any(p.endswith("vertex 0 is not on the face's plane") for p in problems)
     assert any(p.endswith("is not axis-parallel") for p in problems)
     assert is_watertight(moved)[0]  # edge pairing alone cannot see it
-    f = cube.faces[0]
-    doubled = BRepFace(f.axis, f.offset, f.sign, f.outer[:1] + f.outer)
-    problems = geometry_problems(BRepSolid(cube.vertices, (doubled,) + cube.faces[1:]))
+    f = faces_of(cube)[0]
+    doubled = Face(f.axis, f.offset, f.sign, f.outer[:1] + f.outer)
+    problems = geometry_problems(solid_of(vertices_of(cube), (doubled,) + faces_of(cube)[1:]))
     assert problems == [f"face 0: edge {f.outer[0]}-{f.outer[0]} has zero length"]
 
 
 def test_geometry_problems_flag_misoriented_loops():
     cube = extrude_prism(UNIT_SQUARE, 0, 10)
-    flipped = BRepSolid(cube.vertices, tuple(BRepFace(f.axis, f.offset, -f.sign, f.outer) for f in cube.faces))
+    flipped = solid_of(vertices_of(cube), tuple(Face(f.axis, f.offset, -f.sign, f.outer) for f in faces_of(cube)))
     assert is_watertight(flipped)[0]
     assert geometry_problems(flipped) == [
         f"face {i}: outer loop is not counter-clockwise about its normal" for i in range(6)
     ]
-    inside_out = BRepSolid(
-        cube.vertices, tuple(BRepFace(f.axis, f.offset, -f.sign, f.outer[::-1]) for f in cube.faces)
+    inside_out = solid_of(
+        vertices_of(cube), tuple(Face(f.axis, f.offset, -f.sign, f.outer[::-1]) for f in faces_of(cube))
     )
     assert is_watertight(inside_out)[0]
     assert geometry_problems(inside_out) == ["solid encloses no positive volume"]
@@ -347,17 +353,18 @@ def test_geometry_problems_flag_misoriented_loops():
     hole = drawn_footprint([(2, 2), (4, 2), (4, 4), (2, 4)])
     ring = extrude_prism(outer, 0, 10, holes=[hole])
     assert geometry_problems(ring) == []
-    k, f = next((k, f) for k, f in enumerate(ring.faces) if f.inner)
-    bad = BRepFace(f.axis, f.offset, f.sign, f.outer, tuple(h[::-1] for h in f.inner))
-    faces = ring.faces[:k] + (bad,) + ring.faces[k + 1 :]
-    assert geometry_problems(BRepSolid(ring.vertices, faces)) == [f"face {k}: hole is not clockwise about its normal"]
+    k, f = next((k, f) for k, f in enumerate(faces_of(ring)) if f.inner)
+    bad = Face(f.axis, f.offset, f.sign, f.outer, tuple(h[::-1] for h in f.inner))
+    faces = faces_of(ring)[:k] + (bad,) + faces_of(ring)[k + 1 :]
+    problems = geometry_problems(solid_of(vertices_of(ring), faces))
+    assert problems == [f"face {k}: hole is not clockwise about its normal"]
 
 
 def reference_triangulate(solid) -> TriMesh:
     """Face-by-face, cell-by-cell triangulation: each face rasterized on the
     solid's breakpoint grid, two triangles per filled cell in `np.argwhere`
     order, vertices numbered in the order quad corners first reach them."""
-    coords = np.asarray(solid.vertices, dtype=np.int64)
+    coords, vertices = solid.coords, vertices_of(solid)
     axes_pts = [np.unique(coords[:, a]) for a in range(3)]
     vid, verts, tris = {}, [], []
 
@@ -367,9 +374,9 @@ def reference_triangulate(solid) -> TriMesh:
             verts.append(p)
         return vid[p]
 
-    for f in solid.faces:
+    for f in faces_of(solid):
         ua, va = FRAMES[(f.axis, f.sign)]
-        loops = [loop_to_2d([solid.vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
+        loops = [loop_to_2d([vertices[i] for i in loop], f.axis, f.sign) for loop in f.loops()]
         region = rasterize_loops(loops, axes_pts[ua], axes_pts[va])
         us, vs = region.us, region.vs
         for iu, iv in np.argwhere(region.mask):
@@ -402,7 +409,7 @@ def reference_is_watertight(solid) -> tuple[bool, list[str]]:
     """Loop-by-loop edge count in a dict, problems in the order found."""
     uses = {}
     problems = []
-    for fi, f in enumerate(solid.faces):
+    for fi, f in enumerate(faces_of(solid)):
         for loop in f.loops():
             n = len(loop)
             if n < 4:
@@ -419,7 +426,7 @@ def reference_is_watertight(solid) -> tuple[bool, list[str]]:
             problems.append(f"edge {a}-{b} used {len(dirs)} times")
         elif dirs[0] + dirs[1] != 0:
             problems.append(f"edge {a}-{b} traversed twice in the same direction")
-    if not solid.faces:
+    if not faces_of(solid):
         problems.append("solid has no faces")
     return (not problems), problems
 
@@ -431,16 +438,16 @@ def test_is_watertight_like_reference(positive, negative, data):
         solid = solid_from_boxes(positive, negative)
     except InvalidExtrusionError:
         assume(False)
-    n = len(solid.faces)
+    n = len(faces_of(solid))
     dropped = drop_faces(solid, data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
-    faces = list(solid.faces)
+    faces = list(faces_of(solid))
     for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
         f = faces[i]
         # A repeated vertex (degenerate edge), a short loop, or a reversed loop.
         outer = data.draw(st.sampled_from([f.outer[:1] + f.outer, f.outer[:3], f.outer[::-1]]))
-        faces[i] = BRepFace(f.axis, f.offset, f.sign, outer, f.inner)
-    broken = BRepSolid(solid.vertices, tuple(faces))
-    for s in (solid, dropped, broken, BRepSolid(solid.vertices, ())):
+        faces[i] = Face(f.axis, f.offset, f.sign, outer, f.inner)
+    broken = solid_of(vertices_of(solid), tuple(faces))
+    for s in (solid, dropped, broken, solid_of(vertices_of(solid), ())):
         assert is_watertight(s) == reference_is_watertight(s)
 
 
@@ -478,7 +485,7 @@ MUTATIONS = ("reverse loop", "move vertex", "drop face", "flip sign", "duplicate
 def test_checks_like_scatter_reference_on_mutants(solid, mutation, data):
     """One mutation of a box solid; the checks on the shared loop-edge table
     give what the scatter-add versions give, problem for problem."""
-    faces, vertices = list(solid.faces), list(solid.vertices)
+    faces, vertices = list(faces_of(solid)), list(vertices_of(solid))
     i = data.draw(st.integers(0, len(faces) - 1))
     f = faces[i]
     loops = [f.outer, *f.inner]
@@ -502,9 +509,25 @@ def test_checks_like_scatter_reference_on_mutants(solid, mutation, data):
         loops[j] = ()
     if mutation in ("reverse loop", "duplicate vertex", "empty loop"):
         faces[i] = f._replace(outer=loops[0], inner=tuple(loops[1:]))
-    for s in (solid, BRepSolid(tuple(vertices), tuple(faces), solid.label)):
+    for s in (solid, solid_of(tuple(vertices), tuple(faces), solid.label)):
         assert is_watertight(s) == scatter_is_watertight(s)
         assert geometry_problems(s) == scatter_geometry_problems(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_solids(), st.data())
+def test_drop_faces_like_tuple_reference(solid, data):
+    n = len(solid.axis)
+    dropped = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    label = data.draw(st.sampled_from([None, "DEFECT"]))
+    assert_same_solid(drop_faces(solid, dropped, label), tuple_drop_faces(solid, dropped, label))
+
+
+def test_solid_arrays_are_read_only():
+    cube = extrude_prism(UNIT_SQUARE, 0, 10)
+    for name in SOLID_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cube, name)[0] = 1
 
 
 TRIANGULATE_MUTATIONS = ("none", "drop faces", "empty loop", "short loop", "off-plane offset", "far vertex")
@@ -516,7 +539,7 @@ def test_triangulate_like_lexsort_reference(solid, mutation, data):
     """`triangulate` gives the arrays, dtypes included, of the lexsort
     triangulation it replaced, on box solids, copies with faces dropped, and
     broken solids that the reference triangulates."""
-    faces, vertices = list(solid.faces), list(solid.vertices)
+    faces, vertices = list(faces_of(solid)), list(vertices_of(solid))
     i = data.draw(st.integers(0, len(faces) - 1))
     f = faces[i]
     if mutation == "drop faces":
@@ -532,7 +555,7 @@ def test_triangulate_like_lexsort_reference(solid, mutation, data):
         far[axis] += data.draw(st.sampled_from([-(10**12), -1000, 1000, 10**15]))
         vertices[v] = tuple(far)
     if mutation not in ("none", "drop faces"):
-        solid = BRepSolid(tuple(vertices), tuple(faces))
+        solid = solid_of(tuple(vertices), tuple(faces))
     try:
         want = lexsort_triangulate(solid)
     except Exception:

@@ -32,6 +32,38 @@ def test_gen_rerun_byte_identical(tmp_path):
     assert ha and ha == hb
 
 
+def test_rerun_into_same_directory_rewrites_identical_files(tmp_path):
+    # Each output is unlinked and written anew: the same bytes, no extra
+    # files (no spool or temporary file left behind).
+    d = tmp_path / "d"
+    for argv in (
+        ["gen", "--count", "12", "--seed", "3", "--out", str(d), "--obj"],
+        ["stats", str(d)],
+        ["points", str(d), "--n", "20", "--f32"],
+        ["defect", str(d), "--ratio", "1"],
+    ):
+        assert cli(argv) == 0
+        first = tree_hash(d, exclude=())
+        assert cli(argv) == 0
+        again = tree_hash(d, exclude=())
+        assert again.keys() == first.keys()
+        assert {k: v for k, v in again.items() if k != "manifest.json"} == {
+            k: v for k, v in first.items() if k != "manifest.json"
+        }
+
+
+def test_symlinked_output_is_replaced_not_written_through(tmp_path, small_batch_dir, capsys):
+    d, target = tmp_path / "d", tmp_path / "elsewhere.csv"
+    d.mkdir()
+    (d / "meta.json").write_bytes((small_batch_dir / "meta.json").read_bytes())
+    target.write_text("keep\n")
+    (d / "stats_storeys.csv").symlink_to(target)
+    assert cli(["stats", str(d)]) == 0
+    assert target.read_text() == "keep\n"
+    link = d / "stats_storeys.csv"
+    assert not link.is_symlink() and link.read_text().startswith("storeys,count\n")
+
+
 def test_gen_jobs_parallel_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli(["gen", "--count", "10", "--seed", "0", "--out", str(a)]) == 0
@@ -695,6 +727,56 @@ def test_vertex_id_out_of_range_fails_cleanly(tmp_path, small_batch_dir, capsys,
         err = err.strip().splitlines()
         assert len(err) == 1 and name in err[0] and f"vertex id {vertex_id}" in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def _first_id(doc):
+    return doc["faces"][0]["outer"][0]
+
+
+# Single-field corruptions of a valid `.brep.json` that the reader must
+# reject, each with the edit that makes it.
+READER_REJECTS = {
+    "float id 0.0": lambda doc: doc["faces"][0]["outer"].__setitem__(0, 0.0),
+    "float id equal to an int": lambda doc: doc["faces"][0]["outer"].__setitem__(0, float(_first_id(doc))),
+    "bool id": lambda doc: doc["faces"][0]["outer"].__setitem__(0, True),
+    "id out of range": lambda doc: doc["faces"][0]["outer"].__setitem__(0, len(doc["vertices"])),
+    "id past int64": lambda doc: doc["faces"][0]["outer"].__setitem__(0, 2**63),
+    "2-coordinate vertex": lambda doc: doc["vertices"].__setitem__(0, doc["vertices"][0][:2]),
+    "off-grid coordinate": lambda doc: doc["vertices"][0].__setitem__(0, doc["vertices"][0][0] + 0.05),
+    "coordinate 10**400": lambda doc: doc["vertices"][0].__setitem__(0, 10**400),
+    "offset 10**400": lambda doc: doc["faces"][0]["plane"].__setitem__("offset", 10**400),
+    "NaN coordinate": lambda doc: doc["vertices"][0].__setitem__(0, float("nan")),
+    "string coordinate": lambda doc: doc["vertices"][0].__setitem__(0, "0.0"),
+    "unknown normal": lambda doc: doc["faces"][0]["plane"].__setitem__("normal", "+w"),
+    "normal with an unknown sign": lambda doc: doc["faces"][0]["plane"].update(normal="?x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_REJECTS))
+def test_reader_rejects_single_field_corruption(tmp_path, small_batch_dir, capsys, case):
+    name = edited_copy(small_batch_dir, tmp_path, READER_REJECTS[case])
+    assert cli(["validate", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0].startswith(f"FAIL {name}: parse error: ") and not err
+
+
+@pytest.mark.parametrize("value", [False, True])
+@pytest.mark.parametrize("field", ["vertex", "offset"])
+def test_bool_coordinate_is_a_parse_error(tmp_path, small_batch_dir, capsys, field, value):
+    # A bool is no JSON number: `false` for a coordinate of 0 m (or `true`
+    # for 1 m) was once read as that number and passed validate.
+    def edit(doc):
+        if field == "vertex":
+            v = next(v for v in doc["vertices"] if float(value) in v)
+            v[v.index(float(value))] = value
+        else:
+            face = next(f for f in doc["faces"] if f["plane"]["offset"] == float(value))
+            face["plane"]["offset"] = value
+
+    name = edited_copy(small_batch_dir, tmp_path, edit)
+    assert cli(["validate", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL {name}: parse error: ") and not err
 
 
 def test_validate_zero_room_side_fails_cleanly(tmp_path, small_batch_dir, capsys):

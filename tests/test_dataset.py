@@ -3,15 +3,17 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from brepforge.assembly import assemble
 from brepforge.brep import drop_faces, is_watertight
-from brepforge.dataset import check_solid, export_building, solid_from_dict, solid_json
+from brepforge.dataset import _units, check_solid, export_building, solid_from_dict, solid_json
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import grow
 from brepforge.mltasks import inject_defect
 from brepforge.records import (
+    MAX_COORDINATE_M,
     BuildingMeta,
     DatasetMeta,
     DatasetWriter,
@@ -20,9 +22,10 @@ from brepforge.records import (
     load_dataset_meta,
     meta_row,
     stats,
+    to_units,
 )
 from brepforge.rng import SeededRng
-from oracles import solid_to_dict
+from oracles import assert_same_solid, faces_of, solid_of, solid_to_dict, vertices_of
 from test_brep import box_solids
 
 DEFAULTS = GeneratorConfig.build()
@@ -75,9 +78,7 @@ def test_check_solid_good_and_defect():
 
 
 def test_check_solid_empty_fails():
-    from brepforge.brep import BRepSolid
-
-    ok, problems = check_solid(BRepSolid((), ()))
+    ok, problems = check_solid(solid_of((), ()))
     assert not ok and problems
 
 
@@ -108,19 +109,58 @@ IDS = st.sampled_from(["bld00000003", 'a"b\\c/d', "tab\tnew\nline\x00", "\u00fc\
 @settings(max_examples=200, deadline=None)
 @given(box_solids(), IDS, st.data())
 def test_solid_json_is_canonical_json_of_dict(solid, building_id, data):
-    n = len(solid.faces)
+    """The text is `canonical_json` of the dict form, and reading it back
+    gives the solid array for array, which writes the same text again."""
+    n = len(faces_of(solid))
     dropped = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
     for s in (solid, drop_faces(solid, dropped, "DEFECT")):
         text = solid_json(s, building_id)
         assert text == canonical_json(solid_to_dict(s, building_id))
-        assert solid_from_dict(json.loads(text)) == s
+        back = solid_from_dict(json.loads(text))
+        assert_same_solid(back, s)
+        assert solid_json(back, building_id) == text
+
+
+def per_value_units(values) -> list[int]:
+    """The coordinate reader as it was, one value at a time."""
+    out = []
+    for v in values:
+        if not abs(v) <= MAX_COORDINATE_M:
+            raise ValueError(f"coordinate {v!r} is not within {MAX_COORDINATE_M} m of the origin")
+        out.append(to_units(v))
+    return out
+
+
+NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6).map(lambda k: k / 10),
+    st.integers(-(10**6), 10**6),
+    st.floats(),
+    st.sampled_from([100000.0, -100000.0, 100000.1, 0.05, 0.15, 1e-7, 10**400]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NUMBERS, max_size=6))
+def test_units_like_per_value_reader(values):
+    """The array reader takes what the per-value one took, to the same
+    units, and rejects the rest with the same first message; ints past
+    float range, which numpy cannot convert, are rejected too."""
+    try:
+        want = per_value_units(values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _units(values)
+        assert str(got.value) == str(exc) or "too large" in str(got.value)
+        return
+    got = _units(values)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_export_roundtrip_watertight(tmp_path):
     b = built(0)
     export_building(b, tmp_path)
     reloaded = solid_from_dict(json.loads((tmp_path / f"{b.meta.id}.brep.json").read_text()))
-    assert reloaded == b.solid
+    assert_same_solid(reloaded, b.solid)
     assert is_watertight(reloaded)[0]
 
 
@@ -132,7 +172,8 @@ def test_meta_matches_geometry(tmp_path):
     solid = solid_from_dict(json.loads((tmp_path / f"{b.meta.id}.brep.json").read_text()))
     height = b.config.storey_height
     slab = b.config.slab_thickness
-    z_top = max(v[2] for v in solid.vertices)
+    vertices = vertices_of(solid)
+    z_top = max(v[2] for v in vertices)
     storeys = z_top // height
     assert storeys == meta["storey_count"]
     # Room ceilings are the only downward faces at each storey's slab soffit
@@ -143,23 +184,23 @@ def test_meta_matches_geometry(tmp_path):
     footprint_area_units = 0
     for k in range(1, storeys + 1):
         z = k * height - slab
-        ceilings = [f for f in solid.faces if f.axis == 2 and f.sign < 0 and f.offset == z]
+        ceilings = [f for f in faces_of(solid) if f.axis == 2 and f.sign < 0 and f.offset == z]
         per_floor.append(len(ceilings))
         total += len(ceilings)
         if k == 1:
             for f in ceilings:
-                xs = [solid.vertices[i][0] for i in f.outer]
-                ys = [solid.vertices[i][1] for i in f.outer]
+                xs = [vertices[i][0] for i in f.outer]
+                ys = [vertices[i][1] for i in f.outer]
                 footprint_area_units += (max(xs) - min(xs) + t) * (max(ys) - min(ys) + t)
     assert total == meta["room_total"]
     assert per_floor == [c for c in meta["room_per_floor"] if c] == sorted(per_floor, reverse=True)
     # Ground floor rooms plus the core tile the footprint; the core is the
     # roof hole rect grown back by the wall thickness.
-    roof = [f for f in solid.faces if f.axis == 2 and f.sign > 0 and f.offset == storeys * height]
+    roof = [f for f in faces_of(solid) if f.axis == 2 and f.sign > 0 and f.offset == storeys * height]
     hole = [h for f in roof for h in f.inner]
     assert len(hole) == 1
-    xs = [solid.vertices[i][0] for i in hole[0]]
-    ys = [solid.vertices[i][1] for i in hole[0]]
+    xs = [vertices[i][0] for i in hole[0]]
+    ys = [vertices[i][1] for i in hole[0]]
     footprint_area_units += (max(xs) - min(xs) + t) * (max(ys) - min(ys) + t)
     assert footprint_area_units / 100.0 == meta["footprint_area"]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from brepforge.assembly import assemble
-from brepforge.brep import Box, BRepFace, BRepSolid, drop_faces, is_watertight, solid_from_boxes, triangulate
+from brepforge.brep import Box, drop_faces, is_watertight, solid_from_boxes, triangulate
 from brepforge.dataset import check_solid
 from brepforge.errors import BrepForgeError, EmptyMeshError
 from brepforge.config import GeneratorConfig
@@ -28,7 +28,16 @@ from brepforge.records import (
     oracle_labels,
 )
 from brepforge.rng import SeededRng
-from oracles import drawn_footprint, extrude_prism, mesh_areas, mesh_sample_points, parity_is_exterior_face
+from oracles import (
+    Face,
+    drawn_footprint,
+    extrude_prism,
+    faces_of,
+    mesh_areas,
+    mesh_sample_points,
+    parity_is_exterior_face,
+    solid_of,
+)
 from test_brep import box_solids
 
 CUBE = extrude_prism(drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)]), 0, 10)
@@ -65,8 +74,8 @@ def test_sample_two_triangle_weighting():
     # the +y end, 1 m², each one cell of two triangles.
     box = solid_from_boxes([Box(0, 0, 0, 10, 40, 10)])
     keep = {("+z", 10), ("+y", 40)}
-    shell = drop_faces(box, [i for i, f in enumerate(box.faces) if (f.normal_name, f.offset) not in keep])
-    assert len(shell.faces) == 2
+    shell = drop_faces(box, [i for i, f in enumerate(faces_of(box)) if (f.normal_name, f.offset) not in keep])
+    assert len(faces_of(shell)) == 2
     cloud = sample_points(shell, 4000, UNIT_SPHERE, SeededRng(3, 3))
     upper = int((np.abs(cloud.points[:, 2] - cloud.points[:, 2].max()) < 1e-9).sum())
     n, p = 4000, 0.8
@@ -88,11 +97,11 @@ def test_sample_deterministic():
 
 def test_sample_empty_mesh_rejected():
     # A face whose loop runs out and back along one line fills no cell.
-    degenerate = BRepSolid(((0, 0, 0), (10, 0, 0)), (BRepFace(2, 0, 1, (0, 1)),))
+    degenerate = solid_of(((0, 0, 0), (10, 0, 0)), (Face(2, 0, 1, (0, 1)),))
     with pytest.raises(EmptyMeshError, match="^mesh has zero surface area$"):
         sample_points(degenerate, 10, UNIT_CUBE, SeededRng(1, 1))
     with pytest.raises(EmptyMeshError, match="^solid has no faces$"):
-        sample_points(BRepSolid((), ()), 10, UNIT_CUBE, SeededRng(1, 1))
+        sample_points(solid_of((), ()), 10, UNIT_CUBE, SeededRng(1, 1))
 
 
 @pytest.mark.parametrize("mode, word", [(UNIT_CUBE, "extent"), (UNIT_SPHERE, "radius")])
@@ -109,7 +118,7 @@ def test_sample_points_like_mesh_sampler(solid, data):
     """The cell sampler gives the mesh sampler's clouds bit for bit, on
     closed solids and on open shells, in both modes; its triangle areas
     are the mesh's."""
-    n = len(solid.faces)
+    n = len(faces_of(solid))
     dropped = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
     shell = drop_faces(solid, dropped) if dropped and len(set(dropped)) < n else solid
     mesh = triangulate(shell)
@@ -125,20 +134,20 @@ def test_sample_points_like_mesh_sampler(solid, data):
 
 def test_exterior_face_classification_on_wall():
     # A plain box: every face is an envelope face.
-    assert all(is_exterior_face(CUBE, i) for i in range(len(CUBE.faces)))
+    assert all(is_exterior_face(CUBE, i) for i in range(len(faces_of(CUBE))))
     # Carve an opening: tunnel faces see the opposite tunnel wall.
     cut = solid_from_boxes([Box(0, 0, 0, 2, 40, 30)], [Box(0, 10, 5, 2, 19, 26)])
     tunnel = [
         i
-        for i, f in enumerate(cut.faces)
+        for i, f in enumerate(faces_of(cut))
         if f.axis != 0 and 10 <= f.offset <= 19 or (f.axis == 2 and 5 <= f.offset <= 26)
     ]
-    interior = [i for i in range(len(cut.faces)) if not is_exterior_face(cut, i)]
+    interior = [i for i in range(len(faces_of(cut))) if not is_exterior_face(cut, i)]
     assert set(interior) == set(tunnel)
 
 
 def parity_envelope(solid) -> list[bool]:
-    return [parity_is_exterior_face(solid, i) for i in range(len(solid.faces))]
+    return [parity_is_exterior_face(solid, i) for i in range(len(faces_of(solid)))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,7 +167,7 @@ def test_envelope_matches_parity_test_on_buildings():
         assert check_solid(solid)[0]
         want = parity_envelope(solid)
         assert solid.envelope.tolist() == want
-        assert [is_exterior_face(solid, i) for i in range(len(solid.faces))] == want
+        assert [is_exterior_face(solid, i) for i in range(len(faces_of(solid)))] == want
         checked += 1
     assert checked >= 12
 
@@ -168,7 +177,7 @@ def test_inject_defect_breaks_watertightness():
     defect = inject_defect(b.solid, SeededRng(11, 11))
     assert defect.label == "DEFECT"
     assert not is_watertight(defect)[0]
-    assert 1 <= len(b.solid.faces) - len(defect.faces) <= 3
+    assert 1 <= len(faces_of(b.solid)) - len(faces_of(defect)) <= 3
 
 
 def test_inject_defect_refuses_defect_input():
@@ -189,14 +198,14 @@ def test_defect_adjacent_faces_share_cancelled_edge():
     # Removing two adjacent faces: 4 + 4 perimeter edges minus the shared
     # edge, which disappears entirely and is no longer reported.
     shared = None
-    for i in range(len(CUBE.faces)):
-        for j in range(i + 1, len(CUBE.faces)):
+    for i in range(len(faces_of(CUBE))):
+        for j in range(i + 1, len(faces_of(CUBE))):
             edges_i = set()
-            for loop in CUBE.faces[i].loops():
+            for loop in faces_of(CUBE)[i].loops():
                 n = len(loop)
                 edges_i |= {frozenset((loop[k], loop[(k + 1) % n])) for k in range(n)}
             edges_j = set()
-            for loop in CUBE.faces[j].loops():
+            for loop in faces_of(CUBE)[j].loops():
                 n = len(loop)
                 edges_j |= {frozenset((loop[k], loop[(k + 1) % n])) for k in range(n)}
             if edges_i & edges_j:
