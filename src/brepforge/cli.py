@@ -117,7 +117,7 @@ def cmd_gen(args) -> int:
         if bad:
             raise ConfigError(f"--set {bad[0]!r} is not KEY=VALUE")
         cfg = GeneratorConfig.build(args.config, dict(kv.split("=", 1) for kv in args.set or []))
-        sections = (cfg.grammar(), cfg.building(), cfg.filters())
+        sections = cfg.sections()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"gen: bad config: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -154,6 +154,31 @@ class GeneratorConfig:
 
         return FilterConfig(**self._section("filters"))
 
+    def sections(self) -> tuple[GrammarConfig, BuildingConfig, FilterConfig]:
+        """The grammar, building and filter sections, checked against each
+        other: a room's void and the core shaft are their rectangles eroded
+        by half a wall a side, so walls must be thinner than the shortest
+        room side and than each side of the core, and every storey has
+        doors and the ground storey an entrance, whose heads must stay
+        under the slab soffit.  A config that breaks one of these could
+        export no building."""
+        from .storey import DOOR_HEIGHT
+
+        grammar, building = self.grammar(), self.building()
+        wall, core = building.wall_thickness, grammar.core_tube
+        if wall >= grammar.room_side_min:
+            raise ConfigError("wall_thickness must be less than room_side_min")
+        if wall >= min(core.width, core.height):
+            raise ConfigError("wall_thickness must be less than each side of core_tube")
+        soffit = building.storey_height - building.slab_thickness
+        if DOOR_HEIGHT > soffit:
+            raise ConfigError(
+                f"storey_height less slab_thickness must leave room for a {DOOR_HEIGHT / 10} m door"
+            )
+        if building.entrance_height > soffit:
+            raise ConfigError("entrance_height must not exceed storey_height less slab_thickness")
+        return grammar, building, self.filters()
+
     def canonical_text(self) -> str:
         return "\n".join(f"{k}={v}" for k, v in self.values) + "\n"
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .brep import AXIS_NAMES, BRepSolid, geometry_problems, is_watertight, mesh_to_obj, triangulate
-from .records import MAX_COORDINATE_M, canonical_json, write_output
+from .records import LABELS, MAX_COORDINATE_M, canonical_json, write_output
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -108,8 +108,12 @@ def solid_from_dict(d: dict) -> BRepSolid:
     content raises ValueError, KeyError, TypeError or IndexError: say a
     vertex of other than three coordinates, a coordinate or offset that is
     no number (a bool is none) on the 0.1 m grid within MAX_COORDINATE_M of
-    the origin, an unknown normal, or a vertex id no int in [0, vertices)."""
+    the origin, an unknown normal, a vertex id no int in [0, vertices), or a
+    label other than ``"GOOD"`` and ``"DEFECT"`` (a missing one is GOOD)."""
     vertices = d["vertices"]
+    label = d.get("label", "GOOD")
+    if label not in LABELS:
+        raise ValueError(f"label {label!r} is not one of {LABELS}")
     if not set(map(len, vertices)) <= {3}:
         raise ValueError("a vertex does not have three coordinates")
     loops, planes, offsets, loop_counts = [], [], [], []
@@ -126,7 +130,7 @@ def solid_from_dict(d: dict) -> BRepSolid:
     axis, sign = np.array(planes, dtype=np.int64).reshape(-1, 2).T
     loop_face = np.repeat(np.arange(len(planes)), loop_counts)
     coords = _units(list(chain.from_iterable(vertices)))
-    return BRepSolid(coords, ids, list(map(len, loops)), loop_face, axis, _units(offsets), sign, d.get("label", "GOOD"))
+    return BRepSolid(coords, ids, list(map(len, loops)), loop_face, axis, _units(offsets), sign, label)
 
 
 def export_building(building, out_dir: Path, write_obj: bool = False) -> str:

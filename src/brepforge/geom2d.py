@@ -7,8 +7,10 @@ Footprints are simple axis-parallel loops stored counter-clockwise, each
 with the rectangles that tile its interior (``Footprint.tiles``): a grown
 footprint is its core and the rooms grafted onto it, in graft order.
 Overlap and edge contact with a rectangle are answered tile by tile, and
-the boundary of a union is traced from the tiles by the region tracer
-(``regions.trace_planes``).
+the loop of a union is walked from the two loops' edges: cut at each
+other's corners, the pieces the two run both ways cancel, and the rest
+close into the union's loop.  The kernel is pure Python and imports
+neither numpy nor the region tracer.
 """
 
 from __future__ import annotations
@@ -17,15 +19,12 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     CollisionError,
     ConflictError,
     InvalidFootprintError,
     MustCleanFirstError,
 )
-from .regions import trace_planes
 
 
 class Point2(NamedTuple):
@@ -143,7 +142,7 @@ class Footprint:
 
     def edges(self) -> list[tuple[Point2, Point2]]:
         v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v)) if v[i] != v[(i + 1) % len(v)]]
+        return [(a, b) for a, b in zip(v, v[1:] + v[:1]) if a != b]
 
     def bbox(self) -> Rect:
         xs = [p.x for p in self.vertices]
@@ -204,7 +203,7 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
     with partial contact (straddling a corner or hanging past an edge end)
     is rejected, as are point contacts and interior overlaps, and so is a
     union that is not one simple loop (it encloses a hole or pinches).
-    The traced loop starts anywhere; `_start_corner` picks the canonical
+    The walked loop starts anywhere; `_start_corner` picks the canonical
     start from its edges.
     """
     if overlaps(f, r):
@@ -222,33 +221,58 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
         if c not in (0, side_len[name]):
             raise ConflictError(f"partial contact on {name} side ({c} of {side_len[name]} units)")
 
-    # The cells of the grid through every corner of the tiles and r (a tile
-    # corner need not be a loop vertex), filled tile by tile and traced as
-    # one region.
-    tiles = (*f.tiles, r)
-    xs = sorted({x for t in tiles for x in (t.x0, t.x1)})
-    ys = sorted({y for t in tiles for y in (t.y0, t.y1)})
-    ix = {x: i for i, x in enumerate(xs)}
-    iy = {y: j for j, y in enumerate(ys)}
-    mask = np.zeros((len(xs) - 1, len(ys) - 1), dtype=bool)
-    for t in tiles:
-        mask[ix[t.x0] : ix[t.x1], iy[t.y0] : iy[t.y1]] = True
-    # r shares a boundary segment with f, so the union is connected: one
-    # outer loop, and any other loop is a hole.
-    traced = trace_planes(mask[None], np.asarray(xs), np.asarray(ys))
-    if len(traced.lens) != 1:
+    # The union's boundary is f's loop and r's, less the stretches they
+    # share: cut at each other's corners, a shared stretch is one piece run
+    # once each way.  r shares a boundary segment with f, so the union is
+    # connected: the pieces left form one outer loop, and any other loop is
+    # a hole.
+    corners = r.corners()
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    pieces = _cut(f.edges(), corners) + _cut(sides, f.vertices)
+    reversed_pieces = {(b, a) for a, b in pieces}
+    succ: dict[Point2, Point2] = {}
+    for a, b in pieces:
+        if (a, b) not in reversed_pieces:
+            if a in succ:
+                # The boundary touches itself at a: r meets f there at a
+                # point, or closes a hole that touches the outside there.
+                raise ConflictError("union pinches")
+            succ[a] = b
+    first = next(iter(succ))
+    loop, p = [first], succ[first]
+    while p != first:
+        loop.append(p)
+        p = succ[p]
+    if len(loop) != len(succ):
         raise ConflictError("union encloses a hole")
-    loop = list(zip(traced.u.tolist(), traced.v.tolist()))
-    if len(set(loop)) != len(loop):
-        # A hole that touches the outer boundary at one vertex is traced as
-        # part of the outer loop, which passes that vertex twice.
-        raise ConflictError("union pinches")
+    loop = [
+        b
+        for a, b, c in zip(loop[-1:] + loop[:-1], loop, loop[1:] + loop[:1])
+        if not (a.x == b.x == c.x or a.y == b.y == c.y)
+    ]
     k = _start_corner(f, r, loop)
-    return Footprint(tuple(loop[k:] + loop[:k]), tiles)
+    return Footprint(tuple(loop[k:] + loop[:k]), (*f.tiles, r))
+
+
+def _cut(edges, points) -> list[tuple[Point2, Point2]]:
+    """The edges cut into pieces at the points that lie strictly inside
+    them, each piece running the way its edge runs."""
+    pieces = []
+    for a, b in edges:
+        k = 0 if a.y == b.y else 1  # the coordinate that varies along the edge
+        line, lo, hi = a[1 - k], min(a[k], b[k]), max(a[k], b[k])
+        inside = [p for p in points if p[1 - k] == line and lo < p[k] < hi]
+        if inside:
+            inside.sort(key=lambda p: p[k], reverse=b[k] < a[k])
+            ends = [a, *inside, b]
+            pieces += zip(ends, ends[1:])
+        else:
+            pieces.append((a, b))
+    return pieces
 
 
 def _start_corner(f: Footprint, r: Rect, loop: list[tuple[int, int]]) -> int:
-    """Index in the traced union loop of the corner the footprint starts at.
+    """Index in the union loop of the corner the footprint starts at.
 
     The lines of f's edges are searched, in edge order, for the first that
     holds a union edge (some line does: r cannot cover all of f's

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 DEFECT_SUFFIX = "_def"
+# The labels of a solid, and of a prediction in `eval binary`.
+LABELS = ("GOOD", "DEFECT")
 
 # A coordinate or room side further than this from zero is a parse error:
 # NaN, infinities and values beyond int64 would otherwise fail inside numpy,
@@ -446,7 +448,7 @@ def eval_binary(rows: list[tuple[str, str]]) -> BinaryMetrics:
     """Confusion matrix for GOOD/DEFECT predictions; truth from the filename."""
     tp = fn = fp = tn = 0
     for filename, prediction in rows:
-        if prediction not in ("GOOD", "DEFECT"):
+        if prediction not in LABELS:
             raise ValueError(f"unknown label {prediction!r} for {filename}")
         truth_defect = DEFECT_SUFFIX in filename
         pred_defect = prediction == "DEFECT"

@@ -8,11 +8,11 @@ holes attached to their containing outer loop.  It finds boundary edges as
 runs, the maximal straight stretches of boundary cell edges along each grid
 line (one numpy diff per axis), and links them into loops in one numpy
 pass that returns flat arrays.  The order of a plane's loops and the
-first vertex of each are not specified: callers that need a canonical
-form make it (``brep._finalize``, ``geom2d.union_rect``).
-``brep.solid_from_boxes`` traces every faced plane of a solid along one
-(axis, sign) in one call; ``geom2d.union_rect`` traces a footprint union as
-a stack of one mask.
+first vertex of each are not specified: the caller makes the canonical
+form (``brep._finalize``).  Its one caller is ``brep.solid_from_boxes``,
+which traces every faced plane of a solid along one (axis, sign) in one
+call; footprint unions walk their loop in pure Python
+(``geom2d.union_rect``).
 """
 
 from __future__ import annotations

@@ -219,6 +219,45 @@ def test_gen_bad_geometry_config_usage_error(tmp_path, capsys, item):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "items, keys",
+    [
+        # A room's void is the room eroded by half a wall a side, and so is
+        # the core shaft: unchecked, the first two end in a traceback from
+        # an empty rectangle.
+        (["wall_thickness=2.4"], ("wall_thickness", "room_side_min")),
+        (["core_tube=0,0,1,8", "wall_thickness=1.0"], ("wall_thickness", "core_tube")),
+        (["room_side_min=3.0", "wall_thickness=3.0"], ("wall_thickness", "room_side_min")),
+        # Walls end at the slab soffit, over every door (2.1 m) and the
+        # entrance: unchecked, each of these exports nothing and exits 0.
+        (["storey_height=2.0"], ("storey_height", "slab_thickness")),
+        (["slab_thickness=1.0"], ("storey_height", "slab_thickness")),
+        (["entrance_height=2.9"], ("entrance_height", "storey_height", "slab_thickness")),
+        (["storey_height=2.5"], ("entrance_height", "storey_height", "slab_thickness")),
+    ],
+)
+def test_gen_cross_key_config_usage_error(tmp_path, capsys, items, keys):
+    out = tmp_path / "x"
+    argv = ["gen", "--count", "40", "--seed", "0", "--out", str(out)]
+    for item in items:
+        argv += ["--set", item]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gen: bad config: ") and len(err.splitlines()) == 1, err
+    assert all(key in err for key in keys), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["wall_thickness=2.2", "storey_height=2.6"])
+def test_gen_config_at_cross_key_limits_exports_valid_buildings(tmp_path, item):
+    # Walls 0.1 m thinner than the shortest room, and a soffit exactly at
+    # the entrance head.
+    out = tmp_path / "x"
+    assert cli(["gen", "--count", "40", "--seed", "0", "--out", str(out), "--set", item]) == 0
+    assert list(out.glob("*.brep.json"))
+    assert cli(["validate", str(out)]) == 0
+
+
 def test_gen_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nmax_rooms = 4\n")
@@ -711,6 +750,30 @@ def test_coordinate_out_of_range_fails_cleanly(tmp_path, small_batch_dir, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
+@pytest.mark.parametrize("label", [5, "good", None, ["GOOD"]])
+@pytest.mark.parametrize("command", ["points", "defect", "validate"])
+def test_unknown_label_is_a_parse_error(tmp_path, small_batch_dir, capsys, command, label):
+    # The reader, not each command, rejects a label other than GOOD or
+    # DEFECT.
+    name = edited_copy(small_batch_dir, tmp_path, lambda doc: doc.update(label=label))
+    extra = {"points": ["--n", "10"], "defect": ["--ratio", "1"], "validate": []}[command]
+    assert cli([command, str(tmp_path), *extra]) == 1
+    out, err = capsys.readouterr()
+    if command == "validate":
+        assert out.startswith(f"FAIL {name}: parse error: label {label!r}") and not err
+    else:
+        assert err.startswith(f"brepforge: {name}: parse error: label {label!r}"), err
+        assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_missing_label_reads_good(tmp_path, small_batch_dir):
+    edited_copy(small_batch_dir, tmp_path, lambda doc: doc.pop("label"))
+    assert cli(["validate", str(tmp_path)]) == 0
+    assert cli(["defect", str(tmp_path), "--ratio", "1", "--out", str(tmp_path / "d")]) == 0
+    assert list((tmp_path / "d").glob("*_def.brep.json"))
+
+
 @pytest.mark.parametrize("vertex_id", [1000000, -1])
 @pytest.mark.parametrize("command", ["points", "defect", "validate"])
 def test_vertex_id_out_of_range_fails_cleanly(tmp_path, small_batch_dir, capsys, command, vertex_id):
@@ -1039,6 +1102,17 @@ def test_solid_commands_leave_generator_unimported(tmp_path, small_batch_dir):
     )
     run_in_fresh_interpreter(code)
     assert list(tmp_path.glob("*.xyz")) and list((tmp_path / "mixed").glob("*_def.brep.json"))
+
+
+def test_footprint_kernel_leaves_numpy_and_regions_unimported():
+    # Footprint unions walk their loop in pure Python; only solids trace
+    # masks.
+    code = (
+        "import sys\n"
+        "import brepforge.geom2d\n"
+        "assert not {'numpy', 'brepforge.regions'} & set(sys.modules), sys.modules.keys()\n"
+    )
+    run_in_fresh_interpreter(code)
 
 
 def test_serial_gen_leaves_mltasks_unimported(tmp_path):

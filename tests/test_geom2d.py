@@ -470,13 +470,13 @@ RING_RECT = Rect(10, 20, 20, 30)
 
 
 def test_union_enclosed_hole_rejected():
-    with pytest.raises(ConflictError):
+    with pytest.raises(ConflictError, match="encloses a hole"):
         union_rect(RING_FOOTPRINT, RING_RECT)
 
 
 def test_union_pinched_hole_rejected():
     # r closes a hole whose corner touches the outside at (20, 30).
-    with pytest.raises(ConflictError):
+    with pytest.raises(ConflictError, match="pinches"):
         union_rect(PINCH_FOOTPRINT, PINCH_RECT)
 
 
