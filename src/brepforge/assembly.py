@@ -39,7 +39,8 @@ from .storey import (
 
 @dataclass(frozen=True)
 class BuildingConfig:
-    """Vertical dimensions and entrance/slab rules in grid units of 0.1 m."""
+    """Vertical dimensions and entrance/slab rules in grid units of 0.1 m.
+    `config` checks the values."""
 
     storey_height: int
     slab_thickness: int
@@ -49,17 +50,6 @@ class BuildingConfig:
     entrance_width: int
     entrance_height: int
     window_table: WindowTable
-
-    def __post_init__(self):
-        for name in ("wall_thickness", "slab_thickness", "entrance_width", "entrance_height"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.ground_offset < 0:
-            raise ValueError("ground_offset must not be negative")
-        if self.wall_thickness % 2:
-            raise ValueError("wall thickness must be an even number of grid units")
-        if self.slab_thickness >= self.storey_height:
-            raise ValueError("slab thicker than the storey")
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Generator configuration: the knob table, key=value file parsing, stable hashing.
 
 Each knob is declared once, in `KNOBS`: its default text, the section it
-configures, the parser of its text, and its field in the section.  Config
+configures, the parser of its text, its field in the section and its
+bounds; rules across keys are in `GeneratorConfig.sections`.  Config
 files are flat `key = value` lines (# comments allowed).  CLI overrides
 merge on top of the file, which merges on top of the defaults; the
 canonical serialized form is hashed into the run manifest so any run can
@@ -56,6 +57,13 @@ def finite(text: str) -> float:
     return value
 
 
+def even_metres(text: str) -> int:
+    """A length on the 0.2 m grid: a wall is centred on its 0.1 m grid line."""
+    if (units := metres(text)) % 2:
+        raise ValueError(f"{text} is not an even number of 0.1 m grid units")
+    return units
+
+
 def core_tube(text: str) -> Rect:
     """The core rectangle: x0,y0,x1,y1."""
     from .geom2d import Rect
@@ -63,11 +71,24 @@ def core_tube(text: str) -> Rect:
     return Rect(*lengths(text, 4))
 
 
+def ascending(text: str) -> tuple[int, ...]:
+    """Three strictly ascending lengths: the window bins' thresholds."""
+    bins = lengths(text, 3)
+    if not bins[0] < bins[1] < bins[2]:
+        raise ValueError(f"{text} is not ascending")
+    return bins
+
+
 def window(text: str) -> WindowSpec:
     """A window spec: width,height,sill."""
     from .storey import WindowSpec
 
-    return WindowSpec(*lengths(text, 3))
+    width, height, sill = lengths(text, 3)
+    if min(width, height) <= 0:
+        raise ValueError("window width and height must be positive")
+    if sill < 0:
+        raise ValueError("window sill must not be negative")
+    return WindowSpec(width, height, sill)
 
 
 class Knob(NamedTuple):
@@ -75,23 +96,35 @@ class Knob(NamedTuple):
     section: str  # "grammar", "building", "window" or "filters"
     parse: Callable[[str], object]
     field: object = None  # the key when None; a window spec's is its (group, bin)
+    low: str | None = None  # the least value, as text read by `parse`
+    high: str | None = None  # the largest value, likewise
+
+    def read(self, text: str):
+        """The parsed value of ``text``, checked against the bounds."""
+        value = self.parse(text)
+        if self.low is not None and value < self.parse(self.low):
+            raise ValueError(f"{text} is below {self.low}")
+        if self.high is not None and value > self.parse(self.high):
+            raise ValueError(f"{text} is above {self.high}")
+        return value
 
 
 KNOBS: dict[str, Knob] = {
     "core_tube": Knob("0,0,4,4", "grammar", core_tube),
-    "room_side_min": Knob("2.4", "grammar", metres),
+    "room_side_min": Knob("2.4", "grammar", metres, low="0.1"),
     "room_side_max": Knob("6.0", "grammar", metres),
-    "max_rooms": Knob("10", "grammar", int),
+    # `grow` discards a growth of fewer than two rooms.
+    "max_rooms": Knob("10", "grammar", int, low="2", high="10"),
     "min_exterior_gap": Knob("0.4", "grammar", metres),
-    "retry_budget": Knob("16", "grammar", int),
+    "retry_budget": Knob("16", "grammar", int, low="1"),
     "storey_height": Knob("3.0", "building", metres),
-    "slab_thickness": Knob("0.2", "building", metres),
-    "wall_thickness": Knob("0.2", "building", metres),
-    "ground_offset": Knob("3.0", "building", metres),
+    "slab_thickness": Knob("0.2", "building", metres, low="0.1"),
+    "wall_thickness": Knob("0.2", "building", even_metres, low="0.2"),
+    "ground_offset": Knob("3.0", "building", metres, low="0"),
     "entrance_min_wall": Knob("4.0", "building", metres),
-    "entrance_width": Knob("1.2", "building", metres),
-    "entrance_height": Knob("2.4", "building", metres),
-    "window_bins": Knob("1.2,3.0,5.0", "window", lambda text: lengths(text, 3), "bins"),
+    "entrance_width": Knob("1.2", "building", metres, low="0.1"),
+    "entrance_height": Knob("2.4", "building", metres, low="0.1"),
+    "window_bins": Knob("1.2,3.0,5.0", "window", ascending, "bins"),
     "window_ns_small": Knob("0.9,1.4,0.9", "window", window, ("ns", 0)),
     "window_ns_mid": Knob("1.8,1.5,0.9", "window", window, ("ns", 1)),
     "window_ns_large": Knob("2.4,1.5,0.9", "window", window, ("ns", 2)),
@@ -131,7 +164,7 @@ class GeneratorConfig:
             knob = KNOBS[key]
             if knob.section == section:
                 try:
-                    out[knob.field or key] = knob.parse(text)
+                    out[knob.field or key] = knob.read(text)
                 except ValueError as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
         return out
@@ -156,28 +189,36 @@ class GeneratorConfig:
 
     def sections(self) -> tuple[GrammarConfig, BuildingConfig, FilterConfig]:
         """The grammar, building and filter sections, checked against each
-        other: a room's void and the core shaft are their rectangles eroded
-        by half a wall a side, so walls must be thinner than the shortest
-        room side and than each side of the core, and every storey has
-        doors and the ground storey an entrance, whose heads must stay
-        under the slab soffit.  A config that breaks one of these could
-        export no building."""
+        other: the grammar draws room sides from room_side_min to
+        room_side_max; a room's void and the core shaft are their
+        rectangles eroded by half a wall a side, so walls must be thinner
+        than the shortest room side and than each side of the core; every
+        storey has doors and the ground storey an entrance, whose heads
+        must stay under the slab soffit; and the room filters must pass
+        some room the grammar draws, its sides read in metres as the
+        building's metadata holds them.  A config that breaks one of these
+        could export no building."""
         from .storey import DOOR_HEIGHT
 
-        grammar, building = self.grammar(), self.building()
+        grammar, building, filters = self.grammar(), self.building(), self.filters()
         wall, core = building.wall_thickness, grammar.core_tube
-        if wall >= grammar.room_side_min:
-            raise ConfigError("wall_thickness must be less than room_side_min")
-        if wall >= min(core.width, core.height):
-            raise ConfigError("wall_thickness must be less than each side of core_tube")
         soffit = building.storey_height - building.slab_thickness
-        if DOOR_HEIGHT > soffit:
-            raise ConfigError(
-                f"storey_height less slab_thickness must leave room for a {DOOR_HEIGHT / 10} m door"
-            )
-        if building.entrance_height > soffit:
-            raise ConfigError("entrance_height must not exceed storey_height less slab_thickness")
-        return grammar, building, self.filters()
+        side_min, side_max = grammar.room_side_min / 10.0, grammar.room_side_max / 10.0
+        for broken, message in (
+            (grammar.room_side_min > grammar.room_side_max, "room_side_min must not exceed room_side_max"),
+            (wall >= grammar.room_side_min, "wall_thickness must be less than room_side_min"),
+            (wall >= min(core.width, core.height), "wall_thickness must be less than each side of core_tube"),
+            (DOOR_HEIGHT > soffit, f"storey_height less slab_thickness must leave room for a {DOOR_HEIGHT / 10} m door"),
+            (building.entrance_height > soffit, "entrance_height must not exceed storey_height less slab_thickness"),
+            (filters.max_aspect_ratio < 1, "max_aspect_ratio must be at least 1"),
+            (filters.min_room_side > side_max, "min_room_side must not exceed room_side_max"),
+            (filters.min_room_area > side_max * side_max, "min_room_area must not exceed room_side_max squared"),
+            (filters.max_room_area < side_min * side_min, "max_room_area must not be below room_side_min squared"),
+            (filters.min_room_area > filters.max_room_area, "min_room_area must not exceed max_room_area"),
+        ):
+            if broken:
+                raise ConfigError(message)
+        return grammar, building, filters
 
     def canonical_text(self) -> str:
         return "\n".join(f"{k}={v}" for k, v in self.values) + "\n"

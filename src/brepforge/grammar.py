@@ -36,7 +36,8 @@ from .rng import SeededRng
 
 @dataclass(frozen=True)
 class GrammarConfig:
-    """Growth parameters; lengths in grid units of 0.1 m."""
+    """Growth parameters; lengths in grid units of 0.1 m.  `config` checks
+    the values."""
 
     core_tube: Rect
     room_side_min: int
@@ -49,12 +50,6 @@ class GrammarConfig:
     min_exterior_gap: int
     # Failed attempts allowed over the whole growth.
     retry_budget: int
-
-    def __post_init__(self):
-        if not (1 <= self.max_rooms <= 10):
-            raise ValueError("max_rooms must be in [1, 10]")
-        if self.room_side_min > self.room_side_max or self.room_side_min <= 0:
-            raise ValueError("bad room side range")
 
 
 class Termination(enum.Enum):

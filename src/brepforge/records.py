@@ -60,7 +60,8 @@ def to_units(metres: float) -> int:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Room-level acceptance thresholds (metres / m²)."""
+    """Room-level acceptance thresholds (metres / m²); `config` checks the
+    values."""
 
     min_room_area: float
     max_room_area: float

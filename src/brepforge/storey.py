@@ -62,15 +62,11 @@ class Opening:
 
 @dataclass(frozen=True)
 class WindowSpec:
+    """A window's size and sill in grid units; `config` checks the values."""
+
     width: int
     height: int
     sill: int
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("window width and height must be positive")
-        if self.sill < 0:
-            raise ValueError("window sill must not be negative")
 
 
 @dataclass(frozen=True)
@@ -78,16 +74,12 @@ class WindowTable:
     """Per-orientation-group window parameters for three wall-length bins.
 
     North/south windows are larger than east/west ones and all are
-    overridable through the generator config.
+    overridable through the generator config, which checks the values.
     """
 
     bins: tuple[int, int, int]
     ns: tuple[WindowSpec, ...]
     ew: tuple[WindowSpec, ...]
-
-    def __post_init__(self):
-        if not self.bins[0] < self.bins[1] < self.bins[2]:
-            raise ValueError("window_bins must be ascending")
 
 
 @dataclass

@@ -186,6 +186,18 @@ def test_gen_unreadable_config_usage_error(tmp_path, capsys, config):
         "window_ew_mid=0.9,-1.2,1.0",
         # Not KEY=VALUE.
         "max_rooms",
+        # Each of these printed a message without its key.
+        "room_side_min=7.0",
+        "room_side_max=1.0",
+        "wall_thickness=0.3",
+        "slab_thickness=3.0",
+        # Each of these exported no stream and exited 0: `grow` needs two
+        # rooms and at least one production attempt, and no room is
+        # squarer than square.
+        "max_rooms=1",
+        "retry_budget=0",
+        "retry_budget=-2",
+        "max_aspect_ratio=0.9",
     ],
 )
 def test_gen_bad_config_value_usage_error(tmp_path, capsys, item):
@@ -234,6 +246,14 @@ def test_gen_bad_geometry_config_usage_error(tmp_path, capsys, item):
         (["slab_thickness=1.0"], ("storey_height", "slab_thickness")),
         (["entrance_height=2.9"], ("entrance_height", "storey_height", "slab_thickness")),
         (["storey_height=2.5"], ("entrance_height", "storey_height", "slab_thickness")),
+        # The room filters reject every room the grammar can draw, whose
+        # sides lie in room_side_min..room_side_max: unchecked, each of
+        # these exports nothing and exits 0.
+        (["min_room_side=6.1"], ("min_room_side", "room_side_max")),
+        (["room_side_max=4.0", "min_room_side=4.5"], ("min_room_side", "room_side_max")),
+        (["min_room_area=36.1"], ("min_room_area", "room_side_max")),
+        (["min_room_area=30.0", "max_room_area=20.0"], ("min_room_area", "max_room_area")),
+        (["max_room_area=5.7"], ("max_room_area", "room_side_min")),
     ],
 )
 def test_gen_cross_key_config_usage_error(tmp_path, capsys, items, keys):
@@ -248,10 +268,10 @@ def test_gen_cross_key_config_usage_error(tmp_path, capsys, items, keys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("item", ["wall_thickness=2.2", "storey_height=2.6"])
+@pytest.mark.parametrize("item", ["wall_thickness=2.2", "storey_height=2.6", "max_rooms=2", "retry_budget=1"])
 def test_gen_config_at_cross_key_limits_exports_valid_buildings(tmp_path, item):
-    # Walls 0.1 m thinner than the shortest room, and a soffit exactly at
-    # the entrance head.
+    # Walls 0.1 m thinner than the shortest room, a soffit exactly at the
+    # entrance head, the fewest rooms and the smallest retry budget.
     out = tmp_path / "x"
     assert cli(["gen", "--count", "40", "--seed", "0", "--out", str(out), "--set", item]) == 0
     assert list(out.glob("*.brep.json"))

@@ -7,7 +7,8 @@ dataset's `meta.json` and a building's `<id>.meta.json` through `stats`,
 `eval regression` and `validate`.  Prediction CSVs, with one to three
 edits of cells, rows and the header, go through `eval regression` and
 `eval binary`.  Each must end with exit code 0, 1 or 2 and nothing
-resembling a traceback on stderr."""
+resembling a traceback on stderr.  `gen` runs with one to three `--set`
+values, each one its key's parser and bounds accept."""
 
 import contextlib
 import copy
@@ -21,7 +22,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brepforge import config
 from brepforge.cli import main as cli
+from brepforge.config import KNOBS
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +245,75 @@ def test_prediction_csv_readers_never_crash(metas, data):
         ):
             code, err = run(argv)
             assert code in (0, 2) and "Traceback" not in err, (argv[1], code, err)
+
+
+# Every length lies within the parsers' bound, in 0.1 m grid units.
+LIMIT = round(10 * config.MAX_LENGTH_M)
+
+
+def length(data, low: int, near: int, high: int = LIMIT) -> int:
+    """A length in grid units in [low, high]; half of them lie within a
+    factor of two of ``near``, where the generator still grows buildings."""
+    if data.draw(st.booleans()):
+        lo = min(max(low, near // 2), high)
+        return data.draw(st.integers(lo, max(lo, min(high, 2 * near))))
+    return data.draw(st.integers(low, high))
+
+
+def metres(*units: int) -> str:
+    return ",".join(f"{u / 10}" for u in units)
+
+
+def config_value(data, key: str) -> str:
+    """A value of ``key`` that its parser and bounds accept."""
+    knob = KNOBS[key]
+    parse, default = knob.parse, knob.parse(knob.default)
+    if parse in (config.metres, config.even_metres):
+        step = 2 if parse is config.even_metres else 1
+        low = parse(knob.low) // step if knob.low is not None else -LIMIT // step
+        return metres(step * length(data, low, default // step, LIMIT // step))
+    if parse is int:
+        # A count with no upper bound is drawn up to four times its default,
+        # so that every run stays short.
+        return str(data.draw(st.integers(int(knob.low), int(knob.high or 4 * default))))
+    if parse is config.finite:
+        near = st.floats(default / 2, 2 * default)
+        return repr(data.draw(st.one_of(near, st.floats(allow_nan=False, allow_infinity=False))))
+    if parse is config.core_tube:
+        x0, y0 = (length(data, -LIMIT, corner, LIMIT - 1) for corner in (default.x0, default.y0))
+        x1 = x0 + length(data, 1, default.width, LIMIT - x0)
+        return metres(x0, y0, x1, y0 + length(data, 1, default.height, LIMIT - y0))
+    if parse is config.ascending:
+        b0 = length(data, -LIMIT, default[0], LIMIT - 2)
+        b1 = b0 + length(data, 1, default[1] - default[0], LIMIT - 1 - b0)
+        return metres(b0, b1, b1 + length(data, 1, default[2] - default[1], LIMIT - b1))
+    if parse is config.window:
+        return metres(length(data, 1, default.width), length(data, 1, default.height), length(data, 0, default.sill))
+    raise AssertionError(f"no values drawn for {key}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_gen_config_never_crashes(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(KNOBS)), min_size=1, max_size=3, unique=True))
+    sets = {key: config_value(data, key) for key in keys}
+    for key, text in sets.items():
+        KNOBS[key].read(text)
+    seed = data.draw(st.integers(0, 10**6))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["gen", "--count", "8", "--seed", str(seed), "--jobs", "1", "--out", str(out)]
+        code, err = run(argv + [arg for key, text in sets.items() for arg in ("--set", f"{key}={text}")])
+        assert code in (0, 2) and "Traceback" not in err, (sets, code, err)
+        if code == 2:
+            # The defaults break no rule, so a broken rule involves a key
+            # that was set, and the message names every key it involves.
+            assert err.startswith("gen: bad config: ") and len(err.splitlines()) == 1, err
+            assert any(key in err for key in keys) and not out.exists(), (sets, err)
+            return
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts["generated"] == 8 == counts["exported"] + counts["discarded"], (sets, counts)
+        assert len(list(out.glob("*.brep.json"))) == counts["exported"]
+        if counts["exported"]:
+            code, err = run(["validate", str(out)])
+            assert code == 0, (sets, err)

@@ -1,10 +1,11 @@
-"""Configuration tests: the knob table's defaults, length bound and README table."""
+"""Configuration tests: the knob table's defaults, bounds and README table."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from brepforge import config
 from brepforge.assembly import BuildingConfig
 from brepforge.config import KNOBS, GeneratorConfig
 from brepforge.geom2d import Rect
@@ -40,12 +41,51 @@ def test_default_config_hash():
     )
 
 
+# The README's words for the values each parser accepts.
+ACCEPTS = {
+    config.metres: "length",
+    config.even_metres: "even length",
+    int: "integer",
+    config.finite: "number",
+    config.core_tube: "lengths x0,y0,x1,y1 with x0 < x1, y0 < y1",
+    config.ascending: "3 ascending lengths",
+    config.window: "lengths width,height > 0, sill ≥ 0",
+}
+
+
+def allowed(knob) -> str:
+    """The README's "allowed" cell of a knob: its parser's words and its bounds."""
+    if knob.low is not None and knob.high is not None:
+        return f"{ACCEPTS[knob.parse]} {knob.low}..{knob.high}"
+    if knob.low is not None:
+        return f"{ACCEPTS[knob.parse]} ≥ {knob.low}"
+    if knob.high is not None:
+        return f"{ACCEPTS[knob.parse]} ≤ {knob.high}"
+    return ACCEPTS[knob.parse]
+
+
 def test_readme_config_table_equals_declarations():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.M)
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| ([^|]*) \|", section, flags=re.M)
     assert len(rows) == len(KNOBS)
-    assert dict(rows) == {key: knob.default for key, knob in KNOBS.items()}
+    assert {key: default for key, default, _ in rows} == {key: knob.default for key, knob in KNOBS.items()}
+    assert {key: cell for key, _, cell in rows} == {key: allowed(knob) for key, knob in KNOBS.items()}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Each of these is at the edge of a rule, and each could export.
+        {"max_rooms": "2", "retry_budget": "1", "room_side_min": "3.0", "room_side_max": "3.0"},
+        {"max_aspect_ratio": "1", "min_room_side": "6.0", "min_room_area": "36.0"},
+        {"min_room_area": "0", "max_room_area": "5.76"},
+        {"min_room_area": "20.0", "max_room_area": "20.0", "ground_offset": "0", "wall_thickness": "2.2"},
+        {"slab_thickness": "0.1", "entrance_width": "0.1", "entrance_height": "0.1", "window_ns_small": "0.1,0.1,0"},
+    ],
+)
+def test_config_at_the_limits_is_accepted(overrides):
+    GeneratorConfig.build(None, overrides).sections()
 
 
 @pytest.mark.parametrize("value", ["1000.0", "-1000.0"])
