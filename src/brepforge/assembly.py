@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 from .brep import Box, BRepSolid, solid_from_boxes
 from .records import BuildingMeta, tiered_room_counts
-from .errors import (
-    AssemblyInconsistencyError,
-    BooleanFailureError,
-    GrowthFailedError,
-)
+from .errors import Discard
 from .geom2d import Footprint, polygon_area
 from .grammar import GrowthTrace
 from .rng import SeededRng
@@ -63,7 +59,7 @@ class Building:
 def order_storeys(trace: GrowthTrace) -> tuple[Footprint, ...]:
     """Bottom-up storey footprints under the tiered-setback rule."""
     if len(trace.snapshots) < 2:
-        raise GrowthFailedError("need at least 2 snapshots to stack storeys")
+        raise Discard("growth-failed", "need at least 2 snapshots to stack storeys")
     return trace.snapshots[::-1]
 
 
@@ -81,14 +77,11 @@ def place_entrance(plan: StoreyPlan, config: BuildingConfig) -> Opening:
     walls compete.  Distance comparison is exact integer arithmetic and
     ties break toward the first wall in plan order.
     """
-    exterior = [w for w in plan.walls if w.kind == "exterior"]
-    if not exterior:
-        raise AssemblyInconsistencyError("storey has no exterior walls")
     # A selected wall must host the opening with one unit of clearance at
     # each end, or its box would touch the perpendicular wall's corner.
-    fits = [w for w in exterior if w.length >= config.entrance_width + 2]
+    fits = [w for w in plan.walls if w.kind == "exterior" and w.length >= config.entrance_width + 2]
     if not fits:
-        raise AssemblyInconsistencyError("no exterior wall can host the entrance")
+        raise Discard("boolean-failure", "no exterior wall can host the entrance")
     candidates = [w for w in fits if w.length > config.entrance_min_wall]
     if not candidates:
         candidates = fits
@@ -117,7 +110,7 @@ def _opening_box(opening: Opening, z_base: int, z_wall_top: int, t_half: int) ->
     z1 = z0 + opening.height
     if z1 > z_wall_top or opening.offset < 0 or opening.offset + opening.width > wall.length:
         # Guards misconfigured window tables; walls end at the slab soffit.
-        raise BooleanFailureError(f"opening {opening} does not fit its wall")
+        raise Discard("boolean-failure", f"opening {opening} does not fit its wall")
     if wall.along_y:
         y0 = wall.p1.y + opening.offset
         return Box(wall.p1.x - t_half, y0, z0, wall.p1.x + t_half, y0 + opening.width, z1)

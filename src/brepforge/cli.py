@@ -24,15 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    AssemblyInconsistencyError,
-    BooleanFailureError,
-    BrepForgeError,
-    GrowthFailedError,
-    InvalidExtrusionError,
-    MalformedInputError,
-    UnreachableRoomError,
-)
+from .errors import BrepForgeError, Discard, MalformedInputError
 from .records import BuildingMeta, check_rooms, write_output
 
 USAGE_ERROR = 2
@@ -49,7 +41,8 @@ def _generate_one(args: tuple) -> tuple[int, str, tuple[str, bytes] | str]:
 
     An export comes back as the building's metadata text and `meta.npy`
     row, so no record object crosses the pool or outlives its stream; a
-    discard as its reason."""
+    discard as its reason.  Every stage that can discard the stream raises
+    a `Discard` holding the reason; any other error ends the run."""
     from .assembly import assemble
     from .dataset import check_solid, export_building
     from .grammar import grow
@@ -60,24 +53,19 @@ def _generate_one(args: tuple) -> tuple[int, str, tuple[str, bytes] | str]:
     rng = SeededRng(stream, stream)
     try:
         trace = grow(grammar_cfg, rng)
-    except GrowthFailedError:
-        return stream, "discard", "growth-failed"
-    # Every storey's rooms are a prefix of the last snapshot's rooms, so
-    # checking them once covers the whole building before any geometry is
-    # built.
-    trace_rooms = [(r.width / 10.0, r.height / 10.0) for r in trace.snapshots[-1].tiles[1:]]
-    rooms_ok, _ = check_rooms([trace_rooms], filters)
-    if not rooms_ok:
-        return stream, "discard", "room-filter"
-    try:
+        # Every storey's rooms are a prefix of the last snapshot's rooms, so
+        # checking them once covers the whole building before any geometry
+        # is built.
+        trace_rooms = [(r.width / 10.0, r.height / 10.0) for r in trace.snapshots[-1].tiles[1:]]
+        rooms_ok, problems = check_rooms([trace_rooms], filters)
+        if not rooms_ok:
+            raise Discard("room-filter", problems[0])
         building = assemble(trace, building_cfg, rng)
-    except UnreachableRoomError:
-        return stream, "discard", "unreachable-room"
-    except (AssemblyInconsistencyError, BooleanFailureError, InvalidExtrusionError):
-        return stream, "discard", "boolean-failure"
-    solid_ok, _ = check_solid(building.solid)
-    if not solid_ok:
-        return stream, "discard", "boolean-failure"
+        solid_ok, problems = check_solid(building.solid)
+        if not solid_ok:
+            raise Discard("boolean-failure", problems[0])
+    except Discard as exc:
+        return stream, "discard", exc.reason
     text = export_building(building, Path(out_dir), write_obj=write_obj)
     return stream, "export", (text, meta_row(building.meta))
 

@@ -11,13 +11,13 @@ be reproduced from (config hash, seed range).
 
 from __future__ import annotations
 
-import hashlib
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .records import to_units
+from .records import check_rooms, to_units
 
 # A section's types are imported when the section is built, so `validate`,
 # which builds only the room filters, loads no grammar, storey, assembly or
@@ -196,12 +196,16 @@ class GeneratorConfig:
         storey has doors and the ground storey an entrance, whose heads
         must stay under the slab soffit; and the room filters must pass
         some room the grammar draws, its sides read in metres as the
-        building's metadata holds them.  A config that breaks one of these
-        could export no building."""
+        building's metadata holds them.  The top storey is the core and one
+        room, which covers at most one side of the core, so when the first
+        window bin is no longer than a side of the core, its core walls get
+        windows and keep at least one: some window head must then stay under
+        the soffit.  A config that breaks one of these could export no
+        building."""
         from .storey import DOOR_HEIGHT
 
         grammar, building, filters = self.grammar(), self.building(), self.filters()
-        wall, core = building.wall_thickness, grammar.core_tube
+        wall, core, table = building.wall_thickness, grammar.core_tube, building.window_table
         soffit = building.storey_height - building.slab_thickness
         side_min, side_max = grammar.room_side_min / 10.0, grammar.room_side_max / 10.0
         for broken, message in (
@@ -215,6 +219,19 @@ class GeneratorConfig:
             (filters.min_room_area > side_max * side_max, "min_room_area must not exceed room_side_max squared"),
             (filters.max_room_area < side_min * side_min, "max_room_area must not be below room_side_min squared"),
             (filters.min_room_area > filters.max_room_area, "min_room_area must not exceed max_room_area"),
+            (
+                not _some_room_passes(grammar.room_side_min, grammar.room_side_max, filters),
+                "no room with sides from room_side_min to room_side_max passes "
+                "min_room_area, max_room_area, min_room_side and max_aspect_ratio",
+            ),
+            (
+                table.bins[0] <= min(core.width, core.height)
+                and all(s.sill + s.height > soffit for s in (*table.ns, *table.ew)),
+                "the top storey's core walls, as long as the sides of core_tube, reach the first "
+                "window_bins threshold, and every window head (sill plus height of window_ns_small, "
+                "window_ns_mid, window_ns_large, window_ew_small, window_ew_mid and window_ew_large) "
+                "is above storey_height less slab_thickness",
+            ),
         ):
             if broken:
                 raise ConfigError(message)
@@ -224,7 +241,25 @@ class GeneratorConfig:
         return "\n".join(f"{k}={v}" for k, v in self.values) + "\n"
 
     def config_hash(self) -> str:
+        # Imported here: `validate` builds a config but hashes none, and
+        # `hashlib` loads OpenSSL's libcrypto.
+        import hashlib
+
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+
+def _some_room_passes(side_min: int, side_max: int, filters: FilterConfig) -> bool:
+    """Whether the room filters pass a room whose sides are whole grid units
+    from side_min to side_max.  With the shorter side w fixed, area and
+    aspect ratio only grow with the longer side, so the one candidate is the
+    least h >= w whose area, computed as `check_rooms` does, reaches
+    min_room_area."""
+    for w in range(side_min, side_max + 1):
+        longer = range(w, side_max + 1)
+        i = bisect.bisect_left(longer, True, key=lambda h: w / 10.0 * (h / 10.0) >= filters.min_room_area)
+        if i < len(longer) and check_rooms([[(w / 10.0, longer[i] / 10.0)]], filters)[0]:
+            return True
+    return False
 
 
 def parse_config_file(path: Path) -> dict[str, str]:

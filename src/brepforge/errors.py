@@ -29,28 +29,25 @@ class ProductionInfeasibleError(BrepForgeError):
     """No legal room rectangle fits at the chosen vertex."""
 
 
-class GrowthFailedError(BrepForgeError):
-    """Grammar produced fewer than two rooms; sample must be discarded."""
-
-
 class InconsistentPlanError(BrepForgeError):
     """Room rectangles do not tile the storey footprint exactly."""
-
-
-class UnreachableRoomError(BrepForgeError):
-    """Room adjacency graph is disconnected; no door layout can fix access."""
 
 
 class InvalidExtrusionError(BrepForgeError):
     """`solid_from_boxes` got no material boxes, or none left after the voids."""
 
 
-class BooleanFailureError(BrepForgeError):
-    """Opening box does not fit inside its wall."""
+class Discard(BrepForgeError):
+    """A sample stream that yields no building, and why: ``reason`` is its
+    `discards.csv` reason, one of ``REASONS``."""
 
+    REASONS = ("growth-failed", "room-filter", "unreachable-room", "boolean-failure")
 
-class AssemblyInconsistencyError(BrepForgeError):
-    """Building-level construction invariant violated (e.g. no wall fits the entrance)."""
+    def __init__(self, reason: str, message: str):
+        if reason not in self.REASONS:
+            raise ValueError(f"unknown discard reason {reason!r}")
+        super().__init__(message)
+        self.reason = reason
 
 
 class EmptyMeshError(BrepForgeError):

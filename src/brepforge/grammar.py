@@ -17,12 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import (
-    CollisionError,
-    ConflictError,
-    GrowthFailedError,
-    ProductionInfeasibleError,
-)
+from .errors import CollisionError, ConflictError, Discard, ProductionInfeasibleError
 from .geom2d import (
     Footprint,
     Rect,
@@ -163,8 +158,8 @@ def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) 
 def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
     """Run the grammar to the room cap or the retry budget.
 
-    Raises GrowthFailedError when fewer than two rooms were placed (the
-    sample is discarded upstream).
+    Raises a `growth-failed` Discard when fewer than two rooms were
+    placed.
     """
     footprint = Footprint.from_rect(config.core_tube)
     snapshots: list[Footprint] = []
@@ -184,5 +179,5 @@ def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
         snapshots.append(footprint)
 
     if len(snapshots) < 2:
-        raise GrowthFailedError(f"only {len(snapshots)} rooms placed")
+        raise Discard("growth-failed", f"only {len(snapshots)} rooms placed")
     return GrowthTrace(snapshots=tuple(snapshots), terminated_by=terminated)

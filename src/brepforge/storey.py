@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistentPlanError, UnreachableRoomError
+from .errors import Discard, InconsistentPlanError
 from .geom2d import Footprint, Point2, Rect
 
 NS = ("N", "S")
@@ -182,7 +182,7 @@ def place_doors(walls: list[WallSegment], n_rooms: int) -> list[Opening]:
             doors.append(Opening(wall, "door", offset, DOOR_WIDTH, 0, DOOR_HEIGHT))
     if len(visited) != n_rooms + 1:
         missing = sorted(set(range(n_rooms + 1)) - visited)
-        raise UnreachableRoomError(f"rooms {missing} unreachable from the core")
+        raise Discard("unreachable-room", f"rooms {missing} unreachable from the core")
     return doors
 
 

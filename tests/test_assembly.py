@@ -1,10 +1,13 @@
 """Building pipeline tests: storey ordering, slabs, entrance, atrium,
 watertight assembly of real growth traces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from brepforge.assembly import (
+    _opening_box,
     assemble,
     build_storey_plan,
     order_storeys,
@@ -12,7 +15,7 @@ from brepforge.assembly import (
 )
 from brepforge.brep import is_watertight
 from brepforge.dataset import solid_json
-from brepforge.errors import GrowthFailedError
+from brepforge.errors import Discard
 from brepforge.geom2d import Footprint
 from brepforge.config import GeneratorConfig
 from brepforge.grammar import GrowthTrace, Termination, grow
@@ -50,8 +53,9 @@ def test_order_storeys_minimum_two():
     trace, _ = grown(33)
     two = fake_trace(trace.snapshots[:2])
     assert [len(f.tiles) - 1 for f in order_storeys(two)] == [2, 1]
-    with pytest.raises(GrowthFailedError):
+    with pytest.raises(Discard) as exc:
         order_storeys(fake_trace(trace.snapshots[:1]))
+    assert exc.value.reason == "growth-failed"
 
 
 def ground_face(solid):
@@ -125,6 +129,22 @@ def test_entrance_nearest_centroid_among_long_walls():
     assert wall.length == 50
     assert wall.orientation == "E"
     assert wall.midpoint2() == (2 * 60, 50)
+
+
+def test_openings_that_do_not_fit_are_boolean_failures():
+    # A 4 m entrance needs a 4.2 m wall; the bare core's walls are 4 m.
+    wide = dataclasses.replace(BCFG, entrance_width=40)
+    plan = build_storey_plan(Footprint.from_rect(GCFG.core_tube), wide)
+    with pytest.raises(Discard, match="^no exterior wall can host the entrance$") as exc:
+        place_entrance(plan, wide)
+    assert exc.value.reason == "boolean-failure"
+    window = next(o for o in plan.openings if o.kind == "window")
+    soffit = BCFG.storey_height - BCFG.slab_thickness
+    tall = dataclasses.replace(window, height=soffit - window.sill + 1)
+    with pytest.raises(Discard, match=r"^opening Opening\(.*\) does not fit its wall$") as exc:
+        _opening_box(tall, 0, soffit, BCFG.wall_thickness // 2)
+    assert exc.value.reason == "boolean-failure"
+    _opening_box(dataclasses.replace(tall, height=tall.height - 1), 0, soffit, BCFG.wall_thickness // 2)
 
 
 def shaft_rect(building):
@@ -255,7 +275,8 @@ def test_opening_invariants_over_seeds():
     for seed in range(30):
         try:
             trace, rng = grown(seed)
-        except GrowthFailedError:
+        except Discard as exc:
+            assert exc.reason == "growth-failed"
             continue
         b = assemble(trace, BCFG, rng)
         for plan in b.storeys:

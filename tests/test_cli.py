@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import brepforge
 from brepforge.cli import main as cli
+from brepforge.errors import Discard
 from brepforge.records import canonical_json
 
 
@@ -231,6 +233,15 @@ def test_gen_bad_geometry_config_usage_error(tmp_path, capsys, item):
     assert not out.exists()
 
 
+ROOM_FILTER_KEYS = (
+    "room_side_min", "room_side_max", "min_room_area", "max_room_area", "min_room_side", "max_aspect_ratio",
+)
+WINDOW_HEAD_KEYS = (
+    "storey_height", "slab_thickness", "core_tube", "window_bins",
+    *(f"window_{group}_{size}" for group in ("ns", "ew") for size in ("small", "mid", "large")),
+)
+
+
 @pytest.mark.parametrize(
     "items, keys",
     [
@@ -254,6 +265,15 @@ def test_gen_bad_geometry_config_usage_error(tmp_path, capsys, item):
         (["min_room_area=36.1"], ("min_room_area", "room_side_max")),
         (["min_room_area=30.0", "max_room_area=20.0"], ("min_room_area", "max_room_area")),
         (["max_room_area=5.7"], ("max_room_area", "room_side_min")),
+        # Every room has both sides at least 5 m, so an area of at least
+        # 25 m²: no single rule above covers the pair.
+        (["min_room_side=5.0", "max_room_area=20.0"], ROOM_FILTER_KEYS),
+        # Every window head (at least 2.4 m) is above the 2.1 m soffit, and
+        # the top storey's core walls always draw a window.
+        (["storey_height=2.3", "entrance_height=2.1"], WINDOW_HEAD_KEYS),
+        (["window_ew_small=0.6,1.2,1.9", "window_ew_mid=0.9,1.2,1.9", "window_ew_large=1.2,1.2,1.9",
+          "window_ns_small=0.9,2.0,0.9", "window_ns_mid=1.8,2.0,0.9", "window_ns_large=2.4,2.0,0.9"],
+         WINDOW_HEAD_KEYS),
     ],
 )
 def test_gen_cross_key_config_usage_error(tmp_path, capsys, items, keys):
@@ -276,6 +296,50 @@ def test_gen_config_at_cross_key_limits_exports_valid_buildings(tmp_path, item):
     assert cli(["gen", "--count", "40", "--seed", "0", "--out", str(out), "--set", item]) == 0
     assert list(out.glob("*.brep.json"))
     assert cli(["validate", str(out)]) == 0
+
+
+def test_gen_window_heads_above_soffit_run_when_no_wall_reaches_a_bin(tmp_path):
+    # Every window head is above the soffit, but no wall reaches the first
+    # bin, so no window is drawn: only the 16 room-filter discards are left.
+    # `test_gen_discard_reasons` runs a table with one such head.
+    out = tmp_path / "x"
+    argv = ["gen", "--count", "40", "--seed", "0", "--out", str(out)]
+    for item in ["storey_height=2.3", "entrance_height=2.1", "window_bins=100.0,200.0,300.0"]:
+        argv += ["--set", item]
+    assert cli(argv) == 0
+    assert len(list(out.glob("*.brep.json"))) == 24
+    assert cli(["validate", str(out)]) == 0
+
+
+def test_discard_reasons_are_the_discards_csv_reasons():
+    assert Discard.REASONS == ("growth-failed", "room-filter", "unreachable-room", "boolean-failure")
+    exc = Discard("room-filter", "storey 1 room 0: area 7.20 outside [8.0, 80.0]")
+    assert (exc.reason, str(exc)) == ("room-filter", "storey 1 room 0: area 7.20 outside [8.0, 80.0]")
+    with pytest.raises(ValueError, match="unknown discard reason 'sliver'"):
+        Discard("sliver", "a sliver gap")
+
+
+@pytest.mark.parametrize(
+    "items, reasons, exported",
+    [
+        # Stream 90 grows one room.
+        (["--count", "48", "--seed", "43"], {"growth-failed": 1, "room-filter": 19}, 28),
+        # A door needs a 1.1 m wall, and every wall is shorter.
+        (["--count", "40", "--seed", "0", "--set", "room_side_min=0.4", "--set", "room_side_max=1.0",
+          "--set", "min_room_area=0.1", "--set", "min_room_side=0.1"], {"unreachable-room": 40}, 0),
+        # A 3.8 m head on large north/south walls.
+        (["--count", "40", "--seed", "0", "--set", "window_ns_large=2.4,2.9,0.9"],
+         {"boolean-failure": 16, "room-filter": 16}, 8),
+    ],
+)
+def test_gen_discard_reasons(tmp_path, items, reasons, exported):
+    out = tmp_path / "x"
+    assert cli(["gen", "--jobs", "1", "--out", str(out), *items]) == 0
+    rows = [line.split(",") for line in (out / "discards.csv").read_text().splitlines()[1:]]
+    assert Counter(reason for _, reason in rows) == reasons
+    if "growth-failed" in reasons:
+        assert ["90", "growth-failed"] in rows
+    assert len(list(out.glob("*.brep.json"))) == exported
 
 
 def test_gen_config_file_and_override(tmp_path):
@@ -1122,6 +1186,20 @@ def test_solid_commands_leave_generator_unimported(tmp_path, small_batch_dir):
     )
     run_in_fresh_interpreter(code)
     assert list(tmp_path.glob("*.xyz")) and list((tmp_path / "mixed").glob("*_def.brep.json"))
+
+
+def test_validate_leaves_hashlib_unimported(tmp_path, small_batch_dir):
+    # `validate` builds the tree's config but hashes none; `hashlib` loads
+    # OpenSSL's libcrypto.
+    for path in sorted(small_batch_dir.glob("*.json")):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main(['validate', {str(tmp_path)!r}]) == 0\n"
+        "assert '_hashlib' not in sys.modules\n"
+    )
+    run_in_fresh_interpreter(code)
 
 
 def test_footprint_kernel_leaves_numpy_and_regions_unimported():

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from brepforge import config
 from brepforge.cli import main as cli
 from brepforge.config import KNOBS
+from brepforge.errors import Discard
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +315,8 @@ def test_gen_config_never_crashes(data):
         counts = json.loads((out / "manifest.json").read_text())["counts"]
         assert counts["generated"] == 8 == counts["exported"] + counts["discarded"], (sets, counts)
         assert len(list(out.glob("*.brep.json"))) == counts["exported"]
+        reasons = {line.split(",")[1] for line in (out / "discards.csv").read_text().splitlines()[1:]}
+        assert reasons <= set(Discard.REASONS), (sets, reasons)
         if counts["exported"]:
             code, err = run(["validate", str(out)])
             assert code == 0, (sets, err)

@@ -10,7 +10,7 @@ from brepforge.errors import (
     BrepForgeError,
     CollisionError,
     ConflictError,
-    GrowthFailedError,
+    Discard,
     InvalidFootprintError,
     MustCleanFirstError,
 )
@@ -209,7 +209,8 @@ def test_decompose_tiles_exactly():
 def grown_snapshots(seed: int) -> tuple[Footprint, ...]:
     try:
         return grow(GRAMMAR, SeededRng(seed, seed)).snapshots
-    except GrowthFailedError:
+    except Discard as exc:
+        assert exc.reason == "growth-failed"
         return ()
 
 

@@ -4,7 +4,7 @@ determinism, and footprint invariants over a seed sweep."""
 import pytest
 
 from brepforge.config import GeneratorConfig
-from brepforge.errors import ConflictError, GrowthFailedError, ProductionInfeasibleError
+from brepforge.errors import ConflictError, Discard, ProductionInfeasibleError
 from brepforge.geom2d import (
     Footprint,
     Point2,
@@ -121,7 +121,8 @@ def test_grow_deterministic_across_seeds():
         try:
             a = grow(CONFIG, SeededRng(seed, seed))
             b = grow(CONFIG, SeededRng(seed, seed))
-        except GrowthFailedError:
+        except Discard as exc:
+            assert exc.reason == "growth-failed"
             continue
         assert a == b
 
@@ -132,7 +133,8 @@ def test_snapshot_footprint_invariants_1000_seeds():
     for seed in range(1000):
         try:
             trace = grow(CONFIG, SeededRng(seed, seed))
-        except GrowthFailedError:
+        except Discard as exc:
+            assert exc.reason == "growth-failed"
             continue
         traced += 1
         rooms = trace.snapshots[-1].tiles[1:]
@@ -165,7 +167,8 @@ def test_snapshot_monotone_containment():
     for seed in range(150):
         try:
             trace = grow(CONFIG, SeededRng(seed, seed))
-        except GrowthFailedError:
+        except Discard as exc:
+            assert exc.reason == "growth-failed"
             continue
         previous = Footprint.from_rect(CONFIG.core_tube)
         assert previous.tiles == (CONFIG.core_tube,)
@@ -185,6 +188,7 @@ def test_grow_failure_below_two_rooms():
     for seed in range(400):
         try:
             grow(CONFIG, SeededRng(seed, seed))
-        except GrowthFailedError:
+        except Discard as exc:
+            assert exc.reason == "growth-failed"
             seeds_failed += 1
     assert seeds_failed > 0  # the discard path is reachable

@@ -4,7 +4,7 @@ import pytest
 
 from brepforge.assembly import build_storey_plan
 from brepforge.config import GeneratorConfig
-from brepforge.errors import InconsistentPlanError, UnreachableRoomError
+from brepforge.errors import Discard, InconsistentPlanError
 from brepforge.geom2d import Footprint, Point2
 from brepforge.storey import (
     Opening,
@@ -104,8 +104,9 @@ def test_unreachable_room_raises():
     rooms = [rect_from_metres(4, 3, 7, 8)]
     fp = drawn_footprint([(0, 0), (4, 0), (4, 3), (7, 3), (7, 8), (4, 8), (4, 4), (0, 4)], [CORE, *rooms])
     walls = build_walls(fp)
-    with pytest.raises(UnreachableRoomError):
+    with pytest.raises(Discard, match=r"^rooms \[1\] unreachable from the core$") as exc:
         place_doors(walls, len(rooms))
+    assert exc.value.reason == "unreachable-room"
 
 
 def fake_wall(index, orientation, length=40, room=1):
