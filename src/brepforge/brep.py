@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyMeshError, InvalidExtrusionError
+from .errors import BrepForgeError
 from .regions import _distinct, expand, trace_planes
 
 AXIS_NAMES = "xyz"
@@ -191,7 +191,7 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
     """Exact boundary of (∪ positive) \\ (∪ negative) on the integer grid."""
     if not positive:
-        raise InvalidExtrusionError("no material boxes")
+        raise BrepForgeError("no material boxes")
     boxes = np.array([*positive, *negative], dtype=np.int64)
     axes_pts = [_distinct(boxes[:, [axis, axis + 3]].ravel()) for axis in range(3)]
     spans = np.stack([np.searchsorted(axes_pts[k % 3], boxes[:, k]) for k in range(6)], axis=1)
@@ -199,7 +199,7 @@ def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> B
     for k, (x0, y0, z0, x1, y1, z1) in enumerate(spans.tolist()):
         mat[x0:x1, y0:y1, z0:z1] = k < len(positive)
     if not mat.any():
-        raise InvalidExtrusionError("material is empty after subtraction")
+        raise BrepForgeError("material is empty after subtraction")
 
     # _finalize's arrays, one part per (axis, sign): every faced plane's
     # loops from one trace.
@@ -433,7 +433,7 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     (u0, v0), (u1, v0), (u1, v1), (u0, v1) first reach them.
     """
     if not len(solid.axis):
-        raise EmptyMeshError("solid has no faces")
+        raise BrepForgeError("solid has no faces")
     cells, face_axis, face_offset = solid.face_cells, solid.axis, solid.offset
     grid, starts = cells.grid, cells.starts
 

@@ -86,7 +86,7 @@ def _generate(work, workers: int):
 def cmd_gen(args) -> int:
     import datetime
 
-    from .config import ConfigError, GeneratorConfig
+    from .config import GeneratorConfig
     from .records import DatasetWriter
 
     if args.count <= 0:
@@ -103,10 +103,10 @@ def cmd_gen(args) -> int:
     try:
         bad = [kv for kv in args.set or [] if "=" not in kv]
         if bad:
-            raise ConfigError(f"--set {bad[0]!r} is not KEY=VALUE")
+            raise ValueError(f"--set {bad[0]!r} is not KEY=VALUE")
         cfg = GeneratorConfig.build(args.config, dict(kv.split("=", 1) for kv in args.set or []))
         sections = cfg.sections()
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gen: bad config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = Path(args.out)

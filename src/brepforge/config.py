@@ -138,10 +138,6 @@ KNOBS: dict[str, Knob] = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     values: tuple[tuple[str, str], ...]  # sorted (key, value) pairs
@@ -153,7 +149,7 @@ class GeneratorConfig:
             merged.update(parse_config_file(file))
         for key, value in (overrides or {}).items():
             if key not in KNOBS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             merged[key] = value
         return cls(tuple(sorted(merged.items())))
 
@@ -166,7 +162,7 @@ class GeneratorConfig:
                 try:
                     out[knob.field or key] = knob.read(text)
                 except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
+                    raise ValueError(f"{key}: {exc}") from exc
         return out
 
     def grammar(self) -> GrammarConfig:
@@ -200,9 +196,10 @@ class GeneratorConfig:
         room, which covers at most one side of the core, so when the first
         window bin is no longer than a side of the core, its core walls get
         windows and keep at least one: some window head must then stay under
-        the soffit.  A config that breaks one of these could export no
-        building."""
-        from .storey import DOOR_HEIGHT
+        the soffit.  A door needs an interior wall of MIN_DOOR_WALL, so
+        room_side_max must reach it.  A config that breaks one of these
+        could export no building."""
+        from .storey import DOOR_HEIGHT, MIN_DOOR_WALL
 
         grammar, building, filters = self.grammar(), self.building(), self.filters()
         wall, core, table = building.wall_thickness, grammar.core_tube, building.window_table
@@ -232,9 +229,13 @@ class GeneratorConfig:
                 "window_ns_mid, window_ns_large, window_ew_small, window_ew_mid and window_ew_large) "
                 "is above storey_height less slab_thickness",
             ),
+            (
+                grammar.room_side_max < MIN_DOOR_WALL,
+                f"room_side_max must be at least {MIN_DOOR_WALL / 10} m, the shortest wall a door fits in",
+            ),
         ):
             if broken:
-                raise ConfigError(message)
+                raise ValueError(message)
         return grammar, building, filters
 
     def canonical_text(self) -> str:
@@ -269,10 +270,10 @@ def parse_config_file(path: Path) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in KNOBS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out

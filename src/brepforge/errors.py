@@ -1,40 +1,25 @@
-"""Exception types shared across the generator pipeline."""
+"""Exception types shared across the generator pipeline.
+
+A class is kept only where some ``except`` tells it apart; every other
+failure is a `BrepForgeError` with its message, which `cli.main` prints.
+"""
 
 
 class BrepForgeError(Exception):
     """Base class for all generator errors."""
 
 
-class InvalidFootprintError(BrepForgeError):
-    """Loop has fewer than 4 vertices, an edge that is not axis-parallel, or zero area."""
+class Rejected(BrepForgeError):
+    """A production `grow` throws away, and why: ``cause`` is one of
+    ``CAUSES``."""
 
+    CAUSES = ("infeasible", "collision", "no-contact", "partial-contact", "pinch", "hole", "sliver")
 
-class MustCleanFirstError(BrepForgeError):
-    """`classify_vertex` met a collinear or coincident triple.
-
-    Footprints from `from_rect` and `union_rect` are corner-only, so only a
-    hand-built loop raises this.
-    """
-
-
-class CollisionError(BrepForgeError):
-    """Interiors of two shapes overlap."""
-
-
-class ConflictError(BrepForgeError):
-    """Union would be non-simple, pinched, or touch only partially/point-wise."""
-
-
-class ProductionInfeasibleError(BrepForgeError):
-    """No legal room rectangle fits at the chosen vertex."""
-
-
-class InconsistentPlanError(BrepForgeError):
-    """Room rectangles do not tile the storey footprint exactly."""
-
-
-class InvalidExtrusionError(BrepForgeError):
-    """`solid_from_boxes` got no material boxes, or none left after the voids."""
+    def __init__(self, cause: str, message: str):
+        if cause not in self.CAUSES:
+            raise ValueError(f"unknown rejection cause {cause!r}")
+        super().__init__(message)
+        self.cause = cause
 
 
 class Discard(BrepForgeError):
@@ -48,10 +33,6 @@ class Discard(BrepForgeError):
             raise ValueError(f"unknown discard reason {reason!r}")
         super().__init__(message)
         self.reason = reason
-
-
-class EmptyMeshError(BrepForgeError):
-    """Triangle mesh has zero total area; cannot sample points."""
 
 
 class MalformedInputError(BrepForgeError):

@@ -19,12 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import (
-    CollisionError,
-    ConflictError,
-    InvalidFootprintError,
-    MustCleanFirstError,
-)
+from .errors import BrepForgeError, Rejected
 
 
 class Point2(NamedTuple):
@@ -124,13 +119,13 @@ class Footprint:
         object.__setattr__(self, "vertices", v)
         n = len(v)
         if n < 4:
-            raise InvalidFootprintError(f"loop has {n} < 4 vertices")
+            raise BrepForgeError(f"loop has {n} < 4 vertices")
         for i in range(n):
             a, b = v[i], v[(i + 1) % n]
             if a != b and a.x != b.x and a.y != b.y:
-                raise InvalidFootprintError(f"edge {a}->{b} is not axis-parallel")
+                raise BrepForgeError(f"edge {a}->{b} is not axis-parallel")
         if _signed_area2(v) == 0:
-            raise InvalidFootprintError("loop encloses zero area")
+            raise BrepForgeError("loop encloses zero area")
 
     @classmethod
     def from_rect(cls, r: Rect) -> "Footprint":
@@ -154,7 +149,7 @@ def polygon_area(f: Footprint) -> float:
     """Positive area of the CCW loop in m²."""
     area2 = f.area_units2()
     if area2 <= 0:
-        raise InvalidFootprintError("loop is not counter-clockwise")
+        raise BrepForgeError("loop is not counter-clockwise")
     return area2 / 200.0
 
 
@@ -165,7 +160,7 @@ def classify_vertex(f: Footprint, i: int) -> VertexKind:
     a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
     cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
     if cross == 0:
-        raise MustCleanFirstError(f"collinear or coincident triple at vertex {i}")
+        raise BrepForgeError(f"collinear or coincident triple at vertex {i}")
     return VertexKind.CONVEX if cross > 0 else VertexKind.CONCAVE
 
 
@@ -207,7 +202,7 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
     start from its edges.
     """
     if overlaps(f, r):
-        raise CollisionError(f"rect {r} overlaps footprint interior")
+        raise Rejected("collision", f"rect {r} overlaps footprint interior")
     side_len = {
         "left": r.height,
         "right": r.height,
@@ -216,10 +211,10 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
     }
     contact = _contact_lengths(f, r)
     if all(c == 0 for c in contact.values()):
-        raise ConflictError("rect does not share a boundary segment with footprint")
+        raise Rejected("no-contact", "rect does not share a boundary segment with footprint")
     for name, c in contact.items():
         if c not in (0, side_len[name]):
-            raise ConflictError(f"partial contact on {name} side ({c} of {side_len[name]} units)")
+            raise Rejected("partial-contact", f"partial contact on {name} side ({c} of {side_len[name]} units)")
 
     # The union's boundary is f's loop and r's, less the stretches they
     # share: cut at each other's corners, a shared stretch is one piece run
@@ -236,7 +231,7 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
             if a in succ:
                 # The boundary touches itself at a: r meets f there at a
                 # point, or closes a hole that touches the outside there.
-                raise ConflictError("union pinches")
+                raise Rejected("pinch", "union pinches")
             succ[a] = b
     first = next(iter(succ))
     loop, p = [first], succ[first]
@@ -244,7 +239,7 @@ def union_rect(f: Footprint, r: Rect) -> Footprint:
         loop.append(p)
         p = succ[p]
     if len(loop) != len(succ):
-        raise ConflictError("union encloses a hole")
+        raise Rejected("hole", "union encloses a hole")
     loop = [
         b
         for a, b, c in zip(loop[-1:] + loop[:-1], loop, loop[1:] + loop[:1])

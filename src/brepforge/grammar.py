@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import CollisionError, ConflictError, Discard, ProductionInfeasibleError
+from .errors import Discard, Rejected
 from .geom2d import (
     Footprint,
     Rect,
@@ -94,9 +94,8 @@ def expand_concave(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) 
     a, b, c, len_prev, len_next = _edge_info(f, i)
     cap1, cap2 = len_prev, len_next
     if cap1 < config.room_side_min or cap2 < config.room_side_min:
-        raise ProductionInfeasibleError(
-            f"adjacent edges {cap1}x{cap2} cannot host a room side >= {config.room_side_min}"
-        )
+        message = f"adjacent edges {cap1}x{cap2} cannot host a room side >= {config.room_side_min}"
+        raise Rejected("infeasible", message)
     e1 = min(rng.uniform_int(config.room_side_min, config.room_side_max), cap1)
     e2 = min(rng.uniform_int(config.room_side_min, config.room_side_max), cap2)
     d1 = _unit(b.x - a.x, b.y - a.y)  # incoming direction, reversed below
@@ -144,14 +143,14 @@ def expand_convex(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -
 
 def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -> Footprint:
     """One production attempt at vertex i: f with one more room tile;
-    raises on any rejection."""
+    raises `Rejected`, naming the cause, on any rejection."""
     if classify_vertex(f, i) is VertexKind.CONCAVE:
         rect = expand_concave(f, i, rng, config)
     else:
         rect = expand_convex(f, i, rng, config)
     grown = union_rect(f, rect)
     if has_facing_gap(grown, config.min_exterior_gap):
-        raise ConflictError("production leaves a sliver gap between facing walls")
+        raise Rejected("sliver", "production leaves a sliver gap between facing walls")
     return grown
 
 
@@ -173,7 +172,7 @@ def grow(config: GrammarConfig, rng: SeededRng) -> GrowthTrace:
         i = rng.uniform_index(len(footprint.vertices))
         try:
             footprint = try_production(footprint, i, rng, config)
-        except (ProductionInfeasibleError, CollisionError, ConflictError):
+        except Rejected:
             total_failures += 1
             continue
         snapshots.append(footprint)

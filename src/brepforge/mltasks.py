@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brep import BRepSolid, _frames, drop_faces
-from .errors import EmptyMeshError
+from .errors import BrepForgeError
 from .rng import SeededRng
 
 UNIT_CUBE = "cube"
@@ -61,16 +61,16 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
     3i+2 of one block: the first picks the triangle by cumulative-area
     inversion, the other two give barycentric coordinates (folded into
     the triangle).  Points that all coincide (say n = 1) have no extent
-    to normalize by and raise EmptyMeshError.
+    to normalize by and raise BrepForgeError.
     """
     if mode not in (UNIT_CUBE, UNIT_SPHERE):
         raise ValueError(f"unknown normalization mode {mode!r}")
     if not len(solid.axis):
-        raise EmptyMeshError("solid has no faces")
+        raise BrepForgeError("solid has no faces")
     areas = np.repeat(_cell_areas(solid), 2)
     total = float(areas.sum())
     if total <= 0.0:
-        raise EmptyMeshError("mesh has zero surface area")
+        raise BrepForgeError("mesh has zero surface area")
     cum = np.cumsum(areas)
     draws = rng.unit_floats(3 * n).reshape(n, 3)
     tri_idx = np.searchsorted(cum, draws[:, 0] * total, side="right")
@@ -101,13 +101,13 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
         lo = pts.min(axis=0)
         extent = float((pts.max(axis=0) - lo).max())
         if extent == 0.0:
-            raise EmptyMeshError("sampled points have zero extent")
+            raise BrepForgeError("sampled points have zero extent")
         pts = (pts - lo) / extent
     else:
         pts = pts - pts.mean(axis=0)
         radius = float(np.linalg.norm(pts, axis=1).max())
         if radius == 0.0:
-            raise EmptyMeshError("sampled points have zero radius")
+            raise BrepForgeError("sampled points have zero radius")
         pts = pts / radius
     return PointCloud(pts)
 

@@ -21,8 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-Loop = list[tuple[int, int]]
-
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values.  A bare ``np.unique`` would import

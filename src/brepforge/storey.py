@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Discard, InconsistentPlanError
+from .errors import BrepForgeError, Discard
 from .geom2d import Footprint, Point2, Rect
 
 NS = ("N", "S")
@@ -131,7 +131,7 @@ def build_walls(snapshot: Footprint) -> list[WallSegment]:
                     pieces.append((s, e, rid))
         pieces.sort()
         if sum(e - s for s, e, _ in pieces) != hi - lo:
-            raise InconsistentPlanError(f"boundary edge {a}-{b} not fully tiled")
+            raise BrepForgeError(f"boundary edge {a}-{b} not fully tiled")
         orientation = _ORIENTATION[along_y, end > start]
         for s, e, rid in pieces:
             if along_y:

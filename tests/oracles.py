@@ -19,12 +19,15 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from brepforge.brep import AXIS_NAMES, FRAMES, BRepSolid, Box, TriMesh, _frames, solid_from_boxes
-from brepforge.errors import EmptyMeshError, InvalidExtrusionError
+from brepforge.errors import BrepForgeError
 from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex
 from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, PointCloud
 from brepforge.records import to_units
-from brepforge.regions import Loop, _distinct, expand
+from brepforge.regions import _distinct, expand
 from brepforge.rng import SeededRng
+
+# A loop of (u, v) grid corners.
+Loop = list[tuple[int, int]]
 
 
 class Face(NamedTuple):
@@ -294,7 +297,7 @@ def extrude_prism(outer: Footprint, z0: int, z1: int, holes: Sequence[Footprint]
     """Closed prism over a rectilinear polygon (optionally with holes),
     built from the footprints' tiles."""
     if z1 <= z0:
-        raise InvalidExtrusionError(f"height range [{z0}, {z1}] is empty")
+        raise BrepForgeError(f"height range [{z0}, {z1}] is empty")
     pos = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for r in outer.tiles]
     neg = [Box(r.x0, r.y0, z0, r.x1, r.y1, z1) for h in holes for r in h.tiles]
     return solid_from_boxes(pos, neg)
@@ -486,7 +489,7 @@ def lexsort_triangulate(solid: BRepSolid) -> TriMesh:
     corner array, one `searchsorted` per corner and axis, and `np.unique`
     for the first-sight vertex numbering."""
     if not len(solid.axis):
-        raise EmptyMeshError("solid has no faces")
+        raise BrepForgeError("solid has no faces")
     coords = solid.coords
     axes_pts = [_distinct(coords[:, a]) for a in range(3)]
     start, end, edge_face = solid.edges
@@ -580,7 +583,7 @@ def mesh_sample_points(mesh: TriMesh, n: int, mode: str, rng: SeededRng) -> Poin
     areas = mesh_areas(mesh)
     total = float(areas.sum())
     if total <= 0.0:
-        raise EmptyMeshError("mesh has zero surface area")
+        raise BrepForgeError("mesh has zero surface area")
     cum = np.cumsum(areas)
     draws = rng.unit_floats(3 * n).reshape(n, 3)
     tri_idx = np.searchsorted(cum, draws[:, 0] * total, side="right")
@@ -603,7 +606,7 @@ def mesh_sample_points(mesh: TriMesh, n: int, mode: str, rng: SeededRng) -> Poin
     return PointCloud(pts)
 
 
-def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
+def face_interior_point2(vertices, face) -> tuple[int, int]:
     """Doubled (u, v) point inside the face region, just off its first corner.
 
     The canonical first vertex is the loop's lexicographic extreme, always a
@@ -611,8 +614,7 @@ def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
     is part of the face.
     """
     ua, va = FRAMES[(face.axis, face.sign)]
-    a = vertices_of(solid)[face.outer[0]]
-    b = vertices_of(solid)[face.outer[1]]
+    a, b = vertices[face.outer[0]], vertices[face.outer[1]]
     du = b[ua] - a[ua]
     dv = b[va] - a[va]
     du = (du > 0) - (du < 0)
@@ -621,12 +623,12 @@ def face_interior_point2(solid: BRepSolid, face) -> tuple[int, int]:
     return 2 * a[ua] + du - dv, 2 * a[va] + dv + du
 
 
-def parity_is_exterior_face(solid: BRepSolid, face_index: int) -> bool:
+def parity_is_exterior_face(faces, vertices, face_index: int) -> bool:
     """True when nothing blocks the face's outward normal ray (envelope
-    face), by a ray-parity test against every face beyond it."""
-    faces, vertices = faces_of(solid), vertices_of(solid)
+    face), by a ray-parity test against every face beyond it.  ``faces``
+    and ``vertices`` are a solid's `faces_of` and `vertices_of`."""
     face = faces[face_index]
-    p2u, p2v = face_interior_point2(solid, face)
+    p2u, p2v = face_interior_point2(vertices, face)
     for other in faces:
         if other.axis != face.axis or other is face:
             continue

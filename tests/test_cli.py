@@ -274,6 +274,10 @@ WINDOW_HEAD_KEYS = (
         (["window_ew_small=0.6,1.2,1.9", "window_ew_mid=0.9,1.2,1.9", "window_ew_large=1.2,1.2,1.9",
           "window_ns_small=0.9,2.0,0.9", "window_ns_mid=1.8,2.0,0.9", "window_ns_large=2.4,2.0,0.9"],
          WINDOW_HEAD_KEYS),
+        # A door needs a 1.1 m wall, and every wall is shorter: unchecked,
+        # this discards every stream as unreachable-room and exits 0.
+        (["room_side_min=0.4", "room_side_max=1.0", "min_room_area=0.1", "min_room_side=0.1"],
+         ("room_side_max",)),
     ],
 )
 def test_gen_cross_key_config_usage_error(tmp_path, capsys, items, keys):
@@ -324,12 +328,16 @@ def test_discard_reasons_are_the_discards_csv_reasons():
     [
         # Stream 90 grows one room.
         (["--count", "48", "--seed", "43"], {"growth-failed": 1, "room-filter": 19}, 28),
-        # A door needs a 1.1 m wall, and every wall is shorter.
-        (["--count", "40", "--seed", "0", "--set", "room_side_min=0.4", "--set", "room_side_max=1.0",
+        # Rooms up to exactly the door wall pass the config rules, and every
+        # stream still has a room with no wall a door fits in.
+        (["--count", "40", "--seed", "0", "--set", "room_side_min=0.4", "--set", "room_side_max=1.1",
           "--set", "min_room_area=0.1", "--set", "min_room_side=0.1"], {"unreachable-room": 40}, 0),
         # A 3.8 m head on large north/south walls.
         (["--count", "40", "--seed", "0", "--set", "window_ns_large=2.4,2.9,0.9"],
          {"boolean-failure": 16, "room-filter": 16}, 8),
+        # A door needs a 1.1 m wall, and many rooms have none that long.
+        (["--count", "40", "--seed", "0", "--set", "room_side_min=1.0", "--set", "room_side_max=2.0",
+          "--set", "min_room_area=0.1", "--set", "min_room_side=0.1"], {"unreachable-room": 29}, 11),
     ],
 )
 def test_gen_discard_reasons(tmp_path, items, reasons, exported):

@@ -1,10 +1,13 @@
 """Grammar tests: productions against hand-traced fixtures, growth
-determinism, and footprint invariants over a seed sweep."""
+determinism, footprint invariants and rejection causes over a seed sweep."""
+
+from collections import Counter
 
 import pytest
 
+from brepforge import grammar
 from brepforge.config import GeneratorConfig
-from brepforge.errors import ConflictError, Discard, ProductionInfeasibleError
+from brepforge.errors import Discard, Rejected
 from brepforge.geom2d import (
     Footprint,
     Point2,
@@ -68,8 +71,9 @@ def test_concave_infeasible_short_edge():
     # Reflex corner whose outgoing edge is 2.0 m (< 2.4 minimum).
     shape = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 5), (0, 5)])
     reflex = shape.vertices.index(Point2(30, 30))
-    with pytest.raises(ProductionInfeasibleError):
+    with pytest.raises(Rejected, match="^adjacent edges 30x20 cannot host a room side >= 24$") as info:
         expand_concave(shape, reflex, StubRng(ints=[30, 30]), CONFIG)
+    assert info.value.cause == "infeasible"
 
 
 def test_concave_deterministic():
@@ -91,8 +95,9 @@ def test_convex_midpoint_anchor_straddles_and_union_rejects():
     corner = SQUARE.vertices.index(Point2(40, 40))
     rect = expand_convex(SQUARE, corner, StubRng(ints=[30, 30], coins=[True]), CONFIG)
     assert rect == Rect(40, 20, 70, 50)
-    with pytest.raises(ConflictError):
+    with pytest.raises(Rejected, match=r"^partial contact on left side \(20 of 30 units\)$") as info:
         union_rect(SQUARE, rect)
+    assert info.value.cause == "partial-contact"
 
 
 def test_convex_deterministic():
@@ -192,3 +197,24 @@ def test_grow_failure_below_two_rooms():
             assert exc.reason == "growth-failed"
             seeds_failed += 1
     assert seeds_failed > 0  # the discard path is reachable
+
+
+def test_rejection_causes_over_1000_streams(monkeypatch):
+    # Every production `grow` throws away over streams 0..999, by cause.
+    causes = Counter()
+    produce = grammar.try_production
+
+    def counted(*args):
+        try:
+            return produce(*args)
+        except Rejected as exc:
+            causes[exc.cause] += 1
+            raise
+
+    monkeypatch.setattr(grammar, "try_production", counted)
+    for seed in range(1000):
+        try:
+            grow(CONFIG, SeededRng(seed, seed))
+        except Discard:
+            pass
+    assert causes == {"partial-contact": 9305, "infeasible": 3700, "collision": 1181, "sliver": 133}

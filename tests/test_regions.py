@@ -7,8 +7,8 @@ to loop order and first vertex, on stacks of such masks."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from brepforge.regions import Loop, Traced, trace_planes
-from oracles import Region, loop_area2, point_in_loop, rasterize_loops, trace_region
+from brepforge.regions import Traced, trace_planes
+from oracles import Loop, Region, loop_area2, point_in_loop, rasterize_loops, trace_region
 
 
 def reference_trace_region(region: Region) -> list[tuple[Loop, list[Loop]]]:

@@ -4,7 +4,7 @@ import pytest
 
 from brepforge.assembly import build_storey_plan
 from brepforge.config import GeneratorConfig
-from brepforge.errors import Discard, InconsistentPlanError
+from brepforge.errors import BrepForgeError, Discard
 from brepforge.geom2d import Footprint, Point2
 from brepforge.storey import (
     Opening,
@@ -58,7 +58,7 @@ def test_bump_plan_wall_count_equals_vertex_count():
 def test_build_walls_tiling_violated():
     # The tiles stop 1 m short of the east edge, which no tile borders.
     fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, rect_from_metres(4, 0, 7, 4)])
-    with pytest.raises(InconsistentPlanError):
+    with pytest.raises(BrepForgeError, match=r"^boundary edge Point2\(x=0, y=0\)-Point2\(x=80, y=0\) not fully tiled$"):
         build_walls(fp)
 
 
