@@ -106,19 +106,20 @@ def _frames(axis: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return _FRAME_AXES[axis, (sign > 0).astype(np.int64)].T
 
 
-def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
+def _finalize(grids, u, v, lens, axis, plane, sign, outer) -> BRepSolid:
     """Weld vertices, split T-junctions, and canonicalize ordering.
 
-    Takes the breakpoints of each axis (every coordinate lies on them), per
-    corner its (u, v) in its face's frame, the corners of each loop back to
-    back, and per loop its number of corners, its face's axis,
-    offset and sign, and its face's outer loop (its own index for an outer
-    loop).  One numpy pass over the corners of every loop: the vertices are
-    the distinct corners in (x, y, z) order, each loop edge gains the
-    vertices strictly inside it (where another face has a corner) in order
-    along it, each loop starts at its smallest vertex id, and faces are
-    sorted by (axis, offset, sign, outer loop) and holes by value; the
-    solid's arrays come straight from that pass.
+    Takes the breakpoints of each axis; per corner its (u, v) grid indices
+    in its face's frame, the corners of each loop back to back; and per
+    loop its number of corners, its face's axis, plane (a grid index) and
+    sign, and its face's outer loop (its own index for an outer loop).
+    One numpy pass over the corners of every loop, welded on their grid
+    indices: the vertices are the distinct corners in (x, y, z) order, each
+    loop edge gains the vertices strictly inside it (where another face has
+    a corner) in order along it, each loop starts at its smallest vertex
+    id, and faces are sorted by (axis, plane, sign, outer loop) and holes
+    by value; the solid's arrays come straight from that pass, and only
+    they read coordinates from the grids.
 
     The canonical order is made here: the tracer promises no loop order
     and no first vertex.  A loop that passes its smallest vertex twice
@@ -128,18 +129,18 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     corner_loop = np.repeat(np.arange(len(lens)), lens)
     ua, va = _frames(axis, sign)[:, corner_loop]
     k = np.arange(len(u))
-    points = np.empty((3, len(u)), dtype=np.int64)  # one row per axis
-    points[axis[corner_loop], k] = offset[corner_loop]
-    points[ua, k] = u
-    points[va, k] = v
+    at = np.empty((3, len(u)), dtype=np.int64)  # one row of grid indices per axis
+    at[axis[corner_loop], k] = plane[corner_loop]
+    at[ua, k] = u
+    at[va, k] = v
 
-    # Weld: one integer key per point from its place on the grids, ordered
-    # like (x, y, z).
+    # Weld: one integer key per corner, ordered like (x, y, z).
     size = [len(g) for g in grids]
-    at = [np.searchsorted(grids[a], points[a]) for a in range(3)]
     _, first, vid = np.unique((at[0] * size[1] + at[1]) * size[2] + at[2], return_index=True, return_inverse=True)
-    coords = points[:, first].T.copy()  # one (x, y, z) row per vertex
-    at = [x[first] for x in at]
+    at = at[:, first]
+    base = np.cumsum(size) - size  # each axis's first breakpoint in the grids back to back
+    breakpoints = np.concatenate(grids)
+    coords = breakpoints[(at + base[:, None]).T]  # one (x, y, z) row per vertex
 
     # Sorted by (the other two coordinates, this one), the vertices of each
     # grid line along an axis form one stretch, in order along the line, so
@@ -171,21 +172,22 @@ def _finalize(grids, u, v, lens, axis, offset, sign, outer) -> BRepSolid:
     shift = at_min[np.searchsorted(loop[at_min], np.arange(len(lens)))] - new_starts
     pos = np.arange(len(ids)) - new_starts[loop]
 
-    # Faces in (axis, offset, sign, outer loop) order, each its outer loop
+    # Faces in (axis, plane, sign, outer loop) order, each its outer loop
     # and then its holes by value.  A loop's two edges at its smallest id,
     # its first corner in (x, y, z) order, both run forwards from it, so any
     # other loop of its plane and sign through that corner has an edge to a
     # smaller id: no two share one, and their order is the id tuples' order.
     is_hole = outer != np.arange(len(lens))
     outers = np.flatnonzero(~is_hole)
-    outers = outers[np.lexsort((smallest[outers], sign[outers], offset[outers], axis[outers]))]
+    outers = outers[np.lexsort((smallest[outers], sign[outers], plane[outers], axis[outers]))]
     face = np.empty(len(lens), dtype=np.int64)
     face[outers] = np.arange(len(outers))
     face = face[outer]
     order = np.lexsort((smallest, is_hole, face))
     _, corner = expand(new_starts[order], new_lens[order])
     ids = ids[new_starts[loop] + (pos + shift[loop]) % new_lens[loop]][corner]
-    return BRepSolid(coords, ids, new_lens[order], face[order], axis[outers], offset[outers], sign[outers])
+    offset = breakpoints[base[axis[outers]] + plane[outers]]
+    return BRepSolid(coords, ids, new_lens[order], face[order], axis[outers], offset, sign[outers])
 
 
 def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> BRepSolid:
@@ -203,7 +205,7 @@ def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> B
 
     # _finalize's arrays, one part per (axis, sign): every faced plane's
     # loops from one trace.
-    u, v, lens, loop_axis, loop_offset, loop_sign, outer = ([] for _ in range(7))
+    u, v, lens, loop_axis, loop_plane, loop_sign, outer = ([] for _ in range(7))
     loops = 0
     for axis in range(3):
         # Plane i lies between cell layers i - 1 and i; material above it
@@ -219,16 +221,16 @@ def solid_from_boxes(positive: Sequence[Box], negative: Sequence[Box] = ()) -> B
             ua, va = FRAMES[(axis, sign)]
             planes = np.flatnonzero(faced)
             masks = step[planes] == -sign
-            t = trace_planes(masks if ua < va else masks.transpose(0, 2, 1), axes_pts[ua], axes_pts[va])
+            t = trace_planes(masks if ua < va else masks.transpose(0, 2, 1))
             u.append(t.u)
             v.append(t.v)
             lens.append(t.lens)
             loop_axis.append(np.full(len(t.lens), axis))
-            loop_offset.append(axes_pts[axis][planes[t.plane]])
+            loop_plane.append(planes[t.plane])
             loop_sign.append(np.full(len(t.lens), sign))
             outer.append(t.outer + loops)
             loops += len(t.lens)
-    return _finalize(axes_pts, *map(np.concatenate, (u, v, lens, loop_axis, loop_offset, loop_sign, outer)))
+    return _finalize(axes_pts, *map(np.concatenate, (u, v, lens, loop_axis, loop_plane, loop_sign, outer)))
 
 
 def is_watertight(solid: BRepSolid) -> tuple[bool, list[str]]:

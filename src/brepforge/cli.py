@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BrepForgeError, Discard, MalformedInputError
-from .records import BuildingMeta, check_rooms, write_output
+from .records import DEFECT_SUFFIX, BuildingMeta, check_rooms, write_output
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -191,8 +191,9 @@ def cmd_validate(args) -> int:
     # Rooms are checked against the filters the tree was generated with:
     # those of the config in its manifest, else the defaults.
     manifest = directory / "manifest.json"
+    in_tree = manifest.exists()
     try:
-        config = json.loads(manifest.read_text())["config"] if manifest.exists() else {}
+        config = json.loads(manifest.read_text())["config"] if in_tree else {}
         if type(config) is not dict or not all(type(v) is str for v in config.values()):
             raise ValueError("config is not an object of strings")
         filters = GeneratorConfig.build(None, config).filters()
@@ -226,6 +227,11 @@ def cmd_validate(args) -> int:
                 print(f"FAIL {path.name}: {violations[0]}")
                 failures += 1
                 continue
+        elif in_tree and DEFECT_SUFFIX not in path.name:
+            # A `gen` tree holds the metadata of every solid it exported.
+            print(f"FAIL {path.name}: {meta_path.name} is missing")
+            failures += 1
+            continue
         print(f"ok   {path.name}")
     print(f"validate: {len(files) - failures}/{len(files)} passed")
     return 0 if failures == 0 else VALIDATION_ERROR
@@ -281,7 +287,6 @@ def cmd_points(args) -> int:
 def cmd_defect(args) -> int:
     from .dataset import check_solid, solid_from_dict, solid_json
     from .mltasks import inject_defect
-    from .records import DEFECT_SUFFIX
     from .rng import SeededRng
 
     if not 0 <= args.ratio < float("inf"):

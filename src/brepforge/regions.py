@@ -1,18 +1,20 @@
-"""Exact 2-D region tracing over compressed integer grids.
+"""Exact 2-D region tracing in grid indices.
 
-A mask is a boolean cell matrix between sorted integer breakpoints.
-Because every input coordinate is a breakpoint, boundary tracing is exact.
-``trace_planes`` traces a stack of masks on one grid into minimal
+A mask is a boolean cell matrix, and the tracer reads and writes grid
+line indices only; the caller maps them to its breakpoints.
+``trace_planes`` traces a stack of masks of one shape into minimal
 corner-only loops: outer boundaries counter-clockwise, holes clockwise,
-holes attached to their containing outer loop.  It finds boundary edges as
-runs, the maximal straight stretches of boundary cell edges along each grid
-line (one numpy diff per axis), and links them into loops in one numpy
-pass that returns flat arrays.  The order of a plane's loops and the
-first vertex of each are not specified: the caller makes the canonical
-form (``brep._finalize``).  Its one caller is ``brep.solid_from_boxes``,
-which traces every faced plane of a solid along one (axis, sign) in one
-call; footprint unions walk their loop in pure Python
-(``geom2d.union_rect``).
+holes attached to the outer loop of their face.  It finds boundary edges
+as runs, the maximal straight stretches of boundary cell edges along each
+grid line (one numpy diff per axis), and links them into loops in one
+numpy pass that returns flat arrays.  A loop is a hole exactly when the
+material lies below its first run, and a hole's outer loop comes from the
+nearest run below that one: no signed area and no parity test.  The order
+of a plane's loops and the first vertex of each are not specified: the
+caller makes the canonical form (``brep._finalize``).  Its one caller is
+``brep.solid_from_boxes``, which traces every faced plane of a solid along
+one (axis, sign) in one call; footprint unions walk their loop in pure
+Python (``geom2d.union_rect``).
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class Traced(NamedTuple):
 
     Loops come plane by plane, otherwise in no specified order and each
     from no specified vertex; ``u`` and ``v`` hold the corners of every
-    loop back to back.
+    loop back to back, as grid line indices.  A hole's outer loop is the
+    outer loop of the face the hole lies in.
     """
 
     u: np.ndarray  # per corner
@@ -84,9 +87,10 @@ def _cycle_min(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         packed, nxt, span = jumped, nxt[nxt], 2 * span
 
 
-def trace_planes(masks: np.ndarray, us: np.ndarray, vs: np.ndarray) -> Traced:
+def trace_planes(masks: np.ndarray) -> Traced:
     """Boundary loops of every plane of ``masks`` (planes × u cells × v
-    cells, all on the grid us × vs), in one numpy pass.
+    cells), in one numpy pass, with corners as grid line indices: cell
+    (i, j) lies between lines u = i and u = i + 1 and v = j and v = j + 1.
 
     Directed boundary edges keep the region on the left, so outer loops come
     out counter-clockwise and holes clockwise.  Pinch vertices (diagonal
@@ -98,23 +102,23 @@ def trace_planes(masks: np.ndarray, us: np.ndarray, vs: np.ndarray) -> Traced:
     The planes are stacked along u with one zero row between them, so no run
     crosses from one plane into the next.  Each run's successor is found by
     binary search on the sorted run keys, each loop's first run and each
-    run's place along its loop by pointer jumping, and each hole's outer
-    loop by the parity test over the vertical runs of its plane's outer
-    loops.
+    run's place along its loop by pointer jumping.  A loop is a hole when
+    the material lies below its first run, and a hole's outer loop comes
+    from the nearest run below that first run.
     """
     planes, nu, nv = masks.shape
     h, w = nu + 1, nv + 1  # rows per plane with its separator; vertex (g, j) has key g * w + j
     cells = np.zeros((planes * h + 1, nv + 2), dtype=np.int8)
     cells[1:].reshape(planes, h, nv + 2)[:, :nu, 1:-1] = masks
-    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
 
     # Region on the left: +v along right sides and -v along left sides of
-    # cells (vertical runs on lines u = us[i], row g = plane * h + i), +u
-    # along bottoms and -u along tops (horizontal runs on lines v = vs[j]).
-    # Per run: its direction d (+u, +v, -u, -v, counter-clockwise), and its
-    # start and end vertex.  Vertical runs come first, row-major.
+    # cells (vertical runs on lines u = i, row g = plane * h + i), +u along
+    # bottoms and -u along tops (horizontal runs on lines v = j).  Per run:
+    # its direction d (+u, +v, -u, -v, counter-clockwise), and its start and
+    # end vertex.  Vertical runs come first, row-major; the vertical run in
+    # row g from vertex a to vertex b lies along cells a to b - 1.
     g, a, b, value = _run_table(cells[1:] - cells[:-1])
-    up = value < 0
+    up = value < 0  # material below the line
     j, ga, gb, value = _run_table((cells[:, 1:] - cells[:, :-1]).T)
     right = value > 0
     d = np.concatenate((np.where(up, 1, 3), np.where(right, 0, 2)))
@@ -139,9 +143,9 @@ def trace_planes(masks: np.ndarray, us: np.ndarray, vs: np.ndarray) -> Traced:
     turn_right = by_key[np.searchsorted(sorted_key, end * 4 + (d + 3) % 4)]
     succ = np.where(sorted_key[at] == left, by_key[at], turn_right)
 
-    # Each loop starts at its smallest run, a vertical one, so loops come
-    # plane by plane; a run's corner goes to its loop's offset plus its
-    # steps from that run.
+    # Each loop starts at its smallest run, a vertical one on its lowest u
+    # line, so loops come plane by plane; a run's corner goes to its loop's
+    # offset plus its steps from that run.
     low, to_low = _cycle_min(succ)
     is_low = np.zeros(runs, dtype=bool)
     is_low[low] = True
@@ -150,41 +154,26 @@ def trace_planes(masks: np.ndarray, us: np.ndarray, vs: np.ndarray) -> Traced:
     lens = np.bincount(loop, minlength=len(heads))
     offsets = np.cumsum(lens) - lens
     at = offsets[loop] + (-to_low) % lens[loop]
-    cu, cv = us[row - plane * h], vs[col]
     u, v = np.empty(runs, dtype=np.int64), np.empty(runs, dtype=np.int64)
-    u[at], v[at] = cu, cv
-    # Twice each loop's signed area: positive for outer loops, negative for
-    # holes.
-    cross = np.empty(runs, dtype=np.int64)
-    cross[at] = cu * cv[succ] - cu[succ] * cv
-    area2 = np.add.reduceat(cross, offsets)
+    u[at], v[at] = row - plane * h, col
 
-    # Each hole goes to the smallest outer loop of its plane that holds the
-    # point half a unit to the right of the midpoint of one of its edges
-    # (doubled coordinates; any edge of the hole gives the same answer): the
-    # one whose vertical runs it crosses an odd number of times looking
-    # toward +u.  Vertical runs come plane by plane.
+    # A loop is a hole exactly when the material lies below its first run.
+    # Below a hole's first run, in the first cell column it spans, the cells
+    # down to the nearest vertical run are material of the hole's face, so
+    # that run is on the face's outer loop or on another hole of it, whose
+    # first run lies lower: pointer jumping takes each hole to its outer
+    # loop.
     outer = np.arange(len(heads))
-    holes = np.flatnonzero(area2 < 0)
+    holes = np.flatnonzero(up[heads])
     if len(holes):
         s = heads[holes]
-        t = succ[s]
-        p2u = cu[s] + cu[t] + np.sign(cv[t] - cv[s])
-        p2v = cv[s] + cv[t] - np.sign(cu[t] - cu[s])
-        walls = np.flatnonzero((d % 2 == 1) & (area2[loop] > 0))
-        hole_plane = plane[heads[holes]]
-        lo = np.searchsorted(plane[walls], hole_plane)
-        hi = np.searchsorted(plane[walls], hole_plane, side="right")
-        k, i = expand(lo, hi - lo)
-        r = walls[i]
-        crossed = ((2 * cv[r] > p2v[k]) != (2 * cv[succ[r]] > p2v[k])) & (2 * cu[r] > p2u[k])
-        count = np.bincount(k[crossed] * len(heads) + loop[r[crossed]], minlength=len(holes) * len(heads))
-        hole, owner = np.divmod((count % 2).nonzero()[0], len(heads))
-        pick = np.lexsort((area2[owner], hole))
-        hole, owner = hole[pick], owner[pick]
-        best = np.ones(len(hole), dtype=bool)
-        best[1:] = hole[1:] != hole[:-1]
-        if np.count_nonzero(best) < len(holes):
-            raise ValueError("hole loop not contained in any outer loop")
-        outer[holes[hole[best]]] = owner[best]
+        columns = _distinct(a[s])
+        first, stop = np.searchsorted(columns, a), np.searchsorted(columns, b)
+        run, column = expand(first, stop - first)  # each vertical run with each hole column it spans
+        pair_key = column * len(cells) + g[run]
+        order = np.argsort(pair_key)
+        below = np.searchsorted(pair_key[order], np.searchsorted(columns, a[s]) * len(cells) + g[s]) - 1
+        outer[holes] = loop[run[order[below]]]
+        while (outer[outer] != outer).any():
+            outer = outer[outer]
     return Traced(u, v, lens, plane[heads], outer)

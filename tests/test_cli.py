@@ -378,6 +378,33 @@ def test_validate_detects_defect(tmp_path, small_batch_dir):
     assert cli(["validate", str(work)]) == 1
 
 
+def test_validate_fails_a_tree_file_without_its_meta(tmp_path, small_batch_dir, capsys):
+    (tmp_path / "manifest.json").write_bytes((small_batch_dir / "manifest.json").read_bytes())
+    names = [p.name for p in sorted(small_batch_dir.glob("*.brep.json"))[:3]]
+    metas = [name.replace(".brep.json", ".meta.json") for name in names]
+    for name in names + metas:
+        (tmp_path / name).write_bytes((small_batch_dir / name).read_bytes())
+    assert cli(["defect", str(tmp_path), "--ratio", "1", "--seed", "1"]) == 0
+
+    def validate(code: int) -> list[str]:
+        capsys.readouterr()
+        assert cli(["validate", str(tmp_path)]) == code
+        return [line for line in capsys.readouterr().out.splitlines() if "_def" not in line]
+
+    # The _def files, which have no metadata, fail only as defects.
+    assert validate(1) == [f"ok   {name}" for name in names] + ["validate: 3/6 passed"]
+    (tmp_path / metas[1]).unlink()
+    assert validate(1) == [
+        f"ok   {names[0]}",
+        f"FAIL {names[1]}: {metas[1]} is missing",
+        f"ok   {names[2]}",
+        "validate: 2/6 passed",
+    ]
+    # Outside a `gen` tree a solid needs no metadata.
+    (tmp_path / "manifest.json").unlink()
+    assert validate(1) == [f"ok   {name}" for name in names] + ["validate: 3/6 passed"]
+
+
 PERMISSIVE_FILTERS = ["min_room_area=0", "max_room_area=1e9", "min_room_side=0", "max_aspect_ratio=1e9"]
 
 

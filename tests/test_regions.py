@@ -274,10 +274,18 @@ CHECKER_INVERSE = region_of([".#.", "#.#", ".#."])
 @example(stack_of(FULL_4, PINCHED_HOLE, region_of(["...."] * 4)))
 @example(stack_of(CHECKER, CHECKER_INVERSE, CHECKER))
 @example(stack_of(NESTED, NESTED))
+@example(stack_of(region_of(["###", "#.#", "###", "#.#", "###", "#.#", "###"])))
 def test_trace_planes_matches_trace_region(stack):
     masks, us, vs = stack
-    traced = trace_planes(masks, us, vs)
+    traced = trace_planes(masks)
+    # Corners come as grid indices.
+    traced = traced._replace(u=us[traced.u], v=vs[traced.v])
     assert len(traced.u) == len(traced.v) == int(traced.lens.sum())
+    # Outer loops run counter-clockwise and holes clockwise.
+    starts = (np.cumsum(traced.lens) - traced.lens).tolist()
+    for k, (a, n) in enumerate(zip(starts, traced.lens.tolist())):
+        loop = list(zip(traced.u[a : a + n].tolist(), traced.v[a : a + n].tolist()))
+        assert (traced.outer[k] == k) == (loop_area2(loop) > 0)
     assert all(np.diff(traced.plane) >= 0)  # plane by plane
     # Per plane the same loops, with the same holes under the same outer
     # loops; their order and first vertices are not specified.
