@@ -32,8 +32,9 @@ VALIDATION_ERROR = 1
 # Streams per task handed to a `gen` worker.
 CHUNK = 8
 # What reading malformed JSON input raises: JSONDecodeError is a ValueError,
-# missing or mistyped fields raise the others.
-_PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError)
+# too deep a nesting RecursionError, and missing or mistyped fields the
+# others.
+_PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, IndexError)
 
 
 def _generate_one(args: tuple) -> tuple[int, str, tuple[str, bytes] | str]:
@@ -176,9 +177,37 @@ def _read_json(path: Path, parse):
         raise MalformedInputError(f"{path.name}: parse error: {exc}") from exc
 
 
+def _validation_line(path: Path, filters, in_tree: bool) -> str:
+    """`validate`'s line for the solid at ``path``: ``ok   <file>``, or
+    ``FAIL <file>: `` and the first thing wrong with the solid, its label
+    or, in ``<id>.meta.json``, its rooms."""
+    from .dataset import file_problems, solid_from_dict
+
+    try:
+        solid = _read_json(path, solid_from_dict)
+    except MalformedInputError as exc:
+        return f"FAIL {exc}"
+    problems = file_problems(solid, path.name)
+    if problems:
+        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+        return f"FAIL {path.name}: {problems[0]}{more}"
+    meta_path = path.with_name(path.name.replace(".brep.json", ".meta.json"))
+    if meta_path.exists():
+        try:
+            meta = _read_json(meta_path, BuildingMeta.from_dict)
+        except MalformedInputError as exc:
+            return f"FAIL {path.name}: {exc}"
+        violations = check_rooms(meta.rooms, filters)[1]
+        if violations:
+            return f"FAIL {path.name}: {violations[0]}"
+    elif in_tree and DEFECT_SUFFIX not in path.name:
+        # A `gen` tree holds the metadata of every solid it exported.
+        return f"FAIL {path.name}: {meta_path.name} is missing"
+    return f"ok   {path.name}"
+
+
 def cmd_validate(args) -> int:
     from .config import GeneratorConfig
-    from .dataset import check_solid, solid_from_dict
 
     directory = Path(args.dir)
     if not directory.is_dir():
@@ -202,37 +231,9 @@ def cmd_validate(args) -> int:
         return USAGE_ERROR
     failures = 0
     for path in files:
-        try:
-            solid = _read_json(path, solid_from_dict)
-        except MalformedInputError as exc:
-            print(f"FAIL {exc}")
-            failures += 1
-            continue
-        ok, problems = check_solid(solid)
-        if not ok:
-            more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
-            print(f"FAIL {path.name}: {problems[0]}{more}")
-            failures += 1
-            continue
-        meta_path = path.with_name(path.name.replace(".brep.json", ".meta.json"))
-        if meta_path.exists():
-            try:
-                meta = _read_json(meta_path, BuildingMeta.from_dict)
-            except MalformedInputError as exc:
-                print(f"FAIL {path.name}: {exc}")
-                failures += 1
-                continue
-            rooms_ok, violations = check_rooms(meta.rooms, filters)
-            if not rooms_ok:
-                print(f"FAIL {path.name}: {violations[0]}")
-                failures += 1
-                continue
-        elif in_tree and DEFECT_SUFFIX not in path.name:
-            # A `gen` tree holds the metadata of every solid it exported.
-            print(f"FAIL {path.name}: {meta_path.name} is missing")
-            failures += 1
-            continue
-        print(f"ok   {path.name}")
+        line = _validation_line(path, filters, in_tree)
+        print(line)
+        failures += line.startswith("FAIL")
     print(f"validate: {len(files) - failures}/{len(files)} passed")
     return 0 if failures == 0 else VALIDATION_ERROR
 
@@ -285,7 +286,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    from .dataset import check_solid, solid_from_dict, solid_json
+    from .dataset import file_problems, solid_from_dict, solid_json
     from .mltasks import inject_defect
     from .rng import SeededRng
 
@@ -311,7 +312,7 @@ def cmd_defect(args) -> int:
         return USAGE_ERROR
     for i, src in enumerate(good[:total]):
         solid = _read_json(src, solid_from_dict)
-        problems = [f"label {solid.label!r} is not 'GOOD'"] if solid.label != "GOOD" else check_solid(solid)[1]
+        problems = file_problems(solid, src.name)
         if problems:
             print(f"defect: {src.name}: {problems[0]}", file=sys.stderr)
             return VALIDATION_ERROR
@@ -327,13 +328,15 @@ def cmd_defect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import csv
+
     from .records import (
         eval_binary,
         eval_regression,
         load_dataset_meta,
+        oracle_labels,
         read_binary_csv,
         read_regression_csv,
-        truths_from_metas,
     )
 
     try:
@@ -344,10 +347,9 @@ def cmd_eval(args) -> int:
                 print("eval regression: --truth META.json required", file=sys.stderr)
                 return USAGE_ERROR
             ds = load_dataset_meta(args.truth)
-            metrics = eval_regression(
-                read_regression_csv(args.predictions), truths_from_metas(ds.records)
-            )
-    except (*_PARSE_ERRORS, OSError) as exc:
+            truths = {m.id: oracle_labels(m) for m in ds.records}
+            metrics = eval_regression(read_regression_csv(args.predictions), truths)
+    except (*_PARSE_ERRORS, csv.Error, OSError) as exc:
         print(f"eval: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(metrics.text())

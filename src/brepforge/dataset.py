@@ -1,4 +1,5 @@
-"""Solid files: the `check_solid` gate, `.brep.json` text and its reader,
+"""Solid files: the `check_solid` gate and `file_problems`, which first
+checks a file's label against its name; `.brep.json` text and its reader;
 and building exports.
 
 Exports are byte-stable canonical JSON: sorted keys, compact separators
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .brep import AXIS_NAMES, BRepSolid, geometry_problems, is_watertight, mesh_to_obj, triangulate
-from .records import LABELS, MAX_COORDINATE_M, canonical_json, write_output
+from .records import DEFECT_SUFFIX, LABELS, MAX_COORDINATE_M, canonical_json, write_output
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -28,6 +29,24 @@ def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
     wound about their stated normals; a positive enclosed volume."""
     problems = is_watertight(solid)[1] + geometry_problems(solid)
     return (not problems), problems
+
+
+def file_problems(solid: BRepSolid, name: str) -> list[str]:
+    """The problems of a solid read from the file ``name``: a label other
+    than the one its name gives (DEFECT when it holds DEFECT_SUFFIX, else
+    GOOD); else `check_solid`'s, and for a DEFECT solid, that it has none."""
+    label = "DEFECT" if DEFECT_SUFFIX in name else "GOOD"
+    if solid.label != label:
+        return [f"label {solid.label!r} is not {label!r}"]
+    problems = check_solid(solid)[1]
+    if label == "DEFECT" and not problems:
+        return ["DEFECT solid passes every check"]
+    return problems
+
+
+# A face's JSON: its outer loop, normal and offset, after its holes if any.
+FACE = '{"outer":%s,"plane":{"normal":"%s","offset":%s}}'
+HOLED_FACE = '{"inner":[%s],' + FACE[1:]
 
 
 def solid_json(solid: BRepSolid, building_id: str) -> str:
@@ -40,35 +59,26 @@ def solid_json(solid: BRepSolid, building_id: str) -> str:
     (``normal``, and ``offset`` in metres).  Written directly from the
     solid's arrays: each distinct coordinate and offset is formatted once
     as ``float.__repr__(c / 10.0)``, which is how `json.dumps` writes a
-    float; the vertices take one ``%``-format, and the faces one more,
-    over a face template per normal and loop lengths.
+    float, and the vertices take one ``%``-format; each loop is `str` of
+    its vertex ids without spaces, and each face one ``%``-format of its
+    holes, outer loop, normal and offset.
     """
     coords, offsets = solid.coords.ravel().tolist(), solid.offset.tolist()
     metres = {c: float.__repr__(c / 10.0) for c in {*coords, *offsets}}
     vertices = ",".join(["[%s,%s,%s]"] * len(solid.coords)) % tuple(map(metres.__getitem__, coords))
 
     ids, ends = solid.ids.tolist(), np.cumsum(solid.lens).tolist()
-    loops = [ids[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    loops = [str(ids[a:b]).replace(" ", "") for a, b in zip([0] + ends[:-1], ends)]
     ends = np.cumsum(np.bincount(solid.loop_face, minlength=len(offsets))).tolist()
-    templates: dict[tuple, str] = {}
-    face_templates, values = [], []
+    faces = []
     for axis, sign, offset, a, b in zip(solid.axis.tolist(), solid.sign.tolist(), offsets, [0] + ends[:-1], ends):
-        outer, *inner = loops[a:b]
-        key = (axis, sign > 0, len(outer), *map(len, inner))
-        template = templates.get(key)
-        if template is None:
-            ids_of = [",".join(["%d"] * n) for n in key[2:]]
-            holes = '"inner":[[%s]],' % "],[".join(ids_of[1:]) if inner else ""
-            normal = "+-"[sign < 0] + AXIS_NAMES[axis]
-            template = '{%s"outer":[%s],"plane":{"normal":"%s","offset":%%s}}' % (holes, ids_of[0], normal)
-            templates[key] = template
-        face_templates.append(template)
-        for hole in inner:
-            values += hole
-        values += outer
-        values.append(metres[offset])
+        normal = "+-"[sign < 0] + AXIS_NAMES[axis]
+        if b - a > 1:
+            faces.append(HOLED_FACE % (",".join(loops[a + 1 : b]), loops[a], normal, metres[offset]))
+        else:
+            faces.append(FACE % (loops[a], normal, metres[offset]))
     return '{"faces":[%s],"id":%s,"label":%s,"units":"m","vertices":[%s]}' % (
-        ",".join(face_templates) % tuple(values), json.dumps(building_id), json.dumps(solid.label), vertices
+        ",".join(faces), json.dumps(building_id), json.dumps(solid.label), vertices
     )
 
 

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,17 +93,7 @@ class BuildingMeta:
     footprint_area: float
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "seed": self.seed,
-            "storey_count": self.storey_count,
-            "room_total": self.room_total,
-            "room_per_floor": self.room_per_floor,
-            "rooms": self.rooms,
-            "openings": self.openings,
-            "avg_room_area": self.avg_room_area,
-            "footprint_area": self.footprint_area,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "BuildingMeta":
@@ -291,19 +282,10 @@ class StatsReport:
 def stats(ds: DatasetMeta) -> StatsReport:
     if not ds.records:
         raise ValueError("no records to summarize")
-    storey_hist: dict[int, int] = {}
-    room_hist: dict[int, int] = {}
-    fp_hist: dict[int, int] = {}
-    for r in ds.records:
-        storey_hist[r.storey_count] = storey_hist.get(r.storey_count, 0) + 1
-        for rooms in r.rooms:
-            for w, h in rooms:
-                b = int(w * h)
-                room_hist[b] = room_hist.get(b, 0) + 1
-        fb = int(r.footprint_area // 10) * 10
-        fp_hist[fb] = fp_hist.get(fb, 0) + 1
-    room_mode = sorted(room_hist, key=lambda k: (-room_hist[k], k))[0]
-    fp_mode = sorted(fp_hist, key=lambda k: (-fp_hist[k], k))[0]
+    storey_hist = Counter(r.storey_count for r in ds.records)
+    room_hist = Counter(int(w * h) for r in ds.records for rooms in r.rooms for w, h in rooms)
+    fp_hist = Counter(int(r.footprint_area // 10) * 10 for r in ds.records)
+    room_mode, fp_mode = (min(hist, key=lambda k: (-hist[k], k)) for hist in (room_hist, fp_hist))
     return StatsReport(
         storey_hist=storey_hist,
         room_area_hist=room_hist,
@@ -491,7 +473,3 @@ def read_binary_csv(path: Path) -> list[tuple[str, str]]:
         if not {"filename", "prediction"}.issubset(reader.fieldnames or ()):
             raise ValueError("binary predictions need filename,prediction columns")
         return [(row["filename"], row["prediction"]) for row in reader]
-
-
-def truths_from_metas(metas: list[BuildingMeta]) -> dict[str, LabelVector]:
-    return {m.id: oracle_labels(m) for m in metas}

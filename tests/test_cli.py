@@ -1098,6 +1098,82 @@ def test_eval_truth_not_an_object_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("eval: ")
 
 
+# Nesting this deep ends the JSON decoder in a RecursionError.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, deep",
+    [
+        ("validate", "brep"),
+        ("validate", "meta"),
+        ("validate", "manifest"),
+        ("points", "brep"),
+        ("defect", "brep"),
+        ("stats", "dataset"),
+        ("eval", "dataset"),
+    ],
+)
+def test_deeply_nested_json_fails_cleanly(tmp_path, small_batch_dir, capsys, command, deep):
+    name = sorted(small_batch_dir.glob("*.brep.json"))[0].name
+    meta_name = name.replace(".brep.json", ".meta.json")
+    files = {"brep": name, "meta": meta_name, "manifest": "manifest.json", "dataset": "meta.json"}
+    for file in files.values():
+        (tmp_path / file).write_bytes((small_batch_dir / file).read_bytes())
+    deep_path = tmp_path / files[deep]
+    deep_path.write_text(DEEP_JSON)
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("filename,pred_storey\n")
+    argv = [command, str(tmp_path)]
+    if command == "eval":
+        argv = ["eval", "regression", str(csv_path), "--truth", str(deep_path)]
+    code, stream, line = {
+        ("validate", "brep"): (1, "out", f"FAIL {name}: parse error: "),
+        ("validate", "meta"): (1, "out", f"FAIL {name}: {meta_name}: parse error: "),
+        ("validate", "manifest"): (2, "err", f"validate: {deep_path}: "),
+        ("points", "brep"): (1, "err", f"brepforge: {name}: parse error: "),
+        ("defect", "brep"): (1, "err", f"brepforge: {name}: parse error: "),
+        ("stats", "dataset"): (2, "err", f"stats: {deep_path}: "),
+        ("eval", "dataset"): (2, "err", "eval: "),
+    }[command, deep]
+    assert cli(argv) == code
+    captured = capsys.readouterr()
+    lines = getattr(captured, stream).splitlines()
+    assert lines[0].startswith(line) and "maximum recursion depth" in lines[0], lines
+    assert lines[1:] == (["validate: 0/1 passed"] if stream == "out" else [])
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["binary", "regression"])
+def test_eval_oversized_csv_field_usage_error(tmp_path, small_batch_dir, capsys, kind):
+    # Past the csv module's field size limit (131 072 characters).
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("filename,prediction\n" + "x" * 200_000 + ",GOOD\n")
+    assert cli(["eval", kind, str(csv_path), "--truth", str(small_batch_dir / "meta.json")]) == 2
+    assert capsys.readouterr().err == "eval: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
+    "suffix, label, problem",
+    [
+        ("", "DEFECT", "label 'DEFECT' is not 'GOOD'"),
+        ("_def", "GOOD", "label 'GOOD' is not 'DEFECT'"),
+        ("_def", "DEFECT", "DEFECT solid passes every check"),
+    ],
+    ids=["defect-label", "good-label-def-name", "closed-def"],
+)
+def test_validate_checks_the_label_against_the_name(tmp_path, small_batch_dir, capsys, suffix, label, problem):
+    # A closed solid: it fails only on its label, or as a DEFECT file
+    # that is no defect.
+    src = sorted(small_batch_dir.glob("*.brep.json"))[0]
+    name = src.name.replace(".brep.json", f"{suffix}.brep.json")
+    doc = json.loads(src.read_text())
+    doc["label"] = label
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert cli(["validate", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"FAIL {name}: {problem}", "validate: 0/1 passed"]
+
+
 def test_gen_thick_walls_exports_valid_buildings(tmp_path):
     out = tmp_path / "thick"
     assert cli(

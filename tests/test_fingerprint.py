@@ -7,12 +7,15 @@ output bytes on purpose updates these pins and says so in CHANGES.md.
 Geometry changes move `.brep.json`, `_def` and `.xyz` files; `meta.json`,
 `meta.npy`, `discards.csv` and the per-building `.meta.json` files depend
 only on the plans and filters.  The `.obj` pins of `gen --obj` fix the
-triangulation's vertex order, which `.xyz` bytes cannot see.
+triangulation's vertex order, which `.xyz` bytes cannot see; the report
+pins fix what `stats` and `eval regression` print and write.
 """
 
 import hashlib
+import json
 
 from brepforge.cli import main as cli
+from brepforge.records import REGRESSION_HEADER
 
 PINS = {
     "bld00000003.brep.json": "a31b1079baff6b3fe90e2bbd4bdd88136fbd62b842d527a3673152a8627e172b",
@@ -81,6 +84,33 @@ OBJ_PINS = {
     "bld00000016.obj": "688d6dbeb854419b0ddcb7596f03a536fc0aeec4373de57a9d24ca748aae68bb",
     "bld00000018.obj": "dbfaca749152412c6799e3b706b7940c8738ccce431eafc93e1f291395ff3fb3",
 }
+
+
+# What `stats` prints (the directory as "DIR") and writes, and what `eval
+# regression` prints for a table that predicts 0 everywhere.
+REPORT_PINS = {
+    "eval": "52af19b128076ebdcdd78fda9aee10bef30b7856bd6107dc8648e7d08c6ecfbf",
+    "stats": "4377709189ca3866a875e3d4d54092fd429eaa1fc797644c6cdef10aeddf383c",
+    "stats_footprint_area.csv": "f8511d19b63388a224993a4ddf87d4205f574fab7808c03cf8068564d0fb12f9",
+    "stats_room_area.csv": "4fa8c0318151aae56086a23b4ffd4606ad18fdcddd5f7468b05e0abaddcc1fd5",
+    "stats_storeys.csv": "cd21984043f0cc9eeba171700d148eec2eac93120597f3d7980ee17e54deb5f8",
+}
+
+
+def test_stats_and_eval_fingerprint(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert cli(["gen", "--count", "20", "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli(["stats", str(out)]) == 0
+    printed = {"stats": capsys.readouterr().out.replace(str(out), "DIR")}
+    records = json.loads((out / "meta.json").read_text())["records"]
+    rows = [",".join(REGRESSION_HEADER)] + [f"{r['id']}.brep.json" + ",0" * 13 for r in records]
+    (tmp_path / "p.csv").write_text("\n".join(rows) + "\n")
+    assert cli(["eval", "regression", str(tmp_path / "p.csv"), "--truth", str(out / "meta.json")]) == 0
+    printed["eval"] = capsys.readouterr().out
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in printed.items()}
+    digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in sorted(out.glob("stats_*.csv")))
+    assert digests == REPORT_PINS
 
 
 def test_gen_obj_fingerprint(tmp_path):
