@@ -432,7 +432,8 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     triangle edges of adjacent faces subdivide identically: a GOOD solid
     yields a closed mesh.  Two triangles per cell, cells face by face in
     ``(u, v)`` order, and vertices numbered in the order the quad corners
-    (u0, v0), (u1, v0), (u1, v1), (u0, v1) first reach them.
+    (u0, v0), (u1, v0), (u1, v1), (u0, v1) first reach them (`np.unique`
+    with first indices, as `_finalize` welds).
     """
     if not len(solid.axis):
         raise BrepForgeError("solid has no faces")
@@ -464,22 +465,11 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     key[:, 3] = lu0 + v1
     key = key.ravel()
 
-    # Vertices by first sight: with each corner's index in its key's low
-    # bits, one sort makes each distinct key a stretch that starts at the
-    # corner where it is first seen.
-    low = len(key).bit_length()
-    sorted_key = np.sort(key << low | np.arange(len(key)))
-    corner = sorted_key & (1 << low) - 1
-    sorted_key >>= low
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = sorted_key[1:] != sorted_key[:-1]
-    heads = np.flatnonzero(new)
-    by_sight = np.argsort(corner[heads])
-    vid = np.empty_like(by_sight)
-    vid[by_sight] = np.arange(len(heads))
-    quads = np.empty_like(corner)
-    quads[corner] = np.repeat(vid, np.diff(heads, append=len(key)))
-    distinct = sorted_key[heads[by_sight]]
+    # Vertices by first sight: the distinct keys in the order of the corners
+    # that first reach them; a corner's vertex is its key's rank there.
+    distinct, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_sight = np.argsort(first)
+    quads, distinct = np.argsort(by_sight)[inverse], distinct[by_sight]
     vertices = np.empty((len(distinct), 3), dtype=np.float64)
     for a in range(3):
         vertices[:, a] = values[a][distinct >> shift[a] & (1 << bits[a]) - 1]

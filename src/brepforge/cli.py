@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BrepForgeError, Discard, MalformedInputError
-from .records import DEFECT_SUFFIX, BuildingMeta, check_rooms, write_output
+from .records import BuildingMeta, check_rooms, defect_id, label_of, write_output
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -200,7 +200,7 @@ def _validation_line(path: Path, filters, in_tree: bool) -> str:
         violations = check_rooms(meta.rooms, filters)[1]
         if violations:
             return f"FAIL {path.name}: {violations[0]}"
-    elif in_tree and DEFECT_SUFFIX not in path.name:
+    elif in_tree and label_of(path.name) == "GOOD":
         # A `gen` tree holds the metadata of every solid it exported.
         return f"FAIL {path.name}: {meta_path.name} is missing"
     return f"ok   {path.name}"
@@ -294,12 +294,12 @@ def cmd_defect(args) -> int:
         print("defect: --ratio must be a finite number >= 0", file=sys.stderr)
         return USAGE_ERROR
     directory = Path(args.dir)
-    good = [p for p in _brep_files(directory) if DEFECT_SUFFIX not in p.name]
+    good = [p for p in _brep_files(directory) if label_of(p.name) == "GOOD"]
     if not good:
         print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)
         return USAGE_ERROR
     # Copy k of the total is of source k mod len(good), with stream seed + k
-    # and suffix _def, _def2, ... by k // len(good); each source is read and
+    # and variant k // len(good) (`defect_id`); each source is read and
     # checked once, before its first copy.
     total = round(args.ratio * len(good))
     if not _seed_in_range("defect", args.seed, total):
@@ -318,8 +318,7 @@ def cmd_defect(args) -> int:
             return VALIDATION_ERROR
         base = src.name.replace(".brep.json", "")
         for copy_idx in range(i, total, len(good)):
-            variant = copy_idx // len(good)
-            name = base + DEFECT_SUFFIX + (str(variant + 1) if variant else "")
+            name = defect_id(base, copy_idx // len(good))
             stream = args.seed + copy_idx
             defect = inject_defect(solid, SeededRng(stream, stream))
             write_output(out_dir / f"{name}.brep.json", solid_json(defect, name) + "\n")

@@ -192,30 +192,24 @@ class GeneratorConfig:
         storey has doors and the ground storey an entrance, whose heads
         must stay under the slab soffit; and the room filters must pass
         some room the grammar draws, its sides read in metres as the
-        building's metadata holds them.  The top storey is the core and one
-        room, which covers at most one side of the core, so when the first
-        window bin is no longer than a side of the core, its core walls get
-        windows and keep at least one: some window head must then stay under
-        the soffit.  A door needs an interior wall of MIN_DOOR_WALL, so
-        room_side_max must reach it.  A config that breaks one of these
+        building's metadata holds them (`_some_room_passes`, the one rule
+        on the six room keys).  The top storey is the core and one room,
+        which covers at most one side of the core, so when the first window
+        bin is no longer than a side of the core, its core walls get
+        windows and keep at least one: some window head must then stay
+        under the soffit.  A door needs an interior wall of MIN_DOOR_WALL,
+        so room_side_max must reach it.  A config that breaks one of these
         could export no building."""
         from .storey import DOOR_HEIGHT, MIN_DOOR_WALL
 
         grammar, building, filters = self.grammar(), self.building(), self.filters()
         wall, core, table = building.wall_thickness, grammar.core_tube, building.window_table
         soffit = building.storey_height - building.slab_thickness
-        side_min, side_max = grammar.room_side_min / 10.0, grammar.room_side_max / 10.0
         for broken, message in (
-            (grammar.room_side_min > grammar.room_side_max, "room_side_min must not exceed room_side_max"),
             (wall >= grammar.room_side_min, "wall_thickness must be less than room_side_min"),
             (wall >= min(core.width, core.height), "wall_thickness must be less than each side of core_tube"),
             (DOOR_HEIGHT > soffit, f"storey_height less slab_thickness must leave room for a {DOOR_HEIGHT / 10} m door"),
             (building.entrance_height > soffit, "entrance_height must not exceed storey_height less slab_thickness"),
-            (filters.max_aspect_ratio < 1, "max_aspect_ratio must be at least 1"),
-            (filters.min_room_side > side_max, "min_room_side must not exceed room_side_max"),
-            (filters.min_room_area > side_max * side_max, "min_room_area must not exceed room_side_max squared"),
-            (filters.max_room_area < side_min * side_min, "max_room_area must not be below room_side_min squared"),
-            (filters.min_room_area > filters.max_room_area, "min_room_area must not exceed max_room_area"),
             (
                 not _some_room_passes(grammar.room_side_min, grammar.room_side_max, filters),
                 "no room with sides from room_side_min to room_side_max passes "

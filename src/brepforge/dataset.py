@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .brep import AXIS_NAMES, BRepSolid, geometry_problems, is_watertight, mesh_to_obj, triangulate
-from .records import DEFECT_SUFFIX, LABELS, MAX_COORDINATE_M, canonical_json, write_output
+from .records import LABELS, MAX_COORDINATE_M, canonical_json, label_of, write_output
 
 
 def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
@@ -33,9 +33,9 @@ def check_solid(solid: BRepSolid) -> tuple[bool, list[str]]:
 
 def file_problems(solid: BRepSolid, name: str) -> list[str]:
     """The problems of a solid read from the file ``name``: a label other
-    than the one its name gives (DEFECT when it holds DEFECT_SUFFIX, else
-    GOOD); else `check_solid`'s, and for a DEFECT solid, that it has none."""
-    label = "DEFECT" if DEFECT_SUFFIX in name else "GOOD"
+    than the one its name gives (`records.label_of`); else `check_solid`'s,
+    and for a DEFECT solid, that it has none."""
+    label = label_of(name)
     if solid.label != label:
         return [f"label {solid.label!r} is not {label!r}"]
     problems = check_solid(solid)[1]

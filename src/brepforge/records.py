@@ -7,10 +7,11 @@ Nothing here reads geometry, and the module imports no numpy, so `stats`
 and `eval` load only this and the standard library.  Metadata files are
 byte-stable canonical JSON (`canonical_json`: sorted keys, compact
 separators, shortest round-trip floats).  Task truths come from the
-storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...); a DEFECT
-solid is one whose file name holds `DEFECT_SUFFIX`.  Lengths read from
-files and configs snap to the 0.1 m grid by `to_units` (the solid reader
-does the same in numpy), so no reader needs the footprint kernel.
+storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...); a file's
+label comes from its name alone (`label_of`, reading the ids `defect_id`
+writes).  Lengths read from files and configs snap to the 0.1 m grid by
+`to_units` (the solid reader does the same in numpy), so no reader needs
+the footprint kernel.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ def stats(ds: DatasetMeta) -> StatsReport:
         raise ValueError("no records to summarize")
     storey_hist = Counter(r.storey_count for r in ds.records)
     room_hist = Counter(int(w * h) for r in ds.records for rooms in r.rooms for w, h in rooms)
+    if not room_hist:
+        raise ValueError("no record has a room in rooms")
     fp_hist = Counter(int(r.footprint_area // 10) * 10 for r in ds.records)
     room_mode, fp_mode = (min(hist, key=lambda k: (-hist[k], k)) for hist in (room_hist, fp_hist))
     return StatsReport(
@@ -428,12 +431,12 @@ class BinaryMetrics:
 
 
 def eval_binary(rows: list[tuple[str, str]]) -> BinaryMetrics:
-    """Confusion matrix for GOOD/DEFECT predictions; truth from the filename."""
+    """Confusion matrix for GOOD/DEFECT predictions; truth is the label the filename gives (`label_of`)."""
     tp = fn = fp = tn = 0
     for filename, prediction in rows:
         if prediction not in LABELS:
             raise ValueError(f"unknown label {prediction!r} for {filename}")
-        truth_defect = DEFECT_SUFFIX in filename
+        truth_defect = label_of(filename) == "DEFECT"
         pred_defect = prediction == "DEFECT"
         if truth_defect and pred_defect:
             tp += 1
@@ -455,6 +458,17 @@ def _finite_cell(row: dict, column: str) -> float:
 
 def _base_id(filename: str) -> str:
     return Path(filename).name.split(".")[0]
+
+
+def label_of(filename: str) -> str:
+    """DEFECT when the file's id (`_base_id`) ends in DEFECT_SUFFIX and
+    optional digits, as `defect_id` writes it; else GOOD."""
+    return "DEFECT" if _base_id(filename).rstrip("0123456789").endswith(DEFECT_SUFFIX) else "GOOD"
+
+
+def defect_id(base: str, variant: int) -> str:
+    """The id of DEFECT copy ``variant`` (0, 1, ...) of ``base``: ``<base>_def``, ``<base>_def2``, ..."""
+    return base + DEFECT_SUFFIX + (str(variant + 1) if variant else "")
 
 
 def read_regression_csv(path: Path) -> list[dict]:

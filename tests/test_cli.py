@@ -572,6 +572,33 @@ def test_eval_binary_cli(tmp_path, capsys):
     assert "recall:    0.820" in out
 
 
+def copy_as_bld_default(small_batch_dir, directory) -> None:
+    """A closed GOOD solid of the batch, copied into ``directory`` as
+    `bld_default.brep.json`: its id holds _def but does not end in it."""
+    src = sorted(small_batch_dir.glob("*.brep.json"))[0]
+    (directory / "bld_default.brep.json").write_bytes(src.read_bytes())
+
+
+def test_validate_passes_a_good_id_holding_the_defect_suffix(tmp_path, small_batch_dir, capsys):
+    copy_as_bld_default(small_batch_dir, tmp_path)
+    assert cli(["validate", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ok   bld_default.brep.json", "validate: 1/1 passed"]
+
+
+def test_defect_copies_a_good_id_holding_the_defect_suffix(tmp_path, small_batch_dir):
+    copy_as_bld_default(small_batch_dir, tmp_path)
+    assert cli(["defect", str(tmp_path), "--ratio", "1", "--seed", "0"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bld_default.brep.json", "bld_default_def.brep.json"]
+    assert json.loads((tmp_path / "bld_default_def.brep.json").read_text())["label"] == "DEFECT"
+
+
+def test_eval_binary_scores_a_good_id_holding_the_defect_suffix(tmp_path, capsys):
+    csv_path = tmp_path / "preds.csv"
+    csv_path.write_text("filename,prediction\nbld_default.xyz,GOOD\nbld_default_def.xyz,DEFECT\n")
+    assert cli(["eval", "binary", str(csv_path)]) == 0
+    assert "confusion: tp=1 fn=0 fp=0 tn=1" in capsys.readouterr().out
+
+
 def test_eval_regression_cli_identity(tmp_path, small_batch_dir, capsys):
     meta = json.loads((small_batch_dir / "meta.json").read_text())
     header = ["filename", "pred_storey", "pred_room_tot", "pred_avg_area"] + [
@@ -1013,6 +1040,19 @@ def test_stats_malformed_meta_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("stats: ")
 
 
+def test_stats_without_rooms_names_the_field(tmp_path, small_batch_dir, capsys):
+    # A record with no room ended in "min() arg is an empty sequence".
+    meta = json.loads((small_batch_dir / "meta.json").read_text())
+    meta["records"] = meta["records"][:1]
+    meta["records"][0]["rooms"] = []
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    assert cli(["stats", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"stats: {tmp_path / 'meta.json'}: ") and "\n" not in err
+    assert "rooms" in err.rpartition("meta.json: ")[2]
+    assert [p.name for p in tmp_path.iterdir()] == ["meta.json"]
+
+
 MISTYPED_FIELDS = [
     ("storey_count", "a"), ("storey_count", True), ("storey_count", None), ("storey_count", 3.0),
     ("seed", "0"), ("room_total", False), ("room_per_floor", "abc"), ("room_per_floor", [1.5]),
@@ -1237,6 +1277,30 @@ def test_points_leaves_numpy_ma_unimported(tmp_path, small_batch_dir):
     )
     run_in_fresh_interpreter(code)
     assert list(tmp_path.glob("*.xyz")) and list(out.glob("*.brep.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, made",
+    [
+        (["validate", "{dir}"], "*.brep.json"),
+        (["defect", "{dir}", "--ratio", "1"], "*_def.brep.json"),
+        (["gen", "--count", "6", "--seed", "0", "--obj", "--out", "{dir}/gen"], "gen/*.obj"),
+    ],
+    ids=["validate", "defect", "gen-obj"],
+)
+def test_solid_commands_leave_numpy_ma_unimported(tmp_path, small_batch_dir, argv, made):
+    # A bare `np.unique` imports numpy.ma on its first call.
+    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code = (
+        "import sys\n"
+        "from brepforge.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    run_in_fresh_interpreter(code)
+    assert list(tmp_path.glob(made))
 
 
 def test_serial_gen_leaves_process_pool_unimported(tmp_path):

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brepforge import config
 from brepforge.assembly import BuildingConfig
@@ -94,3 +95,53 @@ def test_length_bound_is_inclusive(value):
     lo, hi = sorted((0.0, float(value)))
     tube = GeneratorConfig.build(None, {"core_tube": f"{lo},{lo},{hi},{hi}"}).grammar().core_tube
     assert (tube.x0, tube.x1) == (10 * lo, 10 * hi)
+
+
+DEFAULT_ROOMS = {
+    "side_min": 24, "side_max": 60, "min_room_area": 80, "max_room_area": 800, "min_room_side": 20,
+    "max_aspect_ratio": 40,
+}
+
+
+# Each example broke one of the six rules on the room filters that
+# `_some_room_passes` now decides alone, and the last breaks none of them.
+@example(**DEFAULT_ROOMS | {"side_min": 70})
+@example(**DEFAULT_ROOMS | {"max_aspect_ratio": 9})
+@example(**DEFAULT_ROOMS | {"min_room_side": 61})
+@example(**DEFAULT_ROOMS | {"min_room_area": 361})
+@example(**DEFAULT_ROOMS | {"max_room_area": 57})
+@example(**DEFAULT_ROOMS | {"min_room_area": 300, "max_room_area": 200})
+@example(**DEFAULT_ROOMS | {"min_room_side": 50, "max_room_area": 200})
+@settings(max_examples=500, deadline=None)
+@given(
+    # Room sides in grid units, most often with side_min below side_max.
+    side_min=st.integers(3, 100),
+    side_max=st.integers(11, 100).map(lambda n: 111 - n),
+    # The filter knobs in tenths, from ranges where rooms of 0.3 m to 10 m
+    # both pass and fail, often exactly at a room's area or side.
+    min_room_area=st.integers(-10, 400),
+    max_room_area=st.integers(0, 1200).map(lambda n: 1200 - n),
+    min_room_side=st.integers(-10, 110),
+    max_aspect_ratio=st.integers(0, 80).map(lambda n: 80 - n),
+)
+def test_room_filter_refusal_is_some_room_passes(
+    side_min, side_max, min_room_area, max_room_area, min_room_side, max_aspect_ratio
+):
+    # Room sides from 0.3 m and up to at least 1.1 m, with every other knob
+    # at its default, break no rule but the room filters' one.
+    overrides = {
+        "room_side_min": str(side_min / 10),
+        "room_side_max": str(side_max / 10),
+        "min_room_area": str(min_room_area / 10),
+        "max_room_area": str(max_room_area / 10),
+        "min_room_side": str(min_room_side / 10),
+        "max_aspect_ratio": str(max_aspect_ratio / 10),
+    }
+    cfg = GeneratorConfig.build(None, overrides)
+    passes = config._some_room_passes(side_min, side_max, cfg.filters())
+    try:
+        cfg.sections()
+    except ValueError:
+        assert not passes
+    else:
+        assert passes

@@ -290,6 +290,16 @@ def test_stats_single_building():
     assert report.room_area_hist == {16: 1}
 
 
+def test_stats_counts_only_the_records_with_rooms():
+    roomless = meta_with_rooms([[4.0, 4.0]], storeys=2)
+    roomless.rooms = []
+    report = stats(DatasetMeta(records=[roomless, meta_with_rooms([[3.0, 4.0]], storeys=3)]))
+    assert report.storey_hist == {2: 1, 3: 1}
+    assert report.room_area_hist == {12: 1}
+    with pytest.raises(ValueError, match="rooms"):
+        stats(DatasetMeta(records=[roomless]))
+
+
 def test_stats_counts_conserved():
     metas = [meta_with_rooms([[3.0, 4.0], [4.0, 5.0]], storeys=2) for _ in range(4)]
     for i, m in enumerate(metas):

@@ -23,8 +23,10 @@ from brepforge.records import (
     BinaryMetrics,
     BuildingMeta,
     LabelVector,
+    defect_id,
     eval_binary,
     eval_regression,
+    label_of,
     oracle_labels,
 )
 from brepforge.rng import SeededRng
@@ -331,3 +333,12 @@ def test_eval_binary_degenerate_no_positive_predictions():
 def test_eval_binary_unknown_label():
     with pytest.raises(ValueError):
         eval_binary([("x", "MAYBE")])
+
+
+def test_label_of_reads_the_ids_defect_id_writes():
+    # An id is DEFECT when it ends in _def and optional digits, not when it
+    # holds _def somewhere.
+    names = ["x", "x_def", "x_def2.xyz", "d/x_def3.brep.json", "bld_default", "x_defect"]
+    assert [label_of(name) for name in names] == ["GOOD", "DEFECT", "DEFECT", "DEFECT", "GOOD", "GOOD"]
+    assert [defect_id("x", variant) for variant in range(3)] == ["x_def", "x_def2", "x_def3"]
+    assert [label_of(defect_id("bld_default", variant)) for variant in range(3)] == ["DEFECT"] * 3
