@@ -354,8 +354,10 @@ def fill_faces(solid: BRepSolid) -> FaceCells:
     bounds nothing.  Crossings and cells are each ordered by one int64 key
     that packs (face, row, u) or (face, u, v) into bit fields (it fits while
     faces × grid size² stays below 2**63); records with equal keys are
-    equal, so any sort gives the same arrays.
+    equal, so any sort gives the same arrays; a solid with no faces raises.
     """
+    if not len(solid.axis):
+        raise BrepForgeError("solid has no faces")
     coords = solid.coords.T
     axes_pts = [_distinct(c) for c in coords]
     starts = np.cumsum([0] + [len(g) for g in axes_pts])
@@ -435,8 +437,6 @@ def triangulate(solid: BRepSolid) -> TriMesh:
     (u0, v0), (u1, v0), (u1, v1), (u0, v1) first reach them (`np.unique`
     with first indices, as `_finalize` welds).
     """
-    if not len(solid.axis):
-        raise BrepForgeError("solid has no faces")
     cells, face_axis, face_offset = solid.face_cells, solid.axis, solid.offset
     grid, starts = cells.grid, cells.starts
 

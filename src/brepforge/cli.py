@@ -11,7 +11,8 @@ scheduling and memory does not grow with --count.
 Each command imports the modules it runs when it runs, so a process pays
 only for its own command: `stats` and `eval` load no numpy, and
 `validate`, `points` and `defect` load no grammar, storey plans or
-assembly.  `run` is the process entry.
+assembly.  `run` is the process entry.  They read each solid through
+`_read_solid`, which names its outputs from its id (`records.file_id`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import BrepForgeError, Discard, MalformedInputError
-from .records import BuildingMeta, check_rooms, defect_id, label_of, write_output
+from .records import BuildingMeta, check_rooms, defect_id, file_id, label_of, write_output
 
 USAGE_ERROR = 2
 VALIDATION_ERROR = 1
@@ -96,10 +97,7 @@ def cmd_gen(args) -> int:
     if args.jobs <= 0:
         print("gen: --jobs must be positive", file=sys.stderr)
         return USAGE_ERROR
-    # A stream is a 64-bit seed; one outside [0, 2**64) would be exported
-    # under its 64-bit residue.
-    if not 0 <= args.seed <= 2**64 - args.count:
-        print("gen: --seed must be in [0, 2**64 - count]", file=sys.stderr)
+    if not _seed_in_range("gen", args.seed, args.count):
         return USAGE_ERROR
     try:
         bad = [kv for kv in args.set or [] if "=" not in kv]
@@ -111,10 +109,7 @@ def cmd_gen(args) -> int:
         print(f"gen: bad config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"gen: cannot create {out_dir}: {exc}", file=sys.stderr)
+    if not _made_dir("gen", out_dir):
         return USAGE_ERROR
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -130,6 +125,7 @@ def cmd_gen(args) -> int:
             else:
                 dataset.discard(stream, payload)
         dataset.finish()
+    exported, discarded = dataset.exported, len(dataset.discard_log)
     manifest = {
         "command": " ".join(sys.argv),
         "config_hash": cfg.config_hash(),
@@ -140,15 +136,12 @@ def cmd_gen(args) -> int:
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "counts": {
             "generated": args.count,
-            "exported": dataset.exported,
-            "discarded": len(dataset.discard_log),
+            "exported": exported,
+            "discarded": discarded,
         },
     }
     write_output(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(
-        f"generated {args.count}, exported {dataset.exported}, "
-        f"discarded {len(dataset.discard_log)} -> {out_dir}"
-    )
+    print(f"generated {args.count}, exported {exported}, discarded {discarded} -> {out_dir}")
     return 0
 
 
@@ -166,6 +159,16 @@ def _seed_in_range(command: str, seed: int, streams: int) -> bool:
     return False
 
 
+def _made_dir(command: str, path: Path) -> bool:
+    """Whether directory ``path`` stands or was made; prints the usage error if not."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"{command}: cannot create {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _read_json(path: Path, parse):
     """``parse`` applied to the JSON in ``path``; a file that cannot be read
     or holds malformed content raises MalformedInputError naming it."""
@@ -177,21 +180,32 @@ def _read_json(path: Path, parse):
         raise MalformedInputError(f"{path.name}: parse error: {exc}") from exc
 
 
+def _read_solid(path: Path):
+    """The id (`records.file_id`) that names every output of the solid at
+    ``path``, and the solid; a name other than ``<id>.brep.json`` raises MalformedInputError."""
+    from .dataset import solid_from_dict
+
+    building_id = file_id(path.name)
+    if path.name != f"{building_id}.brep.json":
+        raise MalformedInputError(f"{path.name}: name is not <id>.brep.json, an id holding no '.'")
+    return building_id, _read_json(path, solid_from_dict)
+
+
 def _validation_line(path: Path, filters, in_tree: bool) -> str:
     """`validate`'s line for the solid at ``path``: ``ok   <file>``, or
     ``FAIL <file>: `` and the first thing wrong with the solid, its label
     or, in ``<id>.meta.json``, its rooms."""
-    from .dataset import file_problems, solid_from_dict
+    from .dataset import file_problems
 
     try:
-        solid = _read_json(path, solid_from_dict)
+        building_id, solid = _read_solid(path)
     except MalformedInputError as exc:
         return f"FAIL {exc}"
     problems = file_problems(solid, path.name)
     if problems:
         more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
         return f"FAIL {path.name}: {problems[0]}{more}"
-    meta_path = path.with_name(path.name.replace(".brep.json", ".meta.json"))
+    meta_path = path.with_name(f"{building_id}.meta.json")
     if meta_path.exists():
         try:
             meta = _read_json(meta_path, BuildingMeta.from_dict)
@@ -257,8 +271,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_points(args) -> int:
-    from .dataset import solid_from_dict
-    from .mltasks import UNIT_CUBE, UNIT_SPHERE, sample_points
+    from .mltasks import sample_points
     from .rng import SeededRng
 
     # Fewer than two points have no extent to normalize by.
@@ -272,21 +285,19 @@ def cmd_points(args) -> int:
         return USAGE_ERROR
     if not _seed_in_range("points", args.seed, len(files)):
         return USAGE_ERROR
-    mode = UNIT_CUBE if args.mode == "cube" else UNIT_SPHERE
     for i, path in enumerate(files):
-        solid = _read_json(path, solid_from_dict)
+        building_id, solid = _read_solid(path)
         stream = args.seed + i
-        cloud = sample_points(solid, args.n, mode, SeededRng(stream, stream))
-        base = path.name.replace(".brep.json", "")
-        write_output(directory / f"{base}.xyz", cloud.to_xyz())
+        cloud = sample_points(solid, args.n, args.mode, SeededRng(stream, stream))
+        write_output(directory / f"{building_id}.xyz", cloud.to_xyz())
         if args.f32:
-            write_output(directory / f"{base}.f32", cloud.to_f32())
+            write_output(directory / f"{building_id}.f32", cloud.to_f32())
     print(f"points: wrote {len(files)} clouds (n={args.n}, mode={args.mode})")
     return 0
 
 
 def cmd_defect(args) -> int:
-    from .dataset import file_problems, solid_from_dict, solid_json
+    from .dataset import file_problems, solid_json
     from .mltasks import inject_defect
     from .rng import SeededRng
 
@@ -305,18 +316,14 @@ def cmd_defect(args) -> int:
     if not _seed_in_range("defect", args.seed, total):
         return USAGE_ERROR
     out_dir = Path(args.out) if args.out else directory
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"defect: cannot create {out_dir}: {exc}", file=sys.stderr)
+    if not _made_dir("defect", out_dir):
         return USAGE_ERROR
     for i, src in enumerate(good[:total]):
-        solid = _read_json(src, solid_from_dict)
+        base, solid = _read_solid(src)
         problems = file_problems(solid, src.name)
         if problems:
             print(f"defect: {src.name}: {problems[0]}", file=sys.stderr)
             return VALIDATION_ERROR
-        base = src.name.replace(".brep.json", "")
         for copy_idx in range(i, total, len(good)):
             name = defect_id(base, copy_idx // len(good))
             stream = args.seed + copy_idx

@@ -65,8 +65,6 @@ def sample_points(solid: BRepSolid, n: int, mode: str, rng: SeededRng) -> PointC
     """
     if mode not in (UNIT_CUBE, UNIT_SPHERE):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    if not len(solid.axis):
-        raise BrepForgeError("solid has no faces")
     areas = np.repeat(_cell_areas(solid), 2)
     total = float(areas.sum())
     if total <= 0.0:

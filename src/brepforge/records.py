@@ -7,8 +7,9 @@ Nothing here reads geometry, and the module imports no numpy, so `stats`
 and `eval` load only this and the standard library.  Metadata files are
 byte-stable canonical JSON (`canonical_json`: sorted keys, compact
 separators, shortest round-trip floats).  Task truths come from the
-storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...); a file's
-label comes from its name alone (`label_of`, reading the ids `defect_id`
+storey count's fixed per-floor pattern (s, s-1, ..., 1, 0, ...).  A file's
+id is its name before the first `.` (`file_id`, its one reader), and its
+label comes from that id alone (`label_of`, reading the ids `defect_id`
 writes).  Lengths read from files and configs snap to the 0.1 m grid by
 `to_units` (the solid reader does the same in numpy), so no reader needs
 the footprint kernel.
@@ -352,16 +353,16 @@ def eval_regression(
 
     Prediction rows use the spreadsheet columns (pred_storey, pred_room_tot,
     pred_avg_area, pred_room_per_1..10); truths are keyed by building id
-    (the filename with any extension stripped).
+    (`file_id` of the filename).
     """
-    missing = [p["filename"] for p in predictions if _base_id(p["filename"]) not in truths]
+    missing = [p["filename"] for p in predictions if file_id(p["filename"]) not in truths]
     if missing:
         raise KeyError(f"predictions without matching truth ids: {missing[:10]}")
     if not predictions:
         raise ValueError("no prediction rows")
     storey_err, storey_hit, rt_err, aa_err, pf_err = [], [], [], [], []
     for p in predictions:
-        truth = truths[_base_id(p["filename"])]
+        truth = truths[file_id(p["filename"])]
         ps = _finite_cell(p, "pred_storey")
         storey_err.append(abs(ps - truth.storey))
         storey_hit.append(float(round(ps) == truth.storey))
@@ -432,20 +433,12 @@ class BinaryMetrics:
 
 def eval_binary(rows: list[tuple[str, str]]) -> BinaryMetrics:
     """Confusion matrix for GOOD/DEFECT predictions; truth is the label the filename gives (`label_of`)."""
-    tp = fn = fp = tn = 0
+    counts = Counter()
     for filename, prediction in rows:
         if prediction not in LABELS:
             raise ValueError(f"unknown label {prediction!r} for {filename}")
-        truth_defect = label_of(filename) == "DEFECT"
-        pred_defect = prediction == "DEFECT"
-        if truth_defect and pred_defect:
-            tp += 1
-        elif truth_defect:
-            fn += 1
-        elif pred_defect:
-            fp += 1
-        else:
-            tn += 1
+        counts[label_of(filename), prediction] += 1
+    tp, fn, fp, tn = (counts[truth, pred] for truth in ("DEFECT", "GOOD") for pred in ("DEFECT", "GOOD"))
     return BinaryMetrics.from_counts(tp, fn, fp, tn)
 
 
@@ -456,14 +449,15 @@ def _finite_cell(row: dict, column: str) -> float:
     return value
 
 
-def _base_id(filename: str) -> str:
+def file_id(filename: str) -> str:
+    """The id of file ``filename``: its name before the first ``.``."""
     return Path(filename).name.split(".")[0]
 
 
 def label_of(filename: str) -> str:
-    """DEFECT when the file's id (`_base_id`) ends in DEFECT_SUFFIX and
+    """DEFECT when the file's id (`file_id`) ends in DEFECT_SUFFIX and
     optional digits, as `defect_id` writes it; else GOOD."""
-    return "DEFECT" if _base_id(filename).rstrip("0123456789").endswith(DEFECT_SUFFIX) else "GOOD"
+    return "DEFECT" if file_id(filename).rstrip("0123456789").endswith(DEFECT_SUFFIX) else "GOOD"
 
 
 def defect_id(base: str, variant: int) -> str:

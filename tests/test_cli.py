@@ -135,7 +135,7 @@ def test_gen_seed_outside_64_bits_usage_error(tmp_path, capsys, seed, count):
     # while the discard log and manifest kept the unmasked number.
     out = tmp_path / "g"
     assert cli(["gen", "--count", str(count), "--seed", str(seed), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "gen: --seed must be in [0, 2**64 - count]\n"
+    assert capsys.readouterr().err == f"gen: --seed must be in [0, 2**64 - {count}]\n"
     assert not out.exists()
 
 
@@ -592,6 +592,23 @@ def test_defect_copies_a_good_id_holding_the_defect_suffix(tmp_path, small_batch
     assert json.loads((tmp_path / "bld_default_def.brep.json").read_text())["label"] == "DEFECT"
 
 
+@pytest.mark.parametrize("command", ["validate", "points", "defect"])
+def test_dotted_id_is_malformed_input(tmp_path, small_batch_dir, capsys, command):
+    # An id holds no dot: read as `a`, `a.b.brep.json` would name its
+    # outputs `a.b.xyz` or `a.b_def.brep.json`, which read back as `a`.
+    src = small_batch_dir / "bld00000003.brep.json"
+    for name in (src.name, "a.b.brep.json"):
+        (tmp_path / name).write_bytes(src.read_bytes())
+    assert cli([command, str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    problem = "a.b.brep.json: name is not <id>.brep.json, an id holding no '.'"
+    if command == "validate":
+        assert out.splitlines() == [f"FAIL {problem}", "ok   bld00000003.brep.json", "validate: 1/2 passed"]
+    else:
+        assert err == f"brepforge: {problem}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b.brep.json", "bld00000003.brep.json"]
+
+
 def test_eval_binary_scores_a_good_id_holding_the_defect_suffix(tmp_path, capsys):
     csv_path = tmp_path / "preds.csv"
     csv_path.write_text("filename,prediction\nbld_default.xyz,GOOD\nbld_default_def.xyz,DEFECT\n")
@@ -748,6 +765,11 @@ def test_defect_out_is_a_file_usage_error(tmp_path, small_batch_dir, capsys):
     assert err.startswith(f"defect: cannot create {taken}: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_def*"))
+    # gen makes its --out through the same guard.
+    out = taken / "g"
+    assert cli(["gen", "--count", "1", "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gen: cannot create {out}: ") and len(err.splitlines()) == 1
 
 
 def test_validate_directory_for_a_file_fails_cleanly(tmp_path, small_batch_dir, capsys):

@@ -26,6 +26,7 @@ from brepforge.records import (
     defect_id,
     eval_binary,
     eval_regression,
+    file_id,
     label_of,
     oracle_labels,
 )
@@ -105,6 +106,14 @@ def test_sample_empty_mesh_rejected():
         sample_points(degenerate, 10, UNIT_CUBE, SeededRng(1, 1))
     with pytest.raises(BrepForgeError, match="^solid has no faces$"):
         sample_points(solid_of((), ()), 10, UNIT_CUBE, SeededRng(1, 1))
+    with pytest.raises(BrepForgeError, match="^solid has no faces$"):
+        triangulate(solid_of((), ()))
+
+
+def test_sample_unknown_mode_rejected():
+    # The points command passes its --mode straight through.
+    with pytest.raises(ValueError, match="^unknown normalization mode 'ball'$"):
+        sample_points(CUBE, 10, "ball", SeededRng(1, 1))
 
 
 @pytest.mark.parametrize("mode, word", [(UNIT_CUBE, "extent"), (UNIT_SPHERE, "radius")])
@@ -342,3 +351,6 @@ def test_label_of_reads_the_ids_defect_id_writes():
     assert [label_of(name) for name in names] == ["GOOD", "DEFECT", "DEFECT", "DEFECT", "GOOD", "GOOD"]
     assert [defect_id("x", variant) for variant in range(3)] == ["x_def", "x_def2", "x_def3"]
     assert [label_of(defect_id("bld_default", variant)) for variant in range(3)] == ["DEFECT"] * 3
+    # An id is the name before its first dot, whatever the directory.
+    assert [file_id(name) for name in names] == ["x", "x_def", "x_def2", "x_def3", "bld_default", "x_defect"]
+    assert [file_id(name) for name in ["a.b.brep.json", "d.e/a.meta.json"]] == ["a", "a"]
