@@ -1,7 +1,9 @@
 """Command-line front end: gen, validate, stats, points, defect, eval.
 
 Exit codes: 0 success, 1 validation failure or a closed stdout, 2 usage or
-config error, or an output that cannot be written.
+config error, or an output that cannot be written.  A command refuses by
+raising `Refusal` with its message and exit code, and `main` alone turns
+that, a `BrepForgeError` or an `OSError` into one stderr line and a code.
 `gen` distributes sample streams across a worker pool (--jobs, or the
 BREPFORGE_JOBS environment variable), in chunks of 8 streams and with no
 more workers than chunks; each stream's result goes to the dataset files
@@ -25,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import BrepForgeError, Discard, MalformedInputError
+from .errors import BrepForgeError, Discard, MalformedInputError, Refusal
 from .records import BuildingMeta, check_rooms, defect_id, file_id, label_of, write_output
 
 USAGE_ERROR = 2
@@ -92,13 +94,10 @@ def cmd_gen(args) -> int:
     from .records import DatasetWriter
 
     if args.count <= 0:
-        print("gen: --count must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal("gen: --count must be positive")
     if args.jobs <= 0:
-        print("gen: --jobs must be positive", file=sys.stderr)
-        return USAGE_ERROR
-    if not _seed_in_range("gen", args.seed, args.count):
-        return USAGE_ERROR
+        raise Refusal("gen: --jobs must be positive")
+    _check_seed("gen", args.seed, args.count)
     try:
         bad = [kv for kv in args.set or [] if "=" not in kv]
         if bad:
@@ -106,11 +105,9 @@ def cmd_gen(args) -> int:
         cfg = GeneratorConfig.build(args.config, dict(kv.split("=", 1) for kv in args.set or []))
         sections = cfg.sections()
     except (ValueError, OSError) as exc:
-        print(f"gen: bad config: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal(f"gen: bad config: {exc}") from exc
     out_dir = Path(args.out)
-    if not _made_dir("gen", out_dir):
-        return USAGE_ERROR
+    _make_dir("gen", out_dir)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     streams = range(args.seed, args.seed + args.count)
@@ -149,24 +146,20 @@ def _brep_files(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.brep.json"))
 
 
-def _seed_in_range(command: str, seed: int, streams: int) -> bool:
-    """Whether streams seed .. seed + streams - 1 all lie in [0, 2**64);
-    prints the usage error if not.  `SeededRng` masks a stream to 64
-    bits, so a seed outside would repeat another seed's output."""
-    if 0 <= seed <= 2**64 - streams:
-        return True
-    print(f"{command}: --seed must be in [0, 2**64 - {streams}]", file=sys.stderr)
-    return False
+def _check_seed(command: str, seed: int, streams: int) -> None:
+    """Refuse unless streams seed .. seed + streams - 1 all lie in
+    [0, 2**64): `SeededRng` masks a stream to 64 bits, so a seed outside
+    would repeat another seed's output."""
+    if not 0 <= seed <= 2**64 - streams:
+        raise Refusal(f"{command}: --seed must be in [0, 2**64 - {streams}]")
 
 
-def _made_dir(command: str, path: Path) -> bool:
-    """Whether directory ``path`` stands or was made; prints the usage error if not."""
+def _make_dir(command: str, path: Path) -> None:
+    """Make directory ``path`` unless it stands; refuse if it cannot be made."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"{command}: cannot create {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise Refusal(f"{command}: cannot create {path}: {exc}") from exc
 
 
 def _read_json(path: Path, parse):
@@ -182,11 +175,12 @@ def _read_json(path: Path, parse):
 
 def _read_solid(path: Path):
     """The id (`records.file_id`) that names every output of the solid at
-    ``path``, and the solid; a name other than ``<id>.brep.json`` raises MalformedInputError."""
+    ``path``, and the solid; a name other than ``<id>.brep.json`` with a
+    non-empty id raises MalformedInputError."""
     from .dataset import solid_from_dict
 
     building_id = file_id(path.name)
-    if path.name != f"{building_id}.brep.json":
+    if not building_id or path.name != f"{building_id}.brep.json":
         raise MalformedInputError(f"{path.name}: name is not <id>.brep.json, an id holding no '.'")
     return building_id, _read_json(path, solid_from_dict)
 
@@ -225,12 +219,11 @@ def cmd_validate(args) -> int:
 
     directory = Path(args.dir)
     if not directory.is_dir():
-        print(f"validate: {directory} is not a directory", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal(f"validate: {directory} is not a directory")
     files = _brep_files(directory)
     if not files:
-        print(f"validate: no .brep.json files in {directory}", file=sys.stderr)
-        return 0
+        # A warning: there is nothing to fail.
+        raise Refusal(f"validate: no .brep.json files in {directory}", 0)
     # Rooms are checked against the filters the tree was generated with:
     # those of the config in its manifest, else the defaults.
     manifest = directory / "manifest.json"
@@ -241,8 +234,7 @@ def cmd_validate(args) -> int:
             raise ValueError("config is not an object of strings")
         filters = GeneratorConfig.build(None, config).filters()
     except (*_PARSE_ERRORS, OSError) as exc:
-        print(f"validate: {manifest}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal(f"validate: {manifest}: {exc}") from exc
     failures = 0
     for path in files:
         line = _validation_line(path, filters, in_tree)
@@ -260,8 +252,7 @@ def cmd_stats(args) -> int:
     try:
         report = stats(load_dataset_meta(meta_path))
     except (*_PARSE_ERRORS, OSError) as exc:
-        print(f"stats: {meta_path}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal(f"stats: {meta_path}: {exc}") from exc
     print(report.text())
     for name, rows in report.csv_rows().items():
         out = directory / f"stats_{name}.csv"
@@ -276,15 +267,12 @@ def cmd_points(args) -> int:
 
     # Fewer than two points have no extent to normalize by.
     if args.n < 2:
-        print("points: --n must be at least 2", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal("points: --n must be at least 2")
     directory = Path(args.dir)
     files = _brep_files(directory)
     if not files:
-        print(f"points: no .brep.json files in {directory}", file=sys.stderr)
-        return USAGE_ERROR
-    if not _seed_in_range("points", args.seed, len(files)):
-        return USAGE_ERROR
+        raise Refusal(f"points: no .brep.json files in {directory}")
+    _check_seed("points", args.seed, len(files))
     for i, path in enumerate(files):
         building_id, solid = _read_solid(path)
         stream = args.seed + i
@@ -302,28 +290,23 @@ def cmd_defect(args) -> int:
     from .rng import SeededRng
 
     if not 0 <= args.ratio < float("inf"):
-        print("defect: --ratio must be a finite number >= 0", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal("defect: --ratio must be a finite number >= 0")
     directory = Path(args.dir)
     good = [p for p in _brep_files(directory) if label_of(p.name) == "GOOD"]
     if not good:
-        print(f"defect: no GOOD .brep.json files in {directory}", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal(f"defect: no GOOD .brep.json files in {directory}")
     # Copy k of the total is of source k mod len(good), with stream seed + k
     # and variant k // len(good) (`defect_id`); each source is read and
     # checked once, before its first copy.
     total = round(args.ratio * len(good))
-    if not _seed_in_range("defect", args.seed, total):
-        return USAGE_ERROR
+    _check_seed("defect", args.seed, total)
     out_dir = Path(args.out) if args.out else directory
-    if not _made_dir("defect", out_dir):
-        return USAGE_ERROR
+    _make_dir("defect", out_dir)
     for i, src in enumerate(good[:total]):
         base, solid = _read_solid(src)
         problems = file_problems(solid, src.name)
         if problems:
-            print(f"defect: {src.name}: {problems[0]}", file=sys.stderr)
-            return VALIDATION_ERROR
+            raise Refusal(f"defect: {src.name}: {problems[0]}", VALIDATION_ERROR)
         for copy_idx in range(i, total, len(good)):
             name = defect_id(base, copy_idx // len(good))
             stream = args.seed + copy_idx
@@ -350,14 +333,12 @@ def cmd_eval(args) -> int:
             metrics = eval_binary(read_binary_csv(args.predictions))
         else:
             if not args.truth:
-                print("eval regression: --truth META.json required", file=sys.stderr)
-                return USAGE_ERROR
+                raise Refusal("eval regression: --truth META.json required")
             ds = load_dataset_meta(args.truth)
             truths = {m.id: oracle_labels(m) for m in ds.records}
             metrics = eval_regression(read_regression_csv(args.predictions), truths)
     except (*_PARSE_ERRORS, csv.Error, OSError) as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise Refusal(f"eval: {exc}") from exc
     print(metrics.text())
     return 0
 
@@ -441,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         # exit-time flush, to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return VALIDATION_ERROR
+    except Refusal as exc:
+        print(exc, file=sys.stderr)
+        return exc.status
     except BrepForgeError as exc:
         print(f"brepforge: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
@@ -456,11 +440,14 @@ def run() -> None:
     """Process entry of `brepforge` and `python -m brepforge.cli`: `main`,
     then exit with its status.
 
+    OPENBLAS_NUM_THREADS defaults to 1, so numpy's import starts no
+    OpenBLAS thread: no command calls BLAS, and that thread costs CPU.
     The heap is frozen just before exit, so the interpreter's exit-time
     collection skips every object alive then, most of them made by the
-    command's imports.  Never in `main`, which tests and in-process
-    callers run many times.
+    command's imports.  Neither is done in `main`, which tests and
+    in-process callers run many times.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = main()
     gc.freeze()
     sys.exit(status)

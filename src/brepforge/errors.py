@@ -37,3 +37,13 @@ class Discard(BrepForgeError):
 
 class MalformedInputError(BrepForgeError):
     """An input file is not JSON or lacks the fields its format needs."""
+
+
+class Refusal(Exception):
+    """A command that will not run as asked: ``message`` is the one stderr
+    line `cli.main` prints, and ``status`` the exit code it returns (2, a
+    usage error, unless given)."""
+
+    def __init__(self, message: str, status: int = 2):
+        super().__init__(message)
+        self.status = status

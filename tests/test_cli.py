@@ -609,6 +609,21 @@ def test_dotted_id_is_malformed_input(tmp_path, small_batch_dir, capsys, command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b.brep.json", "bld00000003.brep.json"]
 
 
+@pytest.mark.parametrize("command", ["validate", "points", "defect"])
+def test_empty_id_is_malformed_input(tmp_path, small_batch_dir, capsys, command):
+    # `.brep.json` has the empty id: its outputs would be the hidden `.xyz`
+    # and `_def.brep.json`, a DEFECT id with no source id.
+    (tmp_path / ".brep.json").write_bytes((small_batch_dir / "bld00000003.brep.json").read_bytes())
+    assert cli([command, str(tmp_path), "--ratio", "1"] if command == "defect" else [command, str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    problem = ".brep.json: name is not <id>.brep.json, an id holding no '.'"
+    if command == "validate":
+        assert out.splitlines() == [f"FAIL {problem}", "validate: 0/1 passed"]
+    else:
+        assert err == f"brepforge: {problem}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [".brep.json"]
+
+
 def test_eval_binary_scores_a_good_id_holding_the_defect_suffix(tmp_path, capsys):
     csv_path = tmp_path / "preds.csv"
     csv_path.write_text("filename,prediction\nbld_default.xyz,GOOD\nbld_default_def.xyz,DEFECT\n")
@@ -895,6 +910,71 @@ def test_defect_without_inputs_creates_no_directory(tmp_path, capsys):
     assert cli(["defect", str(empty), "--out", str(new), "--ratio", "1"]) == 2
     assert capsys.readouterr().err.startswith(f"defect: no GOOD .brep.json files in {missing}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"] and not list(empty.iterdir())
+
+
+NOT_A_DIR = "[Errno 20] Not a directory: '{tmp}/file/g'"
+NO_META = "[Errno 2] No such file or directory: '{d}/meta.json'"
+# Every refusal of every command: (files in {d}, argv, its one stderr line,
+# exit code, whether {out} exists afterwards).  {tmp} is the test's
+# directory, {d} = {tmp}/in holds the inputs, {tmp}/file is a regular file.
+REFUSALS = {
+    "gen-count": ([], "gen --count 0 --out {out}", "gen: --count must be positive", 2, False),
+    "gen-jobs": ([], "gen --count 1 --jobs 0 --out {out}", "gen: --jobs must be positive", 2, False),
+    "gen-seed": ([], f"gen --count 2 --seed {2**64 - 1} --out {{out}}", "gen: --seed must be in [0, 2**64 - 2]", 2, False),
+    "gen-set-form": ([], "gen --count 1 --set max_rooms --out {out}",
+                     "gen: bad config: --set 'max_rooms' is not KEY=VALUE", 2, False),
+    "gen-set-key": ([], "gen --count 1 --set no_such_key=1 --out {out}",
+                    "gen: bad config: unknown config key 'no_such_key'", 2, False),
+    "gen-config": ([], "gen --count 1 --config {tmp}/missing.cfg --out {out}",
+                   "gen: bad config: [Errno 2] No such file or directory: '{tmp}/missing.cfg'", 2, False),
+    "gen-cannot-create": ([], "gen --count 1 --out {tmp}/file/g", "gen: cannot create {tmp}/file/g: " + NOT_A_DIR, 2, False),
+    "validate-not-dir": ([], "validate {tmp}/missing", "validate: {tmp}/missing is not a directory", 2, False),
+    "validate-empty": ([], "validate {d}", "validate: no .brep.json files in {d}", 0, False),
+    "validate-manifest": (["good", "manifest"], "validate {d}",
+                          "validate: {d}/manifest.json: list indices must be integers or slices, not str", 2, False),
+    "stats-no-meta": ([], "stats {d}", "stats: {d}/meta.json: " + NO_META, 2, False),
+    "stats-unwritable": (["meta", "csv-dir"], "stats {d}", "brepforge: [Errno 21] Is a directory: '{d}/stats_storeys.csv'", 2, False),
+    "points-n": (["good"], "points {d} --n 1", "points: --n must be at least 2", 2, False),
+    "points-empty": ([], "points {d}", "points: no .brep.json files in {d}", 2, False),
+    "points-seed": (["good"], "points {d} --seed -1", "points: --seed must be in [0, 2**64 - 1]", 2, False),
+    "points-unreadable": (["dir-solid"], "points {d}", "brepforge: x.brep.json: cannot read: Is a directory", 1, False),
+    "defect-ratio": (["good"], "defect {d} --ratio nan --out {out}", "defect: --ratio must be a finite number >= 0", 2, False),
+    "defect-no-good": ([], "defect {d} --out {out}", "defect: no GOOD .brep.json files in {d}", 2, False),
+    "defect-seed": (["good"], "defect {d} --ratio 1 --seed -1 --out {out}", "defect: --seed must be in [0, 2**64 - 1]", 2, False),
+    "defect-cannot-create": (["good"], "defect {d} --out {tmp}/file/g", "defect: cannot create {tmp}/file/g: " + NOT_A_DIR, 2, False),
+    "defect-bad-source": (["defect-label"], "defect {d} --out {out}",
+                          "defect: bld00000003.brep.json: label 'DEFECT' is not 'GOOD'", 1, True),
+    "defect-unreadable": (["dir-solid"], "defect {d} --out {out}", "brepforge: x.brep.json: cannot read: Is a directory", 1, True),
+    "eval-no-truth": ([], "eval regression {tmp}/p.csv", "eval regression: --truth META.json required", 2, False),
+    "eval-missing": ([], "eval binary {tmp}/p.csv", "eval: [Errno 2] No such file or directory: '{tmp}/p.csv'", 2, False),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_one_stderr_line_and_makes_nothing(tmp_path, small_batch_dir, capsys, case):
+    inputs, argv, line, code, out_made = REFUSALS[case]
+    d = tmp_path / "in"
+    d.mkdir()
+    (tmp_path / "file").write_text("")
+    src = small_batch_dir / "bld00000003.brep.json"
+    for item in inputs:
+        if item == "good":
+            (d / src.name).write_bytes(src.read_bytes())
+        elif item == "defect-label":
+            (d / src.name).write_text(src.read_text().replace('"label":"GOOD"', '"label":"DEFECT"'))
+        elif item == "manifest":
+            (d / "manifest.json").write_text("[]")
+        elif item == "meta":
+            (d / "meta.json").write_bytes((small_batch_dir / "meta.json").read_bytes())
+        elif item == "csv-dir":
+            (d / "stats_storeys.csv").mkdir()
+        else:
+            (d / "x.brep.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    paths = {"tmp": tmp_path, "d": d, "out": tmp_path / "out"}
+    assert cli([arg.format(**paths) for arg in argv.split()]) == code
+    assert capsys.readouterr().err == line.format(**paths) + "\n"
+    assert sorted(tmp_path.rglob("*")) == sorted(before + [tmp_path / "out"] * out_made)
 
 
 @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 1e300, 10**30, 100000.1])
@@ -1455,3 +1535,25 @@ def run_in_fresh_interpreter(code: str) -> str:
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_run_starts_no_blas_threads_unless_asked(tmp_path, small_batch_dir, monkeypatch, preset):
+    # No command calls BLAS; OpenBLAS starts a thread at numpy's import
+    # unless OPENBLAS_NUM_THREADS says 1, and a value the user set stays.
+    (tmp_path / "bld00000003.brep.json").write_bytes((small_batch_dir / "bld00000003.brep.json").read_bytes())
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if preset:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    code = (
+        "import atexit, os, runpy, sys\n"
+        "atexit.register(lambda: print('after', 'numpy' in sys.modules, len(os.listdir('/proc/self/task')),\n"
+        "                              os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr))\n"
+        f"sys.argv = ['brepforge', 'validate', {str(tmp_path)!r}]\n"
+        "runpy.run_module('brepforge.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    after = [line.split() for line in run_in_fresh_interpreter(code).splitlines() if line.startswith("after ")]
+    numpy_loaded, threads, value = after[0][1:]
+    assert numpy_loaded == "True" and (value == preset if preset else threads == "1")
