@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .brep import Box, BRepSolid, solid_from_boxes
 from .records import BuildingMeta, tiered_room_counts
 from .errors import Discard
-from .geom2d import Footprint, polygon_area
+from .geom2d import Footprint
 from .grammar import GrowthTrace
 from .rng import SeededRng
 from .storey import (
@@ -54,13 +54,6 @@ class Building:
     solid: BRepSolid
     meta: BuildingMeta
     config: BuildingConfig
-
-
-def order_storeys(trace: GrowthTrace) -> tuple[Footprint, ...]:
-    """Bottom-up storey footprints under the tiered-setback rule."""
-    if len(trace.snapshots) < 2:
-        raise Discard("growth-failed", "need at least 2 snapshots to stack storeys")
-    return trace.snapshots[::-1]
 
 
 def build_storey_plan(snapshot: Footprint, config: BuildingConfig) -> StoreyPlan:
@@ -179,13 +172,14 @@ def _building_meta(building_id: str, seed: int, plans: list[StoreyPlan]) -> Buil
         rooms=rooms,
         openings=openings,
         avg_room_area=total_area / room_total,
-        footprint_area=polygon_area(plans[0].footprint),
+        footprint_area=sum(r.area_units for r in plans[0].footprint.tiles) / 100.0,
     )
 
 
 def assemble(trace: GrowthTrace, config: BuildingConfig, rng: SeededRng) -> Building:
     """Full building: plans, entrance, one box-grid solid, metadata."""
-    plans = [build_storey_plan(snapshot, config) for snapshot in order_storeys(trace)]
+    # Bottom-up: the ground floor is the last snapshot (tiered setback).
+    plans = [build_storey_plan(snapshot, config) for snapshot in trace.snapshots[::-1]]
     ground = plans[0]
     entrance = place_entrance(ground, config)
     # Entrance owns its façade strip; drop windows within one unit of it.

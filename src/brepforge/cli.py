@@ -297,16 +297,18 @@ def cmd_defect(args) -> int:
         raise Refusal(f"defect: no GOOD .brep.json files in {directory}")
     # Copy k of the total is of source k mod len(good), with stream seed + k
     # and variant k // len(good) (`defect_id`); each source is read and
-    # checked once, before its first copy.
+    # checked once, before its first copy.  The output directory is made
+    # just before the first copy, so a refusal up to then leaves nothing.
     total = round(args.ratio * len(good))
     _check_seed("defect", args.seed, total)
     out_dir = Path(args.out) if args.out else directory
-    _make_dir("defect", out_dir)
     for i, src in enumerate(good[:total]):
         base, solid = _read_solid(src)
         problems = file_problems(solid, src.name)
         if problems:
             raise Refusal(f"defect: {src.name}: {problems[0]}", VALIDATION_ERROR)
+        if i == 0:
+            _make_dir("defect", out_dir)
         for copy_idx in range(i, total, len(good)):
             name = defect_id(base, copy_idx // len(good))
             stream = args.seed + copy_idx

@@ -9,27 +9,22 @@ footprint is its core and the rooms grafted onto it, in graft order.
 Overlap and edge contact with a rectangle are answered tile by tile, and
 the loop of a union is walked from the two loops' edges: cut at each
 other's corners, the pieces the two run both ways cancel, and the rest
-close into the union's loop.  The kernel is pure Python and imports
-neither numpy nor the region tracer.
+close into the union's loop.  No loop the kernel builds is checked
+again: property tests over grown streams hold its invariants.  The kernel
+is pure Python and imports neither numpy nor the region tracer.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BrepForgeError, Rejected
+from .errors import Rejected
 
 
 class Point2(NamedTuple):
     x: int
     y: int
-
-
-class VertexKind(enum.Enum):
-    CONVEX = "convex"
-    CONCAVE = "concave"
 
 
 @dataclass(frozen=True)
@@ -84,17 +79,6 @@ class Rect:
         return Rect(self.x0 - d, self.y0 - d, self.x1 + d, self.y1 + d)
 
 
-def _signed_area2(vertices: tuple[Point2, ...]) -> int:
-    """Twice the shoelace signed area, exact."""
-    total = 0
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
-    return total
-
-
 def _overlap_length(a0: int, a1: int, b0: int, b1: int) -> int:
     """Length shared by the intervals [a0, a1] and [b0, b1], 0 if disjoint."""
     return max(0, min(a1, b1) - max(a0, b0))
@@ -104,36 +88,19 @@ def _overlap_length(a0: int, a1: int, b0: int, b1: int) -> int:
 class Footprint:
     """Axis-parallel loop and the interior-disjoint rectangles that tile it.
 
-    Construction checks only the vertex count, axis-parallel edges and a
-    non-zero area; the tiles are taken as given.  The generator makes
-    footprints with ``from_rect`` and ``union_rect`` alone: their loops are
-    simple, corner-only and counter-clockwise, and their tiles are the core
-    and then each grafted room.
+    A plain record: nothing is checked on construction.  The generator
+    makes footprints with ``from_rect`` and ``union_rect`` alone, whose
+    loops are simple, corner-only and counter-clockwise and whose tiles are
+    the core and then each grafted room; property tests over grown streams
+    hold those invariants.  The area is the tiles' area.
     """
 
     vertices: tuple[Point2, ...]
     tiles: tuple[Rect, ...]
 
-    def __post_init__(self):
-        v = tuple(Point2(int(p[0]), int(p[1])) for p in self.vertices)
-        object.__setattr__(self, "vertices", v)
-        n = len(v)
-        if n < 4:
-            raise BrepForgeError(f"loop has {n} < 4 vertices")
-        for i in range(n):
-            a, b = v[i], v[(i + 1) % n]
-            if a != b and a.x != b.x and a.y != b.y:
-                raise BrepForgeError(f"edge {a}->{b} is not axis-parallel")
-        if _signed_area2(v) == 0:
-            raise BrepForgeError("loop encloses zero area")
-
     @classmethod
     def from_rect(cls, r: Rect) -> "Footprint":
         return cls(r.corners(), (r,))
-
-    def area_units2(self) -> int:
-        """Twice the enclosed area in grid units² (sign follows orientation)."""
-        return _signed_area2(self.vertices)
 
     def edges(self) -> list[tuple[Point2, Point2]]:
         v = self.vertices
@@ -145,23 +112,13 @@ class Footprint:
         return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
-def polygon_area(f: Footprint) -> float:
-    """Positive area of the CCW loop in m²."""
-    area2 = f.area_units2()
-    if area2 <= 0:
-        raise BrepForgeError("loop is not counter-clockwise")
-    return area2 / 200.0
-
-
-def classify_vertex(f: Footprint, i: int) -> VertexKind:
-    """Corner type at vertex i: 90° interior angle is convex, 270° concave."""
+def is_concave(f: Footprint, i: int) -> bool:
+    """True iff the loop turns clockwise at vertex i: a 270° interior
+    angle.  On a corner-only loop each other vertex is a 90° convex one."""
     v = f.vertices
     n = len(v)
     a, b, c = v[(i - 1) % n], v[i], v[(i + 1) % n]
-    cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
-    if cross == 0:
-        raise BrepForgeError(f"collinear or coincident triple at vertex {i}")
-    return VertexKind.CONVEX if cross > 0 else VertexKind.CONCAVE
+    return (b.x - a.x) * (c.y - b.y) < (b.y - a.y) * (c.x - b.x)
 
 
 def overlaps(f: Footprint, r: Rect) -> bool:

@@ -18,14 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import Discard, Rejected
-from .geom2d import (
-    Footprint,
-    Rect,
-    VertexKind,
-    classify_vertex,
-    has_facing_gap,
-    union_rect,
-)
+from .geom2d import Footprint, Rect, has_facing_gap, is_concave, union_rect
 from .rng import SeededRng
 
 
@@ -144,7 +137,7 @@ def expand_convex(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -
 def try_production(f: Footprint, i: int, rng: SeededRng, config: GrammarConfig) -> Footprint:
     """One production attempt at vertex i: f with one more room tile;
     raises `Rejected`, naming the cause, on any rejection."""
-    if classify_vertex(f, i) is VertexKind.CONCAVE:
+    if is_concave(f, i):
         rect = expand_concave(f, i, rng, config)
     else:
         rect = expand_convex(f, i, rng, config)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BrepForgeError, Discard
+from .errors import Discard
 from .geom2d import Footprint, Point2, Rect
 
 NS = ("N", "S")
@@ -107,7 +107,9 @@ def _shared_segment(a: Rect, b: Rect):
 def build_walls(snapshot: Footprint) -> list[WallSegment]:
     """Wall layout for a storey whose rooms are the snapshot's tiles.
 
-    Every segment is made with p1 below p2 in (x, y) order.
+    The tiles tile the footprint, so the exterior pieces of each boundary
+    edge cover it exactly, end to end.  Every segment is made with p1 below
+    p2 in (x, y) order.
     """
     tiles = snapshot.tiles
     walls: list[WallSegment] = []
@@ -130,8 +132,6 @@ def build_walls(snapshot: Footprint) -> list[WallSegment]:
                 if s < e:
                     pieces.append((s, e, rid))
         pieces.sort()
-        if sum(e - s for s, e, _ in pieces) != hi - lo:
-            raise BrepForgeError(f"boundary edge {a}-{b} not fully tiled")
         orientation = _ORIENTATION[along_y, end > start]
         for s, e, rid in pieces:
             if along_y:

@@ -20,7 +20,7 @@ import numpy as np
 
 from brepforge.brep import AXIS_NAMES, FRAMES, BRepSolid, Box, TriMesh, _frames, solid_from_boxes
 from brepforge.errors import BrepForgeError
-from brepforge.geom2d import Footprint, Point2, Rect, VertexKind, classify_vertex
+from brepforge.geom2d import Footprint, Point2, Rect, is_concave
 from brepforge.mltasks import UNIT_CUBE, UNIT_SPHERE, PointCloud
 from brepforge.records import to_units
 from brepforge.regions import _distinct, expand
@@ -355,9 +355,9 @@ def euler_characteristic(mesh: TriMesh) -> int:
 
 def vertex_kind_counts(f: Footprint) -> tuple[int, int]:
     """(convex, concave) counts over the corner-only loop."""
-    kinds = [classify_vertex(f, i) for i in range(len(f.vertices))]
-    convex = sum(1 for k in kinds if k is VertexKind.CONVEX)
-    return convex, len(kinds) - convex
+    n = len(f.vertices)
+    concave = sum(is_concave(f, i) for i in range(n))
+    return n - concave, concave
 
 
 def solid_to_dict(solid: BRepSolid, building_id: str) -> dict:

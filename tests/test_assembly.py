@@ -10,7 +10,6 @@ from brepforge.assembly import (
     _opening_box,
     assemble,
     build_storey_plan,
-    order_storeys,
     place_entrance,
 )
 from brepforge.brep import is_watertight
@@ -21,8 +20,7 @@ from brepforge.config import GeneratorConfig
 from brepforge.grammar import GrowthTrace, Termination, grow
 from brepforge.rng import SeededRng
 from brepforge.brep import FRAMES
-import brepforge.geom2d as geom2d
-from oracles import drawn_footprint, faces_of, rasterize_loops, rect_from_metres, vertices_of
+from oracles import drawn_footprint, faces_of, loop_area2, rasterize_loops, rect_from_metres, vertices_of
 
 GCFG = GeneratorConfig.build().grammar()
 BCFG = GeneratorConfig.build().building()
@@ -37,25 +35,26 @@ def grown(seed):
     return grow(GCFG, rng), rng
 
 
+def storey_rooms(trace, rng):
+    """Room count of each storey of the assembled building, bottom up."""
+    return [len(plan.footprint.tiles) - 1 for plan in assemble(trace, BCFG, rng).storeys]
+
+
 def test_order_storeys_counts_descend():
-    trace, _ = grown(33)  # 10-room trace
-    storeys = order_storeys(trace)
-    assert [len(f.tiles) - 1 for f in storeys] == list(range(10, 0, -1))
+    trace, rng = grown(33)  # 10-room trace
+    assert storey_rooms(trace, rng) == list(range(10, 0, -1))
 
 
 def test_order_storeys_five():
-    trace, _ = grown(7)  # collision after 5 rooms
-    storeys = order_storeys(trace)
-    assert [len(f.tiles) - 1 for f in storeys] == [5, 4, 3, 2, 1]
+    trace, rng = grown(7)  # collision after 5 rooms
+    assert storey_rooms(trace, rng) == [5, 4, 3, 2, 1]
 
 
 def test_order_storeys_minimum_two():
-    trace, _ = grown(33)
-    two = fake_trace(trace.snapshots[:2])
-    assert [len(f.tiles) - 1 for f in order_storeys(two)] == [2, 1]
-    with pytest.raises(Discard) as exc:
-        order_storeys(fake_trace(trace.snapshots[:1]))
-    assert exc.value.reason == "growth-failed"
+    # Fewer than two snapshots never reach `assemble`: `grow` discards them
+    # (test_grammar's snapshot invariants hold it).
+    trace, rng = grown(33)
+    assert storey_rooms(fake_trace(trace.snapshots[:2]), rng) == [2, 1]
 
 
 def ground_face(solid):
@@ -95,7 +94,7 @@ def test_ground_apron_area_algebra():
 
 def test_entrance_prefers_long_wall_nearest_centroid():
     trace, _ = grown(33)
-    plan = build_storey_plan(order_storeys(trace)[0], BCFG)
+    plan = build_storey_plan(trace.snapshots[-1], BCFG)
     entrance = place_entrance(plan, BCFG)
     wall = entrance.wall
     assert wall.kind == "exterior"
@@ -199,7 +198,7 @@ def test_assemble_core_aligned_and_nested():
     # they tile its footprint.
     for lower, upper in zip(b.storeys, b.storeys[1:]):
         assert lower.footprint.tiles[:-1] == upper.footprint.tiles
-        assert lower.footprint.area_units2() == 2 * sum(t.area_units for t in lower.footprint.tiles)
+        assert loop_area2(lower.footprint.vertices) == 2 * sum(t.area_units for t in lower.footprint.tiles)
 
 
 def test_assemble_single_entrance_on_ground_floor():
@@ -265,7 +264,8 @@ def test_meta_totals_consistent():
     s = b.meta.storey_count
     assert b.meta.room_total == s * (s + 1) // 2
     assert sum(b.meta.room_per_floor) == b.meta.room_total
-    assert b.meta.footprint_area == geom2d.polygon_area(trace.snapshots[-1])
+    # The tiles' area is the ground loop's shoelace area, to the bit.
+    assert b.meta.footprint_area == loop_area2(trace.snapshots[-1].vertices) / 200.0
     per_storey_total = sum(w * h for storey in b.meta.rooms for w, h in storey)
     assert abs(b.meta.avg_room_area - per_storey_total / b.meta.room_total) <= 1e-9
 

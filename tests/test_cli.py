@@ -125,10 +125,6 @@ def test_gen_counts_accounting(tmp_path):
     assert len(discard_lines) - 1 == counts["discarded"]
 
 
-def test_gen_zero_count_usage_error(tmp_path):
-    assert cli(["gen", "--count", "0", "--seed", "0", "--out", str(tmp_path / "x")]) == 2
-
-
 @pytest.mark.parametrize("seed, count", [(-1, 1), (2**64 - 1, 2)])
 def test_gen_seed_outside_64_bits_usage_error(tmp_path, capsys, seed, count):
     # A stream outside [0, 2**64) was exported under its 64-bit residue,
@@ -471,18 +467,6 @@ def test_validate_bad_manifest_usage_error(tmp_path, small_batch_dir, capsys, ma
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_validate_empty_dir_warns_ok(tmp_path):
-    assert cli(["validate", str(tmp_path)]) == 0
-
-
-def test_validate_not_a_directory_usage_error(tmp_path, capsys):
-    file = tmp_path / "x.brep.json"
-    file.write_text("{}")
-    for path in (tmp_path / "missing", file):
-        assert cli(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == f"validate: {path} is not a directory\n"
-
-
 def test_stats_reports(small_batch_dir, capsys):
     assert cli(["stats", str(small_batch_dir)]) == 0
     out = capsys.readouterr().out
@@ -672,12 +656,6 @@ def test_eval_regression_non_finite_prediction_usage_error(tmp_path, small_batch
     assert "Traceback" not in err
 
 
-def test_eval_regression_requires_truth(tmp_path):
-    csv_path = tmp_path / "p.csv"
-    csv_path.write_text("filename,prediction\nx,GOOD\n")
-    assert cli(["eval", "regression", str(csv_path)]) == 2
-
-
 def edited_copy(small_batch_dir, directory, edit):
     """Copy the batch's first solid into ``directory`` with ``edit`` applied
     to its JSON document; returns the file name."""
@@ -696,13 +674,6 @@ def test_validate_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
     name = null_faces_copy(small_batch_dir, tmp_path)
     assert cli(["validate", str(tmp_path)]) == 1
     assert capsys.readouterr().out.startswith(f"FAIL {name}: parse error")
-
-
-def test_points_nonpositive_n_usage_error(tmp_path, small_batch_dir):
-    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
-    (tmp_path / src.name).write_bytes(src.read_bytes())
-    assert cli(["points", str(tmp_path), "--n", "0"]) == 2
-    assert not list(tmp_path.glob("*.xyz"))
 
 
 @pytest.mark.parametrize("mode", ["cube", "sphere"])
@@ -729,13 +700,6 @@ def test_bad_jobs_env_is_gen_usage_error(tmp_path, monkeypatch):
             status = exc.code
         assert status == 2, jobs
     assert not list(tmp_path.glob("g/*.brep.json"))
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_gen_nonpositive_jobs_usage_error(tmp_path, capsys, jobs):
-    assert cli(["gen", "--count", "2", "--seed", "0", "--jobs", jobs, "--out", str(tmp_path / "g")]) == 2
-    assert capsys.readouterr().err == "gen: --jobs must be positive\n"
-    assert not (tmp_path / "g").exists()
 
 
 def test_gen_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
@@ -816,13 +780,6 @@ def test_stats_unwritable_output_usage_error(tmp_path, small_batch_dir, capsys):
     assert cli(["stats", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("brepforge: ") and "stats_storeys.csv" in err[0]
-
-
-def test_defect_negative_ratio_usage_error(tmp_path, small_batch_dir):
-    src = next(iter(sorted(small_batch_dir.glob("*.brep.json"))))
-    (tmp_path / src.name).write_bytes(src.read_bytes())
-    assert cli(["defect", str(tmp_path), "--ratio", "-1"]) == 2
-    assert cli(["defect", str(tmp_path), "--ratio", "nan"]) == 2
 
 
 def test_points_null_faces_fails_cleanly(tmp_path, small_batch_dir, capsys):
@@ -915,44 +872,49 @@ def test_defect_without_inputs_creates_no_directory(tmp_path, capsys):
 NOT_A_DIR = "[Errno 20] Not a directory: '{tmp}/file/g'"
 NO_META = "[Errno 2] No such file or directory: '{d}/meta.json'"
 # Every refusal of every command: (files in {d}, argv, its one stderr line,
-# exit code, whether {out} exists afterwards).  {tmp} is the test's
-# directory, {d} = {tmp}/in holds the inputs, {tmp}/file is a regular file.
+# exit code).  None leaves {out} or any other file behind.  {tmp} is the
+# test's directory, {d} = {tmp}/in holds the inputs, {tmp}/file is a
+# regular file.
 REFUSALS = {
-    "gen-count": ([], "gen --count 0 --out {out}", "gen: --count must be positive", 2, False),
-    "gen-jobs": ([], "gen --count 1 --jobs 0 --out {out}", "gen: --jobs must be positive", 2, False),
-    "gen-seed": ([], f"gen --count 2 --seed {2**64 - 1} --out {{out}}", "gen: --seed must be in [0, 2**64 - 2]", 2, False),
+    "gen-count": ([], "gen --count 0 --out {out}", "gen: --count must be positive", 2),
+    "gen-jobs": ([], "gen --count 1 --jobs 0 --out {out}", "gen: --jobs must be positive", 2),
+    "gen-jobs-negative": ([], "gen --count 2 --jobs -3 --out {out}", "gen: --jobs must be positive", 2),
+    "gen-seed": ([], f"gen --count 2 --seed {2**64 - 1} --out {{out}}", "gen: --seed must be in [0, 2**64 - 2]", 2),
     "gen-set-form": ([], "gen --count 1 --set max_rooms --out {out}",
-                     "gen: bad config: --set 'max_rooms' is not KEY=VALUE", 2, False),
+                     "gen: bad config: --set 'max_rooms' is not KEY=VALUE", 2),
     "gen-set-key": ([], "gen --count 1 --set no_such_key=1 --out {out}",
-                    "gen: bad config: unknown config key 'no_such_key'", 2, False),
+                    "gen: bad config: unknown config key 'no_such_key'", 2),
     "gen-config": ([], "gen --count 1 --config {tmp}/missing.cfg --out {out}",
-                   "gen: bad config: [Errno 2] No such file or directory: '{tmp}/missing.cfg'", 2, False),
-    "gen-cannot-create": ([], "gen --count 1 --out {tmp}/file/g", "gen: cannot create {tmp}/file/g: " + NOT_A_DIR, 2, False),
-    "validate-not-dir": ([], "validate {tmp}/missing", "validate: {tmp}/missing is not a directory", 2, False),
-    "validate-empty": ([], "validate {d}", "validate: no .brep.json files in {d}", 0, False),
+                   "gen: bad config: [Errno 2] No such file or directory: '{tmp}/missing.cfg'", 2),
+    "gen-cannot-create": ([], "gen --count 1 --out {tmp}/file/g", "gen: cannot create {tmp}/file/g: " + NOT_A_DIR, 2),
+    "validate-not-dir": ([], "validate {tmp}/missing", "validate: {tmp}/missing is not a directory", 2),
+    "validate-file": ([], "validate {tmp}/file", "validate: {tmp}/file is not a directory", 2),
+    "validate-empty": ([], "validate {d}", "validate: no .brep.json files in {d}", 0),
     "validate-manifest": (["good", "manifest"], "validate {d}",
-                          "validate: {d}/manifest.json: list indices must be integers or slices, not str", 2, False),
-    "stats-no-meta": ([], "stats {d}", "stats: {d}/meta.json: " + NO_META, 2, False),
-    "stats-unwritable": (["meta", "csv-dir"], "stats {d}", "brepforge: [Errno 21] Is a directory: '{d}/stats_storeys.csv'", 2, False),
-    "points-n": (["good"], "points {d} --n 1", "points: --n must be at least 2", 2, False),
-    "points-empty": ([], "points {d}", "points: no .brep.json files in {d}", 2, False),
-    "points-seed": (["good"], "points {d} --seed -1", "points: --seed must be in [0, 2**64 - 1]", 2, False),
-    "points-unreadable": (["dir-solid"], "points {d}", "brepforge: x.brep.json: cannot read: Is a directory", 1, False),
-    "defect-ratio": (["good"], "defect {d} --ratio nan --out {out}", "defect: --ratio must be a finite number >= 0", 2, False),
-    "defect-no-good": ([], "defect {d} --out {out}", "defect: no GOOD .brep.json files in {d}", 2, False),
-    "defect-seed": (["good"], "defect {d} --ratio 1 --seed -1 --out {out}", "defect: --seed must be in [0, 2**64 - 1]", 2, False),
-    "defect-cannot-create": (["good"], "defect {d} --out {tmp}/file/g", "defect: cannot create {tmp}/file/g: " + NOT_A_DIR, 2, False),
+                          "validate: {d}/manifest.json: list indices must be integers or slices, not str", 2),
+    "stats-no-meta": ([], "stats {d}", "stats: {d}/meta.json: " + NO_META, 2),
+    "stats-unwritable": (["meta", "csv-dir"], "stats {d}", "brepforge: [Errno 21] Is a directory: '{d}/stats_storeys.csv'", 2),
+    "points-n": (["good"], "points {d} --n 1", "points: --n must be at least 2", 2),
+    "points-n-zero": (["good"], "points {d} --n 0", "points: --n must be at least 2", 2),
+    "points-empty": ([], "points {d}", "points: no .brep.json files in {d}", 2),
+    "points-seed": (["good"], "points {d} --seed -1", "points: --seed must be in [0, 2**64 - 1]", 2),
+    "points-unreadable": (["dir-solid"], "points {d}", "brepforge: x.brep.json: cannot read: Is a directory", 1),
+    "defect-ratio": (["good"], "defect {d} --ratio nan --out {out}", "defect: --ratio must be a finite number >= 0", 2),
+    "defect-ratio-negative": (["good"], "defect {d} --ratio -1 --out {out}", "defect: --ratio must be a finite number >= 0", 2),
+    "defect-no-good": ([], "defect {d} --out {out}", "defect: no GOOD .brep.json files in {d}", 2),
+    "defect-seed": (["good"], "defect {d} --ratio 1 --seed -1 --out {out}", "defect: --seed must be in [0, 2**64 - 1]", 2),
+    "defect-cannot-create": (["good"], "defect {d} --out {tmp}/file/g", "defect: cannot create {tmp}/file/g: " + NOT_A_DIR, 2),
     "defect-bad-source": (["defect-label"], "defect {d} --out {out}",
-                          "defect: bld00000003.brep.json: label 'DEFECT' is not 'GOOD'", 1, True),
-    "defect-unreadable": (["dir-solid"], "defect {d} --out {out}", "brepforge: x.brep.json: cannot read: Is a directory", 1, True),
-    "eval-no-truth": ([], "eval regression {tmp}/p.csv", "eval regression: --truth META.json required", 2, False),
-    "eval-missing": ([], "eval binary {tmp}/p.csv", "eval: [Errno 2] No such file or directory: '{tmp}/p.csv'", 2, False),
+                          "defect: bld00000003.brep.json: label 'DEFECT' is not 'GOOD'", 1),
+    "defect-unreadable": (["dir-solid"], "defect {d} --out {out}", "brepforge: x.brep.json: cannot read: Is a directory", 1),
+    "eval-no-truth": ([], "eval regression {tmp}/p.csv", "eval regression: --truth META.json required", 2),
+    "eval-missing": ([], "eval binary {tmp}/p.csv", "eval: [Errno 2] No such file or directory: '{tmp}/p.csv'", 2),
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_refusal_is_one_stderr_line_and_makes_nothing(tmp_path, small_batch_dir, capsys, case):
-    inputs, argv, line, code, out_made = REFUSALS[case]
+    inputs, argv, line, code = REFUSALS[case]
     d = tmp_path / "in"
     d.mkdir()
     (tmp_path / "file").write_text("")
@@ -974,7 +936,7 @@ def test_refusal_is_one_stderr_line_and_makes_nothing(tmp_path, small_batch_dir,
     paths = {"tmp": tmp_path, "d": d, "out": tmp_path / "out"}
     assert cli([arg.format(**paths) for arg in argv.split()]) == code
     assert capsys.readouterr().err == line.format(**paths) + "\n"
-    assert sorted(tmp_path.rglob("*")) == sorted(before + [tmp_path / "out"] * out_made)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 1e300, 10**30, 100000.1])
@@ -1013,6 +975,16 @@ def test_unknown_label_is_a_parse_error(tmp_path, small_batch_dir, capsys, comma
         assert err.startswith(f"brepforge: {name}: parse error: label {label!r}"), err
         assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_defect_no_copies_makes_no_out(tmp_path, small_batch_dir, capsys):
+    # --out is made just before the first copy, so a ratio that rounds to
+    # no copies leaves none.
+    src = small_batch_dir / "bld00000003.brep.json"
+    (tmp_path / src.name).write_bytes(src.read_bytes())
+    assert cli(["defect", str(tmp_path), "--ratio", "0.4", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "defect: wrote 0 defect solids (ratio 0.4)\n"
+    assert [p.name for p in tmp_path.iterdir()] == [src.name]
 
 
 def test_missing_label_reads_good(tmp_path, small_batch_dir):

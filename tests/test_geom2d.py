@@ -11,24 +11,29 @@ from brepforge.geom2d import (
     Footprint,
     Point2,
     Rect,
-    VertexKind,
     _contact_lengths,
-    _signed_area2,
-    classify_vertex,
     has_facing_gap,
+    is_concave,
     overlaps,
-    polygon_area,
     union_rect,
 )
 from brepforge.config import GeneratorConfig
 from brepforge.records import to_units
 from brepforge.grammar import grow
 from brepforge.rng import SeededRng
-from oracles import drawn_footprint, rect_from_metres, slab_partition, vertex_kind_counts
+from oracles import drawn_footprint, loop_area2, rect_from_metres, slab_partition, vertex_kind_counts
 
 GRAMMAR = GeneratorConfig.build().grammar()
 SQUARE = drawn_footprint([(0, 0), (4, 0), (4, 4), (0, 4)])
 L_SHAPE = drawn_footprint([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
+
+
+def area_m2(f: Footprint) -> float:
+    """A footprint's area in m², from its tiles; the loop's shoelace area
+    must agree."""
+    units = sum(t.area_units for t in f.tiles)
+    assert loop_area2(f.vertices) == 2 * units
+    return units / 100.0
 
 
 def raster_area_units(f: Footprint) -> int:
@@ -57,32 +62,27 @@ def test_grid_snapping():
 
 def test_area_unit_square():
     unit = drawn_footprint([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert polygon_area(unit) == 1.0
+    assert area_m2(unit) == 1.0
 
 
 def test_area_square_scaled():
-    assert polygon_area(SQUARE) == 16.0
+    assert area_m2(SQUARE) == 16.0
 
 
 def test_area_l_shape_two_rects():
     # Oracle: 6x3 plus 3x3 rectangles.
-    assert polygon_area(L_SHAPE) == 6 * 3 + 3 * 3
+    assert area_m2(L_SHAPE) == 6 * 3 + 3 * 3
     assert raster_area_units(L_SHAPE) == 2700
-
-
-def test_degenerate_loop_rejected():
-    with pytest.raises(BrepForgeError, match="^loop has 3 < 4 vertices$"):
-        Footprint(tuple([Point2(0, 0), Point2(10, 0), Point2(10, 10)]), ())
 
 
 def test_classify_rectangle_all_convex():
     for i in range(4):
-        assert classify_vertex(SQUARE, i) is VertexKind.CONVEX
+        assert not is_concave(SQUARE, i)
 
 
 def test_classify_l_reflex():
     reflex = L_SHAPE.vertices.index(Point2(30, 30))
-    assert classify_vertex(L_SHAPE, reflex) is VertexKind.CONCAVE
+    assert [is_concave(L_SHAPE, i) for i in range(6)] == [i == reflex for i in range(6)]
 
 
 def test_classify_counts_match_identity():
@@ -91,15 +91,9 @@ def test_classify_counts_match_identity():
     assert (convex, concave) == ((n + 4) // 2, (n - 4) // 2) == (5, 1)
 
 
-def test_classify_requires_clean():
-    messy = drawn_footprint([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
-    with pytest.raises(BrepForgeError, match="^collinear or coincident triple at vertex 1$"):
-        classify_vertex(messy, 1)
-
-
 def test_union_coplanar_merge():
     u = union_rect(SQUARE, rect_from_metres(4, 0, 8, 4))
-    assert polygon_area(u) == 32.0
+    assert area_m2(u) == 32.0
     assert len(u.vertices) == 4
 
 
@@ -107,14 +101,14 @@ def test_union_partial_side_eight_vertices():
     r = rect_from_metres(4, 1, 7, 3)
     u = union_rect(SQUARE, r)
     assert len(u.vertices) == 8
-    assert polygon_area(u) == 22.0
+    assert area_m2(u) == 22.0
     assert raster_area_units(u) == raster_area_units(SQUARE) + r.area_units
 
 
 def test_union_area_additive_exact():
     r = rect_from_metres(4, 1, 7, 3)
     u = union_rect(SQUARE, r)
-    assert abs(polygon_area(u) - (polygon_area(SQUARE) + r.area_m2)) <= 1e-9
+    assert abs(area_m2(u) - (area_m2(SQUARE) + r.area_m2)) <= 1e-9
 
 
 def test_union_overlap_is_collision():
@@ -196,7 +190,7 @@ def raster_cell_inside(f: Footprint, cx: int, cy: int) -> bool:
 
 def test_decompose_tiles_exactly():
     rects = slab_partition(L_SHAPE.vertices)
-    assert sum(r.area_units for r in rects) * 2 == L_SHAPE.area_units2()
+    assert sum(r.area_units for r in rects) * 2 == loop_area2(L_SHAPE.vertices)
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
             assert not rects[i].interior_intersects(rects[j])
@@ -298,7 +292,7 @@ def test_rect_predicates_match_cell_reference(case):
     except Rejected as exc:
         assert exc.cause != "collision"
         return
-    assert u.area_units2() == f.area_units2() + 2 * r.area_units
+    assert loop_area2(u.vertices) == loop_area2(f.vertices) + 2 * r.area_units
     for x, y, _ in grid_cells(f, r, u):
         assert raster_cell_inside(u, x, y) == (raster_cell_inside(f, x, y) or in_rect(r, x, y))
 
@@ -347,7 +341,7 @@ def reference_is_simple(vertices) -> bool:
 def reference_clean(vertices) -> tuple[Point2, ...]:
     """Drop coincident/collinear vertices and normalize orientation to CCW."""
     pts = [Point2(*p) for p in vertices]
-    if _signed_area2(tuple(pts)) < 0:
+    if loop_area2(pts) < 0:
         pts.reverse()
     changed = True
     while changed:
@@ -432,7 +426,7 @@ def reference_union_rect(f: Footprint, r: Rect) -> tuple[Point2, ...]:
     result = reference_clean(loop)
     if not reference_is_simple(result):
         raise BrepForgeError("cleaned loop is not simple")
-    if _signed_area2(result) != f.area_units2() + 2 * r.area_units:
+    if loop_area2(result) != loop_area2(f.vertices) + 2 * r.area_units:
         raise Rejected("pinch", "union area mismatch (shapes touch at a point?)")
     return result
 
@@ -441,7 +435,7 @@ def reference_union_rect(f: Footprint, r: Rect) -> tuple[Point2, ...]:
 # -x or -y: one with no corner strictly inside that edge, one with a corner
 # of f inside it.
 def slab_footprint(vertices) -> Footprint:
-    return Footprint(vertices, slab_partition(vertices))
+    return Footprint(tuple(Point2(*p) for p in vertices), slab_partition(vertices))
 
 
 MINUS_CLEAR = (

@@ -8,13 +8,7 @@ import pytest
 from brepforge import grammar
 from brepforge.config import GeneratorConfig
 from brepforge.errors import Discard, Rejected
-from brepforge.geom2d import (
-    Footprint,
-    Point2,
-    Rect,
-    polygon_area,
-    union_rect,
-)
+from brepforge.geom2d import Footprint, Point2, Rect, union_rect
 from brepforge.grammar import (
     Termination,
     expand_concave,
@@ -22,7 +16,7 @@ from brepforge.grammar import (
     grow,
 )
 from brepforge.rng import SeededRng
-from oracles import drawn_footprint, vertex_kind_counts
+from oracles import drawn_footprint, loop_area2, vertex_kind_counts
 from test_geom2d import reference_is_simple
 
 CONFIG = GeneratorConfig.build().grammar()
@@ -57,7 +51,7 @@ def test_concave_fills_notch_exactly():
     rect = expand_concave(L_SHAPE, reflex, StubRng(ints=[30, 30]), CONFIG)
     assert rect == Rect(30, 30, 60, 60)
     grown = union_rect(L_SHAPE, rect)
-    assert polygon_area(grown) == 36.0
+    assert loop_area2(grown.vertices) == 2 * 3600
     assert len(grown.vertices) == 4
 
 
@@ -88,7 +82,7 @@ def test_convex_corner_anchor():
     rect = expand_convex(SQUARE, corner, StubRng(ints=[30, 30], coins=[False]), CONFIG)
     assert rect == Rect(40, 10, 70, 40)
     grown = union_rect(SQUARE, rect)
-    assert polygon_area(grown) == 25.0
+    assert loop_area2(grown.vertices) == 2 * 2500
 
 
 def test_convex_midpoint_anchor_straddles_and_union_rejects():
@@ -132,10 +126,12 @@ def test_grow_deterministic_across_seeds():
         assert a == b
 
 
-def test_snapshot_footprint_invariants_1000_seeds():
+def check_snapshot_invariants(seeds) -> int:
+    """Assert the footprint invariants on every snapshot of the streams;
+    returns how many streams grew."""
     core_area2 = 2 * CONFIG.core_tube.area_units
     traced = 0
-    for seed in range(1000):
+    for seed in seeds:
         try:
             trace = grow(CONFIG, SeededRng(seed, seed))
         except Discard as exc:
@@ -143,29 +139,37 @@ def test_snapshot_footprint_invariants_1000_seeds():
             continue
         traced += 1
         rooms = trace.snapshots[-1].tiles[1:]
+        # `grow` alone discards a growth of fewer than two rooms, so every
+        # building `assemble` stacks has at least two storeys.
         assert 2 <= len(rooms) <= 10
         # The concave production's cap never cuts a side below the minimum.
         for r in rooms:
             assert CONFIG.room_side_min <= min(r.width, r.height)
             assert max(r.width, r.height) <= CONFIG.room_side_max
         for k, snap in enumerate(trace.snapshots):
-            # A simple counter-clockwise loop of corners only (Footprint
-            # construction checks axis-parallel edges), and the corner
-            # identity.
+            # A simple counter-clockwise loop of corners only, every edge
+            # axis-parallel and of positive length, and the corner identity.
+            # Nothing checks these at run time: this test and
+            # test_geom2d::test_union_rect_matches_reference hold them.
             assert reference_is_simple(snap.vertices)
             v = snap.vertices
             n = len(v)
             for i in range(n):
                 a, b, c = v[i - 1], v[i], v[(i + 1) % n]
+                assert a != b and (a.x == b.x or a.y == b.y)
                 assert (b.x - a.x) * (c.y - b.y) != (b.y - a.y) * (c.x - b.x)
-            assert snap.area_units2() > 0
+            assert loop_area2(v) > 0
             assert n % 2 == 0 and n >= 4
             convex, concave = vertex_kind_counts(snap)
             assert convex == (n + 4) // 2 and concave == (n - 4) // 2
             # Exact area additivity: snapshot = core + first k+1 rooms.
             expected = core_area2 + 2 * sum(r.area_units for r in rooms[: k + 1])
-            assert snap.area_units2() == expected
-    assert traced > 900
+            assert loop_area2(v) == expected
+    return traced
+
+
+def test_snapshot_footprint_invariants_1000_seeds():
+    assert check_snapshot_invariants(range(1000)) > 900
 
 
 def test_snapshot_monotone_containment():
@@ -182,9 +186,9 @@ def test_snapshot_monotone_containment():
             # they tile it: their areas sum to its area.
             room = snap.tiles[-1]
             assert snap.tiles == previous.tiles + (room,)
-            assert snap.area_units2() > previous.area_units2()
-            assert snap.area_units2() - previous.area_units2() == 2 * room.area_units
-            assert snap.area_units2() == 2 * sum(t.area_units for t in snap.tiles)
+            assert loop_area2(snap.vertices) > loop_area2(previous.vertices)
+            assert loop_area2(snap.vertices) - loop_area2(previous.vertices) == 2 * room.area_units
+            assert loop_area2(snap.vertices) == 2 * sum(t.area_units for t in snap.tiles)
             previous = snap
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from brepforge.assembly import build_storey_plan
 from brepforge.config import GeneratorConfig
-from brepforge.errors import BrepForgeError, Discard
+from brepforge.errors import Discard
 from brepforge.geom2d import Footprint, Point2
+from brepforge.grammar import grow
+from brepforge.rng import SeededRng
 from brepforge.storey import (
     Opening,
     WallSegment,
@@ -16,6 +18,7 @@ from brepforge.storey import (
 )
 from oracles import drawn_footprint, rect_from_metres
 
+GRAMMAR = GeneratorConfig.build().grammar()
 BUILDING = GeneratorConfig.build().building()
 CORE = rect_from_metres(0, 0, 4, 4)
 
@@ -55,11 +58,46 @@ def test_bump_plan_wall_count_equals_vertex_count():
     assert len(exterior) == len(fp.vertices) == 8
 
 
-def test_build_walls_tiling_violated():
-    # The tiles stop 1 m short of the east edge, which no tile borders.
-    fp = drawn_footprint([(0, 0), (8, 0), (8, 4), (0, 4)], [CORE, rect_from_metres(4, 0, 7, 4)])
-    with pytest.raises(BrepForgeError, match=r"^boundary edge Point2\(x=0, y=0\)-Point2\(x=80, y=0\) not fully tiled$"):
-        build_walls(fp)
+# The side of a room's tile that an exterior wall of each orientation lies on.
+TILE_SIDE = {"E": "x1", "W": "x0", "N": "y1", "S": "y0"}
+
+
+def test_exterior_walls_tile_each_footprint_edge():
+    # Nothing checks this at run time: on every storey plan of streams
+    # 0..199, the exterior walls on each footprint edge run along it end to
+    # end, with no gap or overlap, and each lies on the outward side of its
+    # room's tile.
+    plans = 0
+    for seed in range(200):
+        try:
+            snapshots = grow(GRAMMAR, SeededRng(seed, seed)).snapshots
+        except Discard as exc:
+            assert exc.reason == "growth-failed"
+            continue
+        for snap in snapshots:
+            plans += 1
+            exterior = [w for w in build_walls(snap) if w.kind == "exterior"]
+            on_edges = 0
+            for a, b in snap.edges():
+                k = 1 if a.x == b.x else 0  # the coordinate that varies along the edge
+                lo, hi = sorted((a[k], b[k]))
+                spans = sorted(
+                    (w.p1[k], w.p2[k])
+                    for w in exterior
+                    if w.p1[1 - k] == w.p2[1 - k] == a[1 - k] and lo <= w.p1[k] and w.p2[k] <= hi
+                )
+                assert all(s < e for s, e in spans)
+                assert [s for s, _ in spans] == [lo] + [e for _, e in spans[:-1]]
+                assert spans[-1][1] == hi
+                on_edges += len(spans)
+            assert on_edges == len(exterior)
+            for w in exterior:
+                (room,) = w.rooms
+                tile = snap.tiles[room]
+                k = 1 if w.along_y else 0
+                assert getattr(tile, TILE_SIDE[w.orientation]) == w.p1[1 - k]
+                assert (tile.x0, tile.y0)[k] <= w.p1[k] < w.p2[k] <= (tile.x1, tile.y1)[k]
+    assert plans > 1400
 
 
 def test_single_room_single_centered_door():
