@@ -125,6 +125,10 @@ def test_gen_counts_accounting(tmp_path):
     assert len(discard_lines) - 1 == counts["discarded"]
 
 
+def test_gen_zero_count_usage_error(tmp_path):
+    assert cli(["gen", "--count", "0", "--seed", "0", "--out", str(tmp_path / "x")]) == 2
+
+
 @pytest.mark.parametrize("seed, count", [(-1, 1), (2**64 - 1, 2)])
 def test_gen_seed_outside_64_bits_usage_error(tmp_path, capsys, seed, count):
     # A stream outside [0, 2**64) was exported under its 64-bit residue,
@@ -467,6 +471,10 @@ def test_validate_bad_manifest_usage_error(tmp_path, small_batch_dir, capsys, ma
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_validate_empty_dir_warns_ok(tmp_path):
+    assert cli(["validate", str(tmp_path)]) == 0
+
+
 def test_stats_reports(small_batch_dir, capsys):
     assert cli(["stats", str(small_batch_dir)]) == 0
     out = capsys.readouterr().out
@@ -656,6 +664,12 @@ def test_eval_regression_non_finite_prediction_usage_error(tmp_path, small_batch
     assert "Traceback" not in err
 
 
+def test_eval_regression_requires_truth(tmp_path):
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("filename,prediction\nx,GOOD\n")
+    assert cli(["eval", "regression", str(csv_path)]) == 2
+
+
 def edited_copy(small_batch_dir, directory, edit):
     """Copy the batch's first solid into ``directory`` with ``edit`` applied
     to its JSON document; returns the file name."""
@@ -700,6 +714,13 @@ def test_bad_jobs_env_is_gen_usage_error(tmp_path, monkeypatch):
             status = exc.code
         assert status == 2, jobs
     assert not list(tmp_path.glob("g/*.brep.json"))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_gen_nonpositive_jobs_usage_error(tmp_path, capsys, jobs):
+    assert cli(["gen", "--count", "2", "--seed", "0", "--jobs", jobs, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err == "gen: --jobs must be positive\n"
+    assert not (tmp_path / "g").exists()
 
 
 def test_gen_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
